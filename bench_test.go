@@ -49,6 +49,7 @@ import (
 	"dpkron/internal/kronfit"
 	"dpkron/internal/kronmom"
 	"dpkron/internal/obs"
+	"dpkron/internal/pipeline"
 	"dpkron/internal/randx"
 	"dpkron/internal/release"
 	"dpkron/internal/server"
@@ -73,7 +74,7 @@ func printResult(key, text string) {
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opts := experiments.Table1Options{Eps: 0.2, Delta: 0.01, Seed: 7}
-		rows, err := experiments.RunTable1(opts)
+		rows, err := experiments.RunTable1DatasetsCtx(nil, experiments.Registry(), opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -90,7 +91,7 @@ func benchFigure(b *testing.B, dataset string, expectedRuns int) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFigure(d, experiments.FigureOptions{
+		res, err := experiments.RunFigureCtx(nil, d, experiments.FigureOptions{
 			Eps: 0.2, Delta: 0.01, Seed: 11, ExpectedRuns: expectedRuns,
 		})
 		if err != nil {
@@ -116,11 +117,10 @@ func BenchmarkEpsilonSweep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := d.Generate()
+	g := must(d.GenerateCtx(nil))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.EpsilonSweep(g, d.K,
-			[]float64{0.05, 0.1, 0.2, 0.5, 1, 2}, 0.01, 5, 3)
+		rows, err := experiments.EpsilonSweepCtx(nil, g, d.K, []float64{0.05, 0.1, 0.2, 0.5, 1, 2}, 0.01, 5, 3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -130,9 +130,7 @@ func BenchmarkEpsilonSweep(b *testing.B) {
 
 func BenchmarkSmoothSensGrowth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.SmoothSensGrowth(
-			skg.Initiator{A: 0.99, B: 0.45, C: 0.25},
-			[]int{8, 9, 10, 11, 12, 13, 14}, 0.2, 0.01, 3)
+		rows, err := experiments.SmoothSensGrowthCtx(nil, skg.Initiator{A: 0.99, B: 0.45, C: 0.25}, []int{8, 9, 10, 11, 12, 13, 14}, 0.2, 0.01, 3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -142,7 +140,7 @@ func BenchmarkSmoothSensGrowth(b *testing.B) {
 
 func BenchmarkDistNormAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.DistNormAblation(skg.Initiator{A: 0.99, B: 0.45, C: 0.25}, 12, 21)
+		rows, err := experiments.DistNormAblationCtx(nil, skg.Initiator{A: 0.99, B: 0.45, C: 0.25}, 12, 21)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -171,7 +169,7 @@ func featureGraph(b *testing.B, k, edges int) *dpkron.Graph {
 		return g.(*dpkron.Graph)
 	}
 	m := skg.Model{Init: skg.Initiator{A: 0.99, B: 0.45, C: 0.25}, K: k}
-	g := m.SampleBallDropN(randx.New(99), edges)
+	g := must(m.SampleBallDropNCtx(nil, randx.New(99), edges))
 	featureGraphCache.Store(key, g)
 	return g
 }
@@ -182,7 +180,7 @@ func BenchmarkSampleExact(b *testing.B) {
 		b.Run(fmt.Sprintf("k=16/workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				g := m.SampleExactWorkers(randx.New(uint64(i)+1), workers)
+				g := must(m.SampleExactCtx(pipeline.New(nil, workers, nil), randx.New(uint64(i)+1)))
 				if g.NumNodes() != 1<<16 {
 					b.Fatal("bad sample")
 				}
@@ -198,7 +196,7 @@ func BenchmarkSampleBallDrop(b *testing.B) {
 		b.Run(fmt.Sprintf("k=18/workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				g := m.SampleBallDropNWorkers(randx.New(uint64(i)+1), target, workers)
+				g := must(m.SampleBallDropNCtx(pipeline.New(nil, workers, nil), randx.New(uint64(i)+1), target))
 				if g.NumEdges() != target {
 					b.Fatalf("placed %d edges, want %d", g.NumEdges(), target)
 				}
@@ -215,7 +213,7 @@ func BenchmarkFeatures(b *testing.B) {
 		b.Run(fmt.Sprintf("k=17/workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				f := stats.FeaturesOfWorkers(g, workers)
+				f := must(stats.FeaturesOfCtx(pipeline.New(nil, workers, nil), g))
 				if f.E == 0 {
 					b.Fatal("bad features")
 				}
@@ -230,18 +228,19 @@ func BenchmarkHopPlotANFWorkers(b *testing.B) {
 	for _, workers := range []int{1, 8} {
 		b.Run(fmt.Sprintf("k=16/workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				anf.HopPlot(g, anf.Options{Trials: 16, Rng: randx.New(5), Workers: workers})
+				must(anf.HopPlotCtx(pipeline.New(nil, workers, nil), g, anf.Options{Trials: 16, Rng: randx.New(5)}))
 			}
 		})
 	}
 }
 
-// --- Perf-trajectory benchmarks (scripts/bench.sh → BENCH_2.json) ---
+// --- Perf-trajectory benchmarks (history in BENCH_2.json) ---
 //
-// These three families track the hot paths optimized in PR 2
-// (table-driven KronFit kernels, radix-sort graph construction, map-free
-// ball dropping). scripts/bench.sh runs them and emits BENCH_2.json so
-// later PRs can compare against the recorded trajectory.
+// These three families track the optimized hot paths (table-driven
+// KronFit kernels, radix-sort graph construction, map-free ball
+// dropping); BENCH_2.json holds their recorded trajectory. The seeded,
+// end-to-end benchmark of the module lives in bench/ (see
+// BENCHMARK.json).
 
 // buildBenchBuilder returns a Builder pre-loaded with m random edge
 // mentions (duplicates included) on 2^17 nodes, so the benchmark loop
@@ -287,8 +286,8 @@ func BenchmarkKronFitMetropolis(b *testing.B) {
 		b.Run(fmt.Sprintf("K=%d", cfg.k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, err := kronfit.Fit(g, kronfit.Options{
-					K: cfg.k, Iters: 1, Rng: randx.New(uint64(i) + 1), Workers: 1,
+				_, err := kronfit.FitCtx(pipeline.New(nil, 1, nil), g, kronfit.Options{
+					K: cfg.k, Iters: 1, Rng: randx.New(uint64(i) + 1),
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -298,7 +297,7 @@ func BenchmarkKronFitMetropolis(b *testing.B) {
 	}
 }
 
-// BenchmarkBallDropN times SampleBallDropNWorkers at fixed targets —
+// BenchmarkBallDropN times SampleBallDropNCtx at fixed targets —
 // drop generation plus duplicate elimination plus graph construction.
 func BenchmarkBallDropN(b *testing.B) {
 	for _, cfg := range []struct{ k, target int }{
@@ -308,7 +307,7 @@ func BenchmarkBallDropN(b *testing.B) {
 		b.Run(fmt.Sprintf("K=%d", cfg.k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				g := m.SampleBallDropNWorkers(randx.New(uint64(i)+1), cfg.target, 0)
+				g := must(m.SampleBallDropNCtx(nil, randx.New(uint64(i)+1), cfg.target))
 				if g.NumEdges() != cfg.target {
 					b.Fatalf("placed %d edges, want %d", g.NumEdges(), cfg.target)
 				}
@@ -317,72 +316,55 @@ func BenchmarkBallDropN(b *testing.B) {
 	}
 }
 
-// --- Pipeline-overhead benchmarks (scripts/bench.sh → BENCH_3.json) ---
+// --- Pipeline-overhead benchmarks (history in BENCH_3.json) ---
 //
-// Each pair runs the same workload through the historical blocking
-// entry point ("plain") and through its ...Ctx variant under a live,
-// cancellable-but-never-cancelled context ("ctx") — the real
-// cancellation path, not the background fast path. PR 3's acceptance
-// bound is ctx within 2% of plain; scripts/bench.sh computes the
-// ratios into BENCH_3.json.
+// Each pair runs the same workload under a nil Run ("nil": a context
+// that can never be cancelled, so no check does any work) and under a
+// live, cancellable-but-never-cancelled context ("live") — the real
+// cancellation path. Both run on all cores; the context checks sit at
+// shard and pass boundaries, so live should stay within 2% of nil.
 
 func BenchmarkPipelineOverhead(b *testing.B) {
 	g := featureGraph(b, 16, 1<<20)
-	m := skg.Model{Init: skg.Initiator{A: 0.99, B: 0.45, C: 0.25}, K: 16}
-
-	b.Run("features-plain", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if f := stats.FeaturesOfWorkers(g, 1); f.E == 0 {
-				b.Fatal("bad features")
-			}
-		}
-	})
-	b.Run("features-ctx", func(b *testing.B) {
-		run := liveRun(b, 1)
-		for i := 0; i < b.N; i++ {
-			f, err := stats.FeaturesOfCtx(run, g)
-			if err != nil || f.E == 0 {
-				b.Fatal("bad features", err)
-			}
-		}
-	})
-
-	b.Run("balldrop-plain", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if g := m.SampleBallDropNWorkers(randx.New(uint64(i)+1), 1<<19, 1); g.NumEdges() != 1<<19 {
-				b.Fatal("bad sample")
-			}
-		}
-	})
-	b.Run("balldrop-ctx", func(b *testing.B) {
-		run := liveRun(b, 1)
-		for i := 0; i < b.N; i++ {
-			g, err := m.SampleBallDropNCtx(run, randx.New(uint64(i)+1), 1<<19)
-			if err != nil || g.NumEdges() != 1<<19 {
-				b.Fatal("bad sample", err)
-			}
-		}
-	})
-
 	kg := featureGraph(b, 12, 1<<15)
-	b.Run("kronfit-plain", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := kronfit.Fit(kg, kronfit.Options{K: 12, Iters: 1, Rng: randx.New(uint64(i) + 1), Workers: 1}); err != nil {
-				b.Fatal(err)
-			}
+	m := skg.Model{Init: skg.Initiator{A: 0.99, B: 0.45, C: 0.25}, K: 16}
+	for _, w := range []struct {
+		name string
+		op   func(run *pipeline.Run, i int) error
+	}{
+		{"features", func(run *pipeline.Run, _ int) error {
+			_, err := stats.FeaturesOfCtx(run, g)
+			return err
+		}},
+		{"balldrop", func(run *pipeline.Run, i int) error {
+			_, err := m.SampleBallDropNCtx(run, randx.New(uint64(i)+1), 1<<19)
+			return err
+		}},
+		{"kronfit", func(run *pipeline.Run, i int) error {
+			_, err := kronfit.FitCtx(run, kg, kronfit.Options{K: 12, Iters: 1, Rng: randx.New(uint64(i) + 1)})
+			return err
+		}},
+	} {
+		for _, leg := range []struct {
+			name string
+			run  func(b *testing.B) *pipeline.Run
+		}{
+			{"nil", func(*testing.B) *pipeline.Run { return nil }},
+			{"live", func(b *testing.B) *pipeline.Run { return liveRun(b, 0) }},
+		} {
+			b.Run(w.name+"-"+leg.name, func(b *testing.B) {
+				run := leg.run(b)
+				for i := 0; i < b.N; i++ {
+					if err := w.op(run, i); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
-	})
-	b.Run("kronfit-ctx", func(b *testing.B) {
-		run := liveRun(b, 1)
-		for i := 0; i < b.N; i++ {
-			if _, err := kronfit.FitCtx(run, kg, kronfit.Options{K: 12, Iters: 1, Rng: randx.New(uint64(i) + 1)}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
-// --- Mechanism-dispatch benchmarks (scripts/bench.sh → BENCH_4.json) ---
+// --- Mechanism-dispatch benchmarks (history in BENCH_4.json) ---
 //
 // Each pair runs one real release unit of the codebase directly
 // ("direct": the historical dp.Laplace*/smoothsens path) and through
@@ -390,8 +372,8 @@ func BenchmarkPipelineOverhead(b *testing.B) {
 // live accountant, then the identical draws). The pair granularity is
 // the release the accountant actually meters — a whole degree-sequence
 // vector, a whole triangle release — because that is where PR 4's
-// ≤ 2% dispatch-overhead bound applies; scripts/bench.sh computes the
-// ratios into BENCH_4.json's mechanism_dispatch section.
+// ≤ 2% dispatch-overhead bound applies; BENCH_4.json's
+// mechanism_dispatch section records the ratios.
 
 func BenchmarkMechanismDispatch(b *testing.B) {
 	vals := make([]float64, 1<<12)
@@ -453,7 +435,7 @@ func BenchmarkMechanismDispatch(b *testing.B) {
 		rng := randx.New(9)
 		run := liveRun(b, 1)
 		for i := 0; i < b.N; i++ {
-			tri, err := smoothsens.PrivateTrianglesCtx(run, tg, 0.25, 0.01, rng)
+			tri, err := smoothsens.PrivateTrianglesCtx(run, nil, tg, 0.25, 0.01, rng)
 			if err != nil || tri.Exact == 0 {
 				b.Fatal("bad release", err)
 			}
@@ -464,7 +446,7 @@ func BenchmarkMechanismDispatch(b *testing.B) {
 		acc := accountant.New(nil)
 		run := liveRun(b, 1)
 		for i := 0; i < b.N; i++ {
-			tri, err := smoothsens.PrivateTrianglesAccCtx(run, acc, tg, 0.25, 0.01, rng)
+			tri, err := smoothsens.PrivateTrianglesCtx(run, acc, tg, 0.25, 0.01, rng)
 			if err != nil || tri.Exact == 0 {
 				b.Fatal("bad release", err)
 			}
@@ -477,7 +459,7 @@ func BenchmarkMechanismDispatch(b *testing.B) {
 func benchGraph(b *testing.B, k int) *dpkron.Graph {
 	b.Helper()
 	m := skg.Model{Init: skg.Initiator{A: 0.99, B: 0.45, C: 0.25}, K: k}
-	return m.SampleExact(randx.New(1))
+	return must(m.SampleExactCtx(nil, randx.New(1)))
 }
 
 func BenchmarkSampleExactK11(b *testing.B) {
@@ -485,7 +467,7 @@ func BenchmarkSampleExactK11(b *testing.B) {
 	rng := randx.New(2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g := m.SampleExact(rng)
+		g := must(m.SampleExactCtx(nil, rng))
 		if g.NumNodes() != 2048 {
 			b.Fatal("bad sample")
 		}
@@ -497,7 +479,7 @@ func BenchmarkSampleBallDropK14(b *testing.B) {
 	rng := randx.New(2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g := m.SampleBallDrop(rng)
+		g := must(m.SampleBallDropCtx(nil, rng))
 		if g.NumNodes() != 16384 {
 			b.Fatal("bad sample")
 		}
@@ -509,7 +491,7 @@ func BenchmarkTriangleCount(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats.Triangles(g)
+		must(stats.TrianglesCtx(nil, g))
 	}
 }
 
@@ -528,7 +510,7 @@ func BenchmarkSmoothSensitivity(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		smoothsens.Smooth(g, 0.01)
+		must(smoothsens.SmoothCtx(nil, g, 0.01))
 	}
 }
 
@@ -544,10 +526,10 @@ func BenchmarkMomentObjective(b *testing.B) {
 
 func BenchmarkMomentFit(b *testing.B) {
 	g := benchGraph(b, 12)
-	feats := stats.FeaturesOf(g)
+	feats := must(stats.FeaturesOfCtx(nil, g))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := kronmom.Fit(feats, 12, kronmom.Options{Rng: randx.New(uint64(i))}); err != nil {
+		if _, err := kronmom.FitCtx(nil, feats, 12, kronmom.Options{Rng: randx.New(uint64(i))}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -557,7 +539,7 @@ func BenchmarkKronFitIteration(b *testing.B) {
 	g := benchGraph(b, 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := kronfit.Fit(g, kronfit.Options{K: 10, Iters: 1, Rng: randx.New(uint64(i))}); err != nil {
+		if _, err := kronfit.FitCtx(nil, g, kronfit.Options{K: 10, Iters: 1, Rng: randx.New(uint64(i))}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -567,7 +549,7 @@ func BenchmarkPrivateEstimateEndToEnd(b *testing.B) {
 	g := benchGraph(b, 12)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Estimate(g, core.Options{Eps: 0.2, Delta: 0.01, Rng: randx.New(uint64(i))}); err != nil {
+		if _, err := core.EstimateCtx(nil, g, core.Options{Eps: 0.2, Delta: 0.01, Rng: randx.New(uint64(i))}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -577,7 +559,7 @@ func BenchmarkHopPlotExact(b *testing.B) {
 	g := benchGraph(b, 11)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats.HopPlot(g)
+		must(stats.HopPlotCtx(nil, g))
 	}
 }
 
@@ -586,7 +568,7 @@ func BenchmarkHopPlotANF(b *testing.B) {
 	rng := randx.New(5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dpkron.ApproxHopPlot(g, 32, rng)
+		must(dpkron.ApproxHopPlot(nil, g, 32, rng))
 	}
 }
 
@@ -595,7 +577,7 @@ func BenchmarkScreeValues(b *testing.B) {
 	rng := randx.New(6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dpkron.ScreeValues(g, 48, rng)
+		must(dpkron.ScreeValues(nil, g, 48, rng))
 	}
 }
 
@@ -604,9 +586,7 @@ func BenchmarkScreeValues(b *testing.B) {
 // al.'s G(n,p) analysis).
 func BenchmarkSmoothSensCompare(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.SmoothSensCompare(
-			skg.Initiator{A: 0.99, B: 0.45, C: 0.25},
-			[]int{8, 9, 10, 11, 12, 13}, 0.2, 0.01, 11)
+		rows, err := experiments.SmoothSensCompareCtx(nil, skg.Initiator{A: 0.99, B: 0.45, C: 0.25}, []int{8, 9, 10, 11, 12, 13}, 0.2, 0.01, 11)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -618,7 +598,7 @@ func BenchmarkSmoothSensCompare(b *testing.B) {
 // a 2×2 moment fit applied to graphs from 2×2 and 3×3 initiators.
 func BenchmarkModelSelection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.ModelSelection(31)
+		rows, err := experiments.ModelSelectionCtx(nil, 31)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -626,15 +606,14 @@ func BenchmarkModelSelection(b *testing.B) {
 	}
 }
 
-// --- Dataset-load benchmarks (scripts/bench.sh → BENCH_5.json) ---
+// --- Dataset-load benchmarks (history in BENCH_5.json) ---
 //
 // Each pair loads the same k=16..18 graph from SNAP edge-list text
 // ("text": the streaming parser every pre-store fit paid on every run)
 // and from the dataset store's binary CSR codec ("binary": what
 // fit-by-dataset-id pays). Both decode from memory, so the ratio
-// isolates parse cost from disk. scripts/bench.sh computes the
-// binary_over_text ratios into BENCH_5.json's dataset_load section;
-// the store's acceptance bar is binary measurably below text.
+// isolates parse cost from disk. BENCH_5.json's dataset_load section
+// records the binary_over_text ratios; the store's acceptance bar is binary measurably below text.
 
 func BenchmarkDatasetLoad(b *testing.B) {
 	for _, cfg := range []struct{ k, edges int }{
@@ -674,9 +653,8 @@ func BenchmarkDatasetLoad(b *testing.B) {
 // K=16-cold leg is a full private fit (Algorithm 1 end to end, plus the
 // memoizing Put a cache-enabled fit performs), the K=16-cached leg is
 // what a repeat of the identical question costs — a cache Get plus the
-// payload decode, zero mechanism work. scripts/bench.sh computes the
-// cached_over_cold speedup into BENCH_6.json's release_cache section;
-// the acceptance bar is cached throughput >= 20x cold at k=16.
+// payload decode, zero mechanism work. BENCH_6.json's release_cache
+// section records the cached_over_cold speedup; the acceptance bar is cached throughput >= 20x cold at k=16.
 
 func BenchmarkReleaseCache(b *testing.B) {
 	g := featureGraph(b, 16, 1<<19)
@@ -690,7 +668,7 @@ func BenchmarkReleaseCache(b *testing.B) {
 	b.Run("K=16-cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := core.Estimate(g, core.Options{Eps: 0.5, Delta: 0.01, K: 16, Rng: randx.New(9)})
+			res, err := core.EstimateCtx(nil, g, core.Options{Eps: 0.5, Delta: 0.01, K: 16, Rng: randx.New(9)})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -725,8 +703,8 @@ func BenchmarkReleaseCache(b *testing.B) {
 // API — admission, a K=15 private fit by stored dataset id, completion
 // — against a server with no journal (plain) and one journaling every
 // transition, with fsynced admission and terminal records (journal).
-// scripts/bench.sh computes journal_over_plain into BENCH_7.json's
-// journal_overhead section; the acceptance bound is <= 1.02 — a job's
+// BENCH_7.json's journal_overhead section records journal_over_plain;
+// the acceptance bound is <= 1.02 — a job's
 // durable records cost two fsyncs (a fixed handful of ms), which must
 // disappear into a production-shaped fit of ~1 s.
 func BenchmarkJournalOverhead(b *testing.B) {
@@ -801,15 +779,15 @@ func BenchmarkJournalOverhead(b *testing.B) {
 	})
 }
 
-// --- Out-of-core benchmarks (scripts/bench.sh → BENCH_8.json) ---
+// --- Out-of-core benchmarks (history in BENCH_8.json) ---
 //
 // MmapLoad pairs the cost of materializing a stored graph under the
 // two DPKG layouts: "v1decode" reads the varint file and decodes the
 // full CSR onto the heap (what every pre-v2 load paid), "v2open" maps
 // the fixed-width file and serves the CSR straight out of the page
-// cache — O(1) in the graph size. scripts/bench.sh computes the
-// v1_over_v2 speedups into BENCH_8.json's mmap_load section; the PR 8
-// acceptance bar is >= 10 at k=18.
+// cache — O(1) in the graph size. BENCH_8.json's mmap_load section
+// records the v1_over_v2 speedups; the acceptance bar is >= 10 at
+// k=18.
 
 func BenchmarkMmapLoad(b *testing.B) {
 	for _, cfg := range []struct{ k, edges int }{
@@ -866,9 +844,9 @@ func BenchmarkMmapLoad(b *testing.B) {
 // writes the v2 file in one bounded-memory pass. Besides ns/op, each
 // leg reports its peak heap growth ("heap-peak-bytes", measured by a
 // HeapInuse sampler) — the number the streaming path exists to bound.
-// scripts/bench.sh computes streamed_over_inmem heap ratios into
-// BENCH_8.json's streaming_generate section; the PR 8 acceptance bar
-// is <= 0.25 at k=20, with k=22/24 recorded as the out-of-core points.
+// BENCH_8.json's streaming_generate section records the
+// streamed_over_inmem heap ratios; the acceptance bar is <= 0.25 at
+// k=20, with k=22/24 recorded as the out-of-core points.
 func BenchmarkStreamingGenerate(b *testing.B) {
 	for _, cfg := range []struct{ k, edges int }{
 		{20, 1 << 23}, {22, 1 << 23}, {24, 1 << 24},
@@ -928,7 +906,7 @@ func BenchmarkStreamingGenerate(b *testing.B) {
 					es.Close()
 					sorter.RemoveAll()
 				} else {
-					g := m.SampleBallDropNWorkers(rng, cfg.edges, 0)
+					g := must(m.SampleBallDropNCtx(nil, rng, cfg.edges))
 					meta, _, err = st.PutFormat(g, "bench", "generated", 2)
 					if err != nil {
 						b.Fatal(err)
@@ -959,8 +937,8 @@ func BenchmarkStreamingGenerate(b *testing.B) {
 // — against an uninstrumented server (plain) and one carrying the
 // whole PR 9 telemetry surface: a metrics registry with every
 // subsystem instrumented, a JSON logger at info, and pprof mounted
-// (instrumented). scripts/bench.sh computes instrumented_over_plain
-// into BENCH_9.json's obs_overhead section; the acceptance bound is
+// (instrumented). BENCH_9.json's obs_overhead section records
+// instrumented_over_plain; the acceptance bound is
 // <= 1.02 — atomic counters and one log record per request/job must
 // disappear into a production-shaped fit.
 func BenchmarkObsOverhead(b *testing.B) {
@@ -1043,9 +1021,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 // BenchmarkObsOverhead — one complete K=15 private fit over the HTTP
 // API per op — against a plain server and one recording full span
 // trees (stage spans, serving-layer spans, audit events) into a
-// bounded trace store. scripts/bench.sh computes traced_over_plain
-// into BENCH_10.json's trace_overhead section; the acceptance bound
-// is <= 1.02 — a handful of span allocations per job must disappear
+// bounded trace store. BENCH_10.json's trace_overhead section records
+// traced_over_plain; the acceptance bound is <= 1.02 — a handful of span allocations per job must disappear
 // into the fit.
 func BenchmarkTraceOverhead(b *testing.B) {
 	g := featureGraph(b, 15, 1<<19)

@@ -34,7 +34,7 @@ func cancelledRun(workers int) *pipeline.Run {
 // completed.
 func TestEveryCtxPathReturnsPromptlyWhenPreCancelled(t *testing.T) {
 	m, _ := skg.NewModel(skg.Initiator{A: 0.99, B: 0.55, C: 0.35}, 10)
-	g := m.SampleExactWorkers(randx.New(42), 0)
+	g := must(m.SampleExactCtx(nil, randx.New(42)))
 	d, _ := experiments.Lookup("Synthetic")
 
 	cases := []struct {
@@ -74,7 +74,7 @@ func TestEveryCtxPathReturnsPromptlyWhenPreCancelled(t *testing.T) {
 			return err
 		}},
 		{"smoothsens.PrivateTrianglesCtx", func(r *pipeline.Run) error {
-			_, err := smoothsens.PrivateTrianglesCtx(r, g, 0.2, 0.01, randx.New(1))
+			_, err := smoothsens.PrivateTrianglesCtx(r, nil, g, 0.2, 0.01, randx.New(1))
 			return err
 		}},
 		{"linalg.ScreeValuesCtx", func(r *pipeline.Run) error {
@@ -86,7 +86,7 @@ func TestEveryCtxPathReturnsPromptlyWhenPreCancelled(t *testing.T) {
 			return err
 		}},
 		{"kronmom.FitCtx", func(r *pipeline.Run) error {
-			_, err := kronmom.FitCtx(r, stats.FeaturesOf(g), 10, kronmom.Options{Rng: randx.New(1)})
+			_, err := kronmom.FitCtx(r, must(stats.FeaturesOfCtx(nil, g)), 10, kronmom.Options{Rng: randx.New(1)})
 			return err
 		}},
 		{"kronmom.FitGraphCtx", func(r *pipeline.Run) error {
@@ -125,6 +125,18 @@ func TestEveryCtxPathReturnsPromptlyWhenPreCancelled(t *testing.T) {
 			_, err := experiments.SmoothSensCompareCtx(r, skg.Initiator{A: 0.9, B: 0.5, C: 0.2}, []int{8}, 0.2, 0.01, 1)
 			return err
 		}},
+		{"experiments.DistNormAblationCtx", func(r *pipeline.Run) error {
+			_, err := experiments.DistNormAblationCtx(r, skg.Initiator{A: 0.99, B: 0.45, C: 0.25}, 9, 1)
+			return err
+		}},
+		{"experiments.ModelSelectionCtx", func(r *pipeline.Run) error {
+			_, err := experiments.ModelSelectionCtx(r, 1)
+			return err
+		}},
+		{"stats.ClusteringByDegreeCtx", func(r *pipeline.Run) error {
+			_, err := stats.ClusteringByDegreeCtx(r, g)
+			return err
+		}},
 	}
 	for _, tc := range cases {
 		for _, workers := range []int{1, 4} {
@@ -145,7 +157,7 @@ func TestEveryCtxPathReturnsPromptlyWhenPreCancelled(t *testing.T) {
 // event arrives, so the cancellation always lands mid-run.
 func TestMidRunCancellationViaSink(t *testing.T) {
 	m, _ := skg.NewModel(skg.Initiator{A: 0.99, B: 0.55, C: 0.35}, 10)
-	g := m.SampleExactWorkers(randx.New(42), 0)
+	g := must(m.SampleExactCtx(nil, randx.New(42)))
 
 	// Cancel as soon as the triangle-release stage starts: Algorithm 1
 	// must abort before the moment fit ever begins.
@@ -208,8 +220,8 @@ func TestNelderMeadCtxCancellation(t *testing.T) {
 	if _, err := optimize.GridSearchCtx(cancelledCtx(), f, []float64{0, 0}, []float64{1, 1}, 50); !errors.Is(err, context.Canceled) {
 		t.Errorf("GridSearchCtx pre-cancelled err = %v", err)
 	}
-	if _, err := optimize.MultiStartCtx(cancelledCtx(), f, []float64{0, 0}, []float64{1, 1}, 2, 3,
-		randx.New(1), optimize.NelderMeadOptions{}, 1); !errors.Is(err, context.Canceled) {
+	if _, err := optimize.MultiStartCtx(pipeline.New(cancelledCtx(), 1, nil), f, []float64{0, 0}, []float64{1, 1}, 2, 3,
+		randx.New(1), optimize.NelderMeadOptions{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("MultiStartCtx pre-cancelled err = %v", err)
 	}
 }

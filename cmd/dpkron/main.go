@@ -179,7 +179,7 @@ func (p pipeFlags) newRun() (*pipeline.Run, context.CancelFunc) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	var sink pipeline.Sink
 	if *p.progress {
-		sink = progressSink(os.Stderr)
+		sink = progressSink(os.Stderr, time.Now)
 	}
 	run, cancel := pipeline.WithTimeout(ctx, *p.timeout, *p.workers, sink)
 	return run, func() {
@@ -188,22 +188,35 @@ func (p pipeFlags) newRun() (*pipeline.Run, context.CancelFunc) {
 	}
 }
 
-// progressSink renders stage events as stderr lines: start and done
-// for every stage, plus intermediate fractions in >= 25% steps. The
-// throttle state is dropped when a stage completes (and capped as a
-// backstop) so a long-lived `serve -progress` process, whose stage
-// keys carry unique job-id prefixes, does not grow without bound.
-func progressSink(w io.Writer) pipeline.Sink {
+// progressSink renders stage events as stderr lines: start, and done
+// with the stage's elapsed time (measured on now), for every stage,
+// plus intermediate fractions in >= 25% steps. The per-stage state is
+// dropped when a stage completes (and capped as a backstop) so a
+// long-lived `serve -progress` process, whose stage keys carry unique
+// job-id prefixes, does not grow without bound.
+func progressSink(w io.Writer, now func() time.Time) pipeline.Sink {
+	const maxOpen = 1024 // stages that never complete (cancelled jobs)
+	start := map[string]time.Time{}
 	last := map[string]float64{}
 	return func(e pipeline.Event) {
 		switch {
 		case e.Frac <= 0:
+			if len(start) >= maxOpen {
+				clear(start)
+			}
+			start[e.Stage] = now()
 			fmt.Fprintf(w, "[stage] %s ...\n", e.Stage)
 		case e.Frac >= 1:
 			delete(last, e.Stage)
-			fmt.Fprintf(w, "[stage] %s done\n", e.Stage)
+			t0, ok := start[e.Stage]
+			delete(start, e.Stage)
+			if !ok {
+				fmt.Fprintf(w, "[stage] %s done\n", e.Stage)
+				return
+			}
+			fmt.Fprintf(w, "[stage] %s done (%.2fs)\n", e.Stage, now().Sub(t0).Seconds())
 		case e.Frac-last[e.Stage] >= 0.25:
-			if len(last) >= 1024 { // stages that never complete (cancelled jobs)
+			if len(last) >= maxOpen {
 				clear(last)
 			}
 			last[e.Stage] = e.Frac
@@ -312,8 +325,8 @@ func cmdTable1(args []string) error {
 	}
 	run, cancel := pf.newRun()
 	defer cancel()
-	opts := experiments.Table1Options{Eps: *eps, Delta: *delta, Seed: *seed, KronFitIters: *iters, Workers: *pf.workers}
-	rows, err := experiments.RunTable1Ctx(run, opts)
+	opts := experiments.Table1Options{Eps: *eps, Delta: *delta, Seed: *seed, KronFitIters: *iters}
+	rows, err := experiments.RunTable1DatasetsCtx(run, experiments.Registry(), opts)
 	if err != nil {
 		return err
 	}
@@ -344,7 +357,7 @@ func cmdFigure(args []string) error {
 	run, cancel := pf.newRun()
 	defer cancel()
 	res, err := experiments.RunFigureCtx(run, d, experiments.FigureOptions{
-		Eps: *eps, Delta: *delta, Seed: *seed, ExpectedRuns: *expected, Workers: *pf.workers,
+		Eps: *eps, Delta: *delta, Seed: *seed, ExpectedRuns: *expected,
 	})
 	if err != nil {
 		return err
@@ -632,7 +645,7 @@ func cmdStats(args []string) error {
 	}
 	fmt.Printf("nodes: %d\nedges: %.0f\nhairpins (wedges): %.0f\ntripins (3-stars): %.0f\ntriangles: %.0f\n",
 		g.NumNodes(), f.E, f.H, f.T, f.Delta)
-	fmt.Printf("global clustering: %.4f\nmax degree: %d\n", stats.GlobalClustering(g), g.MaxDegree())
+	fmt.Printf("global clustering: %.4f\nmax degree: %d\n", stats.GlobalClustering(f), g.MaxDegree())
 	hop, err := stats.HopPlotCtx(run, g)
 	if err != nil {
 		return err
@@ -820,7 +833,7 @@ func cmdServe(args []string) error {
 		// Event streams are serialized per job but concurrent across
 		// jobs; one mutex keeps the shared stderr renderer safe.
 		var mu sync.Mutex
-		sink := progressSink(os.Stderr)
+		sink := progressSink(os.Stderr, time.Now)
 		opts.EventLog = func(jobID string, e pipeline.Event) {
 			mu.Lock()
 			defer mu.Unlock()

@@ -12,11 +12,14 @@
 // # Quick start
 //
 //	g, _ := dpkron.ReadEdgeList(f, 0)
-//	res, _ := dpkron.EstimatePrivate(g, dpkron.PrivateOptions{
+//	res, _ := dpkron.EstimatePrivate(nil, g, dpkron.PrivateOptions{
 //		Eps: 0.2, Delta: 0.01, Rng: dpkron.NewRand(1),
 //	})
 //	fmt.Println("private initiator:", res.Init) // safe to publish
-//	synth := res.Model().Sample(dpkron.NewRand(2)) // synthetic graph
+//	synth, _ := res.Model().SampleCtx(nil, dpkron.NewRand(2)) // synthetic graph
+//
+// The first argument of every long-running call is a *Run; nil runs it
+// in the background on all cores (see Cancellation below).
 //
 // The released Result carries the private initiator Θ̃, the private
 // feature counts, the noisy degree sequence and a per-mechanism privacy
@@ -71,20 +74,21 @@
 // the estimators — shard across a bounded worker pool
 // (internal/parallel). Sharding is deterministic: for a fixed seed,
 // every result is bit-identical for every worker count, so seeded
-// experiments stay exactly reproducible while using all cores. Options
-// structs accept a Workers bound (<= 0 means runtime.GOMAXPROCS(0));
-// plain entry points default to all cores. See README.md for the
-// paper-to-code map and the engine's design rules.
+// experiments stay exactly reproducible while using all cores. The
+// worker bound comes from the *Run each call takes (NewRun's workers
+// argument; <= 0 and a nil Run mean runtime.GOMAXPROCS(0)). See
+// README.md for the paper-to-code map and the engine's design rules.
 //
 // # Cancellation, deadlines and progress
 //
-// Every long-running entry point has a ...Ctx variant taking a *Run
-// (NewRun / NewRunTimeout): a context.Context for cancellation and
-// deadlines, a worker budget, and an optional ProgressSink receiving
-// one event pair per pipeline stage. Cancellation only ever aborts —
-// a cancelled Run makes the call return the context's error, never a
-// perturbed result — and a Run that completes produces bits identical
-// to the blocking entry point for the same seed. The `dpkron serve`
+// Every long-running entry point has exactly one form, taking a *Run
+// (NewRun / NewRunTimeout, or nil for a background run on all cores): a
+// context.Context for cancellation and deadlines, a worker budget, and
+// an optional ProgressSink receiving one event pair per pipeline
+// stage. Cancellation only ever aborts — a cancelled Run makes the call
+// return the context's error, never a perturbed result — and a Run
+// that completes produces the same bits as a nil Run for the same
+// seed. The `dpkron serve`
 // command (internal/server) exposes the same pipeline as an HTTP/JSON
 // job API with polling, stage progress, and cancellation.
 //

@@ -103,8 +103,8 @@ type (
 	MLEResult = kronfit.Result
 	// DegreePoint is one point of a per-degree aggregated series.
 	DegreePoint = stats.DegreePoint
-	// Run is the pipeline execution context threaded through the ...Ctx
-	// entry points: a context.Context for cancellation/deadline, a
+	// Run is the pipeline execution context every long-running entry
+	// point takes: a context.Context for cancellation/deadline, a
 	// worker budget, and an optional progress sink. A nil *Run behaves
 	// as a background run on all cores.
 	Run = pipeline.Run
@@ -261,10 +261,10 @@ func ImportDataset(s *DatasetStore, r io.Reader, name string) (DatasetMeta, erro
 
 // NewRun returns a pipeline Run over ctx (nil means background) with
 // the given worker budget (<= 0 selects all cores) and optional
-// progress sink. Pass the Run to the ...Ctx entry points; cancelling
-// ctx makes them return promptly with ctx's error, and a Run that is
-// never cancelled produces results bit-identical to the blocking entry
-// points for the same seed.
+// progress sink. Pass the Run to the long-running entry points;
+// cancelling ctx makes them return promptly with ctx's error, and a Run
+// that is never cancelled produces the same results as a nil Run for
+// the same seed.
 func NewRun(ctx context.Context, workers int, sink ProgressSink) *Run {
 	return pipeline.New(ctx, workers, sink)
 }
@@ -293,81 +293,62 @@ func ReadEdgeList(r io.Reader, minNodes int) (*Graph, error) {
 // SKG model on 2^K nodes.
 func NewModel(init Initiator, k int) (Model, error) { return skg.NewModel(init, k) }
 
-// EstimatePrivate runs the paper's Algorithm 1: an (ε, δ)-edge-
-// differentially-private estimate of the SKG initiator of g.
-func EstimatePrivate(g *Graph, opts PrivateOptions) (*PrivateResult, error) {
-	return core.Estimate(g, opts)
-}
+// Every long-running entry point below takes a *Run as its first
+// argument: pass nil for a background run on all cores, or a NewRun to
+// bound workers, attach a deadline or cancellation, or receive progress
+// events. Cancellation aborts with the context's error, never a
+// perturbed result, and for a fixed seed the outputs are identical for
+// every worker budget.
 
-// EstimatePrivateCtx is EstimatePrivate under a pipeline Run: the
-// run's context is checked between and inside the algorithm stages
-// (cancellation aborts with the context's error, never a perturbed
-// result), the run's worker budget replaces opts.Workers, and one
-// progress event pair per Algorithm 1 stage is emitted to the run's
-// sink under the "algorithm1/" prefix.
-func EstimatePrivateCtx(run *Run, g *Graph, opts PrivateOptions) (*PrivateResult, error) {
+// EstimatePrivate runs the paper's Algorithm 1: an (ε, δ)-edge-
+// differentially-private estimate of the SKG initiator of g. The run's
+// context is checked between and inside the algorithm stages, and one
+// progress event pair per stage is emitted to the run's sink under the
+// "algorithm1/" prefix.
+func EstimatePrivate(run *Run, g *Graph, opts PrivateOptions) (*PrivateResult, error) {
 	return core.EstimateCtx(run, g, opts)
 }
 
 // FitMoment runs the non-private Gleich–Owen KronMom estimator on the
 // exact features of g ("KronMom" in the paper's Table 1). k <= 0 infers
 // the smallest adequate Kronecker power.
-func FitMoment(g *Graph, k int, opts MomentOptions) (MomentEstimate, error) {
-	return kronmom.FitGraph(g, k, opts)
+func FitMoment(run *Run, g *Graph, k int, opts MomentOptions) (MomentEstimate, error) {
+	return kronmom.FitGraphCtx(run, g, k, opts)
 }
 
 // FitMomentFeatures runs KronMom directly on a feature vector, which is
 // how Algorithm 1 consumes its private features.
-func FitMomentFeatures(f Features, k int, opts MomentOptions) (MomentEstimate, error) {
-	return kronmom.Fit(f, k, opts)
-}
-
-// FitMomentCtx is FitMoment under a pipeline Run (cancellable,
-// progress-reporting; see EstimatePrivateCtx for the contract).
-func FitMomentCtx(run *Run, g *Graph, k int, opts MomentOptions) (MomentEstimate, error) {
-	return kronmom.FitGraphCtx(run, g, k, opts)
+func FitMomentFeatures(run *Run, f Features, k int, opts MomentOptions) (MomentEstimate, error) {
+	return kronmom.FitCtx(run, f, k, opts)
 }
 
 // FitMLE runs the non-private KronFit approximate maximum-likelihood
-// estimator ("KronFit" in the paper's Table 1).
-func FitMLE(g *Graph, opts MLEOptions) (MLEResult, error) {
-	return kronfit.Fit(g, opts)
-}
-
-// FitMLECtx is FitMLE under a pipeline Run: cancellation is checked
+// estimator ("KronFit" in the paper's Table 1). Cancellation is checked
 // once per gradient iteration and the "kronfit" stage reports an
 // incremental progress fraction.
-func FitMLECtx(run *Run, g *Graph, opts MLEOptions) (MLEResult, error) {
+func FitMLE(run *Run, g *Graph, opts MLEOptions) (MLEResult, error) {
 	return kronfit.FitCtx(run, g, opts)
 }
 
 // FeaturesOf computes the exact matching features (edges, hairpins,
 // tripins, triangles) of g.
-func FeaturesOf(g *Graph) Features { return stats.FeaturesOf(g) }
-
-// FeaturesOfCtx is FeaturesOf under a pipeline Run.
-func FeaturesOfCtx(run *Run, g *Graph) (Features, error) {
+func FeaturesOf(run *Run, g *Graph) (Features, error) {
 	return stats.FeaturesOfCtx(run, g)
 }
 
-// HopPlotCtx is HopPlot under a pipeline Run.
-func HopPlotCtx(run *Run, g *Graph) ([]int64, error) {
-	return stats.HopPlotCtx(run, g)
-}
-
-// ApproxHopPlotCtx is ApproxHopPlot under a pipeline Run.
-func ApproxHopPlotCtx(run *Run, g *Graph, trials int, rng *Rand) ([]float64, error) {
-	return anf.HopPlotCtx(run, g, anf.Options{Trials: trials, Rng: rng})
-}
+// Triangles returns the exact triangle count of g.
+func Triangles(run *Run, g *Graph) (int64, error) { return stats.TrianglesCtx(run, g) }
 
 // HopPlot returns the exact cumulative hop plot of g (ordered pairs,
 // including self-pairs, within h hops) by all-source BFS.
-func HopPlot(g *Graph) []int64 { return stats.HopPlot(g) }
+func HopPlot(run *Run, g *Graph) ([]int64, error) {
+	return stats.HopPlotCtx(run, g)
+}
 
 // ApproxHopPlot estimates the hop plot with ANF sketches; trials
 // controls accuracy (32 is typical).
-func ApproxHopPlot(g *Graph, trials int, rng *Rand) []float64 {
-	return anf.HopPlot(g, anf.Options{Trials: trials, Rng: rng})
+func ApproxHopPlot(run *Run, g *Graph, trials int, rng *Rand) ([]float64, error) {
+	return anf.HopPlotCtx(run, g, anf.Options{Trials: trials, Rng: rng})
 }
 
 // DegreeDistribution returns (degree, node count) pairs sorted by degree.
@@ -375,15 +356,18 @@ func DegreeDistribution(g *Graph) []DegreePoint { return stats.DegreeDistributio
 
 // ClusteringByDegree returns the average local clustering coefficient
 // per node degree.
-func ClusteringByDegree(g *Graph) []DegreePoint { return stats.ClusteringByDegree(g) }
+func ClusteringByDegree(run *Run, g *Graph) ([]DegreePoint, error) {
+	return stats.ClusteringByDegreeCtx(run, g)
+}
 
 // ScreeValues returns the top-k singular values of the adjacency matrix,
 // descending (the paper's scree plot series).
-func ScreeValues(g *Graph, k int, rng *Rand) []float64 { return linalg.ScreeValues(g, k, rng) }
+func ScreeValues(run *Run, g *Graph, k int, rng *Rand) ([]float64, error) {
+	return linalg.ScreeValuesCtx(run, g, k, rng)
+}
 
 // NetworkValues returns the sorted absolute components of the principal
 // eigenvector (the paper's network-value series).
-func NetworkValues(g *Graph, rng *Rand) []float64 { return linalg.NetworkValues(g, rng) }
-
-// Triangles returns the exact triangle count of g.
-func Triangles(g *Graph) int64 { return stats.Triangles(g) }
+func NetworkValues(run *Run, g *Graph, rng *Rand) ([]float64, error) {
+	return linalg.NetworkValuesCtx(run, g, rng)
+}

@@ -14,12 +14,12 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := model.Sample(dpkron.NewRand(1))
+	g := must(model.SampleCtx(nil, dpkron.NewRand(1)))
 	if g.NumNodes() != 1024 {
 		t.Fatalf("nodes = %d", g.NumNodes())
 	}
 
-	res, err := dpkron.EstimatePrivate(g, dpkron.PrivateOptions{
+	res, err := dpkron.EstimatePrivate(nil, g, dpkron.PrivateOptions{
 		Eps: 0.5, Delta: 0.01, Rng: dpkron.NewRand(2),
 	})
 	if err != nil {
@@ -28,7 +28,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if res.Privacy.Eps != 0.5 || res.Privacy.Delta != 0.01 {
 		t.Fatalf("privacy = %v", res.Privacy)
 	}
-	synth := res.Model().Sample(dpkron.NewRand(3))
+	synth := must(res.Model().SampleCtx(nil, dpkron.NewRand(3)))
 	if synth.NumNodes() != g.NumNodes() {
 		t.Fatal("synthetic graph node count mismatch")
 	}
@@ -41,22 +41,22 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 func TestFacadeBaselines(t *testing.T) {
 	model, _ := dpkron.NewModel(dpkron.Initiator{A: 0.9, B: 0.5, C: 0.2}, 9)
-	g := model.Sample(dpkron.NewRand(4))
-	mom, err := dpkron.FitMoment(g, 0, dpkron.MomentOptions{Rng: dpkron.NewRand(5)})
+	g := must(model.SampleCtx(nil, dpkron.NewRand(4)))
+	mom, err := dpkron.FitMoment(nil, g, 0, dpkron.MomentOptions{Rng: dpkron.NewRand(5)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mom.K != 9 {
 		t.Fatalf("inferred k = %d", mom.K)
 	}
-	mle, err := dpkron.FitMLE(g, dpkron.MLEOptions{Iters: 5, Rng: dpkron.NewRand(6)})
+	mle, err := dpkron.FitMLE(nil, g, dpkron.MLEOptions{Iters: 5, Rng: dpkron.NewRand(6)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mle.K != 9 {
 		t.Fatalf("mle k = %d", mle.K)
 	}
-	feats, err := dpkron.FitMomentFeatures(dpkron.FeaturesOf(g), 9, dpkron.MomentOptions{Rng: dpkron.NewRand(7)})
+	feats, err := dpkron.FitMomentFeatures(nil, must(dpkron.FeaturesOf(nil, g)), 9, dpkron.MomentOptions{Rng: dpkron.NewRand(7)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,32 +70,32 @@ func TestFacadeGraphHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dpkron.Triangles(g) != 1 {
+	if must(dpkron.Triangles(nil, g)) != 1 {
 		t.Fatal("triangle count")
 	}
-	f := dpkron.FeaturesOf(g)
+	f := must(dpkron.FeaturesOf(nil, g))
 	if f.E != 3 || f.Delta != 1 || f.H != 3 {
 		t.Fatalf("features = %+v", f)
 	}
-	hop := dpkron.HopPlot(g)
+	hop := must(dpkron.HopPlot(nil, g))
 	if hop[len(hop)-1] != 9 {
 		t.Fatalf("hop plot = %v", hop)
 	}
 	if dd := dpkron.DegreeDistribution(g); len(dd) != 1 || dd[0].Degree != 2 {
 		t.Fatalf("degree distribution = %+v", dd)
 	}
-	if cc := dpkron.ClusteringByDegree(g); len(cc) != 1 || cc[0].Value != 1 {
+	if cc := must(dpkron.ClusteringByDegree(nil, g)); len(cc) != 1 || cc[0].Value != 1 {
 		t.Fatalf("clustering = %+v", cc)
 	}
-	sv := dpkron.ScreeValues(g, 3, dpkron.NewRand(1))
+	sv := must(dpkron.ScreeValues(nil, g, 3, dpkron.NewRand(1)))
 	if len(sv) == 0 || math.Abs(sv[0]-2) > 1e-6 {
 		t.Fatalf("scree = %v", sv)
 	}
-	nv := dpkron.NetworkValues(g, dpkron.NewRand(2))
+	nv := must(dpkron.NetworkValues(nil, g, dpkron.NewRand(2)))
 	if len(nv) != 3 || math.Abs(nv[0]-1/math.Sqrt(3)) > 1e-6 {
 		t.Fatalf("network values = %v", nv)
 	}
-	approx := dpkron.ApproxHopPlot(g, 64, dpkron.NewRand(3))
+	approx := must(dpkron.ApproxHopPlot(nil, g, 64, dpkron.NewRand(3)))
 	if len(approx) == 0 {
 		t.Fatal("approx hop plot empty")
 	}

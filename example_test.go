@@ -26,9 +26,13 @@ func ExampleReadEdgeList() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	tri, err := dpkron.Triangles(nil, g) // nil Run: background, all cores
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("nodes:", g.NumNodes())
 	fmt.Println("edges:", g.NumEdges())
-	fmt.Println("triangles:", dpkron.Triangles(g))
+	fmt.Println("triangles:", tri)
 	// Output:
 	// nodes: 4
 	// edges: 4
@@ -46,9 +50,14 @@ func ExampleEstimatePrivate() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sensitive := model.Sample(dpkron.NewRand(1))
+	sensitive, err := model.SampleCtx(nil, dpkron.NewRand(1))
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	res, err := dpkron.EstimatePrivate(sensitive, dpkron.PrivateOptions{
+	// A nil Run is a background run on all cores; see ExampleNewRun
+	// for deadlines, worker budgets and progress events.
+	res, err := dpkron.EstimatePrivate(nil, sensitive, dpkron.PrivateOptions{
 		Eps: 0.2, Delta: 0.01, Rng: dpkron.NewRand(2),
 	})
 	if err != nil {
@@ -79,7 +88,10 @@ func ExampleOpenLedger() {
 	defer os.RemoveAll(dir)
 
 	model, _ := dpkron.NewModel(dpkron.Initiator{A: 0.99, B: 0.55, C: 0.35}, 9)
-	sensitive := model.Sample(dpkron.NewRand(1))
+	sensitive, err := model.SampleCtx(nil, dpkron.NewRand(1))
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	led, err := dpkron.OpenLedger(filepath.Join(dir, "ledger.json"))
 	if err != nil {
@@ -97,7 +109,7 @@ func ExampleOpenLedger() {
 			fmt.Printf("fit %d: refused, remaining %s\n", i, led.Remaining(ds))
 			continue
 		}
-		res, err := dpkron.EstimatePrivate(sensitive, dpkron.PrivateOptions{
+		res, err := dpkron.EstimatePrivate(nil, sensitive, dpkron.PrivateOptions{
 			Eps: 0.25, Delta: 0.01, Rng: dpkron.NewRand(uint64(i)),
 		})
 		if err != nil {
@@ -111,40 +123,43 @@ func ExampleOpenLedger() {
 	// fit 3: refused, remaining (0.125, 0)-DP
 }
 
-// ExampleEstimatePrivateCtx runs Algorithm 1 under a pipeline Run: the
-// context bounds the wall time (cancellation aborts with the context's
-// error, never a perturbed result), the worker budget caps
-// parallelism, and the released estimate is bit-identical to the
-// blocking EstimatePrivate for the same seed.
-func ExampleEstimatePrivateCtx() {
+// ExampleNewRun runs Algorithm 1 under a pipeline Run: the context
+// bounds the wall time (cancellation aborts with the context's error,
+// never a perturbed result), the worker budget caps parallelism, and
+// the released estimate is bit-identical to a nil-Run (background, all
+// cores) call for the same seed.
+func ExampleNewRun() {
 	model, err := dpkron.NewModel(dpkron.Initiator{A: 0.99, B: 0.55, C: 0.35}, 10)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sensitive := model.Sample(dpkron.NewRand(1))
+	sensitive, err := model.SampleCtx(nil, dpkron.NewRand(1))
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	run := dpkron.NewRun(ctx, 4, nil) // ctx, worker budget, no progress sink
 
-	res, err := dpkron.EstimatePrivateCtx(run, sensitive, dpkron.PrivateOptions{
+	res, err := dpkron.EstimatePrivate(run, sensitive, dpkron.PrivateOptions{
 		Eps: 0.2, Delta: 0.01, Rng: dpkron.NewRand(2),
 	})
 	if err != nil {
 		log.Fatal(err) // context.DeadlineExceeded if the minute ran out
 	}
 
-	blocking, err := dpkron.EstimatePrivate(sensitive, dpkron.PrivateOptions{
+	background, err := dpkron.EstimatePrivate(nil, sensitive, dpkron.PrivateOptions{
 		Eps: 0.2, Delta: 0.01, Rng: dpkron.NewRand(2),
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("guarantee:", res.Privacy)
-	fmt.Println("identical to blocking call:", res.Init == blocking.Init)
+	fmt.Println("identical to nil-Run call:", res.Init == background.Init)
 	// Output:
 	// guarantee: (0.2, 0.01)-DP
-	// identical to blocking call: true
+	// identical to nil-Run call: true
 }
 
 // ExampleProgressSink shows the stage/progress event stream: a sink
@@ -157,7 +172,10 @@ func ExampleProgressSink() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sensitive := model.Sample(dpkron.NewRand(1))
+	sensitive, err := model.SampleCtx(nil, dpkron.NewRand(1))
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	var started []string
 	sink := func(e dpkron.ProgressEvent) {
@@ -166,7 +184,7 @@ func ExampleProgressSink() {
 		}
 	}
 	run := dpkron.NewRun(context.Background(), 2, sink)
-	if _, err := dpkron.EstimatePrivateCtx(run, sensitive, dpkron.PrivateOptions{
+	if _, err := dpkron.EstimatePrivate(run, sensitive, dpkron.PrivateOptions{
 		Eps: 0.5, Delta: 0.01, Rng: dpkron.NewRand(7),
 	}); err != nil {
 		log.Fatal(err)
@@ -190,15 +208,21 @@ func ExamplePrivateResult_Model() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sensitive := model.Sample(dpkron.NewRand(1))
-	res, err := dpkron.EstimatePrivate(sensitive, dpkron.PrivateOptions{
+	sensitive, err := model.SampleCtx(nil, dpkron.NewRand(1))
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := dpkron.EstimatePrivate(nil, sensitive, dpkron.PrivateOptions{
 		Eps: 0.2, Delta: 0.01, Rng: dpkron.NewRand(2),
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	synth := res.Model().Sample(dpkron.NewRand(3)) // post-processing: costs no privacy
+	synth, err := res.Model().SampleCtx(nil, dpkron.NewRand(3)) // post-processing: costs no privacy
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("synthetic nodes:", synth.NumNodes())
 	fmt.Println("same node count as original:", synth.NumNodes() == sensitive.NumNodes())
 	// Output:
@@ -223,7 +247,11 @@ func ExampleOpenStore() {
 	// The sensitive graph, as it would arrive: edge-list text.
 	model, _ := dpkron.NewModel(dpkron.Initiator{A: 0.99, B: 0.55, C: 0.35}, 9)
 	var edgeList strings.Builder
-	if err := model.Sample(dpkron.NewRand(1)).WriteEdgeList(&edgeList); err != nil {
+	sensitive, err := model.SampleCtx(nil, dpkron.NewRand(1))
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := sensitive.WriteEdgeList(&edgeList); err != nil {
 		log.Fatal(err)
 	}
 
@@ -247,7 +275,7 @@ func ExampleOpenStore() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := dpkron.EstimatePrivate(g, dpkron.PrivateOptions{
+		res, err := dpkron.EstimatePrivate(nil, g, dpkron.PrivateOptions{
 			Eps: 0.25, Delta: 0.01, Rng: dpkron.NewRand(seed),
 		})
 		if err != nil {
@@ -284,7 +312,10 @@ func ExampleOpenReleaseCache() {
 	defer os.RemoveAll(dir)
 
 	model, _ := dpkron.NewModel(dpkron.Initiator{A: 0.99, B: 0.55, C: 0.35}, 9)
-	sensitive := model.Sample(dpkron.NewRand(1))
+	sensitive, err := model.SampleCtx(nil, dpkron.NewRand(1))
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	led, err := dpkron.OpenLedger(filepath.Join(dir, "ledger.json"))
 	if err != nil {
@@ -310,7 +341,7 @@ func ExampleOpenReleaseCache() {
 		if err := led.Spend(ds, dpkron.PlannedReceipt(0.25, 0.01)); err != nil {
 			log.Fatal(err)
 		}
-		res, err := dpkron.EstimatePrivate(sensitive, dpkron.PrivateOptions{
+		res, err := dpkron.EstimatePrivate(nil, sensitive, dpkron.PrivateOptions{
 			Eps: 0.25, Delta: 0.01, K: 9, Rng: dpkron.NewRand(7),
 		})
 		if err != nil {

@@ -25,20 +25,24 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	original := gen.Sample(dpkron.NewRand(1001))
+	// A nil *dpkron.Run runs each call in the background on all cores.
+	original, err := gen.SampleCtx(nil, dpkron.NewRand(1001))
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("co-authorship stand-in: %d nodes, %d edges\n\n",
 		original.NumNodes(), original.NumEdges())
 
 	// Fit the three estimators of Table 1.
-	mle, err := dpkron.FitMLE(original, dpkron.MLEOptions{K: 12, Iters: 40, Rng: dpkron.NewRand(2)})
+	mle, err := dpkron.FitMLE(nil, original, dpkron.MLEOptions{K: 12, Iters: 40, Rng: dpkron.NewRand(2)})
 	if err != nil {
 		log.Fatal(err)
 	}
-	mom, err := dpkron.FitMoment(original, 12, dpkron.MomentOptions{Rng: dpkron.NewRand(3)})
+	mom, err := dpkron.FitMoment(nil, original, 12, dpkron.MomentOptions{Rng: dpkron.NewRand(3)})
 	if err != nil {
 		log.Fatal(err)
 	}
-	priv, err := dpkron.EstimatePrivate(original, dpkron.PrivateOptions{
+	priv, err := dpkron.EstimatePrivate(nil, original, dpkron.PrivateOptions{
 		Eps: 0.2, Delta: 0.01, Rng: dpkron.NewRand(4),
 	})
 	if err != nil {
@@ -65,8 +69,14 @@ func main() {
 		clustering, maxDegree float64
 	}
 	summarize := func(name string, g *dpkron.Graph) row {
-		f := dpkron.FeaturesOf(g)
-		hop := dpkron.HopPlot(g)
+		f, err := dpkron.FeaturesOf(nil, g)
+		if err != nil {
+			log.Fatal(err)
+		}
+		hop, err := dpkron.HopPlot(nil, g)
+		if err != nil {
+			log.Fatal(err)
+		}
 		// Effective diameter at 90% of reachable pairs.
 		target := 0.9 * float64(hop[len(hop)-1])
 		eff := 0.0
@@ -88,7 +98,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rows = append(rows, summarize(m.name, model.Sample(dpkron.NewRand(uint64(10+i)))))
+		synth, err := model.SampleCtx(nil, dpkron.NewRand(uint64(10+i)))
+		if err != nil {
+			log.Fatal(err)
+		}
+		rows = append(rows, summarize(m.name, synth))
 	}
 	fmt.Printf("%-10s %9s %10s %8s %10s %8s\n",
 		"graph", "edges", "triangles", "effDiam", "transit.", "maxDeg")

@@ -22,12 +22,19 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	g := model.Sample(dpkron.NewRand(1))
-	exact := dpkron.FeaturesOf(g)
+	// A nil *dpkron.Run runs each call in the background on all cores.
+	g, err := model.SampleCtx(nil, dpkron.NewRand(1))
+	if err != nil {
+		log.Fatal(err)
+	}
+	exact, err := dpkron.FeaturesOf(nil, g)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("graph: %d nodes, %.0f edges, %.0f triangles\n\n",
 		g.NumNodes(), exact.E, exact.Delta)
 
-	base, err := dpkron.FitMoment(g, 12, dpkron.MomentOptions{Rng: dpkron.NewRand(2)})
+	base, err := dpkron.FitMoment(nil, g, 12, dpkron.MomentOptions{Rng: dpkron.NewRand(2)})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,7 +45,7 @@ func main() {
 	for _, eps := range []float64{0.05, 0.1, 0.2, 0.5, 1.0, 2.0} {
 		var sa, sb, sc, dist, edgeErr float64
 		for trial := 0; trial < trials; trial++ {
-			res, err := dpkron.EstimatePrivate(g, dpkron.PrivateOptions{
+			res, err := dpkron.EstimatePrivate(nil, g, dpkron.PrivateOptions{
 				Eps: eps, Delta: 0.01, Rng: dpkron.NewRand(uint64(100*trial) + uint64(eps*1000)),
 			})
 			if err != nil {

@@ -1,4 +1,4 @@
-// Quickstart: the end-to-end private release workflow in ~40 lines.
+// Quickstart: the end-to-end private release workflow.
 //
 // A data owner holds a sensitive graph. They run the paper's Algorithm 1
 // to obtain a differentially private SKG initiator, publish it, and any
@@ -25,12 +25,22 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sensitive := model.Sample(dpkron.NewRand(1))
-	fmt.Printf("sensitive graph: %d nodes, %d edges, %d triangles\n",
-		sensitive.NumNodes(), sensitive.NumEdges(), dpkron.Triangles(sensitive))
+	// Every long-running call takes a *dpkron.Run first; nil runs in the
+	// background on all cores (dpkron.NewRun adds a deadline, a worker
+	// budget or progress events).
+	sensitive, err := model.SampleCtx(nil, dpkron.NewRand(1))
+	if err != nil {
+		log.Fatal(err)
+	}
+	fo, err := dpkron.FeaturesOf(nil, sensitive)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("sensitive graph: %d nodes, %d edges, %.0f triangles\n",
+		sensitive.NumNodes(), sensitive.NumEdges(), fo.Delta)
 
 	// Data owner: one call releases an (eps, delta)-DP estimator.
-	res, err := dpkron.EstimatePrivate(sensitive, dpkron.PrivateOptions{
+	res, err := dpkron.EstimatePrivate(nil, sensitive, dpkron.PrivateOptions{
 		Eps:   0.2,
 		Delta: 0.01,
 		Rng:   dpkron.NewRand(2),
@@ -43,8 +53,14 @@ func main() {
 
 	// Analyst: sample a synthetic graph from the published model and
 	// compute statistics that never touch the sensitive data.
-	synth := res.Model().Sample(dpkron.NewRand(3))
-	fs, fo := dpkron.FeaturesOf(synth), dpkron.FeaturesOf(sensitive)
+	synth, err := res.Model().SampleCtx(nil, dpkron.NewRand(3))
+	if err != nil {
+		log.Fatal(err)
+	}
+	fs, err := dpkron.FeaturesOf(nil, synth)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\n%-12s %12s %12s\n", "feature", "original", "synthetic")
 	fmt.Printf("%-12s %12.0f %12.0f\n", "edges", fo.E, fs.E)
 	fmt.Printf("%-12s %12.0f %12.0f\n", "hairpins", fo.H, fs.H)

@@ -22,19 +22,23 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	g := model.Sample(dpkron.NewRand(7))
+	// A nil *dpkron.Run runs each call in the background on all cores.
+	g, err := model.SampleCtx(nil, dpkron.NewRand(7))
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("source: SKG(%s), k=%d -> %d nodes, %d edges\n\n",
 		truth, k, g.NumNodes(), g.NumEdges())
 
-	mle, err := dpkron.FitMLE(g, dpkron.MLEOptions{K: k, Rng: dpkron.NewRand(1)})
+	mle, err := dpkron.FitMLE(nil, g, dpkron.MLEOptions{K: k, Rng: dpkron.NewRand(1)})
 	if err != nil {
 		log.Fatal(err)
 	}
-	mom, err := dpkron.FitMoment(g, k, dpkron.MomentOptions{Rng: dpkron.NewRand(2)})
+	mom, err := dpkron.FitMoment(nil, g, k, dpkron.MomentOptions{Rng: dpkron.NewRand(2)})
 	if err != nil {
 		log.Fatal(err)
 	}
-	priv, err := dpkron.EstimatePrivate(g, dpkron.PrivateOptions{
+	priv, err := dpkron.EstimatePrivate(nil, g, dpkron.PrivateOptions{
 		Eps: 0.2, Delta: 0.01, Rng: dpkron.NewRand(3),
 	})
 	if err != nil {
@@ -57,7 +61,10 @@ func main() {
 
 	// How well does each estimate reproduce the observed features?
 	fmt.Printf("\n%-10s %9s %10s %10s %10s\n", "model", "E[edges]", "E[wedges]", "E[3stars]", "E[tri]")
-	obs := dpkron.FeaturesOf(g)
+	obs, err := dpkron.FeaturesOf(nil, g)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("%-10s %9.0f %10.0f %10.0f %10.0f\n", "observed", obs.E, obs.H, obs.T, obs.Delta)
 	for _, r := range rows[1:] {
 		m, err := dpkron.NewModel(r.init, k)

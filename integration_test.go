@@ -28,8 +28,8 @@ func TestPipelineRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	original := model.Sample(dpkron.NewRand(1))
-	res, err := dpkron.EstimatePrivate(original, dpkron.PrivateOptions{
+	original := must(model.SampleCtx(nil, dpkron.NewRand(1)))
+	res, err := dpkron.EstimatePrivate(nil, original, dpkron.PrivateOptions{
 		Eps: 0.2, Delta: 0.01, Rng: dpkron.NewRand(2),
 	})
 	if err != nil {
@@ -39,12 +39,12 @@ func TestPipelineRoundTrip(t *testing.T) {
 	var e, h, d float64
 	const runs = 10
 	for i := 0; i < runs; i++ {
-		f := dpkron.FeaturesOf(res.Model().Sample(dpkron.NewRand(uint64(10 + i))))
+		f := must(dpkron.FeaturesOf(nil, must(res.Model().SampleCtx(nil, dpkron.NewRand(uint64(10+i))))))
 		e += f.E
 		h += f.H
 		d += f.Delta
 	}
-	orig := dpkron.FeaturesOf(original)
+	orig := must(dpkron.FeaturesOf(nil, original))
 	if rel := math.Abs(e/runs-orig.E) / orig.E; rel > 0.25 {
 		t.Errorf("synthetic edges off by %.0f%%", rel*100)
 	}
@@ -60,7 +60,7 @@ func TestPipelineRoundTrip(t *testing.T) {
 // through the edge-list format, confirming I/O does not perturb results.
 func TestWriteReadEstimateStable(t *testing.T) {
 	model, _ := dpkron.NewModel(dpkron.Initiator{A: 0.9, B: 0.5, C: 0.3}, 9)
-	g := model.Sample(dpkron.NewRand(3))
+	g := must(model.SampleCtx(nil, dpkron.NewRand(3)))
 	var buf bytes.Buffer
 	if err := g.WriteEdgeList(&buf); err != nil {
 		t.Fatal(err)
@@ -69,11 +69,11 @@ func TestWriteReadEstimateStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := dpkron.EstimatePrivate(g, dpkron.PrivateOptions{Eps: 1, Delta: 0.05, Rng: dpkron.NewRand(7)})
+	a, err := dpkron.EstimatePrivate(nil, g, dpkron.PrivateOptions{Eps: 1, Delta: 0.05, Rng: dpkron.NewRand(7)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := dpkron.EstimatePrivate(back, dpkron.PrivateOptions{Eps: 1, Delta: 0.05, Rng: dpkron.NewRand(7)})
+	b, err := dpkron.EstimatePrivate(nil, back, dpkron.PrivateOptions{Eps: 1, Delta: 0.05, Rng: dpkron.NewRand(7)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +105,8 @@ func TestQuickObjectiveSymmetricUnderSwap(t *testing.T) {
 // by the dataset stand-ins.
 func TestTriadicClosurePreservesAndAdds(t *testing.T) {
 	m := skg.Model{Init: skg.Initiator{A: 0.95, B: 0.5, C: 0.3}, K: 9}
-	g := m.SampleExact(randx.New(4))
-	before := stats.Triangles(g)
+	g := must(m.SampleExactCtx(nil, randx.New(4)))
+	before := must(stats.TrianglesCtx(nil, g))
 	dens := experiments.TriadicClosure(g, 500, randx.New(5))
 	if dens.NumEdges() != g.NumEdges()+500 {
 		t.Fatalf("edges: %d -> %d, want +500", g.NumEdges(), dens.NumEdges())
@@ -117,7 +117,7 @@ func TestTriadicClosurePreservesAndAdds(t *testing.T) {
 			t.Fatalf("edge (%d,%d) lost", u, v)
 		}
 	})
-	after := stats.Triangles(dens)
+	after := must(stats.TrianglesCtx(nil, dens))
 	if after <= before {
 		t.Fatalf("triangles did not increase: %d -> %d", before, after)
 	}
@@ -135,9 +135,9 @@ func TestTriadicClosurePreservesAndAdds(t *testing.T) {
 // reported budget equals what the mechanisms spent.
 func TestPrivacyBudgetNeverUnderReported(t *testing.T) {
 	model, _ := dpkron.NewModel(dpkron.Initiator{A: 0.9, B: 0.5, C: 0.2}, 8)
-	g := model.Sample(dpkron.NewRand(5))
+	g := must(model.SampleCtx(nil, dpkron.NewRand(5)))
 	for _, eps := range []float64{0.1, 0.5, 2} {
-		res, err := dpkron.EstimatePrivate(g, dpkron.PrivateOptions{Eps: eps, Delta: 0.02, Rng: dpkron.NewRand(6)})
+		res, err := dpkron.EstimatePrivate(nil, g, dpkron.PrivateOptions{Eps: eps, Delta: 0.02, Rng: dpkron.NewRand(6)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestDegreeFeatureErrorShrinksWithGraphSize(t *testing.T) {
 	init := skg.Initiator{A: 0.99, B: 0.55, C: 0.35}
 	relErrAt := func(k int) float64 {
 		m := skg.Model{Init: init, K: k}
-		g := m.Sample(randx.New(uint64(k)))
+		g := must(m.SampleCtx(nil, randx.New(uint64(k))))
 		exact := float64(g.NumEdges())
 		var total float64
 		const trials = 20
@@ -183,10 +183,10 @@ func TestSmoothSensCaps(t *testing.T) {
 	g := dpkron.FromEdges(8, nil)
 	_ = g
 	kn := completeGraph(10)
-	if ls := smoothsens.LocalSensitivity(kn); ls != 8 {
+	if ls := must(smoothsens.MaxCommonNeighborsCtx(nil, kn)); ls != 8 {
 		t.Fatalf("LS(K10) = %v, want 8", ls)
 	}
-	if ss := smoothsens.Smooth(kn, 0.5); math.Abs(ss-8) > 1e-12 {
+	if ss := must(smoothsens.SmoothCtx(nil, kn, 0.5)); math.Abs(ss-8) > 1e-12 {
 		t.Fatalf("SS(K10) = %v, want 8 (capped)", ss)
 	}
 }

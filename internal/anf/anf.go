@@ -28,13 +28,6 @@ type Options struct {
 	MaxHops int
 	// Rng supplies randomness; required.
 	Rng *randx.Rand
-	// Workers bounds the goroutines used for bitmask propagation and
-	// estimation; <= 0 selects runtime.GOMAXPROCS(0). The estimate is
-	// identical for every worker count: sketch initialization consumes
-	// the Rng serially, propagation writes disjoint node blocks, and
-	// the cardinality sum reduces fixed shards in order. HopPlotCtx
-	// ignores this field: the pipeline Run's budget is authoritative.
-	Workers int
 }
 
 func (o *Options) fill() {
@@ -46,21 +39,17 @@ func (o *Options) fill() {
 	}
 }
 
-// HopPlot estimates the cumulative hop plot of g: element h approximates
-// the number of ordered pairs (u, v), including u = v, within distance h.
-// The returned slice stops when the estimate stops growing (within one
-// part in 1e6) or at MaxHops.
-func HopPlot(g *graph.Graph, opts Options) []float64 {
-	hop, _ := HopPlotCtx(pipeline.New(nil, opts.Workers, nil), g, opts)
-	return hop
-}
-
-// HopPlotCtx is HopPlot under a pipeline Run: the worker budget comes
-// from run (Options.Workers is ignored), the context is checked once
-// per propagation round and between the blocks of each round, and an
-// "anf" stage event pair is emitted. A run that is never cancelled
-// estimates the exact HopPlot series for the same Rng; a cancelled run
-// returns run.Err().
+// HopPlotCtx estimates the cumulative hop plot of g under a pipeline
+// Run: element h approximates the number of ordered pairs (u, v),
+// including u = v, within distance h. The returned slice stops when the
+// estimate stops growing (within one part in 1e6) or at MaxHops.
+//
+// Propagation and estimation fan out over run's worker budget, and the
+// estimate is identical for every worker count: sketch initialization
+// consumes the Rng serially, propagation writes disjoint node blocks,
+// and the cardinality sum reduces fixed shards in order. The context is
+// checked between the blocks of each propagation round, an "anf" stage
+// event pair is emitted, and a cancelled run returns run.Err().
 func HopPlotCtx(run *pipeline.Run, g *graph.Graph, opts Options) ([]float64, error) {
 	opts.fill()
 	if opts.Rng == nil {
@@ -80,7 +69,7 @@ func HopPlotCtx(run *pipeline.Run, g *graph.Graph, opts Options) ([]float64, err
 			cur[v*R+t] = 1 << geometricBit(opts.Rng)
 		}
 	}
-	first, err := estimateTotalCtx(ctx, cur, n, R, workers)
+	first, err := estimateTotal(ctx, cur, n, R, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +77,7 @@ func HopPlotCtx(run *pipeline.Run, g *graph.Graph, opts Options) ([]float64, err
 	for h := 1; h <= opts.MaxHops; h++ {
 		// Each round reads cur and writes disjoint node blocks of next,
 		// so the propagation shards freely across the pool.
-		if err := parallel.ForBlocksCtx(ctx, workers, n, func(_, lo, hi int) {
+		if err := parallel.ForBlocks(ctx, workers, n, func(_, lo, hi int) {
 			copy(next[lo*R:hi*R], cur[lo*R:hi*R])
 			for v := lo; v < hi; v++ {
 				row := next[v*R : v*R+R]
@@ -103,7 +92,7 @@ func HopPlotCtx(run *pipeline.Run, g *graph.Graph, opts Options) ([]float64, err
 			return nil, err
 		}
 		cur, next = next, cur
-		total, err := estimateTotalCtx(ctx, cur, n, R, workers)
+		total, err := estimateTotal(ctx, cur, n, R, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -127,11 +116,11 @@ func geometricBit(r *randx.Rand) int {
 	return i
 }
 
-// estimateTotalCtx sums the per-node FM cardinality estimates with a
+// estimateTotal sums the per-node FM cardinality estimates with a
 // fixed-shard ordered reduction, so the floating-point total is
 // identical for every worker count.
-func estimateTotalCtx(ctx context.Context, masks []uint64, n, R, workers int) (float64, error) {
-	return parallel.SumFloat64Ctx(ctx, workers, n, func(lo, hi int) float64 {
+func estimateTotal(ctx context.Context, masks []uint64, n, R, workers int) (float64, error) {
+	return parallel.SumFloat64(ctx, workers, n, func(lo, hi int) float64 {
 		var total float64
 		for v := lo; v < hi; v++ {
 			var sum float64

@@ -26,8 +26,8 @@ func randomGraph(n int, p float64, seed uint64) *graph.Graph {
 func TestHopPlotCloseToExact(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		g := randomGraph(200, 0.03, seed)
-		exact := stats.HopPlot(g)
-		approx := HopPlot(g, Options{Trials: 128, Rng: randx.New(seed)})
+		exact := must(stats.HopPlotCtx(nil, g))
+		approx := must(HopPlotCtx(nil, g, Options{Trials: 128, Rng: randx.New(seed)}))
 		// Compare the final reachable-pair counts within 15%.
 		e := float64(exact[len(exact)-1])
 		a := approx[len(approx)-1]
@@ -47,7 +47,7 @@ func TestHopPlotCloseToExact(t *testing.T) {
 
 func TestHopPlotMonotone(t *testing.T) {
 	g := randomGraph(100, 0.05, 7)
-	hop := HopPlot(g, Options{Trials: 32, Rng: randx.New(7)})
+	hop := must(HopPlotCtx(nil, g, Options{Trials: 32, Rng: randx.New(7)}))
 	for i := 1; i < len(hop); i++ {
 		if hop[i] < hop[i-1] {
 			t.Fatalf("hop plot not monotone at %d: %v", i, hop)
@@ -56,13 +56,13 @@ func TestHopPlotMonotone(t *testing.T) {
 }
 
 func TestHopPlotEmptyAndSingleton(t *testing.T) {
-	if got := HopPlot(graph.Empty(0), Options{Rng: randx.New(1)}); got != nil {
+	if got := must(HopPlotCtx(nil, graph.Empty(0), Options{Rng: randx.New(1)})); got != nil {
 		t.Fatalf("empty graph hop plot = %v, want nil", got)
 	}
 	// Five isolated nodes: the series must converge immediately (no
 	// growth past hop 0). FM sketches overestimate tiny cardinalities
 	// (the phi correction is asymptotic), so only the shape is checked.
-	hop := HopPlot(graph.Empty(5), Options{Trials: 64, Rng: randx.New(1)})
+	hop := must(HopPlotCtx(nil, graph.Empty(5), Options{Trials: 64, Rng: randx.New(1)}))
 	if len(hop) != 1 || hop[0] <= 0 {
 		t.Fatalf("isolated nodes hop plot = %v, want single positive entry", hop)
 	}
@@ -70,8 +70,8 @@ func TestHopPlotEmptyAndSingleton(t *testing.T) {
 
 func TestHopPlotDeterministicGivenSeed(t *testing.T) {
 	g := randomGraph(60, 0.08, 3)
-	a := HopPlot(g, Options{Trials: 16, Rng: randx.New(42)})
-	b := HopPlot(g, Options{Trials: 16, Rng: randx.New(42)})
+	a := must(HopPlotCtx(nil, g, Options{Trials: 16, Rng: randx.New(42)}))
+	b := must(HopPlotCtx(nil, g, Options{Trials: 16, Rng: randx.New(42)}))
 	if len(a) != len(b) {
 		t.Fatal("non-deterministic length")
 	}
@@ -96,5 +96,14 @@ func TestRequiresRng(t *testing.T) {
 			t.Fatal("expected panic without Rng")
 		}
 	}()
-	HopPlot(graph.Empty(3), Options{})
+	must(HopPlotCtx(nil, graph.Empty(3), Options{}))
+}
+
+// must unwraps a (value, error) pair from a Run that is never
+// cancelled, where an error is a bug.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -3,17 +3,18 @@ package anf
 import (
 	"testing"
 
+	"dpkron/internal/pipeline"
 	"dpkron/internal/randx"
 )
 
 func TestHopPlotWorkerInvariant(t *testing.T) {
 	g := randomGraph(300, 0.03, 11)
-	base := HopPlot(g, Options{Trials: 32, Rng: randx.New(9), Workers: 1})
+	base := must(HopPlotCtx(pipeline.New(nil, 1, nil), g, Options{Trials: 32, Rng: randx.New(9)}))
 	if len(base) < 2 {
 		t.Fatal("degenerate hop plot")
 	}
 	for _, workers := range []int{2, 4, 8} {
-		got := HopPlot(g, Options{Trials: 32, Rng: randx.New(9), Workers: workers})
+		got := must(HopPlotCtx(pipeline.New(nil, workers, nil), g, Options{Trials: 32, Rng: randx.New(9)}))
 		if len(got) != len(base) {
 			t.Fatalf("workers=%d: length %d != %d", workers, len(got), len(base))
 		}

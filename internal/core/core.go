@@ -76,12 +76,6 @@ type Options struct {
 	// charging never perturbs the rng stream (fixed-seed outputs are
 	// bit-identical with or without an accountant).
 	Accountant *accountant.Accountant
-	// Workers bounds the goroutines used by the pipeline's parallel
-	// stages (feature counting, the smooth-sensitivity scan, and the
-	// moment optimizer); <= 0 selects runtime.GOMAXPROCS(0). The
-	// released estimate is identical for every worker count. EstimateCtx
-	// ignores this field: the pipeline Run's budget is authoritative.
-	Workers int
 }
 
 // Result is the outcome of the private estimation.
@@ -142,19 +136,17 @@ func PlannedReceipt(eps, delta float64) accountant.Receipt {
 // Model returns the released SKG model, ready for synthetic sampling.
 func (r *Result) Model() skg.Model { return skg.Model{Init: r.Init, K: r.K} }
 
-// Estimate runs Algorithm 1 on g.
-func Estimate(g *graph.Graph, opts Options) (*Result, error) {
-	return EstimateCtx(pipeline.New(nil, opts.Workers, nil), g, opts)
-}
-
-// EstimateCtx runs Algorithm 1 on g under a pipeline Run: the worker
-// budget comes from run (opts.Workers is ignored), one stage event pair
-// per algorithm stage is emitted under the "algorithm1/" prefix
-// (degree-release, feature-derivation, triangle-release, moment-fit),
-// the context is checked between stages and inside every parallel
-// stage, and a cancelled run returns run.Err(). A run that is never
-// cancelled consumes exactly the rng draws Estimate consumes and
-// releases the bit-identical estimate for the same seed.
+// EstimateCtx runs Algorithm 1 on g under a pipeline Run (nil means
+// background on all cores). The parallel stages (the smooth-sensitivity
+// scan, the exact triangle count and the moment optimizer) share run's
+// worker budget, and the released estimate is identical for every
+// worker count. One stage event pair per algorithm stage is emitted
+// under the "algorithm1/" prefix (degree-release, feature-derivation,
+// triangle-release, moment-fit), the context is checked between stages
+// and inside every parallel stage, and a cancelled run returns
+// run.Err(). Cancellation consumes no randomness: a run that is never
+// cancelled releases the same estimate for the same seed whatever its
+// context.
 func EstimateCtx(run *pipeline.Run, g *graph.Graph, opts Options) (*Result, error) {
 	if opts.Rng == nil {
 		return nil, fmt.Errorf("core: Options.Rng is required")
@@ -204,7 +196,7 @@ func EstimateCtx(run *pipeline.Run, g *graph.Graph, opts Options) (*Result, erro
 	if err := alg.Err(); err != nil {
 		return nil, err
 	}
-	tri, err := smoothsens.PrivateTrianglesAccCtx(alg, acc, g, half, opts.Delta, opts.Rng)
+	tri, err := smoothsens.PrivateTrianglesCtx(alg, acc, g, half, opts.Delta, opts.Rng)
 	if err != nil {
 		return nil, err
 	}

@@ -15,12 +15,12 @@ import (
 func sample(t *testing.T, init skg.Initiator, k int, seed uint64) *graph.Graph {
 	t.Helper()
 	m := skg.Model{Init: init, K: k}
-	return m.SampleExact(randx.New(seed))
+	return must(m.SampleExactCtx(nil, randx.New(seed)))
 }
 
 func TestEstimateBudgetAccounting(t *testing.T) {
 	g := sample(t, skg.Initiator{A: 0.9, B: 0.5, C: 0.2}, 8, 1)
-	res, err := Estimate(g, Options{Eps: 0.2, Delta: 0.01, Rng: randx.New(2)})
+	res, err := EstimateCtx(nil, g, Options{Eps: 0.2, Delta: 0.01, Rng: randx.New(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +50,11 @@ func TestEstimateBudgetAccounting(t *testing.T) {
 func TestEstimateMatchesNonPrivateAtHugeEpsilon(t *testing.T) {
 	truth := skg.Initiator{A: 0.99, B: 0.45, C: 0.25}
 	g := sample(t, truth, 10, 3)
-	res, err := Estimate(g, Options{Eps: 1e7, Delta: 0.01, Rng: randx.New(4)})
+	res, err := EstimateCtx(nil, g, Options{Eps: 1e7, Delta: 0.01, Rng: randx.New(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nonPriv, err := kronmom.FitGraph(g, 10, kronmom.Options{Rng: randx.New(5)})
+	nonPriv, err := kronmom.FitGraphCtx(nil, g, 10, kronmom.Options{Rng: randx.New(5)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +71,11 @@ func TestEstimateRecoversTruthAtModerateEpsilon(t *testing.T) {
 	// nodes. Use k=11 (2048 nodes) and a fixed seed.
 	truth := skg.Initiator{A: 0.99, B: 0.45, C: 0.25}
 	g := sample(t, truth, 11, 7)
-	res, err := Estimate(g, Options{Eps: 0.2, Delta: 0.01, Rng: randx.New(8)})
+	res, err := EstimateCtx(nil, g, Options{Eps: 0.2, Delta: 0.01, Rng: randx.New(8)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nonPriv, err := kronmom.FitGraph(g, 11, kronmom.Options{Rng: randx.New(9)})
+	nonPriv, err := kronmom.FitGraphCtx(nil, g, 11, kronmom.Options{Rng: randx.New(9)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +88,11 @@ func TestEstimateRecoversTruthAtModerateEpsilon(t *testing.T) {
 
 func TestEstimatePrivateFeaturesNearExactAtHugeEps(t *testing.T) {
 	g := sample(t, skg.Initiator{A: 0.9, B: 0.5, C: 0.3}, 9, 5)
-	res, err := Estimate(g, Options{Eps: 1e8, Delta: 0.5, Rng: randx.New(6)})
+	res, err := EstimateCtx(nil, g, Options{Eps: 1e8, Delta: 0.5, Rng: randx.New(6)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := stats.FeaturesOf(g)
+	exact := must(stats.FeaturesOfCtx(nil, g))
 	if math.Abs(res.Features.E-exact.E) > 1 ||
 		math.Abs(res.Features.H-exact.H) > exact.H*0.01+5 ||
 		math.Abs(res.Features.T-exact.T) > exact.T*0.01+5 ||
@@ -103,11 +103,11 @@ func TestEstimatePrivateFeaturesNearExactAtHugeEps(t *testing.T) {
 
 func TestEstimateDeterministicGivenSeed(t *testing.T) {
 	g := sample(t, skg.Initiator{A: 0.9, B: 0.5, C: 0.2}, 8, 9)
-	a, err := Estimate(g, Options{Eps: 0.5, Delta: 0.05, Rng: randx.New(42)})
+	a, err := EstimateCtx(nil, g, Options{Eps: 0.5, Delta: 0.05, Rng: randx.New(42)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Estimate(g, Options{Eps: 0.5, Delta: 0.05, Rng: randx.New(42)})
+	b, err := EstimateCtx(nil, g, Options{Eps: 0.5, Delta: 0.05, Rng: randx.New(42)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestEstimateValidation(t *testing.T) {
 		{Eps: 0.2, Delta: 0.01, K: 2, Rng: randx.New(1)}, // 2^2 < 8
 	}
 	for i, o := range cases {
-		if _, err := Estimate(g, o); err == nil {
+		if _, err := EstimateCtx(nil, g, o); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
@@ -134,7 +134,7 @@ func TestEstimateValidation(t *testing.T) {
 
 func TestEstimateInfersK(t *testing.T) {
 	g := sample(t, skg.Initiator{A: 0.9, B: 0.5, C: 0.2}, 7, 2)
-	res, err := Estimate(g, Options{Eps: 1, Delta: 0.1, Rng: randx.New(3)})
+	res, err := EstimateCtx(nil, g, Options{Eps: 1, Delta: 0.1, Rng: randx.New(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestEstimateInfersK(t *testing.T) {
 
 func TestEstimateDegreeSequenceReleased(t *testing.T) {
 	g := sample(t, skg.Initiator{A: 0.9, B: 0.5, C: 0.2}, 8, 4)
-	res, err := Estimate(g, Options{Eps: 0.5, Delta: 0.01, Rng: randx.New(5)})
+	res, err := EstimateCtx(nil, g, Options{Eps: 0.5, Delta: 0.01, Rng: randx.New(5)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestEstimateDegreeSequenceReleased(t *testing.T) {
 
 func TestEstimateTriangleCalibration(t *testing.T) {
 	g := sample(t, skg.Initiator{A: 0.95, B: 0.55, C: 0.3}, 9, 6)
-	res, err := Estimate(g, Options{Eps: 0.2, Delta: 0.01, Rng: randx.New(7)})
+	res, err := EstimateCtx(nil, g, Options{Eps: 0.2, Delta: 0.01, Rng: randx.New(7)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestEstimateTriangleCalibration(t *testing.T) {
 func TestEstimateNonZeroNoiseScales(t *testing.T) {
 	for seed := uint64(0); seed < 4; seed++ {
 		g := sample(t, skg.Initiator{A: 0.9, B: 0.5, C: 0.2}, 7, seed)
-		res, err := Estimate(g, Options{Eps: 0.2, Delta: 0.01, Rng: randx.New(seed + 10)})
+		res, err := EstimateCtx(nil, g, Options{Eps: 0.2, Delta: 0.01, Rng: randx.New(seed + 10)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func TestEstimateDropsNonpositiveDelta(t *testing.T) {
 	g := sample(t, skg.Initiator{A: 0.9, B: 0.4, C: 0.1}, 9, 1)
 	var dropped *Result
 	for seed := uint64(0); seed < 200; seed++ {
-		res, err := Estimate(g, Options{Eps: 0.05, Delta: 0.01, Rng: randx.New(seed)})
+		res, err := EstimateCtx(nil, g, Options{Eps: 0.05, Delta: 0.01, Rng: randx.New(seed)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +214,7 @@ func TestEstimateDropsNonpositiveDelta(t *testing.T) {
 			}
 			dropped = res
 			// Verbatim mode must keep the feature.
-			strict, err := Estimate(g, Options{Eps: 0.05, Delta: 0.01, KeepNonpositiveDelta: true, Rng: randx.New(seed)})
+			strict, err := EstimateCtx(nil, g, Options{Eps: 0.05, Delta: 0.01, KeepNonpositiveDelta: true, Rng: randx.New(seed)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -227,4 +227,13 @@ func TestEstimateDropsNonpositiveDelta(t *testing.T) {
 	if dropped == nil {
 		t.Fatal("no negative triangle draw in 200 seeds; test setup wrong")
 	}
+}
+
+// must unwraps a (value, error) pair from a Run that is never
+// cancelled, where an error is a bug.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

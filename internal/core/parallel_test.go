@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"dpkron/internal/pipeline"
 	"dpkron/internal/randx"
 	"dpkron/internal/skg"
 )
@@ -17,10 +18,10 @@ func TestEstimateWorkerInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := m.SampleExact(randx.New(1))
+	g := must(m.SampleExactCtx(nil, randx.New(1)))
 
 	run := func(workers int) *Result {
-		res, err := Estimate(g, Options{Eps: 0.5, Delta: 0.01, Workers: workers, Rng: randx.New(2)})
+		res, err := EstimateCtx(pipeline.New(nil, workers, nil), g, Options{Eps: 0.5, Delta: 0.01, Rng: randx.New(2)})
 		if err != nil {
 			t.Fatal(err)
 		}

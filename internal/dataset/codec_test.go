@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dpkron/internal/graph"
+	"dpkron/internal/pipeline"
 	"dpkron/internal/randx"
 	"dpkron/internal/skg"
 )
@@ -34,8 +35,8 @@ func testGraphs(tb testing.TB) map[string]*graph.Graph {
 		"star":         graph.Star(33),
 		"complete":     graph.Complete(20),
 		"isolated":     withIsolated.Build(),
-		"skg-k10":      m.SampleExactWorkers(randx.New(42), 4),
-		"skg-balldrop": skg.Model{Init: skg.Initiator{A: 0.99, B: 0.45, C: 0.25}, K: 12}.SampleBallDropN(randx.New(7), 3000),
+		"skg-k10":      must(m.SampleExactCtx(pipeline.New(nil, 4, nil), randx.New(42))),
+		"skg-balldrop": must(skg.Model{Init: skg.Initiator{A: 0.99, B: 0.45, C: 0.25}, K: 12}.SampleBallDropNCtx(nil, randx.New(7), 3000)),
 	}
 }
 
@@ -200,4 +201,13 @@ func TestCodecErrors(t *testing.T) {
 			}
 		}
 	})
+}
+
+// must unwraps a (value, error) pair from a Run that is never
+// cancelled, where an error is a bug.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

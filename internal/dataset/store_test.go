@@ -30,7 +30,7 @@ func sampleGraph(t testing.TB, seed uint64) *graph.Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m.SampleExact(randx.New(seed))
+	return must(m.SampleExactCtx(nil, randx.New(seed)))
 }
 
 func TestStoreLifecycle(t *testing.T) {

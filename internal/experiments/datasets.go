@@ -118,22 +118,12 @@ func Lookup(name string) (Dataset, error) {
 	return Dataset{}, fmt.Errorf("experiments: unknown dataset %q", name)
 }
 
-// Generate materializes the stand-in graph deterministically: exact
-// per-pair SKG sampling with the dataset's fixed seed, followed by the
-// triadic-closure pass when configured. It runs on all cores.
-func (d Dataset) Generate() *graph.Graph { return d.GenerateWorkers(0) }
-
-// GenerateWorkers is Generate with an explicit worker bound for the
-// exact sampler; the graph is identical for every worker count.
-func (d Dataset) GenerateWorkers(workers int) *graph.Graph {
-	g, _ := d.GenerateCtx(pipeline.New(nil, workers, nil))
-	return g
-}
-
-// GenerateCtx is Generate under a pipeline Run: the exact sampler
-// checks the context between shards and a "dataset" stage event pair is
-// emitted. A run that is never cancelled materializes the exact
-// Generate graph; a cancelled run returns run.Err().
+// GenerateCtx materializes the stand-in graph deterministically under
+// a pipeline Run: exact per-pair SKG sampling with the dataset's fixed
+// seed, followed by the triadic-closure pass when configured. The graph
+// is identical for every worker count. The exact sampler checks the
+// context between shards, a "dataset" stage event pair is emitted, and
+// a cancelled run returns run.Err().
 func (d Dataset) GenerateCtx(run *pipeline.Run) (*graph.Graph, error) {
 	done := run.Stage("dataset/" + d.Name)
 	m := skg.Model{Init: d.Source, K: d.K}

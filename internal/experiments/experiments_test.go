@@ -45,8 +45,8 @@ func TestLookup(t *testing.T) {
 func TestDatasetGenerateDeterministic(t *testing.T) {
 	// Use a scaled-down copy so the test stays fast.
 	d := Dataset{Name: "small", Source: skg.Initiator{A: 0.99, B: 0.45, C: 0.25}, K: 8, Seed: 5}
-	g1 := d.Generate()
-	g2 := d.Generate()
+	g1 := must(d.GenerateCtx(nil))
+	g2 := must(d.GenerateCtx(nil))
 	if !g1.Equal(g2) {
 		t.Fatal("Generate is not deterministic")
 	}
@@ -70,8 +70,8 @@ func smallDataset() Dataset {
 
 func TestRunTable1RowShape(t *testing.T) {
 	d := smallDataset()
-	g := d.Generate()
-	row, err := RunTable1Row(d, g, Table1Options{KronFitIters: 20})
+	g := must(d.GenerateCtx(nil))
+	row, err := RunTable1RowCtx(nil, d, g, Table1Options{KronFitIters: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestRenderTable1(t *testing.T) {
 
 func TestRunFigureSmall(t *testing.T) {
 	d := smallDataset()
-	res, err := RunFigure(d, FigureOptions{ExpectedRuns: 3, KronFitIters: 10, ScreeRank: 12, ExactHopPlot: true})
+	res, err := RunFigureCtx(nil, d, FigureOptions{ExpectedRuns: 3, KronFitIters: 10, ScreeRank: 12, ExactHopPlot: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +150,8 @@ func TestRunFigureSmall(t *testing.T) {
 
 func TestEpsilonSweepMonotoneTrend(t *testing.T) {
 	d := smallDataset()
-	g := d.Generate()
-	rows, err := EpsilonSweep(g, d.K, []float64{0.05, 0.5, 5}, 0.01, 3, 9)
+	g := must(d.GenerateCtx(nil))
+	rows, err := EpsilonSweepCtx(nil, g, d.K, []float64{0.05, 0.5, 5}, 0.01, 3, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestEpsilonSweepMonotoneTrend(t *testing.T) {
 }
 
 func TestSmoothSensGrowth(t *testing.T) {
-	rows, err := SmoothSensGrowth(skg.Initiator{A: 0.99, B: 0.45, C: 0.25}, []int{6, 7, 8, 9}, 0.2, 0.01, 3)
+	rows, err := SmoothSensGrowthCtx(nil, skg.Initiator{A: 0.99, B: 0.45, C: 0.25}, []int{6, 7, 8, 9}, 0.2, 0.01, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestSmoothSensGrowth(t *testing.T) {
 }
 
 func TestDistNormAblation(t *testing.T) {
-	rows, err := DistNormAblation(skg.Initiator{A: 0.99, B: 0.45, C: 0.25}, 9, 21)
+	rows, err := DistNormAblationCtx(nil, skg.Initiator{A: 0.99, B: 0.45, C: 0.25}, 9, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestLogRanks(t *testing.T) {
 }
 
 func TestSmoothSensCompare(t *testing.T) {
-	rows, err := SmoothSensCompare(skg.Initiator{A: 0.99, B: 0.45, C: 0.25}, []int{7, 8, 9}, 0.2, 0.01, 11)
+	rows, err := SmoothSensCompareCtx(nil, skg.Initiator{A: 0.99, B: 0.45, C: 0.25}, []int{7, 8, 9}, 0.2, 0.01, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestSmoothSensCompare(t *testing.T) {
 }
 
 func TestModelSelection(t *testing.T) {
-	rows, err := ModelSelection(31)
+	rows, err := ModelSelectionCtx(nil, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,4 +306,13 @@ func TestModelSelection(t *testing.T) {
 	if !strings.Contains(out, "sourceN1") {
 		t.Fatal("render missing header")
 	}
+}
+
+// must unwraps a (value, error) pair from a Run that is never
+// cancelled, where an error is a bug.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

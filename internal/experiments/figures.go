@@ -54,12 +54,6 @@ type FigureOptions struct {
 	// ExactHopPlot forces all-source BFS instead of ANF sketches for
 	// single realizations (slower, exact).
 	ExactHopPlot bool
-	// Workers bounds the goroutines used across the figure: the
-	// expected-curve realizations run concurrently and every sampler,
-	// counter and estimator shards its own hot loops. <= 0 selects
-	// runtime.GOMAXPROCS(0); the figure is identical for every worker
-	// count.
-	Workers int
 }
 
 func (o *FigureOptions) fill() {
@@ -97,19 +91,14 @@ type FigureResult struct {
 // EstimatorNames orders the estimators as in the paper's legends.
 var EstimatorNames = []string{"KronFit", "KronMom", "Private"}
 
-// RunFigure regenerates one figure for the dataset.
-func RunFigure(d Dataset, opts FigureOptions) (*FigureResult, error) {
-	opts.fill()
-	return RunFigureCtx(pipeline.New(nil, opts.Workers, nil), d, opts)
-}
-
-// RunFigureCtx is RunFigure under a pipeline Run: the dataset
-// generation, the three estimator fits, every statistics pass and the
-// expected-curve fan-out all run under run's context and worker budget
-// (opts.Workers is ignored), emitting their stage events under a
-// "figure/<dataset>" prefix. A run that is never cancelled regenerates
-// the exact RunFigure result for the same options; a cancelled run
-// returns run.Err().
+// RunFigureCtx regenerates one figure for the dataset under a pipeline
+// Run: the dataset generation, the three estimator fits, every
+// statistics pass and the expected-curve fan-out all run under run's
+// context and worker budget, emitting their stage events under a
+// "figure/<dataset>" prefix. The expected-curve realizations run
+// concurrently and every sampler, counter and estimator shards its own
+// hot loops; the figure is identical for every worker count, and a
+// cancelled run returns run.Err().
 func RunFigureCtx(run *pipeline.Run, d Dataset, opts FigureOptions) (*FigureResult, error) {
 	opts.fill()
 	fig := run.Sub("figure/" + d.Name)
@@ -182,7 +171,7 @@ func RunFigureCtx(run *pipeline.Run, d Dataset, opts FigureOptions) (*FigureResu
 			// interleave meaninglessly); the fan-out itself is one stage.
 			doneExp := fig.Stage("expected/" + name)
 			runSolo := pipeline.New(run.Context(), 1, nil)
-			if err := parallel.RunCtx(run.Context(), run.Workers(), opts.ExpectedRuns, func(r int) {
+			if err := parallel.Run(run.Context(), run.Workers(), opts.ExpectedRuns, func(r int) {
 				synth, err := m.SampleBallDropCtx(runSolo, rngs[r].sample)
 				if err != nil {
 					errs[r] = err
@@ -259,10 +248,10 @@ func computeStatsCtx(run *pipeline.Run, g *graph.Graph, opts FigureOptions, rng 
 		net.Y = append(net.Y, nv[idx])
 	}
 
-	if err := run.Err(); err != nil {
+	cc, err := stats.ClusteringByDegreeCtx(run, g)
+	if err != nil {
 		return GraphStats{}, err
 	}
-	cc := stats.ClusteringByDegree(g)
 	clust := Series{Name: "clustering"}
 	for _, p := range cc {
 		clust.X = append(clust.X, float64(p.Degree))

@@ -5,7 +5,9 @@ import (
 	"math"
 	"strings"
 
+	"dpkron/internal/graph"
 	"dpkron/internal/kronmom"
+	"dpkron/internal/pipeline"
 	"dpkron/internal/randx"
 	"dpkron/internal/skg"
 	"dpkron/internal/stats"
@@ -25,15 +27,19 @@ type ModelSelRow struct {
 	RelErrE, RelErrH, RelErrT, RelErrDelta float64
 }
 
-// ModelSelection generates one graph per source initiator (2×2 truth and
-// a 3×3 initiator) and fits the 2×2 moment estimator to both.
-func ModelSelection(seed uint64) ([]ModelSelRow, error) {
+// ModelSelectionCtx generates one graph per source initiator (2×2 truth
+// and a 3×3 initiator) and fits the 2×2 moment estimator to both; the
+// 2×2 sample, the feature counts and the fits run under run.
+func ModelSelectionCtx(run *pipeline.Run, seed uint64) ([]ModelSelRow, error) {
 	var rows []ModelSelRow
 
 	// Source 1: a true 2×2 SKG (control).
 	binary := skg.Model{Init: skg.Initiator{A: 0.99, B: 0.55, C: 0.35}, K: 11}
-	g2 := binary.SampleExact(randx.New(seed))
-	row, err := fit2x2Row(2, g2.NumNodes(), stats.FeaturesOf(g2), 11, seed)
+	g2, err := binary.SampleExactCtx(run, randx.New(seed))
+	if err != nil {
+		return nil, err
+	}
+	row, err := fit2x2Row(run, 2, g2, 11, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -49,9 +55,12 @@ func ModelSelection(seed uint64) ([]ModelSelRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := run.Err(); err != nil {
+		return nil, err
+	}
 	g3 := gm.SampleExact(randx.New(seed + 1))
 	// Fit a 2×2 model on 2^11 = 2048 ≈ 2187 slots.
-	row, err = fit2x2Row(3, g3.NumNodes(), stats.FeaturesOf(g3), 11, seed)
+	row, err = fit2x2Row(run, 3, g3, 11, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -59,8 +68,12 @@ func ModelSelection(seed uint64) ([]ModelSelRow, error) {
 	return rows, nil
 }
 
-func fit2x2Row(srcN1, nodes int, obs stats.Features, k int, seed uint64) (ModelSelRow, error) {
-	est, err := kronmom.Fit(obs, k, kronmom.Options{Rng: randx.New(seed + 77)})
+func fit2x2Row(run *pipeline.Run, srcN1 int, g *graph.Graph, k int, seed uint64) (ModelSelRow, error) {
+	obs, err := stats.FeaturesOfCtx(run, g)
+	if err != nil {
+		return ModelSelRow{}, err
+	}
+	est, err := kronmom.FitCtx(run, obs, k, kronmom.Options{Rng: randx.New(seed + 77)})
 	if err != nil {
 		return ModelSelRow{}, err
 	}
@@ -73,7 +86,7 @@ func fit2x2Row(srcN1, nodes int, obs stats.Features, k int, seed uint64) (ModelS
 	}
 	return ModelSelRow{
 		SourceN1:    srcN1,
-		Nodes:       nodes,
+		Nodes:       g.NumNodes(),
 		Fit:         est.Init,
 		RelErrE:     rel(exp.E, obs.E),
 		RelErrH:     rel(exp.H, obs.H),

@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"dpkron/internal/pipeline"
 	"dpkron/internal/skg"
 )
 
@@ -24,10 +25,8 @@ func smallRegistry() []Dataset {
 }
 
 func TestRunTable1DatasetsWorkerInvariant(t *testing.T) {
-	opts := func(workers int) Table1Options {
-		return Table1Options{KronFitIters: 3, Workers: workers}
-	}
-	base, err := RunTable1Datasets(smallRegistry(), opts(1))
+	opts := Table1Options{KronFitIters: 3}
+	base, err := RunTable1DatasetsCtx(pipeline.New(nil, 1, nil), smallRegistry(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +34,7 @@ func TestRunTable1DatasetsWorkerInvariant(t *testing.T) {
 		t.Fatalf("rows out of order: %+v", base)
 	}
 	for _, workers := range []int{2, 8} {
-		got, err := RunTable1Datasets(smallRegistry(), opts(workers))
+		got, err := RunTable1DatasetsCtx(pipeline.New(nil, workers, nil), smallRegistry(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,12 +50,12 @@ func TestRunTable1DatasetsWorkerInvariant(t *testing.T) {
 
 func TestEpsilonSweepWorkerInvariant(t *testing.T) {
 	d := smallDataset()
-	g := d.Generate()
-	base, err := EpsilonSweepWorkers(g, d.K, []float64{0.1, 1}, 0.01, 2, 9, 1)
+	g := must(d.GenerateCtx(nil))
+	base, err := EpsilonSweepCtx(pipeline.New(nil, 1, nil), g, d.K, []float64{0.1, 1}, 0.01, 2, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := EpsilonSweepWorkers(g, d.K, []float64{0.1, 1}, 0.01, 2, 9, 8)
+	got, err := EpsilonSweepCtx(pipeline.New(nil, 8, nil), g, d.K, []float64{0.1, 1}, 0.01, 2, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,17 +28,11 @@ type SSCompareRow struct {
 	TriEr  int64
 }
 
-// SmoothSensCompare samples, for each k, one SKG and one G(n, p) with p
-// matched to the SKG's realized density, and reports LS and SS_β of the
-// triangle count on both.
-func SmoothSensCompare(init skg.Initiator, ks []int, eps, delta float64, seed uint64) ([]SSCompareRow, error) {
-	return SmoothSensCompareCtx(pipeline.Background(), init, ks, eps, delta, seed)
-}
-
-// SmoothSensCompareCtx is SmoothSensCompare under a pipeline Run: the
-// context is checked between k points and inside each sample and scan,
-// and an "ss-compare" stage reports per-k progress. A run that is never
-// cancelled computes the exact SmoothSensCompare rows.
+// SmoothSensCompareCtx samples, for each k, one SKG and one G(n, p)
+// with p matched to the SKG's realized density, and reports LS and SS_β
+// of the triangle count on both, under a pipeline Run: the context is
+// checked between k points and inside each sample and scan, and an
+// "ss-compare" stage reports per-k progress.
 func SmoothSensCompareCtx(run *pipeline.Run, init skg.Initiator, ks []int, eps, delta float64, seed uint64) ([]SSCompareRow, error) {
 	done := run.Stage("ss-compare")
 	beta := smoothsens.BetaFor(eps/2, delta)

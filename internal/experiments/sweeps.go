@@ -26,26 +26,14 @@ type SweepRow struct {
 	MeanFeatureErr float64 // mean relative L1 error of private features
 }
 
-// EpsilonSweep measures utility as a function of ε on the given graph,
-// on all cores (EpsilonSweepWorkers with workers = 0).
-func EpsilonSweep(g *graph.Graph, k int, epsilons []float64, delta float64, trials int, seed uint64) ([]SweepRow, error) {
-	return EpsilonSweepWorkers(g, k, epsilons, delta, trials, seed, 0)
-}
-
-// EpsilonSweepWorkers runs the sweep's (ε, trial) grid concurrently on
-// up to workers goroutines (<= 0 selects runtime.GOMAXPROCS(0)). Every
-// trial seeds its own generator from (seed, ε, trial) and the per-ε
-// averages reduce trials in index order, so the rows are identical for
-// every worker count.
-func EpsilonSweepWorkers(g *graph.Graph, k int, epsilons []float64, delta float64, trials int, seed uint64, workers int) ([]SweepRow, error) {
-	return EpsilonSweepCtx(pipeline.New(nil, workers, nil), g, k, epsilons, delta, trials, seed)
-}
-
-// EpsilonSweepCtx is EpsilonSweep under a pipeline Run: the (ε, trial)
-// cell fan-out checks the context between cells, each cell's estimate
-// checks it internally, and a "sweep" stage reports the completed-cell
-// fraction. A run that is never cancelled computes the exact
-// EpsilonSweepWorkers rows; a cancelled run returns run.Err().
+// EpsilonSweepCtx measures utility as a function of ε on the given
+// graph under a pipeline Run. The (ε, trial) grid runs concurrently on
+// run's worker budget; every trial seeds its own generator from
+// (seed, ε, trial) and the per-ε averages reduce trials in index order,
+// so the rows are identical for every worker count. The cell fan-out
+// checks the context between cells, each cell's estimate checks it
+// internally, a "sweep" stage reports the completed-cell fraction, and
+// a cancelled run returns run.Err().
 func EpsilonSweepCtx(run *pipeline.Run, g *graph.Graph, k int, epsilons []float64, delta float64, trials int, seed uint64) ([]SweepRow, error) {
 	done := run.Stage("sweep")
 	base, err := kronmom.FitGraphCtx(run, g, k, kronmom.Options{Rng: randx.New(seed)})
@@ -65,7 +53,7 @@ func EpsilonSweepCtx(run *pipeline.Run, g *graph.Graph, k int, epsilons []float6
 	// the budget goes to the cell level: each Estimate runs
 	// single-goroutine rather than multiplying the two fan-outs.
 	var completed atomic.Int64
-	if err := parallel.RunCtx(run.Context(), run.Workers(), len(cells), func(i int) {
+	if err := parallel.Run(run.Context(), run.Workers(), len(cells), func(i int) {
 		eps := epsilons[i/trials]
 		t := i % trials
 		res, err := core.EstimateCtx(pipeline.New(run.Context(), 1, nil), g, core.Options{
@@ -140,16 +128,10 @@ type SSGrowthRow struct {
 	NoiseOverSignal float64 // (2·SS/ε) / Δ, the relative noise magnitude
 }
 
-// SmoothSensGrowth samples one SKG per k and reports how the smooth
-// sensitivity of the triangle count scales.
-func SmoothSensGrowth(init skg.Initiator, ks []int, eps, delta float64, seed uint64) ([]SSGrowthRow, error) {
-	return SmoothSensGrowthCtx(pipeline.Background(), init, ks, eps, delta, seed)
-}
-
-// SmoothSensGrowthCtx is SmoothSensGrowth under a pipeline Run: the
+// SmoothSensGrowthCtx samples one SKG per k and reports how the smooth
+// sensitivity of the triangle count scales, under a pipeline Run: the
 // context is checked between k points (and inside each sample and
-// scan), and an "ss-growth" stage reports per-k progress. A run that is
-// never cancelled computes the exact SmoothSensGrowth rows.
+// scan), and an "ss-growth" stage reports per-k progress.
 func SmoothSensGrowthCtx(run *pipeline.Run, init skg.Initiator, ks []int, eps, delta float64, seed uint64) ([]SSGrowthRow, error) {
 	done := run.Stage("ss-growth")
 	beta := smoothsens.BetaFor(eps/2, delta)
@@ -215,19 +197,26 @@ type AblationRow struct {
 	ObjName string
 }
 
-// DistNormAblation fits every objective variant on a synthetic SKG with
-// known parameters.
-func DistNormAblation(truth skg.Initiator, k int, seed uint64) ([]AblationRow, error) {
+// DistNormAblationCtx fits every objective variant on a synthetic SKG
+// with known parameters; the sample, the feature count and every fit
+// run under run.
+func DistNormAblationCtx(run *pipeline.Run, truth skg.Initiator, k int, seed uint64) ([]AblationRow, error) {
 	m, err := skg.NewModel(truth, k)
 	if err != nil {
 		return nil, err
 	}
-	g := m.Sample(randx.New(seed))
-	feats := stats.FeaturesOf(g)
+	g, err := m.SampleCtx(run, randx.New(seed))
+	if err != nil {
+		return nil, err
+	}
+	feats, err := stats.FeaturesOfCtx(run, g)
+	if err != nil {
+		return nil, err
+	}
 	var rows []AblationRow
 	for _, d := range []kronmom.Dist{kronmom.DistSq, kronmom.DistAbs} {
 		for _, n := range []kronmom.Norm{kronmom.NormF, kronmom.NormF2, kronmom.NormE, kronmom.NormE2} {
-			est, err := kronmom.Fit(feats, k, kronmom.Options{
+			est, err := kronmom.FitCtx(run, feats, k, kronmom.Options{
 				Objective: kronmom.Objective{Dist: d, Norm: n, Features: kronmom.AllFeatures()},
 				Rng:       randx.New(seed + 99),
 			})

@@ -23,11 +23,6 @@ type Table1Options struct {
 	Seed  uint64  // default 7
 	// KronFitIters overrides the MLE iteration budget (default 60).
 	KronFitIters int
-	// Workers bounds the goroutines used across the table: the four
-	// dataset rows run concurrently and each row's estimators shard
-	// their own hot loops. <= 0 selects runtime.GOMAXPROCS(0); the
-	// rendered table is identical for every worker count.
-	Workers int
 }
 
 func (o *Table1Options) fill() {
@@ -54,16 +49,10 @@ type Table1Row struct {
 	Private skg.Initiator
 }
 
-// RunTable1Row computes one row on the given (already generated) graph.
-func RunTable1Row(d Dataset, g *graph.Graph, opts Table1Options) (Table1Row, error) {
-	opts.fill()
-	return RunTable1RowCtx(pipeline.New(nil, opts.Workers, nil), d, g, opts)
-}
-
-// RunTable1RowCtx is RunTable1Row under a pipeline Run: the three
-// estimators run under run's context and worker budget (opts.Workers is
-// ignored), each emitting its stage events under a "table1/<dataset>"
-// prefix.
+// RunTable1RowCtx computes one row on the given (already generated)
+// graph under a pipeline Run: the three estimators run under run's
+// context and worker budget, each emitting its stage events under a
+// "table1/<dataset>" prefix.
 func RunTable1RowCtx(run *pipeline.Run, d Dataset, g *graph.Graph, opts Table1Options) (Table1Row, error) {
 	opts.fill()
 	rng := randx.New(opts.Seed ^ d.Seed)
@@ -93,30 +82,14 @@ func RunTable1RowCtx(run *pipeline.Run, d Dataset, g *graph.Graph, opts Table1Op
 	}, nil
 }
 
-// RunTable1 regenerates the full table over the dataset registry.
-func RunTable1(opts Table1Options) ([]Table1Row, error) {
-	return RunTable1Datasets(Registry(), opts)
-}
-
-// RunTable1Ctx is RunTable1 under a pipeline Run.
-func RunTable1Ctx(run *pipeline.Run, opts Table1Options) ([]Table1Row, error) {
-	return RunTable1DatasetsCtx(run, Registry(), opts)
-}
-
-// RunTable1Datasets computes one table row per dataset. The rows are
-// independent (each derives its randomness from its dataset seed), so
-// they run concurrently with the worker budget divided between the
-// row fan-out and each row's internal sharding; results keep dataset
-// order and are identical for every worker count.
-func RunTable1Datasets(reg []Dataset, opts Table1Options) ([]Table1Row, error) {
-	return RunTable1DatasetsCtx(pipeline.New(nil, opts.Workers, nil), reg, opts)
-}
-
-// RunTable1DatasetsCtx is RunTable1Datasets under a pipeline Run: the
-// row fan-out checks the context between datasets and each row's
-// estimators check it internally (opts.Workers is ignored in favour of
-// run's budget). A run that is never cancelled renders the exact
-// RunTable1Datasets rows; a cancelled run returns run.Err().
+// RunTable1DatasetsCtx computes one table row per dataset (Registry()
+// for the full table) under a pipeline Run. The rows are independent (each derives its randomness
+// from its dataset seed), so they run concurrently with run's worker
+// budget divided between the row fan-out and each row's internal
+// sharding; results keep dataset order and are identical for every
+// worker count. The row fan-out checks the context between datasets,
+// each row's estimators check it internally, and a cancelled run
+// returns run.Err().
 func RunTable1DatasetsCtx(run *pipeline.Run, reg []Dataset, opts Table1Options) ([]Table1Row, error) {
 	w := run.Workers()
 	rowWorkers := 1
@@ -125,9 +98,7 @@ func RunTable1DatasetsCtx(run *pipeline.Run, reg []Dataset, opts Table1Options) 
 	}
 	rows := make([]Table1Row, len(reg))
 	errs := make([]error, len(reg))
-	if err := parallel.RunCtx(run.Context(), w, len(reg), func(i int) {
-		// The per-row budget travels via the Run (RunTable1RowCtx
-		// ignores opts.Workers).
+	if err := parallel.Run(run.Context(), w, len(reg), func(i int) {
 		rowRun := run.WithWorkers(rowWorkers)
 		g, err := reg[i].GenerateCtx(rowRun)
 		if err != nil {

@@ -294,8 +294,8 @@ func (b *Builder) Build() *Graph { return b.BuildWorkers(1) }
 
 // BuildWorkers is Build with the sort sharded over up to workers
 // goroutines (<= 0 selects runtime.GOMAXPROCS(0)); the samplers pass
-// their Workers option through so nested parallelism stays under the
-// caller's control. The resulting graph is identical for every worker
+// their Run's worker budget through so nested parallelism stays under
+// the caller's control. The resulting graph is identical for every worker
 // count.
 //
 // The edge mentions are ordered with an LSD radix sort on the packed
@@ -310,7 +310,7 @@ func (b *Builder) BuildWorkers(workers int) *Graph {
 	pairs := b.buf[:len(b.pairs)]
 	copy(pairs, b.pairs)
 	if !slices.IsSorted(pairs) {
-		b.scratch = parallel.SortInt64(workers, pairs, b.scratch)
+		b.scratch, _ = parallel.SortInt64(nil, workers, pairs, b.scratch) // a nil context cannot fail
 	}
 	// Dedupe.
 	uniq := pairs[:0]

@@ -70,12 +70,6 @@ type Options struct {
 	MinParam, MaxParam float64
 	// Rng is required.
 	Rng *randx.Rand
-	// Workers bounds the goroutines used for the per-edge likelihood and
-	// gradient sums (the Metropolis chain itself is sequential); <= 0
-	// selects runtime.GOMAXPROCS(0). The fixed-shard ordered reduction
-	// makes the fit identical for every worker count. FitCtx ignores
-	// this field: the pipeline Run's budget is authoritative.
-	Workers int
 }
 
 func (o *Options) fill(n int) error {
@@ -312,7 +306,8 @@ func (s *state) emptyGrad() (ga, gb, gc float64) {
 // reduction, so the float total is identical for every worker count.
 func (s *state) ll() float64 {
 	N := s.g.NumNodes()
-	edges := parallel.SumFloat64(s.workers, N, func(lo, hi int) float64 {
+	// A nil context cannot fail; FitCtx checks its Run per iteration.
+	edges, _ := parallel.SumFloat64(nil, s.workers, N, func(lo, hi int) float64 {
 		total := 0.0
 		for u := lo; u < hi; u++ {
 			su := s.sigma[u]
@@ -334,7 +329,7 @@ func (s *state) grad() (ga, gb, gc float64) {
 	N := s.g.NumNodes()
 	blocks := parallel.Blocks(N, parallel.DefaultShards)
 	parts := make([][3]float64, len(blocks))
-	parallel.Run(s.workers, len(blocks), func(sh int) {
+	parallel.Run(nil, s.workers, len(blocks), func(sh int) {
 		var pa, pb, pc float64
 		for u := blocks[sh].Lo; u < blocks[sh].Hi; u++ {
 			su := s.sigma[u]
@@ -401,18 +396,15 @@ func (s *state) metropolis(count int, rng *randx.Rand) {
 	}
 }
 
-// Fit estimates the initiator by stochastic gradient ascent over the
-// permutation-sampled likelihood. The returned initiator is canonical.
-func Fit(g *graph.Graph, opts Options) (Result, error) {
-	return FitCtx(pipeline.New(nil, opts.Workers, nil), g, opts)
-}
-
-// FitCtx is Fit under a pipeline Run: the worker budget comes from run
-// (opts.Workers is ignored), the context is checked once per gradient
+// FitCtx estimates the initiator by stochastic gradient ascent over the
+// permutation-sampled likelihood under a pipeline Run. The returned
+// initiator is canonical. The per-edge likelihood and gradient sums
+// (the Metropolis chain itself is sequential) shard over run's worker
+// budget with a fixed-shard ordered reduction, so the fit is identical
+// for every worker count. The context is checked once per gradient
 // iteration, and a "kronfit" stage emits start/done events plus an
-// incremental progress fraction per iteration. A run that is never
-// cancelled fits the exact Fit result for the same options; a cancelled
-// run returns run.Err().
+// incremental progress fraction per iteration; a cancelled run returns
+// run.Err().
 func FitCtx(run *pipeline.Run, g *graph.Graph, opts Options) (Result, error) {
 	if err := opts.fill(g.NumNodes()); err != nil {
 		return Result{}, err
@@ -471,15 +463,19 @@ func FitCtx(run *pipeline.Run, g *graph.Graph, opts Options) (Result, error) {
 	return res, nil
 }
 
-// LogLikelihood returns the approximate log-likelihood of g under the
-// given initiator at power k, using the degree-seeded permutation
-// (no MCMC). It is primarily a diagnostic and testing hook.
-func LogLikelihood(g *graph.Graph, k int, init skg.Initiator, rng *randx.Rand) (float64, error) {
+// LogLikelihoodCtx returns the approximate log-likelihood of g under
+// the given initiator at power k, using the degree-seeded permutation
+// (no MCMC), with the per-edge sum sharded over run's worker budget. It
+// is primarily a diagnostic and testing hook.
+func LogLikelihoodCtx(run *pipeline.Run, g *graph.Graph, k int, init skg.Initiator, rng *randx.Rand) (float64, error) {
 	opts := Options{K: k, Init: init, Rng: rng}
 	if err := opts.fill(g.NumNodes()); err != nil {
 		return 0, err
 	}
 	s := newState(g, opts.K, opts.Init, rng)
-	s.workers = parallel.Normalize(opts.Workers)
+	if err := run.Err(); err != nil {
+		return 0, err
+	}
+	s.workers = run.Workers()
 	return s.ll(), nil
 }

@@ -37,7 +37,7 @@ func exactLL(g *graph.Graph, k int, init skg.Initiator, sigma []int) float64 {
 
 func testGraph(k int, init skg.Initiator, seed uint64) *graph.Graph {
 	m := skg.Model{Init: init, K: k}
-	return m.SampleExact(randx.New(seed))
+	return must(m.SampleExactCtx(nil, randx.New(seed)))
 }
 
 func TestSwapDeltaMatchesFullRecompute(t *testing.T) {
@@ -142,7 +142,7 @@ func TestDegreeSeededPermutationBeatsRandom(t *testing.T) {
 func TestFitRecoversParameters(t *testing.T) {
 	truth := skg.Initiator{A: 0.9, B: 0.5, C: 0.2}
 	g := testGraph(9, truth, 21)
-	res, err := Fit(g, Options{K: 9, Iters: 40, Rng: randx.New(5)})
+	res, err := FitCtx(nil, g, Options{K: 9, Iters: 40, Rng: randx.New(5)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +158,11 @@ func TestFitImprovesLikelihoodOverInit(t *testing.T) {
 	g := testGraph(8, truth, 33)
 	rng := randx.New(6)
 	start := skg.Initiator{A: 0.9, B: 0.6, C: 0.2}
-	ll0, err := LogLikelihood(g, 8, start, rng)
+	ll0, err := LogLikelihoodCtx(nil, g, 8, start, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Fit(g, Options{K: 8, Iters: 40, Init: start, Rng: randx.New(6)})
+	res, err := FitCtx(nil, g, Options{K: 8, Iters: 40, Init: start, Rng: randx.New(6)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestFitImprovesLikelihoodOverInit(t *testing.T) {
 
 func TestFitInfersK(t *testing.T) {
 	g := testGraph(6, skg.Initiator{A: 0.9, B: 0.5, C: 0.2}, 2)
-	res, err := Fit(g, Options{Iters: 2, Rng: randx.New(1)})
+	res, err := FitCtx(nil, g, Options{Iters: 2, Rng: randx.New(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,14 +184,14 @@ func TestFitInfersK(t *testing.T) {
 
 func TestFitRejectsTooSmallK(t *testing.T) {
 	g := graph.Complete(64)
-	if _, err := Fit(g, Options{K: 5, Iters: 1, Rng: randx.New(1)}); err == nil {
+	if _, err := FitCtx(nil, g, Options{K: 5, Iters: 1, Rng: randx.New(1)}); err == nil {
 		t.Fatal("expected error: 2^5 < 64... wait, 2^5 = 32 < 64")
 	}
 }
 
 func TestFitRequiresRng(t *testing.T) {
 	g := graph.Complete(8)
-	if _, err := Fit(g, Options{K: 3}); err == nil {
+	if _, err := FitCtx(nil, g, Options{K: 3}); err == nil {
 		t.Fatal("expected error without Rng")
 	}
 }
@@ -203,7 +203,7 @@ func TestFitHandlesPaddedNodes(t *testing.T) {
 		b.AddEdge(i, i+1)
 	}
 	g := b.Build()
-	res, err := Fit(g, Options{Iters: 5, Rng: randx.New(8)})
+	res, err := FitCtx(nil, g, Options{Iters: 5, Rng: randx.New(8)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,11 +217,20 @@ func TestFitHandlesPaddedNodes(t *testing.T) {
 
 func TestFitCanonical(t *testing.T) {
 	g := testGraph(7, skg.Initiator{A: 0.9, B: 0.4, C: 0.3}, 17)
-	res, err := Fit(g, Options{K: 7, Iters: 15, Rng: randx.New(9)})
+	res, err := FitCtx(nil, g, Options{K: 7, Iters: 15, Rng: randx.New(9)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Init.A < res.Init.C {
 		t.Fatalf("result not canonical: %v", res.Init)
 	}
+}
+
+// must unwraps a (value, error) pair from a Run that is never
+// cancelled, where an error is a bug.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -169,12 +169,6 @@ type Options struct {
 	MaxIter int
 	// Rng supplies restart randomness; required.
 	Rng *randx.Rand
-	// Workers bounds the goroutines used for the multistart descents and
-	// the feature counting in FitGraph; <= 0 selects
-	// runtime.GOMAXPROCS(0). The fitted initiator is identical for every
-	// worker count. The Ctx variants ignore this field: the pipeline
-	// Run's budget is authoritative.
-	Workers int
 }
 
 func (o *Options) fill() error {
@@ -204,17 +198,12 @@ type Estimate struct {
 	Evals     int     // objective evaluations spent
 }
 
-// Fit estimates the initiator whose expected features match obs at
-// Kronecker power k. The returned initiator is canonical (A >= C).
-func Fit(obs stats.Features, k int, opts Options) (Estimate, error) {
-	return FitCtx(pipeline.New(nil, opts.Workers, nil), obs, k, opts)
-}
-
-// FitCtx is Fit under a pipeline Run: the worker budget comes from run
-// (opts.Workers is ignored), a "kronmom" stage event pair is emitted,
-// and cancellation aborts the multistart descent with run.Err(). A run
-// that is never cancelled fits the exact estimate Fit produces for the
-// same options.
+// FitCtx estimates the initiator whose expected features match obs at
+// Kronecker power k under a pipeline Run. The returned initiator is
+// canonical (A >= C). The multistart descents fan out over run's worker
+// budget and the fit is identical for every worker count; a "kronmom"
+// stage event pair is emitted, and cancellation aborts the descent with
+// run.Err().
 func FitCtx(run *pipeline.Run, obs stats.Features, k int, opts Options) (Estimate, error) {
 	if err := opts.fill(); err != nil {
 		return Estimate{}, err
@@ -228,8 +217,8 @@ func FitCtx(run *pipeline.Run, obs stats.Features, k int, opts Options) (Estimat
 	}
 	lo := []float64{0, 0, 0}
 	hi := []float64{1, 1, 1}
-	res, err := optimize.MultiStartCtx(run.Context(), f, lo, hi, opts.RandomStarts, opts.GridPoints, opts.Rng,
-		optimize.NelderMeadOptions{MaxIter: opts.MaxIter, Step: 0.08}, run.Workers())
+	res, err := optimize.MultiStartCtx(run, f, lo, hi, opts.RandomStarts, opts.GridPoints, opts.Rng,
+		optimize.NelderMeadOptions{MaxIter: opts.MaxIter, Step: 0.08})
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -238,16 +227,11 @@ func FitCtx(run *pipeline.Run, obs stats.Features, k int, opts Options) (Estimat
 	return Estimate{Init: init, K: k, Objective: res.F, Evals: res.Evals}, nil
 }
 
-// FitGraph computes the exact features of g and fits an initiator with
-// k = ceil(log2(NumNodes)) unless k > 0 is given. This is the
-// non-private KronMom baseline of Table 1.
-func FitGraph(g *graph.Graph, k int, opts Options) (Estimate, error) {
-	return FitGraphCtx(pipeline.New(nil, opts.Workers, nil), g, k, opts)
-}
-
-// FitGraphCtx is FitGraph under a pipeline Run: the feature counting
-// and the moment fit share run's context and worker budget, and each
-// emits its own stage events.
+// FitGraphCtx computes the exact features of g and fits an initiator
+// with k = ceil(log2(NumNodes)) unless k > 0 is given. This is the
+// non-private KronMom baseline of Table 1. The feature counting and the
+// moment fit share run's context and worker budget, and each emits its
+// own stage events.
 func FitGraphCtx(run *pipeline.Run, g *graph.Graph, k int, opts Options) (Estimate, error) {
 	if k <= 0 {
 		k = KForNodes(g.NumNodes())

@@ -73,7 +73,7 @@ func TestFitRecoversTruthFromExpectedFeatures(t *testing.T) {
 		truth = truth.Canonical()
 		m := skg.Model{Init: truth, K: 12}
 		obs := m.ExpectedFeatures()
-		est, err := Fit(obs, 12, defaultOpts(1))
+		est, err := FitCtx(nil, obs, 12, defaultOpts(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,8 +93,8 @@ func TestFitRecoversFromSampledGraph(t *testing.T) {
 	// generating parameters (sampling noise allows a looser tolerance).
 	truth := skg.Initiator{A: 0.99, B: 0.45, C: 0.25}
 	m := skg.Model{Init: truth, K: 11}
-	g := m.SampleExact(randx.New(5))
-	est, err := FitGraph(g, m.K, defaultOpts(2))
+	g := must(m.SampleExactCtx(nil, randx.New(5)))
+	est, err := FitGraphCtx(nil, g, m.K, defaultOpts(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +107,8 @@ func TestFitRecoversFromSampledGraph(t *testing.T) {
 
 func TestFitGraphInfersK(t *testing.T) {
 	m := skg.Model{Init: skg.Initiator{A: 0.9, B: 0.5, C: 0.3}, K: 8}
-	g := m.SampleExact(randx.New(3))
-	est, err := FitGraph(g, 0, defaultOpts(4))
+	g := must(m.SampleExactCtx(nil, randx.New(3)))
+	est, err := FitGraphCtx(nil, g, 0, defaultOpts(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,23 +127,23 @@ func TestKForNodes(t *testing.T) {
 }
 
 func TestFitRequiresRng(t *testing.T) {
-	if _, err := Fit(stats.Features{E: 10}, 5, Options{}); err == nil {
+	if _, err := FitCtx(nil, stats.Features{E: 10}, 5, Options{}); err == nil {
 		t.Fatal("expected error without Rng")
 	}
 }
 
 func TestFitRejectsBadK(t *testing.T) {
-	if _, err := Fit(stats.Features{E: 10}, 0, defaultOpts(1)); err == nil {
+	if _, err := FitCtx(nil, stats.Features{E: 10}, 0, defaultOpts(1)); err == nil {
 		t.Fatal("expected error for k=0")
 	}
-	if _, err := Fit(stats.Features{E: 10}, 31, defaultOpts(1)); err == nil {
+	if _, err := FitCtx(nil, stats.Features{E: 10}, 31, defaultOpts(1)); err == nil {
 		t.Fatal("expected error for k=31")
 	}
 }
 
 func TestFitCanonicalOutput(t *testing.T) {
 	m := skg.Model{Init: skg.Initiator{A: 0.9, B: 0.4, C: 0.3}, K: 10}
-	est, err := Fit(m.ExpectedFeatures(), 10, defaultOpts(6))
+	est, err := FitCtx(nil, m.ExpectedFeatures(), 10, defaultOpts(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestFeatureSubsetThreeOfFour(t *testing.T) {
 	obs := m.ExpectedFeatures()
 	opts := defaultOpts(7)
 	opts.Objective = Objective{Dist: DistSq, Norm: NormF2, Features: FeatureSet{E: true, H: true, T: true}}
-	est, err := Fit(obs, 12, opts)
+	est, err := FitCtx(nil, obs, 12, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,4 +200,13 @@ func TestFeatureSetCount(t *testing.T) {
 	if (FeatureSet{}).Count() != 0 {
 		t.Fatal("empty count")
 	}
+}
+
+// must unwraps a (value, error) pair from a Run that is never
+// cancelled, where an error is a bug.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

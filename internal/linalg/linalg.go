@@ -62,21 +62,15 @@ func (d DenseOp) Apply(dst, src []float64) {
 	}
 }
 
-// TopEigen computes approximations to the k eigenvalues of largest
+// TopEigenCtx computes approximations to the k eigenvalues of largest
 // magnitude of the symmetric operator op, sorted by |λ| descending,
 // using Lanczos with full reorthogonalization and a random start vector.
 // iters controls the Krylov dimension (0 means max(3k+16, 48), capped at
-// Dim). The companion Ritz vectors are not returned; use PowerIteration
-// for the principal eigenvector.
-func TopEigen(op MatVec, k, iters int, rng *randx.Rand) []float64 {
-	eig, _ := TopEigenCtx(nil, op, k, iters, rng)
-	return eig
-}
-
-// TopEigenCtx is TopEigen with cooperative cancellation checked once
-// per Lanczos step. A nil or never-cancelled context yields exactly the
-// TopEigen result (the start vector is drawn before any step, so a
-// completed run consumed the same rng draws).
+// Dim). The companion Ritz vectors are not returned; use
+// PowerIterationCtx for the principal eigenvector. Cancellation is
+// checked once per Lanczos step (a nil context cannot be cancelled);
+// the start vector is drawn before any step, so a completed run always
+// consumes the same rng draws.
 func TopEigenCtx(ctx context.Context, op MatVec, k, iters int, rng *randx.Rand) ([]float64, error) {
 	n := op.Dim()
 	if n == 0 || k <= 0 {
@@ -109,12 +103,9 @@ func TopEigenCtx(ctx context.Context, op MatVec, k, iters int, rng *randx.Rand) 
 
 // lanczos runs m steps with full reorthogonalization, returning the
 // tridiagonal coefficients and the Lanczos basis. It stops early on
-// breakdown (invariant subspace found) and checks ctx (when non-nil
-// with a cancellation signal) before each step.
+// breakdown (invariant subspace found) and checks ctx (when non-nil)
+// before each step.
 func lanczos(ctx context.Context, op MatVec, m int, rng *randx.Rand) (alpha, beta []float64, basis [][]float64, err error) {
-	if ctx != nil && ctx.Done() == nil {
-		ctx = nil
-	}
 	n := op.Dim()
 	v := make([]float64, n)
 	for i := range v {
@@ -214,25 +205,16 @@ func tridiagEigenvalues(alpha, beta []float64) []float64 {
 	return d
 }
 
-// PowerIteration computes the algebraically largest eigenpair of op by
-// power iteration on the shifted operator op + shift·I. A shift of at
+// PowerIterationCtx computes the algebraically largest eigenpair of op
+// by power iteration on the shifted operator op + shift·I. A shift of at
 // least a Gershgorin bound on |λmin| (for adjacency matrices, the
 // maximum degree) guarantees convergence even on bipartite graphs,
 // where λmax and λmin have equal magnitude and unshifted iteration
 // oscillates. It returns the eigenvalue of op (shift removed) and the
 // unit eigenvector. tol defaults to 1e-10 when 0; maxIter to 1000.
-func PowerIteration(op MatVec, shift, tol float64, maxIter int, rng *randx.Rand) (float64, []float64) {
-	lambda, v, _ := PowerIterationCtx(nil, op, shift, tol, maxIter, rng)
-	return lambda, v
-}
-
-// PowerIterationCtx is PowerIteration with cooperative cancellation
-// checked once per iteration. A nil or never-cancelled context yields
-// exactly the PowerIteration result.
+// Cancellation is checked once per iteration; a nil context cannot be
+// cancelled.
 func PowerIterationCtx(ctx context.Context, op MatVec, shift, tol float64, maxIter int, rng *randx.Rand) (float64, []float64, error) {
-	if ctx != nil && ctx.Done() == nil {
-		ctx = nil
-	}
 	n := op.Dim()
 	if n == 0 {
 		return 0, nil, nil
@@ -277,18 +259,11 @@ func PowerIterationCtx(ctx context.Context, op MatVec, shift, tol float64, maxIt
 	return lambda, v, nil
 }
 
-// NetworkValues returns the absolute components of the principal
+// NetworkValuesCtx returns the absolute components of the principal
 // (Perron) eigenvector sorted descending — the series plotted in the
-// paper's "network value" panels.
-func NetworkValues(g *graph.Graph, rng *randx.Rand) []float64 {
-	out, _ := NetworkValuesCtx(nil, g, rng)
-	return out
-}
-
-// NetworkValuesCtx is NetworkValues under a pipeline Run: the power
-// iteration checks the context once per iteration and a "network-values"
-// stage event pair is emitted. A nil or never-cancelled run yields
-// exactly the NetworkValues series.
+// paper's "network value" panels. The power iteration checks run's
+// context once per iteration and a "network-values" stage event pair is
+// emitted.
 func NetworkValuesCtx(run *pipeline.Run, g *graph.Graph, rng *randx.Rand) ([]float64, error) {
 	done := run.Stage("network-values")
 	shift := float64(g.MaxDegree())
@@ -305,17 +280,10 @@ func NetworkValuesCtx(run *pipeline.Run, g *graph.Graph, rng *randx.Rand) ([]flo
 	return out, nil
 }
 
-// ScreeValues returns the top-k singular values of the adjacency matrix
-// of g (for symmetric matrices, |eigenvalues|), sorted descending.
-func ScreeValues(g *graph.Graph, k int, rng *randx.Rand) []float64 {
-	out, _ := ScreeValuesCtx(nil, g, k, rng)
-	return out
-}
-
-// ScreeValuesCtx is ScreeValues under a pipeline Run: the Lanczos
-// iteration checks the context once per step and a "scree" stage event
-// pair is emitted. A nil or never-cancelled run yields exactly the
-// ScreeValues series.
+// ScreeValuesCtx returns the top-k singular values of the adjacency
+// matrix of g (for symmetric matrices, |eigenvalues|), sorted
+// descending. The Lanczos iteration checks run's context once per step
+// and a "scree" stage event pair is emitted.
 func ScreeValuesCtx(run *pipeline.Run, g *graph.Graph, k int, rng *randx.Rand) ([]float64, error) {
 	done := run.Stage("scree")
 	eig, err := TopEigenCtx(run.Context(), AdjacencyOp{G: g}, k, 0, rng)

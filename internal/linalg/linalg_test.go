@@ -96,7 +96,7 @@ func TestLanczosMatchesJacobi(t *testing.T) {
 		m := randomSymmetric(20, rng)
 		dense := JacobiEigen(m) // ascending
 		// Full-dimension Lanczos should recover the whole spectrum.
-		got := TopEigen(DenseOp{M: m}, 20, 20, rng.Split())
+		got := must(TopEigenCtx(nil, DenseOp{M: m}, 20, 20, rng.Split()))
 		sort.Float64s(got)
 		if len(got) != 20 {
 			t.Fatalf("TopEigen returned %d values", len(got))
@@ -114,7 +114,7 @@ func TestTopEigenExtremesOnGraph(t *testing.T) {
 	// Lanczos exhausts the Krylov space after two steps and returns two
 	// Ritz values even though three were requested.
 	g := graph.Complete(10)
-	eig := TopEigen(AdjacencyOp{G: g}, 3, 0, randx.New(5))
+	eig := must(TopEigenCtx(nil, AdjacencyOp{G: g}, 3, 0, randx.New(5)))
 	if len(eig) != 2 {
 		t.Fatalf("K10 Ritz values = %v, want exactly the 2 distinct eigenvalues", eig)
 	}
@@ -130,7 +130,10 @@ func TestPowerIterationStar(t *testing.T) {
 	// Star S_n adjacency is bipartite with λ = ±sqrt(n-1); the shifted
 	// iteration must converge to the positive (Perron) eigenvalue.
 	g := graph.Star(17)
-	lambda, vec := PowerIteration(AdjacencyOp{G: g}, float64(g.MaxDegree()), 1e-12, 5000, randx.New(2))
+	lambda, vec, err := PowerIterationCtx(nil, AdjacencyOp{G: g}, float64(g.MaxDegree()), 1e-12, 5000, randx.New(2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(lambda-4) > 1e-6 {
 		t.Fatalf("star lambda = %v, want +4", lambda)
 	}
@@ -142,7 +145,7 @@ func TestPowerIterationStar(t *testing.T) {
 
 func TestNetworkValuesSortedAndNormalized(t *testing.T) {
 	g := graph.Complete(8)
-	nv := NetworkValues(g, randx.New(3))
+	nv := must(NetworkValuesCtx(nil, g, randx.New(3)))
 	if len(nv) != 8 {
 		t.Fatalf("len = %d", len(nv))
 	}
@@ -162,7 +165,7 @@ func TestScreeValuesCompleteGraph(t *testing.T) {
 	// K12 has two distinct eigenvalues (11 and -1), so the scree series
 	// collapses to two singular values: 11 and 1.
 	g := graph.Complete(12)
-	sv := ScreeValues(g, 4, randx.New(8))
+	sv := must(ScreeValuesCtx(nil, g, 4, randx.New(8)))
 	if len(sv) != 2 {
 		t.Fatalf("scree = %v, want 2 values", sv)
 	}
@@ -201,11 +204,20 @@ func TestAdjacencyOpMatchesDense(t *testing.T) {
 }
 
 func TestEmptyOperator(t *testing.T) {
-	if got := TopEigen(DenseOp{}, 3, 0, randx.New(1)); got != nil {
+	if got := must(TopEigenCtx(nil, DenseOp{}, 3, 0, randx.New(1))); got != nil {
 		t.Fatalf("TopEigen on empty = %v", got)
 	}
-	l, v := PowerIteration(DenseOp{}, 0, 0, 0, randx.New(1))
+	l, v, _ := PowerIterationCtx(nil, DenseOp{}, 0, 0, 0, randx.New(1))
 	if l != 0 || v != nil {
 		t.Fatal("PowerIteration on empty should be zero")
 	}
+}
+
+// must unwraps a (value, error) pair from a Run that is never
+// cancelled, where an error is a bug.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -11,6 +11,7 @@ import (
 	"sort"
 
 	"dpkron/internal/parallel"
+	"dpkron/internal/pipeline"
 	"dpkron/internal/randx"
 )
 
@@ -53,24 +54,14 @@ func (o *NelderMeadOptions) fill() {
 	}
 }
 
-// NelderMead minimizes f starting from x0 with the standard
-// reflection/expansion/contraction/shrink simplex method
-// (coefficients 1, 2, 0.5, 0.5).
-func NelderMead(f Func, x0 []float64, opts NelderMeadOptions) Result {
-	res, _ := NelderMeadCtx(nil, f, x0, opts)
-	return res
-}
-
-// NelderMeadCtx is NelderMead with cooperative cancellation checked
-// once per simplex iteration: a cancelled context stops the descent and
-// returns ctx.Err() together with the best point seen so far (which the
-// caller must treat as unusable). A nil or never-cancelled context
-// yields exactly the NelderMead result.
+// NelderMeadCtx minimizes f starting from x0 with the standard
+// reflection/expansion/contraction/shrink simplex method (coefficients
+// 1, 2, 0.5, 0.5). Cancellation is checked once per simplex iteration:
+// a cancelled context stops the descent and returns ctx.Err() together
+// with the best point seen so far (which the caller must treat as
+// unusable). A nil context cannot be cancelled.
 func NelderMeadCtx(ctx context.Context, f Func, x0 []float64, opts NelderMeadOptions) (Result, error) {
 	opts.fill()
-	if ctx != nil && ctx.Done() == nil {
-		ctx = nil
-	}
 	d := len(x0)
 	evals := 0
 	eval := func(x []float64) float64 {
@@ -200,20 +191,11 @@ func Clamp(x, lo, hi []float64) {
 	}
 }
 
-// GridSearch evaluates f on a regular grid with the given number of
+// GridSearchCtx evaluates f on a regular grid with the given number of
 // points per axis (inclusive of bounds) and returns the best point.
-func GridSearch(f Func, lo, hi []float64, pointsPerAxis int) Result {
-	res, _ := GridSearchCtx(nil, f, lo, hi, pointsPerAxis)
-	return res
-}
-
-// GridSearchCtx is GridSearch with cooperative cancellation checked
-// every 256 evaluations. A nil or never-cancelled context yields
-// exactly the GridSearch result.
+// Cancellation is checked every 256 evaluations; a nil context cannot
+// be cancelled.
 func GridSearchCtx(ctx context.Context, f Func, lo, hi []float64, pointsPerAxis int) (Result, error) {
-	if ctx != nil && ctx.Done() == nil {
-		ctx = nil
-	}
 	d := len(lo)
 	if pointsPerAxis < 2 {
 		pointsPerAxis = 2
@@ -256,34 +238,21 @@ func GridSearchCtx(ctx context.Context, f Func, lo, hi []float64, pointsPerAxis 
 	return best, nil
 }
 
-// MultiStart runs Nelder–Mead from the grid-search optimum and from
+// MultiStartCtx runs Nelder–Mead from the grid-search optimum and from
 // additional random starts inside the box, clamping every candidate into
 // the box via penalty-free projection inside the objective wrapper, and
-// returns the best result found. It is MultiStartWorkers on a single
-// goroutine.
-func MultiStart(f Func, lo, hi []float64, randomStarts, gridPoints int, rng *randx.Rand, nm NelderMeadOptions) Result {
-	return MultiStartWorkers(f, lo, hi, randomStarts, gridPoints, rng, nm, 1)
-}
-
-// MultiStartWorkers runs the grid-seeded Nelder–Mead descent and the
-// random restarts concurrently on up to workers goroutines (<= 0
-// selects runtime.GOMAXPROCS(0)). The restart points are drawn from rng
-// serially before any descent begins, the descents are deterministic,
-// and the winner is chosen by scanning results in start order with a
-// strict improvement rule — so the result is identical for every worker
-// count, including the serial MultiStart. f must be safe for concurrent
-// calls.
-func MultiStartWorkers(f Func, lo, hi []float64, randomStarts, gridPoints int, rng *randx.Rand, nm NelderMeadOptions, workers int) Result {
-	res, _ := MultiStartCtx(nil, f, lo, hi, randomStarts, gridPoints, rng, nm, workers)
-	return res
-}
-
-// MultiStartCtx is MultiStartWorkers with cooperative cancellation: the
-// seeding grid search checks the context periodically, the concurrent
+// returns the best result found.
+//
+// The descents run concurrently on run's worker budget. The restart
+// points are drawn from rng serially before any descent begins, the
+// descents are deterministic, and the winner is chosen by scanning
+// results in start order with a strict improvement rule — so the result
+// is identical for every worker count. f must be safe for concurrent
+// calls. The seeding grid search checks run's context periodically, the
 // descents check it between simplex iterations and between starts, and
-// a cancelled context makes the whole call return ctx.Err(). A nil or
-// never-cancelled context yields exactly the MultiStartWorkers result.
-func MultiStartCtx(ctx context.Context, f Func, lo, hi []float64, randomStarts, gridPoints int, rng *randx.Rand, nm NelderMeadOptions, workers int) (Result, error) {
+// a cancelled run makes the whole call return its context's error.
+func MultiStartCtx(run *pipeline.Run, f Func, lo, hi []float64, randomStarts, gridPoints int, rng *randx.Rand, nm NelderMeadOptions) (Result, error) {
+	ctx := run.Context()
 	boxed := func(x []float64) float64 {
 		penalty := 0.0
 		y := make([]float64, len(x))
@@ -316,7 +285,7 @@ func MultiStartCtx(ctx context.Context, f Func, lo, hi []float64, randomStarts, 
 		starts[s] = x0
 	}
 	results := make([]Result, len(starts))
-	runErr := parallel.RunCtx(ctx, parallel.Normalize(workers), len(starts), func(s int) {
+	runErr := parallel.Run(ctx, run.Workers(), len(starts), func(s int) {
 		// A descent that observes cancellation returns early; its
 		// partial result is discarded below via the shared context
 		// error, so the per-start error can be dropped here.
@@ -325,12 +294,10 @@ func MultiStartCtx(ctx context.Context, f Func, lo, hi []float64, randomStarts, 
 	if runErr != nil {
 		return Result{}, runErr
 	}
-	if ctx != nil {
-		// A descent may have aborted mid-run without RunCtx noticing
-		// (the shard itself completed); reject the fan-out wholesale.
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
+	// A descent may have aborted mid-run without Run noticing (the
+	// shard itself completed); reject the fan-out wholesale.
+	if err := ctx.Err(); err != nil {
+		return Result{}, err
 	}
 	best := results[0]
 	evals := seed.Evals + results[0].Evals

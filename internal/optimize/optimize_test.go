@@ -24,14 +24,14 @@ func rosenbrock(x []float64) float64 {
 }
 
 func TestNelderMeadSphere(t *testing.T) {
-	res := NelderMead(sphere, []float64{3, -2, 1}, NelderMeadOptions{MaxIter: 2000})
+	res := must(NelderMeadCtx(nil, sphere, []float64{3, -2, 1}, NelderMeadOptions{MaxIter: 2000}))
 	if res.F > 1e-8 {
 		t.Fatalf("sphere minimum not found: F=%v X=%v", res.F, res.X)
 	}
 }
 
 func TestNelderMeadRosenbrock2D(t *testing.T) {
-	res := NelderMead(rosenbrock, []float64{-1.2, 1}, NelderMeadOptions{MaxIter: 5000, Step: 0.5})
+	res := must(NelderMeadCtx(nil, rosenbrock, []float64{-1.2, 1}, NelderMeadOptions{MaxIter: 5000, Step: 0.5}))
 	if math.Abs(res.X[0]-1) > 1e-3 || math.Abs(res.X[1]-1) > 1e-3 {
 		t.Fatalf("rosenbrock minimum not found: F=%v X=%v", res.F, res.X)
 	}
@@ -41,7 +41,7 @@ func TestNelderMeadShiftedQuadratic(t *testing.T) {
 	f := func(x []float64) float64 {
 		return 2*(x[0]-0.3)*(x[0]-0.3) + 5*(x[1]+0.7)*(x[1]+0.7) + 1.5
 	}
-	res := NelderMead(f, []float64{0, 0}, NelderMeadOptions{})
+	res := must(NelderMeadCtx(nil, f, []float64{0, 0}, NelderMeadOptions{}))
 	if math.Abs(res.X[0]-0.3) > 1e-4 || math.Abs(res.X[1]+0.7) > 1e-4 {
 		t.Fatalf("X = %v, want (0.3, -0.7)", res.X)
 	}
@@ -51,11 +51,11 @@ func TestNelderMeadShiftedQuadratic(t *testing.T) {
 }
 
 func TestNelderMeadConvergedFlag(t *testing.T) {
-	res := NelderMead(sphere, []float64{0.5, 0.5}, NelderMeadOptions{MaxIter: 5000})
+	res := must(NelderMeadCtx(nil, sphere, []float64{0.5, 0.5}, NelderMeadOptions{MaxIter: 5000}))
 	if !res.Converged {
 		t.Fatal("expected convergence on sphere")
 	}
-	res = NelderMead(rosenbrock, []float64{-1.2, 1}, NelderMeadOptions{MaxIter: 3})
+	res = must(NelderMeadCtx(nil, rosenbrock, []float64{-1.2, 1}, NelderMeadOptions{MaxIter: 3}))
 	if res.Converged {
 		t.Fatal("3 iterations should not converge on rosenbrock")
 	}
@@ -65,7 +65,7 @@ func TestGridSearch(t *testing.T) {
 	f := func(x []float64) float64 {
 		return math.Abs(x[0]-0.5) + math.Abs(x[1]-0.25)
 	}
-	res := GridSearch(f, []float64{0, 0}, []float64{1, 1}, 5)
+	res := must(GridSearchCtx(nil, f, []float64{0, 0}, []float64{1, 1}, 5))
 	// Grid points are multiples of 0.25: exact optimum is on the grid.
 	if math.Abs(res.X[0]-0.5) > 1e-12 || math.Abs(res.X[1]-0.25) > 1e-12 {
 		t.Fatalf("grid optimum = %v", res.X)
@@ -89,7 +89,7 @@ func TestMultiStartFindsBoxConstrainedMinimum(t *testing.T) {
 	f := func(x []float64) float64 {
 		return (x[0]-2)*(x[0]-2) + (x[1]-2)*(x[1]-2)
 	}
-	res := MultiStart(f, []float64{0, 0}, []float64{1, 1}, 4, 5, randx.New(1), NelderMeadOptions{MaxIter: 500})
+	res := must(MultiStartCtx(nil, f, []float64{0, 0}, []float64{1, 1}, 4, 5, randx.New(1), NelderMeadOptions{MaxIter: 500}))
 	if math.Abs(res.X[0]-1) > 1e-3 || math.Abs(res.X[1]-1) > 1e-3 {
 		t.Fatalf("constrained minimum = %v, want (1,1)", res.X)
 	}
@@ -106,15 +106,24 @@ func TestMultiStartEscapesLocalMinimum(t *testing.T) {
 		}
 		return b
 	}
-	res := MultiStart(f, []float64{0}, []float64{1}, 6, 9, randx.New(3), NelderMeadOptions{})
+	res := must(MultiStartCtx(nil, f, []float64{0}, []float64{1}, 6, 9, randx.New(3), NelderMeadOptions{}))
 	if math.Abs(res.X[0]-0.9) > 0.05 {
 		t.Fatalf("global minimum missed: %v", res.X)
 	}
 }
 
 func TestGridSearchSinglePointPerAxisClamped(t *testing.T) {
-	res := GridSearch(sphere, []float64{-1}, []float64{1}, 1) // bumped to 2
+	res := must(GridSearchCtx(nil, sphere, []float64{-1}, []float64{1}, 1)) // bumped to 2
 	if res.Evals != 2 {
 		t.Fatalf("evals = %d, want 2", res.Evals)
 	}
+}
+
+// must unwraps a (value, error) pair from a Run that is never
+// cancelled, where an error is a bug.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

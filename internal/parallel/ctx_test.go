@@ -15,26 +15,23 @@ func cancelledCtx() context.Context {
 }
 
 func TestRunCtxBackgroundMatchesRun(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		var sum atomic.Int64
-		if err := RunCtx(context.Background(), workers, 100, func(s int) { sum.Add(int64(s)) }); err != nil {
-			t.Fatal(err)
+	for _, ctx := range []context.Context{nil, context.Background()} {
+		for _, workers := range []int{1, 4} {
+			var sum atomic.Int64
+			if err := Run(ctx, workers, 100, func(s int) { sum.Add(int64(s)) }); err != nil {
+				t.Fatal(err)
+			}
+			if sum.Load() != 4950 {
+				t.Errorf("ctx=%v workers=%d: sum = %d, want 4950", ctx, workers, sum.Load())
+			}
 		}
-		if sum.Load() != 4950 {
-			t.Errorf("workers=%d: sum = %d, want 4950", workers, sum.Load())
-		}
-	}
-	// nil context takes the same fast path.
-	ran := 0
-	if err := RunCtx(nil, 1, 3, func(int) { ran++ }); err != nil || ran != 3 {
-		t.Errorf("nil ctx: ran=%d err=%v", ran, err)
 	}
 }
 
 func TestRunCtxPreCancelled(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ran := atomic.Int64{}
-		err := RunCtx(cancelledCtx(), workers, 1000, func(int) { ran.Add(1) })
+		err := Run(cancelledCtx(), workers, 1000, func(int) { ran.Add(1) })
 		if err != context.Canceled {
 			t.Errorf("workers=%d: err = %v, want Canceled", workers, err)
 		}
@@ -47,7 +44,7 @@ func TestRunCtxPreCancelled(t *testing.T) {
 func TestRunCtxMidRunCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	err := RunCtx(ctx, 4, 10000, func(s int) {
+	err := Run(ctx, 4, 10000, func(s int) {
 		if ran.Add(1) == 10 {
 			cancel()
 		}
@@ -62,7 +59,7 @@ func TestRunCtxMidRunCancellation(t *testing.T) {
 
 func TestRunIndexedCtxPreCancelled(t *testing.T) {
 	var ran atomic.Int64
-	if err := RunIndexedCtx(cancelledCtx(), 4, 100, func(w, s int) { ran.Add(1) }); err != context.Canceled {
+	if err := RunIndexed(cancelledCtx(), 4, 100, func(w, s int) { ran.Add(1) }); err != context.Canceled {
 		t.Fatalf("err = %v", err)
 	}
 	if ran.Load() != 0 {
@@ -77,23 +74,23 @@ func TestReductionCtxVariantsMatchPlain(t *testing.T) {
 	live, cancelLive := context.WithCancel(context.Background())
 	defer cancelLive()
 	for _, workers := range []int{1, 4} {
-		si, err := SumInt64Ctx(live, workers, n, fI)
-		if err != nil || si != SumInt64(workers, n, fI) {
-			t.Errorf("SumInt64Ctx = %d, %v", si, err)
+		si, err := SumInt64(live, workers, n, fI)
+		if plain, _ := SumInt64(nil, workers, n, fI); err != nil || si != plain {
+			t.Errorf("SumInt64 live ctx = %d, %v; nil ctx = %d", si, err, plain)
 		}
-		sf, err := SumFloat64Ctx(live, workers, n, fF)
-		if err != nil || sf != SumFloat64(workers, n, fF) {
-			t.Errorf("SumFloat64Ctx = %v, %v", sf, err)
+		sf, err := SumFloat64(live, workers, n, fF)
+		if plain, _ := SumFloat64(nil, workers, n, fF); err != nil || sf != plain {
+			t.Errorf("SumFloat64 live ctx = %v, %v; nil ctx = %v", sf, err, plain)
 		}
 	}
-	if _, err := SumInt64Ctx(cancelledCtx(), 2, n, fI); err != context.Canceled {
-		t.Errorf("SumInt64Ctx pre-cancelled err = %v", err)
+	if _, err := SumInt64(cancelledCtx(), 2, n, fI); err != context.Canceled {
+		t.Errorf("SumInt64 pre-cancelled err = %v", err)
 	}
-	if _, err := SumFloat64Ctx(cancelledCtx(), 2, n, fF); err != context.Canceled {
-		t.Errorf("SumFloat64Ctx pre-cancelled err = %v", err)
+	if _, err := SumFloat64(cancelledCtx(), 2, n, fF); err != context.Canceled {
+		t.Errorf("SumFloat64 pre-cancelled err = %v", err)
 	}
-	if err := ForBlocksCtx(cancelledCtx(), 2, n, func(s, lo, hi int) {}); err != context.Canceled {
-		t.Errorf("ForBlocksCtx pre-cancelled err = %v", err)
+	if err := ForBlocks(cancelledCtx(), 2, n, func(s, lo, hi int) {}); err != context.Canceled {
+		t.Errorf("ForBlocks pre-cancelled err = %v", err)
 	}
 }
 
@@ -107,10 +104,10 @@ func TestSortInt64CtxMatchesPlain(t *testing.T) {
 			keys[i] = rng.Int63()
 		}
 		want := append([]int64(nil), keys...)
-		SortInt64(2, want, nil)
+		SortInt64(nil, 2, want, nil)
 
 		got := append([]int64(nil), keys...)
-		if _, err := SortInt64Ctx(live, 2, got, nil); err != nil {
+		if _, err := SortInt64(live, 2, got, nil); err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(got, want) {
@@ -118,7 +115,7 @@ func TestSortInt64CtxMatchesPlain(t *testing.T) {
 		}
 		// Serial ctx path too.
 		got2 := append([]int64(nil), keys...)
-		if _, err := SortInt64Ctx(live, 1, got2, nil); err != nil {
+		if _, err := SortInt64(live, 1, got2, nil); err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(got2, want) {
@@ -132,7 +129,7 @@ func TestSortInt64CtxPreCancelled(t *testing.T) {
 	for i := range keys {
 		keys[i] = int64(len(keys) - i)
 	}
-	if _, err := SortInt64Ctx(cancelledCtx(), 4, keys, nil); err != context.Canceled {
+	if _, err := SortInt64(cancelledCtx(), 4, keys, nil); err != context.Canceled {
 		t.Fatalf("err = %v, want Canceled", err)
 	}
 }

@@ -18,12 +18,18 @@
 //     shard order (SumFloat64), so neither scheduling nor associativity
 //     can perturb the outcome.
 //
-// Integer reductions (SumInt64, MaxInt) are associative and would be
+// Integer reductions (SumInt64) are associative and would be
 // deterministic under any partition; they use the same fixed sharding
 // for uniformity.
+//
+// Every pool helper takes a context that is checked between shards
+// (and, in the radix sort, between passes) — never inside the per-key
+// loops — so a live context costs one Err() call per shard. A nil
+// context means the work cannot be cancelled.
 package parallel
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -42,8 +48,8 @@ const DefaultShards = 64
 
 // Normalize resolves a worker-count option: values <= 0 select
 // runtime.GOMAXPROCS(0), i.e. "use the hardware". It is the single
-// defaulting rule for every Workers field in the module's Options
-// structs and for pipeline.Run worker budgets.
+// defaulting rule for pipeline.Run worker budgets and the server's
+// Workers setting.
 func Normalize(n int) int {
 	if n <= 0 {
 		return runtime.GOMAXPROCS(0)
@@ -122,35 +128,17 @@ func PairBlocks(n, count int) []Block {
 // With workers <= 1 (or a single shard) everything runs on the calling
 // goroutine, which is the serial baseline the benchmarks compare
 // against.
-func Run(workers, shards int, fn func(shard int)) {
-	if shards <= 0 {
-		return
-	}
-	if workers > shards {
-		workers = shards
-	}
-	if workers <= 1 {
-		for s := 0; s < shards; s++ {
-			fn(s)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				s := int(next.Add(1)) - 1
-				if s >= shards {
-					return
-				}
-				fn(s)
-			}
-		}()
-	}
-	wg.Wait()
+//
+// Cancellation is cooperative and shard-grained: workers check ctx
+// between shards (never inside fn), and a nil ctx means the pool cannot
+// be cancelled. Run returns nil after every shard executed, or
+// ctx.Err() if cancellation was observed before some claimed shard ran
+// (that shard and any unclaimed ones are skipped). A run that returns
+// nil executed exactly the fixed shard set, so its result is
+// bit-identical for every worker count; the partial output of a
+// cancelled run must be discarded.
+func Run(ctx context.Context, workers, shards int, fn func(shard int)) error {
+	return RunIndexed(ctx, workers, shards, func(_, s int) { fn(s) })
 }
 
 // RunIndexed is Run with the executing worker's index (in [0, workers))
@@ -161,20 +149,24 @@ func Run(workers, shards int, fn func(shard int)) {
 // are invariant to shard→worker assignment (integer sums, maxima)
 // should use it; order-sensitive reductions belong on the per-shard
 // helpers.
-func RunIndexed(workers, shards int, fn func(worker, shard int)) {
+func RunIndexed(ctx context.Context, workers, shards int, fn func(worker, shard int)) error {
 	if shards <= 0 {
-		return
+		return ctxErr(ctx)
 	}
 	if workers > shards {
 		workers = shards
 	}
 	if workers <= 1 {
 		for s := 0; s < shards; s++ {
+			if err := ctxErr(ctx); err != nil {
+				return err
+			}
 			fn(0, s)
 		}
-		return
+		return nil
 	}
 	var next atomic.Int64
+	var aborted atomic.Bool
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -185,64 +177,72 @@ func RunIndexed(workers, shards int, fn func(worker, shard int)) {
 				if s >= shards {
 					return
 				}
+				if ctxErr(ctx) != nil {
+					aborted.Store(true)
+					return
+				}
 				fn(worker, s)
 			}
 		}(w)
 	}
 	wg.Wait()
+	if aborted.Load() {
+		return ctx.Err()
+	}
+	return nil
+}
+
+// ctxErr is ctx.Err() for a context that may be nil (never cancelled).
+func ctxErr(ctx context.Context) error {
+	if ctx == nil {
+		return nil
+	}
+	return ctx.Err()
 }
 
 // ForBlocks runs fn over the fixed DefaultShards-way split of [0, n)
-// on up to workers goroutines. fn receives the shard index and its
-// range; writes to disjoint ranges need no synchronization.
-func ForBlocks(workers, n int, fn func(shard, lo, hi int)) {
+// on up to workers goroutines, with the cancellation contract of Run.
+// fn receives the shard index and its range; writes to disjoint ranges
+// need no synchronization.
+func ForBlocks(ctx context.Context, workers, n int, fn func(shard, lo, hi int)) error {
 	blocks := Blocks(n, DefaultShards)
-	Run(workers, len(blocks), func(s int) { fn(s, blocks[s].Lo, blocks[s].Hi) })
+	return Run(ctx, workers, len(blocks), func(s int) { fn(s, blocks[s].Lo, blocks[s].Hi) })
 }
 
-// SumInt64 reduces fn over the fixed DefaultShards-way split of [0, n).
-// Integer addition is associative, so the result equals the serial sum
-// for every worker count.
-func SumInt64(workers, n int, fn func(lo, hi int) int64) int64 {
+// SumInt64 reduces fn over the fixed DefaultShards-way split of [0, n),
+// with the cancellation contract of Run (the partial sum of a cancelled
+// run is not returned). Integer addition is associative, so the result
+// equals the serial sum for every worker count.
+func SumInt64(ctx context.Context, workers, n int, fn func(lo, hi int) int64) (int64, error) {
 	blocks := Blocks(n, DefaultShards)
 	part := make([]int64, len(blocks))
-	Run(workers, len(blocks), func(s int) { part[s] = fn(blocks[s].Lo, blocks[s].Hi) })
+	if err := Run(ctx, workers, len(blocks), func(s int) { part[s] = fn(blocks[s].Lo, blocks[s].Hi) }); err != nil {
+		return 0, err
+	}
 	var total int64
 	for _, p := range part {
 		total += p
 	}
-	return total
+	return total, nil
 }
 
 // SumFloat64 reduces fn over the fixed DefaultShards-way split of
-// [0, n), combining the per-shard partials in shard order. Because the
-// shard boundaries depend only on n and the reduction order is fixed,
-// the (non-associative) floating-point result is bit-identical for
-// every worker count — including workers = 1.
-func SumFloat64(workers, n int, fn func(lo, hi int) float64) float64 {
+// [0, n), combining the per-shard partials in shard order, with the
+// cancellation contract of Run. Because the shard boundaries depend
+// only on n and the reduction order is fixed, the (non-associative)
+// floating-point result is bit-identical for every worker count —
+// including workers = 1.
+func SumFloat64(ctx context.Context, workers, n int, fn func(lo, hi int) float64) (float64, error) {
 	blocks := Blocks(n, DefaultShards)
 	part := make([]float64, len(blocks))
-	Run(workers, len(blocks), func(s int) { part[s] = fn(blocks[s].Lo, blocks[s].Hi) })
+	if err := Run(ctx, workers, len(blocks), func(s int) { part[s] = fn(blocks[s].Lo, blocks[s].Hi) }); err != nil {
+		return 0, err
+	}
 	total := 0.0
 	for _, p := range part {
 		total += p
 	}
-	return total
-}
-
-// MaxInt reduces fn over the fixed DefaultShards-way split of [0, n)
-// by maximum, returning zero for n <= 0.
-func MaxInt(workers, n int, fn func(lo, hi int) int) int {
-	blocks := Blocks(n, DefaultShards)
-	part := make([]int, len(blocks))
-	Run(workers, len(blocks), func(s int) { part[s] = fn(blocks[s].Lo, blocks[s].Hi) })
-	best := 0
-	for _, p := range part {
-		if p > best {
-			best = p
-		}
-	}
-	return best
+	return total, nil
 }
 
 // Streams derives count independent random sub-streams from rng by

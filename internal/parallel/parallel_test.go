@@ -79,7 +79,7 @@ func TestRunVisitsEveryShardOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 100} {
 		const shards = 37
 		var hits [shards]atomic.Int32
-		Run(workers, shards, func(s int) { hits[s].Add(1) })
+		Run(nil, workers, shards, func(s int) { hits[s].Add(1) })
 		for s := range hits {
 			if hits[s].Load() != 1 {
 				t.Fatalf("workers=%d: shard %d visited %d times", workers, s, hits[s].Load())
@@ -93,7 +93,7 @@ func TestRunIndexedVisitsEveryShardWithValidWorker(t *testing.T) {
 		const shards = 29
 		var hits [shards]atomic.Int32
 		var badWorker atomic.Bool
-		RunIndexed(workers, shards, func(worker, s int) {
+		RunIndexed(nil, workers, shards, func(worker, s int) {
 			if worker < 0 || worker >= workers {
 				badWorker.Store(true)
 			}
@@ -114,7 +114,7 @@ func TestSumInt64MatchesSerial(t *testing.T) {
 	n := 1000
 	want := int64(n) * int64(n-1) / 2 // sum of 0..n-1
 	for _, workers := range []int{1, 4, 8} {
-		got := SumInt64(workers, n, func(lo, hi int) int64 {
+		got, _ := SumInt64(nil, workers, n, func(lo, hi int) int64 {
 			var s int64
 			for i := lo; i < hi; i++ {
 				s += int64(i)
@@ -136,27 +136,11 @@ func TestSumFloat64WorkerInvariant(t *testing.T) {
 		}
 		return s
 	}
-	base := SumFloat64(1, n, f)
+	base, _ := SumFloat64(nil, 1, n, f)
 	for _, workers := range []int{2, 4, 8, 32} {
-		if got := SumFloat64(workers, n, f); got != base {
+		if got, _ := SumFloat64(nil, workers, n, f); got != base {
 			t.Fatalf("workers=%d: %v != %v (must be bit-identical)", workers, got, base)
 		}
-	}
-}
-
-func TestMaxInt(t *testing.T) {
-	vals := []int{3, 9, 2, 7, 9, 1}
-	got := MaxInt(4, len(vals), func(lo, hi int) int {
-		best := 0
-		for i := lo; i < hi; i++ {
-			if vals[i] > best {
-				best = vals[i]
-			}
-		}
-		return best
-	})
-	if got != 9 {
-		t.Fatalf("MaxInt = %d, want 9", got)
 	}
 }
 

@@ -14,6 +14,8 @@ package parallel
 // scatter is stable and its output depends only on the input, so — like
 // every helper here — the result is identical for every worker count.
 
+import "context"
+
 const (
 	radixBuckets = 256
 	// radixSerialMin is the input size below which the sharded path's
@@ -32,23 +34,29 @@ const (
 // callers with repeated sorts can avoid reallocating. The sorted result
 // is identical for every worker count (workers <= 0 selects
 // runtime.GOMAXPROCS(0)).
-func SortInt64(workers int, keys, scratch []int64) []int64 {
+//
+// ctx (nil means the sort cannot be cancelled) is checked before each
+// radix pass, never inside the per-key loops. On cancellation the keys
+// are left a partially sorted permutation of the input and ctx.Err()
+// is returned; a nil error means keys is fully sorted.
+func SortInt64(ctx context.Context, workers int, keys, scratch []int64) ([]int64, error) {
 	n := len(keys)
 	if cap(scratch) < n {
 		scratch = make([]int64, n)
 	}
 	scratch = scratch[:n]
+	if err := ctxErr(ctx); err != nil {
+		return scratch, err
+	}
 	if n <= insertionMax {
 		insertionSortInt64(keys)
-		return scratch
+		return scratch, nil
 	}
 	w := Normalize(workers)
 	if w <= 1 || n < radixSerialMin {
-		radixSortSerial(keys, scratch)
-		return scratch
+		return scratch, radixSortSerial(ctx, keys, scratch)
 	}
-	radixSortParallel(w, keys, scratch)
-	return scratch
+	return scratch, radixSortParallel(ctx, w, keys, scratch)
 }
 
 func insertionSortInt64(keys []int64) {
@@ -76,7 +84,7 @@ func activeDigits(or, and uint64) int {
 	return active
 }
 
-func radixSortSerial(keys, scratch []int64) {
+func radixSortSerial(ctx context.Context, keys, scratch []int64) error {
 	var or uint64
 	and := ^uint64(0)
 	for _, k := range keys {
@@ -90,38 +98,61 @@ func radixSortSerial(keys, scratch []int64) {
 		if active&(1<<d) == 0 {
 			continue
 		}
-		shift := 8 * uint(d)
-		for i := range count {
-			count[i] = 0
+		if err := ctxErr(ctx); err != nil {
+			restore(keys, src)
+			return err
 		}
-		for _, k := range src {
-			count[byte(uint64(k)>>shift)]++
-		}
-		total := 0
-		for b := 0; b < radixBuckets; b++ {
-			c := count[b]
-			count[b] = total
-			total += c
-		}
-		for _, k := range src {
-			b := byte(uint64(k) >> shift)
-			dst[count[b]] = k
-			count[b]++
-		}
+		radixPass(src, dst, 8*uint(d), &count)
 		src, dst = dst, src
 	}
+	restore(keys, src)
+	return nil
+}
+
+// radixPass stably scatters src into dst by the byte at shift, using
+// count as histogram scratch. It stays out of line so the per-key loops
+// keep their few live values in registers: inlined into the caller,
+// whose context and key slices are live across the passes, the loops
+// spill and the serial sort runs 10–20% slower.
+//
+//go:noinline
+func radixPass(src, dst []int64, shift uint, count *[radixBuckets]int) {
+	*count = [radixBuckets]int{}
+	for _, k := range src {
+		count[byte(uint64(k)>>shift)]++
+	}
+	total := 0
+	for b := range count {
+		c := count[b]
+		count[b] = total
+		total += c
+	}
+	for _, k := range src {
+		b := byte(uint64(k) >> shift)
+		dst[count[b]] = k
+		count[b]++
+	}
+}
+
+// restore copies the latest pass output back into keys when it lives
+// in the scratch buffer.
+func restore(keys, src []int64) {
 	if &src[0] != &keys[0] {
 		copy(keys, src)
 	}
 }
 
-func radixSortParallel(workers int, keys, scratch []int64) {
+// radixSortParallel shards every pass over the fixed DefaultShards
+// split. The per-shard fan-outs run uncancellable: a pass is O(n) and
+// an aborted scatter would leave dst holding a mix of old and new keys,
+// so ctx is checked once per pass instead.
+func radixSortParallel(ctx context.Context, workers int, keys, scratch []int64) error {
 	n := len(keys)
 	blocks := Blocks(n, DefaultShards)
 	S := len(blocks)
 	ors := make([]uint64, S)
 	ands := make([]uint64, S)
-	Run(workers, S, func(s int) {
+	Run(nil, workers, S, func(s int) {
 		var or uint64
 		and := ^uint64(0)
 		for _, k := range keys[blocks[s].Lo:blocks[s].Hi] {
@@ -144,8 +175,12 @@ func radixSortParallel(workers int, keys, scratch []int64) {
 		if active&(1<<d) == 0 {
 			continue
 		}
+		if err := ctxErr(ctx); err != nil {
+			restore(keys, src)
+			return err
+		}
 		shift := 8 * uint(d)
-		Run(workers, S, func(s int) {
+		Run(nil, workers, S, func(s int) {
 			h := hist[s*radixBuckets : (s+1)*radixBuckets]
 			for i := range h {
 				h[i] = 0
@@ -167,7 +202,7 @@ func radixSortParallel(workers int, keys, scratch []int64) {
 				total += c
 			}
 		}
-		Run(workers, S, func(s int) {
+		Run(nil, workers, S, func(s int) {
 			h := hist[s*radixBuckets : (s+1)*radixBuckets]
 			for _, k := range src[blocks[s].Lo:blocks[s].Hi] {
 				b := byte(uint64(k) >> shift)
@@ -177,9 +212,8 @@ func radixSortParallel(workers int, keys, scratch []int64) {
 		})
 		src, dst = dst, src
 	}
-	if &src[0] != &keys[0] {
-		copy(keys, src)
-	}
+	restore(keys, src)
+	return nil
 }
 
 // MergeSortedInt64 merges ascending-sorted b into ascending-sorted a

@@ -50,7 +50,7 @@ func TestSortInt64MatchesReference(t *testing.T) {
 				keys := gen(n, mode)
 				want := append([]int64(nil), keys...)
 				sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-				scratch = SortInt64(workers, keys, scratch)
+				scratch, _ = SortInt64(nil, workers, keys, scratch)
 				for i := range keys {
 					if keys[i] != want[i] {
 						t.Fatalf("n=%d mode=%s workers=%d: keys[%d] = %d, want %d",
@@ -70,7 +70,7 @@ func TestSortInt64ScratchReuse(t *testing.T) {
 		for i := range keys {
 			keys[i] = int64(rng.IntN(1 << 30))
 		}
-		scratch = SortInt64(4, keys, scratch)
+		scratch, _ = SortInt64(nil, 4, keys, scratch)
 		if len(scratch) < n {
 			t.Fatalf("scratch not grown to %d", n)
 		}

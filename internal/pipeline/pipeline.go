@@ -5,17 +5,19 @@
 //
 // A single *Run is threaded from an entry point (core.EstimateCtx, the
 // samplers, the experiment drivers, an HTTP job in internal/server)
-// down through every parallel stage. The contract every consumer obeys:
+// down through every parallel stage. Every long-running operation of
+// the module takes a Run — there is no second, blocking form — and a
+// nil *Run means a background run on all cores with no sink. The
+// contract every consumer obeys:
 //
 //   - Cancellation only ever *aborts* — a cancelled Run makes the
 //     callee return its Context's error, never a perturbed result. For
-//     a Run that is never cancelled, results are bit-identical to the
-//     historical blocking entry points for the same seed and worker
-//     count (checks happen between shards and iterations, off the hot
-//     loops, and consume no randomness).
+//     a Run that is never cancelled, results are bit-identical for the
+//     same seed whatever the context (checks happen between shards and
+//     iterations, off the hot loops, and consume no randomness).
 //   - The worker budget is resolved once (Workers() > 0 always) and is
-//     the single source of goroutine bounds below the entry point;
-//     per-call Options.Workers fields are ignored by ...Ctx variants.
+//     the single source of goroutine bounds below the entry point, and
+//     results are identical for every budget.
 //   - Events are emitted from orchestrating code only and serialized
 //     through one mutex, so a Sink needs no locking of its own.
 package pipeline
@@ -68,10 +70,6 @@ func New(ctx context.Context, workers int, sink Sink) *Run {
 	}
 	return r
 }
-
-// Background returns a never-cancelled Run on all cores with no sink —
-// the execution context of the historical blocking entry points.
-func Background() *Run { return New(nil, 0, nil) }
 
 // WithTimeout returns a Run whose context is parent (nil means
 // context.Background()) bounded by d when d > 0, together with the

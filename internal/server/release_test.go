@@ -13,10 +13,13 @@ import (
 	"time"
 
 	"dpkron/internal/accountant"
+	"dpkron/internal/core"
 	"dpkron/internal/dataset"
 	"dpkron/internal/dp"
 	"dpkron/internal/graph"
+	"dpkron/internal/kronmom"
 	"dpkron/internal/release"
+	"dpkron/internal/skg"
 )
 
 // newCacheServer builds a server with a ledger and a release cache
@@ -451,5 +454,41 @@ func TestServerReleasesRequireCache(t *testing.T) {
 	}
 	if msg, _ := resp["error"].(string); !strings.Contains(msg, "release cache") {
 		t.Fatalf("error message %q", msg)
+	}
+}
+
+// TestPrivateFitResultCopiesOutOfResult pins that the fit payload owns
+// its values: mutating (or dropping) the core.Result afterwards must
+// not reach the FitResult, so a retained job result never keeps the
+// estimate's degree sequence alive.
+func TestPrivateFitResultCopiesOutOfResult(t *testing.T) {
+	res := &core.Result{
+		Init:      skg.Initiator{A: 0.9, B: 0.5, C: 0.2},
+		K:         10,
+		DegreeSeq: []float64{3, 2, 1},
+		Moment:    kronmom.Estimate{Objective: 0.25},
+		Privacy:   dp.Budget{Eps: 0.5, Delta: 0.01},
+		Receipt: accountant.Receipt{
+			Policy:  "sequential",
+			Total:   dp.Budget{Eps: 0.5, Delta: 0.01},
+			Charges: []accountant.Charge{{Query: "q", Mechanism: "laplace", Eps: 0.5}},
+		},
+	}
+	fr := PrivateFitResult(res, "ds")
+	before, err := json.Marshal(fr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Moment.Objective = 9
+	res.Privacy = dp.Budget{Eps: 9}
+	res.Receipt.Total = dp.Budget{Eps: 9}
+	res.Receipt.Policy = "mutated"
+	res.Receipt.Charges[0].Eps = 9
+	after, err := json.Marshal(fr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("FitResult changed with its source Result:\nbefore %s\nafter  %s", before, after)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"slices"
 
 	"dpkron/internal/core"
 	"dpkron/internal/release"
@@ -28,16 +29,23 @@ type CachedFitResult struct {
 // API's result payload — the same shape the release cache persists,
 // so a CLI fit and a server fit memoize interchangeably. Remaining is
 // left unset; the server's cold path fills it after the ledger debit.
+//
+// Every field is copied out of res: a pointer into res would keep the
+// whole core.Result — including its released degree sequence — alive
+// for as long as the job history retains the FitResult.
 func PrivateFitResult(res *core.Result, dataset string) FitResult {
+	objective, privacy, spent := res.Moment.Objective, res.Privacy, res.Receipt.Total
+	receipt := res.Receipt
+	receipt.Charges = slices.Clone(res.Receipt.Charges)
 	return FitResult{
 		Method:    "private",
 		Initiator: InitiatorJSON{res.Init.A, res.Init.B, res.Init.C},
 		K:         res.K,
-		Objective: &res.Moment.Objective,
+		Objective: &objective,
 		Features:  featuresJSON(res.Features),
-		Privacy:   &res.Privacy,
-		Spent:     &res.Receipt.Total,
-		Receipt:   &res.Receipt,
+		Privacy:   &privacy,
+		Spent:     &spent,
+		Receipt:   &receipt,
 		Dataset:   dataset,
 	}
 }

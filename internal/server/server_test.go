@@ -87,7 +87,7 @@ func testEdgeList(t *testing.T, k int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := m.SampleExact(randx.New(4))
+	g := must(m.SampleExactCtx(nil, randx.New(4)))
 	var sb strings.Builder
 	if err := g.WriteEdgeList(&sb); err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestServerGenerateRoundTrip(t *testing.T) {
 	// The sampled graph must equal a local sample with the same seed:
 	// the job API is deterministic per request.
 	m, _ := skg.NewModel(skg.Initiator{A: 0.95, B: 0.55, C: 0.3}, 8)
-	want := m.SampleExact(randx.New(3))
+	want := must(m.SampleExactCtx(nil, randx.New(3)))
 	if g.NumEdges() != want.NumEdges() {
 		t.Errorf("server sample has %d edges, local sample %d", g.NumEdges(), want.NumEdges())
 	}
@@ -837,7 +837,7 @@ func TestServerGenerateIntoStore(t *testing.T) {
 	}
 	// The stored sample equals a local sample with the same seed.
 	m, _ := skg.NewModel(skg.Initiator{A: 0.95, B: 0.55, C: 0.3}, 8)
-	want := m.SampleExact(randx.New(3))
+	want := must(m.SampleExactCtx(nil, randx.New(3)))
 	back, err := st.Load(id)
 	if err != nil || !want.Equal(back) {
 		t.Fatalf("stored sample differs from local sample: %v", err)
@@ -958,4 +958,13 @@ func TestServerFitByIDWithLedger(t *testing.T) {
 	if spent := acct["spent"].(map[string]any); math.Abs(spent["eps"].(float64)-0.8) > 1e-9 {
 		t.Errorf("spent = %v, want eps 0.8", acct["spent"])
 	}
+}
+
+// must unwraps a (value, error) pair from a Run that is never
+// cancelled, where an error is a bug.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

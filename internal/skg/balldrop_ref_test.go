@@ -5,6 +5,7 @@ import (
 
 	"dpkron/internal/graph"
 	"dpkron/internal/parallel"
+	"dpkron/internal/pipeline"
 	"dpkron/internal/randx"
 )
 
@@ -39,7 +40,7 @@ func (m Model) sampleBallDropNRef(rng *randx.Rand, target, workers int) *graph.G
 		return q
 	}
 	parts := make([][]int64, shards)
-	parallel.Run(parallel.Normalize(workers), shards, func(s int) {
+	parallel.Run(nil, parallel.Normalize(workers), shards, func(s int) {
 		r := rngs[s]
 		q := quota(s)
 		local := make(map[int64]struct{}, 2*q)
@@ -124,7 +125,7 @@ func TestSampleBallDropMatchesMapReference(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
 				want := m.sampleBallDropNRef(randx.New(seed), target, 1)
 				for _, workers := range []int{1, 4} {
-					got := m.SampleBallDropNWorkers(randx.New(seed), target, workers)
+					got := must(m.SampleBallDropNCtx(pipeline.New(nil, workers, nil), randx.New(seed), target))
 					if !got.Equal(want) {
 						t.Fatalf("init=%v k=%d target=%d seed=%d workers=%d: graph differs from map-based reference",
 							c.init, c.k, target, seed, workers)
@@ -133,4 +134,13 @@ func TestSampleBallDropMatchesMapReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// must unwraps a (value, error) pair from a Run that is never
+// cancelled, where an error is a bug.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -171,7 +171,7 @@ func TestGeneralSampleExactMatchesExpectation(t *testing.T) {
 	var sumE, sumH float64
 	for i := 0; i < trials; i++ {
 		g := m.SampleExact(rng)
-		f := stats.FeaturesOf(g)
+		f := must(stats.FeaturesOfCtx(nil, g))
 		sumE += f.E
 		sumH += f.H
 	}

@@ -185,31 +185,17 @@ func (m Model) ExpectedFeatures() stats.Features {
 	return stats.Features{E: e, H: h, T: t, Delta: delta}
 }
 
-// SampleExact draws an undirected simple graph from the model by
+// SampleExactCtx draws an undirected simple graph from the model by
 // flipping an independent coin for every node pair {u, v}, u > v, with
-// bias P_uv. It costs O(n²·K) time and is exact; prefer SampleBallDrop
-// beyond K ≈ 13. It runs on all cores (equivalent to
-// SampleExactWorkers with workers = 0).
-func (m Model) SampleExact(rng *randx.Rand) *graph.Graph {
-	return m.SampleExactWorkers(rng, 0)
-}
-
-// SampleExactWorkers is SampleExact sharded over row blocks of the
-// lower triangle on up to workers goroutines (<= 0 selects
-// runtime.GOMAXPROCS(0)). The pair loop is split into a fixed number of
-// pair-balanced row blocks, each driven by its own random stream
-// derived serially from rng, so for a given seed the sampled edge set
-// is identical for every worker count.
-func (m Model) SampleExactWorkers(rng *randx.Rand, workers int) *graph.Graph {
-	g, _ := m.SampleExactCtx(pipeline.New(nil, workers, nil), rng)
-	return g
-}
-
-// SampleExactCtx is SampleExact under a pipeline Run: the worker budget
-// comes from run, the pair-block fan-out checks the context between
-// shards, and a "sample-exact" stage event pair is emitted. A run that
-// is never cancelled samples the exact graph SampleExactWorkers
-// produces for the same seed; a cancelled run returns run.Err().
+// bias P_uv. It costs O(n²·K) time and is exact; prefer
+// SampleBallDropCtx beyond K ≈ 13.
+//
+// The pair loop is split into a fixed number of pair-balanced row
+// blocks, each driven by its own random stream derived serially from
+// rng, and the blocks fan out over run's worker budget, so for a given
+// seed the sampled edge set is identical for every worker count. The
+// context is checked between blocks, a "sample-exact" stage event pair
+// is emitted, and a cancelled run returns run.Err().
 func (m Model) SampleExactCtx(run *pipeline.Run, rng *randx.Rand) (*graph.Graph, error) {
 	done := run.Stage("sample-exact")
 	n := m.NumNodes()
@@ -222,7 +208,7 @@ func (m Model) SampleExactCtx(run *pipeline.Run, rng *randx.Rand) (*graph.Graph,
 	// slack) so the inner loop appends without regrowth.
 	density := 2 * m.ExpectedFeatures().E / (float64(n) * float64(n-1))
 	pairsBelow := func(u int) float64 { return float64(u) * float64(u-1) / 2 }
-	err := parallel.RunCtx(run.Context(), run.Workers(), len(blocks), func(s int) {
+	err := parallel.Run(run.Context(), run.Workers(), len(blocks), func(s int) {
 		r := rngs[s]
 		hint := int(density*(pairsBelow(blocks[s].Hi)-pairsBelow(blocks[s].Lo))*1.2) + 16
 		b := graph.NewBuilderCap(n, hint)
@@ -252,25 +238,6 @@ func (m Model) SampleExactCtx(run *pipeline.Run, rng *randx.Rand) (*graph.Graph,
 	g := merged.BuildWorkers(run.Workers())
 	done()
 	return g, nil
-}
-
-// SampleBallDrop draws an undirected simple graph with approximately the
-// model's expected edge count using Kronecker ball dropping (the
-// standard fast generator, as in SNAP's krongen): each drop descends K
-// levels choosing an initiator quadrant with probability proportional to
-// its entry; self-loops and duplicate pairs are re-dropped. The
-// per-pair inclusion probabilities are proportional to P_uv, so the
-// realized graph approximates the SKG distribution conditioned on its
-// edge count; the paper's experiments depend only on this regime.
-func (m Model) SampleBallDrop(rng *randx.Rand) *graph.Graph {
-	return m.SampleBallDropWorkers(rng, 0)
-}
-
-// SampleBallDropN is SampleBallDrop with an explicit target edge count.
-// It runs on all cores (equivalent to SampleBallDropNWorkers with
-// workers = 0).
-func (m Model) SampleBallDropN(rng *randx.Rand, target int) *graph.Graph {
-	return m.SampleBallDropNWorkers(rng, target, 0)
 }
 
 // dropPair performs one ball drop: a K-level descent choosing an
@@ -325,10 +292,10 @@ func (m Model) dropUnique(ctx context.Context, r *randx.Rand, pa, pb float64, ne
 	return accepted
 }
 
-// SampleBallDropNWorkers shards ball dropping over per-shard edge
-// quotas on up to workers goroutines (<= 0 selects
-// runtime.GOMAXPROCS(0)). The target is split across a fixed number of
-// shards, each dropping its quota with a private random stream and
+// SampleBallDropNCtx is SampleBallDropCtx with an explicit target edge
+// count. Ball dropping is sharded over per-shard edge quotas on run's
+// worker budget. The target is split across a fixed number of shards,
+// each dropping its quota with a private random stream and
 // shard-local sort-and-dedup duplicate elimination (dropUnique); the
 // shards' sorted keys are then merged with a global radix-sort dedup
 // pass, and a final serial top-up stream replaces the few edges lost
@@ -337,18 +304,11 @@ func (m Model) dropUnique(ctx context.Context, r *randx.Rand, pa, pb float64, ne
 // the model and target, so for a given seed the sampled graph is
 // identical for every worker count — and identical to what the
 // historical map-based dedup produced.
-func (m Model) SampleBallDropNWorkers(rng *randx.Rand, target, workers int) *graph.Graph {
-	g, _ := m.SampleBallDropNCtx(pipeline.New(nil, workers, nil), rng, target)
-	return g
-}
-
-// SampleBallDropNCtx is SampleBallDropN under a pipeline Run: the
-// worker budget comes from run, the per-shard quota fan-out and the
-// dedup sort check the context between shards, the serial top-up checks
-// it between rounds, and a "sample-ball-drop" stage event pair is
-// emitted. A run that is never cancelled samples the exact graph
-// SampleBallDropNWorkers produces for the same seed; a cancelled run
-// returns run.Err().
+//
+// The per-shard quota fan-out and the dedup sort check the context
+// between shards and passes, the serial top-up checks it between
+// rounds, and a "sample-ball-drop" stage event pair is emitted; a
+// cancelled run returns run.Err().
 func (m Model) SampleBallDropNCtx(run *pipeline.Run, rng *randx.Rand, target int) (*graph.Graph, error) {
 	done := run.Stage("sample-ball-drop")
 	n := m.NumNodes()
@@ -381,7 +341,7 @@ func (m Model) SampleBallDropNCtx(run *pipeline.Run, rng *randx.Rand, target int
 		return q
 	}
 	parts := make([][]int64, shards)
-	if err := parallel.RunCtx(ctx, run.Workers(), shards, func(s int) {
+	if err := parallel.Run(ctx, run.Workers(), shards, func(s int) {
 		// Cap total attempts: dense targets on tiny graphs may need many
 		// re-drops; 200·quota + 1000 is far beyond what the sparse
 		// regimes of the paper require but keeps the routine total.
@@ -391,7 +351,7 @@ func (m Model) SampleBallDropNCtx(run *pipeline.Run, rng *randx.Rand, target int
 		return nil, err
 	}
 	// dropUnique returns early (with a partial shard) when it observes
-	// cancellation mid-shard, which RunCtx cannot see; re-checking here
+	// cancellation mid-shard, which Run cannot see; re-checking here
 	// rejects any such partial fan-out.
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -409,7 +369,7 @@ func (m Model) SampleBallDropNCtx(run *pipeline.Run, rng *randx.Rand, target int
 	for _, keys := range parts {
 		all = append(all, keys...)
 	}
-	if _, err := parallel.SortInt64Ctx(ctx, run.Workers(), all, nil); err != nil {
+	if _, err := parallel.SortInt64(ctx, run.Workers(), all, nil); err != nil {
 		return nil, err
 	}
 	uniq := slices.Compact(all)
@@ -427,23 +387,11 @@ func (m Model) SampleBallDropNCtx(run *pipeline.Run, rng *randx.Rand, target int
 	return g, nil
 }
 
-// Sample draws a graph using the exact sampler for K <= 13 and ball
-// dropping otherwise. This matches how the experiment harness treats
-// "original" graphs (exact) versus bulk synthetic realizations (fast).
-func (m Model) Sample(rng *randx.Rand) *graph.Graph {
-	return m.SampleWorkers(rng, 0)
-}
-
-// SampleWorkers is Sample with an explicit worker count (<= 0 selects
-// runtime.GOMAXPROCS(0)); the sampled graph is identical for every
-// worker count.
-func (m Model) SampleWorkers(rng *randx.Rand, workers int) *graph.Graph {
-	g, _ := m.SampleCtx(pipeline.New(nil, workers, nil), rng)
-	return g
-}
-
-// SampleCtx is Sample under a pipeline Run (see SampleExactCtx and
-// SampleBallDropNCtx for the cancellation contract).
+// SampleCtx draws a graph using the exact sampler for K <= 13 and
+// ball dropping otherwise. This matches how the experiment harness
+// treats "original" graphs (exact) versus bulk synthetic realizations
+// (fast). See SampleExactCtx and SampleBallDropNCtx for the
+// cancellation contract.
 func (m Model) SampleCtx(run *pipeline.Run, rng *randx.Rand) (*graph.Graph, error) {
 	if m.K <= 13 {
 		return m.SampleExactCtx(run, rng)
@@ -451,14 +399,15 @@ func (m Model) SampleCtx(run *pipeline.Run, rng *randx.Rand) (*graph.Graph, erro
 	return m.SampleBallDropCtx(run, rng)
 }
 
-// SampleBallDropWorkers is SampleBallDrop with an explicit worker count.
-func (m Model) SampleBallDropWorkers(rng *randx.Rand, workers int) *graph.Graph {
-	g, _ := m.SampleBallDropCtx(pipeline.New(nil, workers, nil), rng)
-	return g
-}
-
-// SampleBallDropCtx is SampleBallDrop under a pipeline Run (see
-// SampleBallDropNCtx for the cancellation contract).
+// SampleBallDropCtx draws an undirected simple graph with approximately
+// the model's expected edge count using Kronecker ball dropping (the
+// standard fast generator, as in SNAP's krongen): each drop descends K
+// levels choosing an initiator quadrant with probability proportional
+// to its entry; self-loops and duplicate pairs are re-dropped. The
+// per-pair inclusion probabilities are proportional to P_uv, so the
+// realized graph approximates the SKG distribution conditioned on its
+// edge count; the paper's experiments depend only on this regime. See
+// SampleBallDropNCtx for the sharding and cancellation contract.
 func (m Model) SampleBallDropCtx(run *pipeline.Run, rng *randx.Rand) (*graph.Graph, error) {
 	target := int(math.Round(m.ExpectedFeatures().E))
 	return m.SampleBallDropNCtx(run, rng, target)

@@ -175,8 +175,8 @@ func TestSampleExactMatchesExpectations(t *testing.T) {
 	const trials = 60
 	var sumE, sumH, sumD float64
 	for i := 0; i < trials; i++ {
-		g := m.SampleExact(rng)
-		f := stats.FeaturesOf(g)
+		g := must(m.SampleExactCtx(nil, rng))
+		f := must(stats.FeaturesOfCtx(nil, g))
 		sumE += f.E
 		sumH += f.H
 		sumD += f.Delta
@@ -195,7 +195,7 @@ func TestSampleExactMatchesExpectations(t *testing.T) {
 
 func TestSampleExactIsValidSimpleGraph(t *testing.T) {
 	m := mustModel(t, 0.9, 0.6, 0.3, 7)
-	g := m.SampleExact(randx.New(7))
+	g := must(m.SampleExactCtx(nil, randx.New(7)))
 	if g.NumNodes() != 128 {
 		t.Fatalf("nodes = %d, want 128", g.NumNodes())
 	}
@@ -206,7 +206,7 @@ func TestSampleExactIsValidSimpleGraph(t *testing.T) {
 
 func TestSampleBallDropEdgeCount(t *testing.T) {
 	m := mustModel(t, 0.99, 0.55, 0.35, 10)
-	g := m.SampleBallDrop(randx.New(9))
+	g := must(m.SampleBallDropCtx(nil, randx.New(9)))
 	want := int(math.Round(m.ExpectedFeatures().E))
 	if g.NumEdges() != want {
 		t.Fatalf("ball drop edges = %d, want %d", g.NumEdges(), want)
@@ -224,8 +224,8 @@ func TestSampleBallDropStatisticsTrackExact(t *testing.T) {
 	const trials = 20
 	var hExact, hDrop, dExact, dDrop float64
 	for i := 0; i < trials; i++ {
-		fe := stats.FeaturesOf(m.SampleExact(rngA))
-		fd := stats.FeaturesOf(m.SampleBallDrop(rngB))
+		fe := must(stats.FeaturesOfCtx(nil, must(m.SampleExactCtx(nil, rngA))))
+		fd := must(stats.FeaturesOfCtx(nil, must(m.SampleBallDropCtx(nil, rngB))))
 		hExact += fe.H
 		hDrop += fd.H
 		dExact += fe.Delta
@@ -241,7 +241,7 @@ func TestSampleBallDropStatisticsTrackExact(t *testing.T) {
 
 func TestSampleBallDropZeroMass(t *testing.T) {
 	m := mustModel(t, 0, 0, 0, 5)
-	g := m.SampleBallDrop(randx.New(1))
+	g := must(m.SampleBallDropCtx(nil, randx.New(1)))
 	if g.NumEdges() != 0 {
 		t.Fatalf("zero-mass initiator produced %d edges", g.NumEdges())
 	}
@@ -249,7 +249,7 @@ func TestSampleBallDropZeroMass(t *testing.T) {
 
 func TestSampleDispatch(t *testing.T) {
 	m := mustModel(t, 0.9, 0.4, 0.2, 6)
-	g := m.Sample(randx.New(2))
+	g := must(m.SampleCtx(nil, randx.New(2)))
 	if g.NumNodes() != 64 {
 		t.Fatal("Sample produced wrong node count")
 	}

@@ -78,7 +78,7 @@ func (m Model) StreamExactCtx(run *pipeline.Run, rng *randx.Rand, sorter *extsor
 	blocks := parallel.PairBlocks(n, parallel.DefaultShards)
 	rngs := parallel.Streams(rng, len(blocks))
 	spillErrs := make([]error, len(blocks))
-	err := parallel.RunCtx(run.Context(), run.Workers(), len(blocks), func(s int) {
+	err := parallel.Run(run.Context(), run.Workers(), len(blocks), func(s int) {
 		r := rngs[s]
 		w := sorter.Writer()
 		defer w.Close()
@@ -159,7 +159,7 @@ func (m Model) StreamBallDropNCtx(run *pipeline.Run, rng *randx.Rand, target int
 		return q
 	}
 	spillErrs := make([]error, shards)
-	if err := parallel.RunCtx(ctx, run.Workers(), shards, func(s int) {
+	if err := parallel.Run(ctx, run.Workers(), shards, func(s int) {
 		q := quota(s)
 		keys := m.dropUnique(ctx, rngs[s], pa, pb, q, 200*q+1000, nil)
 		w := sorter.Writer()
@@ -244,7 +244,7 @@ func (m Model) dropUniqueFn(ctx context.Context, r *randx.Rand, pa, pb float64, 
 			}
 			cand = append(cand, key)
 		}
-		scratch = parallel.SortInt64(1, cand, scratch)
+		scratch, _ = parallel.SortInt64(nil, 1, cand, scratch) // a nil context cannot fail
 		cand = slices.Compact(cand)
 		accepted = parallel.MergeSortedInt64(accepted, cand)
 	}

@@ -42,7 +42,7 @@ func TestStreamBallDropMatchesSample(t *testing.T) {
 		t.Fatal(err)
 	}
 	const target = 2000 // dense enough to force cross-shard collisions and a top-up
-	want := m.SampleBallDropNWorkers(randx.New(7), target, 4)
+	want := must(m.SampleBallDropNCtx(pipeline.New(nil, 4, nil), randx.New(7), target))
 	var wantKeys []int64
 	want.ForEachEdge(func(u, v int) { wantKeys = append(wantKeys, int64(u)<<32|int64(v)) })
 	if len(wantKeys) != target {
@@ -78,7 +78,7 @@ func TestStreamExactMatchesSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := m.SampleExactWorkers(randx.New(42), 4)
+	want := must(m.SampleExactCtx(pipeline.New(nil, 4, nil), randx.New(42)))
 	var wantKeys []int64
 	want.ForEachEdge(func(u, v int) { wantKeys = append(wantKeys, int64(u)<<32|int64(v)) })
 	for _, chunk := range []int{32, 1 << 20} {
@@ -106,7 +106,7 @@ func TestStreamCtxDispatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := m.SampleWorkers(randx.New(3), 2)
+		want := must(m.SampleCtx(pipeline.New(nil, 2, nil), randx.New(3)))
 		var wantKeys []int64
 		want.ForEachEdge(func(u, v int) { wantKeys = append(wantKeys, int64(u)<<32|int64(v)) })
 		sorter, err := extsort.New(faultfs.OS, t.TempDir(), 0)

@@ -27,26 +27,13 @@ import (
 	"dpkron/internal/stats"
 )
 
-// MaxCommonNeighbors returns max over node pairs u ≠ v of |N(u) ∩ N(v)|,
-// the local sensitivity of the triangle count. It runs in O(Σ_w d_w²)
-// time and O(n) memory per shard by accumulating two-hop counts per
-// source node, on all cores.
-func MaxCommonNeighbors(g *graph.Graph) int { return MaxCommonNeighborsWorkers(g, 0) }
-
-// MaxCommonNeighborsWorkers is MaxCommonNeighbors sharded over source
-// nodes on up to workers goroutines (<= 0 selects
-// runtime.GOMAXPROCS(0)). Each worker reuses one O(n) two-hop scratch
-// array across the shards it processes; the integer max-reduction is
-// identical for every worker count.
-func MaxCommonNeighborsWorkers(g *graph.Graph, workers int) int {
-	v, _ := MaxCommonNeighborsCtx(pipeline.New(nil, workers, nil), g)
-	return v
-}
-
-// MaxCommonNeighborsCtx is MaxCommonNeighbors under a pipeline Run: the
-// two-hop scan checks the context between source blocks. A run that is
-// never cancelled computes the exact maximum; a cancelled run returns
-// run.Err().
+// MaxCommonNeighborsCtx returns max over node pairs u ≠ v of
+// |N(u) ∩ N(v)|, the local sensitivity of the triangle count. It runs in
+// O(Σ_w d_w²) time by accumulating two-hop counts per source node,
+// sharded over source blocks under run: each worker reuses one O(n)
+// two-hop scratch array across the shards it processes, and the integer
+// max-reduction is identical for every worker count. The context is
+// checked between source blocks; a cancelled run returns run.Err().
 func MaxCommonNeighborsCtx(run *pipeline.Run, g *graph.Graph) (int, error) {
 	n := g.NumNodes()
 	if n < 2 {
@@ -66,7 +53,7 @@ func MaxCommonNeighborsCtx(run *pipeline.Run, g *graph.Graph) (int, error) {
 	for i := range parts {
 		parts[i] = scratch{count: make([]int32, n)}
 	}
-	err := parallel.RunIndexedCtx(run.Context(), w, len(blocks), func(worker, sh int) {
+	err := parallel.RunIndexed(run.Context(), w, len(blocks), func(worker, sh int) {
 		sc := &parts[worker]
 		count := sc.count
 		for u := blocks[sh].Lo; u < blocks[sh].Hi; u++ {
@@ -104,35 +91,19 @@ func MaxCommonNeighborsCtx(run *pipeline.Run, g *graph.Graph) (int, error) {
 	return best, nil
 }
 
-// LocalSensitivity returns LS_Δ(G) = MaxCommonNeighbors(g).
-func LocalSensitivity(g *graph.Graph) float64 {
-	return float64(MaxCommonNeighbors(g))
-}
-
 // SensitivityAtDistance returns A^(s)(G) = min(LS(G)+s, n−2), the
-// maximum local sensitivity over graphs within edit distance s of g.
-func SensitivityAtDistance(g *graph.Graph, s int) float64 {
-	n := g.NumNodes()
+// maximum local sensitivity over graphs within edit distance s of a
+// graph on n nodes with local sensitivity ls (MaxCommonNeighborsCtx).
+func SensitivityAtDistance(ls, n, s int) float64 {
 	if n < 3 {
 		return 0
 	}
-	cap64 := float64(n - 2)
-	return math.Min(float64(MaxCommonNeighbors(g)+s), cap64)
+	return math.Min(float64(ls+s), float64(n-2))
 }
 
-// Smooth returns the β-smooth sensitivity of the triangle count at g.
-// β must be positive.
-func Smooth(g *graph.Graph, beta float64) float64 { return SmoothWorkers(g, beta, 0) }
-
-// SmoothWorkers is Smooth with an explicit worker bound for the local
-// sensitivity scan.
-func SmoothWorkers(g *graph.Graph, beta float64, workers int) float64 {
-	v, _ := SmoothCtx(pipeline.New(nil, workers, nil), g, beta)
-	return v
-}
-
-// SmoothCtx is Smooth under a pipeline Run (see MaxCommonNeighborsCtx
-// for the cancellation contract).
+// SmoothCtx returns the β-smooth sensitivity of the triangle count at g
+// under a pipeline Run (see MaxCommonNeighborsCtx for the cancellation
+// contract). β must be positive.
 func SmoothCtx(run *pipeline.Run, g *graph.Graph, beta float64) (float64, error) {
 	if beta <= 0 || math.IsNaN(beta) {
 		panic(fmt.Sprintf("smoothsens: beta must be positive, got %v", beta))
@@ -195,20 +166,6 @@ type Result struct {
 	Scale     float64 // 2·SS_β/ε, the Laplace scale applied (sensitive)
 }
 
-// PrivateTriangles releases an (ε, δ)-differentially private triangle
-// count of g via the smooth-sensitivity Laplace mechanism, on all cores.
-func PrivateTriangles(g *graph.Graph, eps, delta float64, rng *randx.Rand) Result {
-	return PrivateTrianglesWorkers(g, eps, delta, rng, 0)
-}
-
-// PrivateTrianglesWorkers is PrivateTriangles with an explicit bound on
-// the goroutines used for the sensitivity scan and the exact count; the
-// released value is identical for every worker count.
-func PrivateTrianglesWorkers(g *graph.Graph, eps, delta float64, rng *randx.Rand, workers int) Result {
-	res, _ := PrivateTrianglesCtx(pipeline.New(nil, workers, nil), g, eps, delta, rng)
-	return res
-}
-
 // Query is the name under which the (ε, δ) Laplace release is charged
 // to accountants; QueryPure names the pure-ε Cauchy release.
 const (
@@ -216,23 +173,18 @@ const (
 	QueryPure = "triangles/smooth-cauchy"
 )
 
-// PrivateTrianglesCtx is PrivateTriangles under a pipeline Run: the
-// sensitivity scan and the exact count check the context between
-// shards, and a "triangle-release" stage event pair is emitted. A run
-// that is never cancelled consumes one Laplace draw from rng and
-// releases the exact PrivateTrianglesWorkers value; a cancelled run
-// returns run.Err() before any noise is drawn.
-func PrivateTrianglesCtx(run *pipeline.Run, g *graph.Graph, eps, delta float64, rng *randx.Rand) (Result, error) {
-	return PrivateTrianglesAccCtx(run, nil, g, eps, delta, rng) // nil accountant never refuses
-}
-
-// PrivateTrianglesAccCtx is PrivateTrianglesCtx drawing through the
-// accountant's smooth-sensitivity Laplace mechanism: the (ε, δ) charge
-// is recorded on acc (nil records nothing) after the sensitivity scan
-// but before any noise is drawn, and a refused charge returns the
-// error with no noise consumed from rng. For fixed seeds the released
-// count is bit-identical to PrivateTrianglesCtx.
-func PrivateTrianglesAccCtx(run *pipeline.Run, acc *accountant.Accountant, g *graph.Graph, eps, delta float64, rng *randx.Rand) (Result, error) {
+// PrivateTrianglesCtx releases an (ε, δ)-differentially private
+// triangle count of g via the smooth-sensitivity Laplace mechanism
+// under a pipeline Run: the sensitivity scan and the exact count check
+// the context between shards, and a "triangle-release" stage event pair
+// is emitted. The (ε, δ) charge is recorded on acc (nil records
+// nothing and never refuses) after the sensitivity scan but before any
+// noise is drawn, and a refused charge returns the error with no noise
+// consumed from rng. A run that is never cancelled consumes one Laplace
+// draw from rng, and the released value is identical for every worker
+// count and with or without an accountant; a cancelled run returns
+// run.Err() before any noise is drawn.
+func PrivateTrianglesCtx(run *pipeline.Run, acc *accountant.Accountant, g *graph.Graph, eps, delta float64, rng *randx.Rand) (Result, error) {
 	done := run.Stage("triangle-release")
 	beta := BetaFor(eps, delta)
 	ss, err := SmoothCtx(run, g, beta)

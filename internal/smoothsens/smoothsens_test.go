@@ -9,7 +9,6 @@ import (
 	"dpkron/internal/accountant"
 	"dpkron/internal/dp"
 	"dpkron/internal/graph"
-	"dpkron/internal/pipeline"
 	"dpkron/internal/randx"
 )
 
@@ -77,7 +76,7 @@ func TestMaxCommonNeighborsKnown(t *testing.T) {
 		{graph.FromEdges(2, [][2]int{{0, 1}}), 0},
 	}
 	for i, c := range cases {
-		if got := MaxCommonNeighbors(c.g); got != c.want {
+		if got := must(MaxCommonNeighborsCtx(nil, c.g)); got != c.want {
 			t.Errorf("case %d: MaxCommonNeighbors = %d, want %d", i, got, c.want)
 		}
 	}
@@ -86,7 +85,7 @@ func TestMaxCommonNeighborsKnown(t *testing.T) {
 func TestMaxCommonNeighborsVsBrute(t *testing.T) {
 	for seed := uint64(0); seed < 12; seed++ {
 		g := randomGraph(22, 0.25, seed)
-		if got, want := MaxCommonNeighbors(g), bruteMaxCommon(g); got != want {
+		if got, want := must(MaxCommonNeighborsCtx(nil, g)), bruteMaxCommon(g); got != want {
 			t.Fatalf("seed %d: got %d, brute %d", seed, got, want)
 		}
 	}
@@ -97,7 +96,7 @@ func TestSmoothVsExhaustiveScan(t *testing.T) {
 	for seed := uint64(0); seed < 6; seed++ {
 		g := randomGraph(18, 0.2, seed)
 		for _, beta := range betas {
-			got := Smooth(g, beta)
+			got := must(SmoothCtx(nil, g, beta))
 			want := bruteSmooth(g, beta)
 			if math.Abs(got-want) > 1e-9*(1+want) {
 				t.Fatalf("seed %d beta %v: Smooth = %v, scan = %v", seed, beta, got, want)
@@ -110,7 +109,7 @@ func TestSmoothAtLeastLocal(t *testing.T) {
 	f := func(seed uint64, bRaw uint16) bool {
 		g := randomGraph(16, 0.3, seed%500)
 		beta := 0.01 + float64(bRaw)/65535*2
-		return Smooth(g, beta) >= LocalSensitivity(g)-1e-12
+		return must(SmoothCtx(nil, g, beta)) >= float64(must(MaxCommonNeighborsCtx(nil, g)))-1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -129,7 +128,7 @@ func TestSmoothnessPropertyOnNeighbors(t *testing.T) {
 		}
 		h := g.WithEdgeToggled(u, v)
 		for _, beta := range []float64{0.05, 0.3, 1} {
-			sg, sh := Smooth(g, beta), Smooth(h, beta)
+			sg, sh := must(SmoothCtx(nil, g, beta)), must(SmoothCtx(nil, h, beta))
 			if sg > math.Exp(beta)*sh+1e-9 {
 				t.Fatalf("trial %d beta %v: SS(G)=%v > e^b*SS(G')=%v", trial, beta, sg, math.Exp(beta)*sh)
 			}
@@ -140,15 +139,25 @@ func TestSmoothnessPropertyOnNeighbors(t *testing.T) {
 	}
 }
 
+// must unwraps a (value, error) pair from a Run that is never
+// cancelled, where an error is a bug.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func TestSensitivityAtDistance(t *testing.T) {
 	g := graph.Star(10) // C = 1, n = 10
-	if got := SensitivityAtDistance(g, 0); got != 1 {
+	ls, n := must(MaxCommonNeighborsCtx(nil, g)), g.NumNodes()
+	if got := SensitivityAtDistance(ls, n, 0); got != 1 {
 		t.Fatalf("A^(0) = %v, want 1", got)
 	}
-	if got := SensitivityAtDistance(g, 3); got != 4 {
+	if got := SensitivityAtDistance(ls, n, 3); got != 4 {
 		t.Fatalf("A^(3) = %v, want 4", got)
 	}
-	if got := SensitivityAtDistance(g, 100); got != 8 { // capped at n-2
+	if got := SensitivityAtDistance(ls, n, 100); got != 8 { // capped at n-2
 		t.Fatalf("A^(100) = %v, want 8", got)
 	}
 }
@@ -159,7 +168,7 @@ func TestLocalSensitivityIsTriangleChange(t *testing.T) {
 	// actual per-toggle change.
 	for seed := uint64(0); seed < 10; seed++ {
 		g := randomGraph(15, 0.3, seed)
-		ls := int64(LocalSensitivity(g))
+		ls := int64(must(MaxCommonNeighborsCtx(nil, g)))
 		base := triangles(g)
 		for u := 0; u < 15; u++ {
 			for v := u + 1; v < 15; v++ {
@@ -205,7 +214,7 @@ func TestBetaForPanics(t *testing.T) {
 		func() { BetaFor(0, 0.1) },
 		func() { BetaFor(1, 0) },
 		func() { BetaFor(1, 1) },
-		func() { Smooth(graph.Empty(5), 0) },
+		func() { must(SmoothCtx(nil, graph.Empty(5), 0)) },
 	} {
 		func() {
 			defer func() {
@@ -220,11 +229,11 @@ func TestBetaForPanics(t *testing.T) {
 
 func TestPrivateTrianglesAccurateAtHugeEps(t *testing.T) {
 	g := randomGraph(40, 0.3, 7)
-	res := PrivateTriangles(g, 1000, 0.01, randx.New(1))
+	res := must(PrivateTrianglesCtx(nil, nil, g, 1000, 0.01, randx.New(1)))
 	if math.Abs(res.Noisy-float64(res.Exact)) > 1 {
 		t.Fatalf("noisy %v vs exact %d at huge epsilon", res.Noisy, res.Exact)
 	}
-	if res.Scale <= 0 || res.SmoothSen < LocalSensitivity(g) {
+	if res.Scale <= 0 || res.SmoothSen < float64(must(MaxCommonNeighborsCtx(nil, g))) {
 		t.Fatalf("calibration fields wrong: %+v", res)
 	}
 }
@@ -235,7 +244,7 @@ func TestPrivateTrianglesAccurateAtHugeEps(t *testing.T) {
 func TestPrivateTrianglesPure(t *testing.T) {
 	g := randomGraph(40, 0.3, 7)
 	acc := accountant.New(nil)
-	res, err := PrivateTrianglesPureCtx(pipeline.New(nil, 0, nil), acc, g, 1e6, randx.New(1))
+	res, err := PrivateTrianglesPureCtx(nil, acc, g, 1e6, randx.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +265,7 @@ func TestPrivateTrianglesPure(t *testing.T) {
 	// A refused charge aborts before the Cauchy draw.
 	limited := accountant.New(nil).WithLimit(dp.Budget{Eps: 0.1})
 	rng := randx.New(2)
-	if _, err := PrivateTrianglesPureCtx(pipeline.New(nil, 0, nil), limited, g, 0.5, rng); err == nil {
+	if _, err := PrivateTrianglesPureCtx(nil, limited, g, 0.5, rng); err == nil {
 		t.Fatal("over-limit pure release succeeded")
 	}
 	probe := randx.New(2)
@@ -271,14 +280,14 @@ func TestPrivateTrianglesUnbiased(t *testing.T) {
 	var sum float64
 	var exact float64
 	for i := 0; i < trials; i++ {
-		res := PrivateTriangles(g, 0.5, 0.01, randx.New(uint64(i)))
+		res := must(PrivateTrianglesCtx(nil, nil, g, 0.5, 0.01, randx.New(uint64(i))))
 		sum += res.Noisy
 		exact = float64(res.Exact)
 	}
 	mean := sum / trials
 	// Laplace noise has mean zero; scale here is 2*SS/eps, so allow a
 	// few standard errors.
-	res := PrivateTriangles(g, 0.5, 0.01, randx.New(0))
+	res := must(PrivateTrianglesCtx(nil, nil, g, 0.5, 0.01, randx.New(0)))
 	se := res.Scale * math.Sqrt2 / math.Sqrt(trials)
 	if math.Abs(mean-exact) > 5*se {
 		t.Fatalf("mean %v vs exact %v (se %v)", mean, exact, se)
@@ -286,13 +295,13 @@ func TestPrivateTrianglesUnbiased(t *testing.T) {
 }
 
 func TestTinyGraphs(t *testing.T) {
-	if got := Smooth(graph.Empty(2), 0.5); got != 0 {
+	if got := must(SmoothCtx(nil, graph.Empty(2), 0.5)); got != 0 {
 		t.Fatalf("Smooth on 2 nodes = %v, want 0", got)
 	}
-	if got := SensitivityAtDistance(graph.Empty(1), 5); got != 0 {
+	if got := SensitivityAtDistance(0, 1, 5); got != 0 {
 		t.Fatalf("A^(s) on 1 node = %v, want 0", got)
 	}
-	res := PrivateTriangles(graph.Empty(2), 1, 0.1, randx.New(3))
+	res := must(PrivateTrianglesCtx(nil, nil, graph.Empty(2), 1, 0.1, randx.New(3)))
 	if res.Noisy != 0 || res.Exact != 0 {
 		t.Fatalf("tiny graph result = %+v", res)
 	}

@@ -5,12 +5,13 @@
 // inputs, clustering coefficient by degree). All counters are exact;
 // see package anf for the sketch-based hop plot approximation.
 //
-// The feature counters and the exact hop plot are vertex-decomposable
-// (Gleich–Owen's observation that the matching moments are sums of
-// per-vertex terms), so each has a Workers variant that shards the
-// vertex range across the parallel worker pool; the plain entry points
-// run on all cores. Counts are integers, so the parallel reductions are
-// exact and identical for every worker count.
+// The feature counters, the per-node triangle pass and the exact hop
+// plot are vertex-decomposable (Gleich–Owen's observation that the
+// matching moments are sums of per-vertex terms), so each shards the
+// vertex range across the worker pool of the *pipeline.Run it is given
+// (a nil Run means background on all cores) and checks the Run's
+// context between shards. Counts are integers, so the parallel
+// reductions are exact and identical for every worker count.
 package stats
 
 import (
@@ -32,23 +33,11 @@ type Features struct {
 	Delta float64 // number of triangles
 }
 
-// FeaturesOf computes the exact feature vector of g on all cores.
-func FeaturesOf(g *graph.Graph) Features {
-	return FeaturesOfWorkers(g, 0)
-}
-
-// FeaturesOfWorkers computes the exact feature vector of g on up to
-// workers goroutines (<= 0 selects runtime.GOMAXPROCS(0)). The result
-// is identical for every worker count.
-func FeaturesOfWorkers(g *graph.Graph, workers int) Features {
-	f, _ := FeaturesOfCtx(pipeline.New(nil, workers, nil), g)
-	return f
-}
-
-// FeaturesOfCtx is FeaturesOf under a pipeline Run: each counter's
-// vertex fan-out checks the context between shards, and a "features"
-// stage event pair is emitted. A run that is never cancelled computes
-// the exact FeaturesOf vector; a cancelled run returns run.Err().
+// FeaturesOfCtx computes the exact feature vector of g under a
+// pipeline Run: each counter's vertex fan-out checks the context
+// between shards, and a "features" stage event pair is emitted. The
+// result is identical for every worker count; a cancelled run returns
+// run.Err().
 func FeaturesOfCtx(run *pipeline.Run, g *graph.Graph) (Features, error) {
 	done := run.Stage("features")
 	wedges, err := WedgesCtx(run, g)
@@ -86,19 +75,10 @@ func FeaturesFromDegrees(d []float64) Features {
 	return Features{E: e / 2, H: h / 2, T: t / 6}
 }
 
-// Wedges returns the number of hairpins (paths of length two, also
+// WedgesCtx returns the number of hairpins (paths of length two, also
 // called 2-stars or wedges): Σ_v C(d_v, 2).
-func Wedges(g *graph.Graph) int64 { return WedgesWorkers(g, 0) }
-
-// WedgesWorkers is Wedges sharded over vertex ranges.
-func WedgesWorkers(g *graph.Graph, workers int) int64 {
-	v, _ := WedgesCtx(pipeline.New(nil, workers, nil), g)
-	return v
-}
-
-// WedgesCtx is Wedges under a pipeline Run.
 func WedgesCtx(run *pipeline.Run, g *graph.Graph) (int64, error) {
-	return parallel.SumInt64Ctx(run.Context(), run.Workers(), g.NumNodes(), func(lo, hi int) int64 {
+	return parallel.SumInt64(run.Context(), run.Workers(), g.NumNodes(), func(lo, hi int) int64 {
 		var total int64
 		for v := lo; v < hi; v++ {
 			d := int64(g.Degree(v))
@@ -108,18 +88,9 @@ func WedgesCtx(run *pipeline.Run, g *graph.Graph) (int64, error) {
 	})
 }
 
-// Tripins returns the number of 3-stars: Σ_v C(d_v, 3).
-func Tripins(g *graph.Graph) int64 { return TripinsWorkers(g, 0) }
-
-// TripinsWorkers is Tripins sharded over vertex ranges.
-func TripinsWorkers(g *graph.Graph, workers int) int64 {
-	v, _ := TripinsCtx(pipeline.New(nil, workers, nil), g)
-	return v
-}
-
-// TripinsCtx is Tripins under a pipeline Run.
+// TripinsCtx returns the number of 3-stars: Σ_v C(d_v, 3).
 func TripinsCtx(run *pipeline.Run, g *graph.Graph) (int64, error) {
-	return parallel.SumInt64Ctx(run.Context(), run.Workers(), g.NumNodes(), func(lo, hi int) int64 {
+	return parallel.SumInt64(run.Context(), run.Workers(), g.NumNodes(), func(lo, hi int) int64 {
 		var total int64
 		for v := lo; v < hi; v++ {
 			d := int64(g.Degree(v))
@@ -129,22 +100,12 @@ func TripinsCtx(run *pipeline.Run, g *graph.Graph) (int64, error) {
 	})
 }
 
-// Triangles returns the exact number of triangles in g using the
+// TrianglesCtx returns the exact number of triangles in g using the
 // forward algorithm over sorted adjacency lists: every triangle
-// u < v < w is counted once at its smallest vertex pair.
-func Triangles(g *graph.Graph) int64 { return TrianglesWorkers(g, 0) }
-
-// TrianglesWorkers is Triangles sharded over vertex ranges: each shard
-// counts the triangles anchored at its smallest-vertex range, so shard
+// u < v < w is counted once at its smallest vertex pair, so shard
 // totals are disjoint and their sum is exact.
-func TrianglesWorkers(g *graph.Graph, workers int) int64 {
-	v, _ := TrianglesCtx(pipeline.New(nil, workers, nil), g)
-	return v
-}
-
-// TrianglesCtx is Triangles under a pipeline Run.
 func TrianglesCtx(run *pipeline.Run, g *graph.Graph) (int64, error) {
-	return parallel.SumInt64Ctx(run.Context(), run.Workers(), g.NumNodes(), func(lo, hi int) int64 {
+	return parallel.SumInt64(run.Context(), run.Workers(), g.NumNodes(), func(lo, hi int) int64 {
 		var total int64
 		for u := lo; u < hi; u++ {
 			nu := g.Neighbors(u)
@@ -183,28 +144,26 @@ func countCommonAbove(a, b []int32, lim int32) int64 {
 	return count
 }
 
-// TrianglesPerNode returns, for every node, the number of triangles it
-// participates in. Summing the result counts each triangle three times.
-func TrianglesPerNode(g *graph.Graph) []int64 { return TrianglesPerNodeWorkers(g, 0) }
-
-// TrianglesPerNodeWorkers is TrianglesPerNode sharded over vertex
-// ranges. A triangle anchored in one shard credits nodes that may
-// belong to other shards, so each worker accumulates into a private
-// counter array (no atomics on the hot loop) and the arrays are summed
-// afterwards; integer addition commutes, so the result is identical
-// for every worker count.
-func TrianglesPerNodeWorkers(g *graph.Graph, workers int) []int64 {
+// TrianglesPerNodeCtx returns, for every node, the number of
+// triangles it participates in; summing the result counts each
+// triangle three times. The pass is sharded over vertex ranges and
+// checks the Run's context between shards. A triangle anchored in one
+// shard credits nodes that may belong to other shards, so each worker
+// accumulates into a private counter array (no atomics on the hot
+// loop) and the arrays are summed afterwards; integer addition
+// commutes, so the result is identical for every worker count.
+func TrianglesPerNodeCtx(run *pipeline.Run, g *graph.Graph) ([]int64, error) {
 	n := g.NumNodes()
-	w := parallel.Normalize(workers)
+	w := run.Workers()
 	blocks := parallel.Blocks(n, parallel.DefaultShards)
 	if w > len(blocks) {
 		w = len(blocks)
 	}
-	parts := make([][]int64, w)
+	parts := make([][]int64, max(w, 1))
 	for i := range parts {
 		parts[i] = make([]int64, n)
 	}
-	parallel.RunIndexed(w, len(blocks), func(worker, sh int) {
+	err := parallel.RunIndexed(run.Context(), w, len(blocks), func(worker, sh int) {
 		per := parts[worker]
 		for u := blocks[sh].Lo; u < blocks[sh].Hi; u++ {
 			nu := g.Neighbors(u)
@@ -221,13 +180,16 @@ func TrianglesPerNodeWorkers(g *graph.Graph, workers int) []int64 {
 			}
 		}
 	})
+	if err != nil {
+		return nil, err
+	}
 	per := parts[0]
 	for _, p := range parts[1:] {
 		for v := range per {
 			per[v] += p[v]
 		}
 	}
-	return per
+	return per, nil
 }
 
 func forEachCommonAbove(a, b []int32, lim int32, fn func(int32)) {
@@ -268,10 +230,14 @@ func CommonNeighbors(g *graph.Graph, u, v int) int {
 	return count
 }
 
-// LocalClustering returns the local clustering coefficient of every node:
-// c_v = 2·tri(v) / (d_v (d_v − 1)), defined as 0 for d_v < 2.
-func LocalClustering(g *graph.Graph) []float64 {
-	tri := TrianglesPerNode(g)
+// LocalClusteringCtx returns the local clustering coefficient of every
+// node, c_v = 2·tri(v) / (d_v (d_v − 1)), defined as 0 for d_v < 2.
+// The per-node triangle pass runs under run (see TrianglesPerNodeCtx).
+func LocalClusteringCtx(run *pipeline.Run, g *graph.Graph) ([]float64, error) {
+	tri, err := TrianglesPerNodeCtx(run, g)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]float64, g.NumNodes())
 	for v := range out {
 		d := g.Degree(v)
@@ -279,7 +245,7 @@ func LocalClustering(g *graph.Graph) []float64 {
 			out[v] = 2 * float64(tri[v]) / (float64(d) * float64(d-1))
 		}
 	}
-	return out
+	return out, nil
 }
 
 // DegreePoint is one point of a per-degree aggregated series.
@@ -289,11 +255,15 @@ type DegreePoint struct {
 	Count  int // number of nodes with this degree
 }
 
-// ClusteringByDegree returns the average local clustering coefficient as
-// a function of node degree (the paper's Figure panel (e)), over degrees
-// that occur in the graph with d >= 1, sorted ascending by degree.
-func ClusteringByDegree(g *graph.Graph) []DegreePoint {
-	cc := LocalClustering(g)
+// ClusteringByDegreeCtx returns the average local clustering
+// coefficient as a function of node degree (the paper's Figure panel
+// (e)), over degrees that occur in the graph with d >= 1, sorted
+// ascending by degree. The per-node triangle pass runs under run.
+func ClusteringByDegreeCtx(run *pipeline.Run, g *graph.Graph) ([]DegreePoint, error) {
+	cc, err := LocalClusteringCtx(run, g)
+	if err != nil {
+		return nil, err
+	}
 	sum := map[int]float64{}
 	cnt := map[int]int{}
 	for v := 0; v < g.NumNodes(); v++ {
@@ -304,7 +274,7 @@ func ClusteringByDegree(g *graph.Graph) []DegreePoint {
 		sum[d] += cc[v]
 		cnt[d]++
 	}
-	return aggregate(sum, cnt)
+	return aggregate(sum, cnt), nil
 }
 
 // DegreeDistribution returns (degree, count-of-nodes) pairs sorted by
@@ -333,13 +303,13 @@ func aggregate(sum map[int]float64, cnt map[int]int) []DegreePoint {
 	return out
 }
 
-// GlobalClustering returns the transitivity 3Δ/H, or 0 when H = 0.
-func GlobalClustering(g *graph.Graph) float64 {
-	h := Wedges(g)
-	if h == 0 {
+// GlobalClustering returns the transitivity 3Δ/H of a feature vector
+// (see FeaturesOfCtx), or 0 when H = 0.
+func GlobalClustering(f Features) float64 {
+	if f.H == 0 {
 		return 0
 	}
-	return 3 * float64(Triangles(g)) / float64(h)
+	return 3 * f.Delta / f.H
 }
 
 // ConnectedComponents labels each node with a component id in [0, #comps)
@@ -375,27 +345,18 @@ func ConnectedComponents(g *graph.Graph) (labels []int, sizes []int) {
 	return labels, sizes
 }
 
-// HopPlot returns the exact hop plot of g: element h is the number of
-// ordered node pairs (u, v), including u = v, with shortest-path distance
-// at most h. The slice extends to the graph's effective diameter, i.e.
-// until the count stops growing. Computed by a BFS from every node in
-// O(n·(n+m)) time; use package anf for large graphs.
-func HopPlot(g *graph.Graph) []int64 { return HopPlotWorkers(g, 0) }
-
-// HopPlotWorkers is HopPlot with the per-source BFS sweep sharded over
-// source-node blocks; each worker reuses private BFS scratch and
-// accumulates its own distance histogram, and the integer histograms
-// are summed afterwards, so the result is identical for every worker
-// count.
-func HopPlotWorkers(g *graph.Graph, workers int) []int64 {
-	hop, _ := HopPlotCtx(pipeline.New(nil, workers, nil), g)
-	return hop
-}
-
-// HopPlotCtx is HopPlot under a pipeline Run: the per-source BFS sweep
-// checks the context between source blocks and a "hop-plot" stage event
-// pair is emitted. A run that is never cancelled computes the exact
-// HopPlot; a cancelled run returns run.Err().
+// HopPlotCtx returns the exact hop plot of g: element h is the number
+// of ordered node pairs (u, v), including u = v, with shortest-path
+// distance at most h. The slice extends to the graph's effective
+// diameter, i.e. until the count stops growing. Computed by a BFS from
+// every node in O(n·(n+m)) time; use package anf for large graphs.
+//
+// The per-source sweep is sharded over source-node blocks under run:
+// each worker reuses private BFS scratch and accumulates its own
+// distance histogram, and the integer histograms are summed
+// afterwards, so the result is identical for every worker count. The
+// context is checked between source blocks, a "hop-plot" stage event
+// pair is emitted, and a cancelled run returns run.Err().
 func HopPlotCtx(run *pipeline.Run, g *graph.Graph) ([]int64, error) {
 	done := run.Stage("hop-plot")
 	n := g.NumNodes()
@@ -413,7 +374,7 @@ func HopPlotCtx(run *pipeline.Run, g *graph.Graph) ([]int64, error) {
 	for i := range parts {
 		parts[i] = scratch{dist: make([]int32, n), queue: make([]int32, 0, n)}
 	}
-	err := parallel.RunIndexedCtx(run.Context(), w, len(blocks), func(worker, sh int) {
+	err := parallel.RunIndexed(run.Context(), w, len(blocks), func(worker, sh int) {
 		sc := &parts[worker]
 		dist, queue := sc.dist, sc.queue
 		for s := blocks[sh].Lo; s < blocks[sh].Hi; s++ {

@@ -129,7 +129,7 @@ func TestTrianglesKnownGraphs(t *testing.T) {
 		{graph.Empty(7), 0},
 	}
 	for i, c := range cases {
-		if got := Triangles(c.g); got != c.want {
+		if got := must(TrianglesCtx(nil, c.g)); got != c.want {
 			t.Errorf("case %d: Triangles = %d, want %d", i, got, c.want)
 		}
 	}
@@ -138,7 +138,7 @@ func TestTrianglesKnownGraphs(t *testing.T) {
 func TestTrianglesVsBrute(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
 		g := randomGraph(25, 0.3, seed)
-		if got, want := Triangles(g), bruteTriangles(g); got != want {
+		if got, want := must(TrianglesCtx(nil, g)), bruteTriangles(g); got != want {
 			t.Fatalf("seed %d: Triangles = %d, brute = %d", seed, got, want)
 		}
 	}
@@ -147,7 +147,7 @@ func TestTrianglesVsBrute(t *testing.T) {
 func TestWedgesVsBrute(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
 		g := randomGraph(20, 0.3, seed)
-		if got, want := Wedges(g), bruteWedges(g); got != want {
+		if got, want := must(WedgesCtx(nil, g)), bruteWedges(g); got != want {
 			t.Fatalf("seed %d: Wedges = %d, brute = %d", seed, got, want)
 		}
 	}
@@ -156,7 +156,7 @@ func TestWedgesVsBrute(t *testing.T) {
 func TestTripinsVsBrute(t *testing.T) {
 	for seed := uint64(0); seed < 6; seed++ {
 		g := randomGraph(20, 0.4, seed)
-		if got, want := Tripins(g), bruteTripins(g); got != want {
+		if got, want := must(TripinsCtx(nil, g)), bruteTripins(g); got != want {
 			t.Fatalf("seed %d: Tripins = %d, brute = %d", seed, got, want)
 		}
 	}
@@ -165,19 +165,19 @@ func TestTripinsVsBrute(t *testing.T) {
 func TestTrianglesPerNodeSum(t *testing.T) {
 	for seed := uint64(0); seed < 8; seed++ {
 		g := randomGraph(30, 0.25, seed)
-		per := TrianglesPerNode(g)
+		per := must(TrianglesPerNodeCtx(nil, g))
 		var sum int64
 		for _, c := range per {
 			sum += c
 		}
-		if sum != 3*Triangles(g) {
-			t.Fatalf("seed %d: per-node sum %d != 3*total %d", seed, sum, 3*Triangles(g))
+		if sum != 3*must(TrianglesCtx(nil, g)) {
+			t.Fatalf("seed %d: per-node sum %d != 3*total %d", seed, sum, 3*must(TrianglesCtx(nil, g)))
 		}
 	}
 }
 
 func TestTrianglesPerNodeK4(t *testing.T) {
-	per := TrianglesPerNode(graph.Complete(4))
+	per := must(TrianglesPerNodeCtx(nil, graph.Complete(4)))
 	for v, c := range per {
 		if c != 3 {
 			t.Fatalf("K4 node %d participates in %d triangles, want 3", v, c)
@@ -204,7 +204,7 @@ func TestCommonNeighbors(t *testing.T) {
 func TestLocalClusteringTriangleWithTail(t *testing.T) {
 	// Triangle 0-1-2 plus pendant 3 attached to 0.
 	g := graph.FromEdges(4, [][2]int{{0, 1}, {1, 2}, {0, 2}, {0, 3}})
-	cc := LocalClustering(g)
+	cc := must(LocalClusteringCtx(nil, g))
 	want := []float64{1.0 / 3, 1, 1, 0}
 	for v := range want {
 		if math.Abs(cc[v]-want[v]) > 1e-12 {
@@ -214,22 +214,22 @@ func TestLocalClusteringTriangleWithTail(t *testing.T) {
 }
 
 func TestGlobalClustering(t *testing.T) {
-	if got := GlobalClustering(graph.Complete(5)); math.Abs(got-1) > 1e-12 {
+	if got := GlobalClustering(must(FeaturesOfCtx(nil, graph.Complete(5)))); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("K5 transitivity = %v, want 1", got)
 	}
-	if got := GlobalClustering(graph.Star(6)); got != 0 {
+	if got := GlobalClustering(must(FeaturesOfCtx(nil, graph.Star(6)))); got != 0 {
 		t.Fatalf("star transitivity = %v, want 0", got)
 	}
-	if got := GlobalClustering(graph.Empty(4)); got != 0 {
+	if got := GlobalClustering(must(FeaturesOfCtx(nil, graph.Empty(4)))); got != 0 {
 		t.Fatalf("empty transitivity = %v, want 0", got)
 	}
 }
 
 func TestFeaturesOfMatchesParts(t *testing.T) {
 	g := randomGraph(30, 0.2, 5)
-	f := FeaturesOf(g)
-	if f.E != float64(g.NumEdges()) || f.H != float64(Wedges(g)) ||
-		f.T != float64(Tripins(g)) || f.Delta != float64(Triangles(g)) {
+	f := must(FeaturesOfCtx(nil, g))
+	if f.E != float64(g.NumEdges()) || f.H != float64(must(WedgesCtx(nil, g))) ||
+		f.T != float64(must(TripinsCtx(nil, g))) || f.Delta != float64(must(TrianglesCtx(nil, g))) {
 		t.Fatal("FeaturesOf disagrees with individual counters")
 	}
 }
@@ -246,11 +246,11 @@ func TestFeaturesFromDegreesMatchesExactOnIntegers(t *testing.T) {
 		if math.Abs(f.E-float64(g.NumEdges())) > 1e-9 {
 			t.Fatalf("E mismatch: %v vs %d", f.E, g.NumEdges())
 		}
-		if math.Abs(f.H-float64(Wedges(g))) > 1e-9 {
-			t.Fatalf("H mismatch: %v vs %d", f.H, Wedges(g))
+		if math.Abs(f.H-float64(must(WedgesCtx(nil, g)))) > 1e-9 {
+			t.Fatalf("H mismatch: %v vs %d", f.H, must(WedgesCtx(nil, g)))
 		}
-		if math.Abs(f.T-float64(Tripins(g))) > 1e-9 {
-			t.Fatalf("T mismatch: %v vs %d", f.T, Tripins(g))
+		if math.Abs(f.T-float64(must(TripinsCtx(nil, g)))) > 1e-9 {
+			t.Fatalf("T mismatch: %v vs %d", f.T, must(TripinsCtx(nil, g)))
 		}
 	}
 }
@@ -266,7 +266,7 @@ func TestDegreeDistribution(t *testing.T) {
 func TestClusteringByDegree(t *testing.T) {
 	// Triangle + pendant: degrees are 3 (node 0), 2, 2, 1.
 	g := graph.FromEdges(4, [][2]int{{0, 1}, {1, 2}, {0, 2}, {0, 3}})
-	pts := ClusteringByDegree(g)
+	pts := must(ClusteringByDegreeCtx(nil, g))
 	byDeg := map[int]DegreePoint{}
 	for _, p := range pts {
 		byDeg[p.Degree] = p
@@ -302,7 +302,7 @@ func TestConnectedComponents(t *testing.T) {
 
 func TestHopPlotPath(t *testing.T) {
 	g := graph.Path(4)
-	hop := HopPlot(g)
+	hop := must(HopPlotCtx(nil, g))
 	// Distances on a path of 4: pairs at distance 0:4, 1:6, 2:4, 3:2 (ordered).
 	want := []int64{4, 10, 14, 16}
 	if len(hop) != len(want) {
@@ -318,7 +318,7 @@ func TestHopPlotPath(t *testing.T) {
 func TestHopPlotVsBrute(t *testing.T) {
 	for seed := uint64(0); seed < 6; seed++ {
 		g := randomGraph(18, 0.2, seed)
-		got, want := HopPlot(g), bruteHopPlot(g)
+		got, want := must(HopPlotCtx(nil, g)), bruteHopPlot(g)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: hop %v vs brute %v", seed, got, want)
 		}
@@ -332,7 +332,7 @@ func TestHopPlotVsBrute(t *testing.T) {
 
 func TestHopPlotDisconnected(t *testing.T) {
 	g := graph.FromEdges(4, [][2]int{{0, 1}}) // two isolated nodes
-	hop := HopPlot(g)
+	hop := must(HopPlotCtx(nil, g))
 	if hop[0] != 4 {
 		t.Fatalf("hop[0] = %d, want 4", hop[0])
 	}
@@ -360,7 +360,7 @@ func TestQuickTriangleInvariantUnderRelabel(t *testing.T) {
 		perm := rand.New(rand.NewPCG(seed, 99)).Perm(16)
 		b := graph.NewBuilder(16)
 		g.ForEachEdge(func(u, v int) { b.AddEdge(perm[u], perm[v]) })
-		return Triangles(g) == Triangles(b.Build())
+		return must(TrianglesCtx(nil, g)) == must(TrianglesCtx(nil, b.Build()))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -370,7 +370,7 @@ func TestQuickTriangleInvariantUnderRelabel(t *testing.T) {
 func TestQuickHopPlotMonotone(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := randomGraph(20, 0.15, seed%1000)
-		hop := HopPlot(g)
+		hop := must(HopPlotCtx(nil, g))
 		for i := 1; i < len(hop); i++ {
 			if hop[i] < hop[i-1] {
 				return false
