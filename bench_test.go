@@ -486,12 +486,41 @@ func BenchmarkSampleBallDropK14(b *testing.B) {
 	}
 }
 
+// denseBenchGraph is the fit-dense benchmark workload's graph shape: a
+// K=15 ball-drop sample with 2^19 edges, whose few high-degree hubs make
+// the triangle release the dominant cost of a private fit. It is built
+// once per process.
+var denseBenchGraph = sync.OnceValue(func() *graph.Graph {
+	m := skg.Model{Init: skg.Initiator{A: 0.99, B: 0.45, C: 0.25}, K: 15}
+	return must(m.SampleBallDropNCtx(nil, randx.New(1), 1<<19))
+})
+
+// triangleBenchCases are the graphs the triangle-release kernels are
+// timed on: the sparse K=12 sample on all cores, and the dense K=15
+// graph on one worker, the budget a served job gets on a 2-core host.
+func triangleBenchCases(b *testing.B) []struct {
+	name string
+	g    *graph.Graph
+	run  *pipeline.Run
+} {
+	return []struct {
+		name string
+		g    *graph.Graph
+		run  *pipeline.Run
+	}{
+		{"sparse-K12", benchGraph(b, 12), nil},
+		{"dense-K15-1w", denseBenchGraph(), pipeline.New(nil, 1, nil)},
+	}
+}
+
 func BenchmarkTriangleCount(b *testing.B) {
-	g := benchGraph(b, 12)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		must(stats.TrianglesCtx(nil, g))
+	for _, c := range triangleBenchCases(b) {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				must(stats.TrianglesCtx(c.run, c.g))
+			}
+		})
 	}
 }
 
@@ -506,11 +535,13 @@ func BenchmarkPrivateDegreeSequence(b *testing.B) {
 }
 
 func BenchmarkSmoothSensitivity(b *testing.B) {
-	g := benchGraph(b, 12)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		must(smoothsens.SmoothCtx(nil, g, 0.01))
+	for _, c := range triangleBenchCases(b) {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				must(smoothsens.SmoothCtx(c.run, c.g, 0.01))
+			}
+		})
 	}
 }
 

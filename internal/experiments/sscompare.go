@@ -68,9 +68,7 @@ func SmoothSensCompareCtx(run *pipeline.Run, init skg.Initiator, ks []int, eps, 
 				return nil, err
 			}
 			*side.ls = float64(ls)
-			if *side.ss, err = smoothsens.SmoothCtx(run, side.graph, beta); err != nil {
-				return nil, err
-			}
+			*side.ss = smoothsens.SmoothFromLS(ls, side.graph.NumNodes(), beta)
 			if *side.tri, err = stats.TrianglesCtx(run, side.graph); err != nil {
 				return nil, err
 			}

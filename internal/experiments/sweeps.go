@@ -153,18 +153,14 @@ func SmoothSensGrowthCtx(run *pipeline.Run, init skg.Initiator, ks []int, eps, d
 		if err != nil {
 			return nil, err
 		}
-		lsInt, err := smoothsens.MaxCommonNeighborsCtx(run, g)
+		ls, err := smoothsens.MaxCommonNeighborsCtx(run, g)
 		if err != nil {
 			return nil, err
 		}
-		ls := float64(lsInt)
-		ss, err := smoothsens.SmoothCtx(run, g, beta)
-		if err != nil {
-			return nil, err
-		}
+		ss := smoothsens.SmoothFromLS(ls, g.NumNodes(), beta)
 		row := SSGrowthRow{
 			K: k, N: g.NumNodes(), Edges: g.NumEdges(),
-			Triangles: tri, LocalSens: ls, SmoothSen: ss,
+			Triangles: tri, LocalSens: float64(ls), SmoothSen: ss,
 		}
 		if tri > 0 {
 			row.NoiseOverSignal = (2 * ss / (eps / 2)) / float64(tri)

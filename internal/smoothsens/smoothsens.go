@@ -13,11 +13,35 @@
 // which this package maximizes in closed form (and tests by exhaustive
 // scan). Adding 2·SS_β/ε · Lap(1) noise with β = ε/(2·ln(2/δ)) gives
 // (ε, δ)-DP (Theorem 4.8 of the paper).
+//
+// # Why the pruned LS scan is exact
+//
+// An under-reported LS under-calibrates the noise, so the pruning in
+// MaxCommonNeighborsCtx only ever skips pairs that provably cannot beat
+// a count already found. It rests on |N(u) ∩ N(v)| ≤ min(d_u, d_v):
+//
+//   - The scan starts with the exact best partner of the top-degree
+//     node t, so best is a real common-neighbour count (best ≤ LS)
+//     and every pair containing t is settled.
+//   - A pair with an endpoint of degree ≤ best cannot exceed best, so
+//     only the candidates of degree > best are ever sources, ranked by
+//     descending degree (ties by ascending id). Each pair of candidates
+//     is counted from its higher-ranked end u, whose partners v rank
+//     after it, so min(d_u, d_v) = d_v, and a v with d_v ≤ best is
+//     skipped.
+//   - Once a source has d_u ≤ best, so does every later one, and every
+//     pair it would count is bounded by d_v ≤ d_u ≤ best: the scan
+//     stops.
+//
+// best only grows and always holds a real count, so any stale value a
+// worker reads is still a valid bound. The result is the exact maximum,
+// not an estimate, for every worker count and interleaving.
 package smoothsens
 
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"dpkron/internal/accountant"
 	"dpkron/internal/graph"
@@ -28,67 +52,129 @@ import (
 )
 
 // MaxCommonNeighborsCtx returns max over node pairs u ≠ v of
-// |N(u) ∩ N(v)|, the local sensitivity of the triangle count. It runs in
-// O(Σ_w d_w²) time by accumulating two-hop counts per source node,
-// sharded over source blocks under run: each worker reuses one O(n)
-// two-hop scratch array across the shards it processes, and the integer
-// max-reduction is identical for every worker count. The context is
-// checked between source blocks; a cancelled run returns run.Err().
+// |N(u) ∩ N(v)|, the local sensitivity of the triangle count, by the
+// degree-pruned scan described in the package comment. Its cost is the
+// two-hop walk of the few sources whose degree exceeds the running
+// maximum, not Σ_w d_w² over every source. The candidate sources are
+// sharded under run; each worker reuses one O(n) two-hop scratch array,
+// and the running maximum is shared through an atomic, so the exact
+// result is identical for every worker count. The context is checked
+// between candidate blocks; a cancelled run returns run.Err().
 func MaxCommonNeighborsCtx(run *pipeline.Run, g *graph.Graph) (int, error) {
 	n := g.NumNodes()
 	if n < 2 {
 		return 0, run.Err()
 	}
-	w := run.Workers()
-	blocks := parallel.Blocks(n, parallel.DefaultShards)
-	if w > len(blocks) {
-		w = len(blocks)
+	off, adj := g.CSR()
+	// Seed the bound with the top-ranked node's exact best partner.
+	top := int32(0)
+	for v := int32(1); v < int32(n); v++ {
+		if off[v+1]-off[v] > off[top+1]-off[top] {
+			top = v
+		}
 	}
-	type scratch struct {
-		count   []int32
-		touched []int32
-		best    int
+	if err := run.Err(); err != nil {
+		return 0, err
 	}
-	parts := make([]scratch, w)
-	for i := range parts {
-		parts[i] = scratch{count: make([]int32, n)}
+	first := make([]int32, n)
+	var best atomic.Int32
+	best.Store(scan(first, off, adj, top, math.MaxInt32, -1))
+
+	// Only a node of degree > best can share more than best neighbours
+	// with anyone. Rank those candidates by descending degree (ties by
+	// ascending id, so top comes first) and scan each source against the
+	// candidates ranked after it.
+	cands := rankAbove(off, off[top+1]-off[top], best.Load())
+	if len(cands) > 0 {
+		cands = cands[1:]
+	}
+	blocks := parallel.Blocks(len(cands), parallel.DefaultShards)
+	w := min(run.Workers(), len(blocks))
+	counts := make([][]int32, max(w, 1))
+	counts[0] = first
+	for i := 1; i < len(counts); i++ {
+		counts[i] = make([]int32, n)
 	}
 	err := parallel.RunIndexed(run.Context(), w, len(blocks), func(worker, sh int) {
-		sc := &parts[worker]
-		count := sc.count
-		for u := blocks[sh].Lo; u < blocks[sh].Hi; u++ {
-			sc.touched = sc.touched[:0]
-			for _, w := range g.Neighbors(u) {
-				for _, v := range g.Neighbors(int(w)) {
-					if int(v) == u {
-						continue
-					}
-					if count[v] == 0 {
-						sc.touched = append(sc.touched, v)
-					}
-					count[v]++
-				}
+		for _, u := range cands[blocks[sh].Lo:blocks[sh].Hi] {
+			du, lim := off[u+1]-off[u], best.Load()
+			if du <= lim {
+				// Every later source has degree ≤ du ≤ best: done.
+				return
 			}
-			for _, v := range sc.touched {
-				// Each unordered pair is seen from both sides; restricting
-				// to v > u halves the work without missing the max.
-				if int(v) > u && int(count[v]) > sc.best {
-					sc.best = int(count[v])
-				}
-				count[v] = 0
+			c := scan(counts[worker], off, adj, u, du, lim)
+			for c > lim && !best.CompareAndSwap(lim, c) {
+				lim = best.Load()
 			}
 		}
 	})
 	if err != nil {
 		return 0, err
 	}
-	best := 0
-	for _, sc := range parts {
-		if sc.best > best {
-			best = sc.best
+	return int(best.Load()), nil
+}
+
+// scan returns max |N(u) ∩ N(v)| over the nodes v ranked after u (by
+// degree du, in the order of rankAbove) with degree > lim, counting the
+// two-hop paths u–w–v into count, which is all zero before and after.
+// du = MaxInt32 and lim = −1 admit every v ≠ u.
+func scan(count, off, adj []int32, u, du, lim int32) int32 {
+	var best int32
+	walk := 0
+	for _, w := range adj[off[u]:off[u+1]] {
+		nw := adj[off[w]:off[w+1]]
+		walk += len(nw)
+		for _, v := range nw {
+			dv := off[v+1] - off[v]
+			if v == u || dv <= lim || dv > du || dv == du && v < u {
+				continue
+			}
+			count[v]++
+			best = max(best, count[v])
 		}
 	}
-	return best, nil
+	// Zero the counts by walking again, unless clearing the whole array
+	// is cheaper: no list of touched nodes is kept.
+	if walk > len(count)/8 {
+		clear(count)
+		return best
+	}
+	for _, w := range adj[off[u]:off[u+1]] {
+		for _, v := range adj[off[w]:off[w+1]] {
+			count[v] = 0
+		}
+	}
+	return best
+}
+
+// rankAbove returns the nodes of degree > lim in descending degree
+// order, ties by ascending id, given the top degree: a stable counting
+// sort on degree, so no n-length order is built when few nodes clear the
+// bound.
+func rankAbove(off []int32, top, lim int32) []int32 {
+	if top <= lim {
+		return nil
+	}
+	n := int32(len(off) - 1)
+	// start[top-d] is first the count, then the output position, of the
+	// nodes of degree d.
+	start := make([]int32, top-lim+1)
+	for v := int32(0); v < n; v++ {
+		if d := off[v+1] - off[v]; d > lim {
+			start[top-d+1]++
+		}
+	}
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	out := make([]int32, start[len(start)-1])
+	for v := int32(0); v < n; v++ {
+		if d := off[v+1] - off[v]; d > lim {
+			out[start[top-d]] = v
+			start[top-d]++
+		}
+	}
+	return out
 }
 
 // SensitivityAtDistance returns A^(s)(G) = min(LS(G)+s, n−2), the
@@ -105,25 +191,27 @@ func SensitivityAtDistance(ls, n, s int) float64 {
 // under a pipeline Run (see MaxCommonNeighborsCtx for the cancellation
 // contract). β must be positive.
 func SmoothCtx(run *pipeline.Run, g *graph.Graph, beta float64) (float64, error) {
-	if beta <= 0 || math.IsNaN(beta) {
-		panic(fmt.Sprintf("smoothsens: beta must be positive, got %v", beta))
-	}
-	n := g.NumNodes()
-	if n < 3 {
-		return 0, run.Err()
-	}
 	ls, err := MaxCommonNeighborsCtx(run, g)
 	if err != nil {
 		return 0, err
 	}
-	return smoothFromLS(ls, n, beta), nil
+	return SmoothFromLS(ls, g.NumNodes(), beta), nil
 }
 
-// smoothFromLS maximizes e^{−βs}·min(C+s, n−2) over integer s ≥ 0.
-// The unconstrained maximizer of e^{−βs}(C+s) is s* = 1/β − C; the
+// SmoothFromLS returns the β-smooth sensitivity of the triangle count
+// of a graph on n nodes whose local sensitivity is C (the value of
+// MaxCommonNeighborsCtx), so a caller holding C need not rescan the
+// graph. It maximizes e^{−βs}·min(C+s, n−2) over integer s ≥ 0: the
+// unconstrained maximizer of e^{−βs}(C+s) is s* = 1/β − C, and the
 // objective is unimodal in s, so checking s = 0, ⌊s*⌋, ⌈s*⌉ and the cap
-// point suffices.
-func smoothFromLS(C, n int, beta float64) float64 {
+// point suffices. β must be positive.
+func SmoothFromLS(C, n int, beta float64) float64 {
+	if beta <= 0 || math.IsNaN(beta) {
+		panic(fmt.Sprintf("smoothsens: beta must be positive, got %v", beta))
+	}
+	if n < 3 {
+		return 0
+	}
 	capVal := float64(n - 2)
 	obj := func(s float64) float64 {
 		v := float64(C) + s

@@ -1,15 +1,21 @@
 package smoothsens
 
 import (
+	"fmt"
+	"maps"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"dpkron/internal/accountant"
 	"dpkron/internal/dp"
 	"dpkron/internal/graph"
+	"dpkron/internal/pipeline"
 	"dpkron/internal/randx"
+	"dpkron/internal/skg"
+	"dpkron/internal/stats"
 )
 
 func randomGraph(n int, p float64, seed uint64) *graph.Graph {
@@ -26,22 +32,41 @@ func randomGraph(n int, p float64, seed uint64) *graph.Graph {
 }
 
 func bruteMaxCommon(g *graph.Graph) int {
+	best, _, _ := bruteArgMaxCommon(g)
+	return best
+}
+
+// bruteArgMaxCommon returns LS(G) and the first pair u < v attaining it
+// (u = v = 0 on fewer than two nodes), by intersecting the sorted
+// neighbour lists of every pair.
+func bruteArgMaxCommon(g *graph.Graph) (best, bu, bv int) {
 	n := g.NumNodes()
-	best := 0
+	best, bu, bv = -1, 0, 0
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			c := 0
-			for w := 0; w < n; w++ {
-				if w != u && w != v && g.HasEdge(u, w) && g.HasEdge(v, w) {
-					c++
-				}
-			}
-			if c > best {
-				best = c
+			if c := stats.CommonNeighbors(g, u, v); c > best {
+				best, bu, bv = c, u, v
 			}
 		}
 	}
-	return best
+	return max(best, 0), bu, bv
+}
+
+// bruteTrianglesPerNode counts, for every node u, the pairs of its
+// neighbours that are adjacent.
+func bruteTrianglesPerNode(g *graph.Graph) []int64 {
+	per := make([]int64, g.NumNodes())
+	for u := range per {
+		nu := g.Neighbors(u)
+		for i, v := range nu {
+			for _, w := range nu[i+1:] {
+				if g.HasEdge(int(v), int(w)) {
+					per[u]++
+				}
+			}
+		}
+	}
+	return per
 }
 
 func bruteSmooth(g *graph.Graph, beta float64) float64 {
@@ -87,6 +112,106 @@ func TestMaxCommonNeighborsVsBrute(t *testing.T) {
 		g := randomGraph(22, 0.25, seed)
 		if got, want := must(MaxCommonNeighborsCtx(nil, g)), bruteMaxCommon(g); got != want {
 			t.Fatalf("seed %d: got %d, brute %d", seed, got, want)
+		}
+	}
+}
+
+// circulant returns the 2r-regular graph joining each node i of Z_n to
+// i±1, …, i±r, plus, if diam, the (2r+1)-th neighbour i+n/2 (n even).
+func circulant(n, r int, diam bool) *graph.Graph {
+	b := graph.NewBuilder(n)
+	for i := 0; i < n; i++ {
+		for j := 1; j <= r; j++ {
+			b.AddEdge(i, (i+j)%n)
+		}
+		if diam {
+			b.AddEdge(i, (i+n/2)%n)
+		}
+	}
+	return b.Build()
+}
+
+// hubPlus returns a star of leaves leaves centred on node 0 beside a
+// disjoint graph h: the hub has the top degree, so the scan's seed is
+// the star's LS of 1, while the true LS lies in h.
+func hubPlus(leaves int, h *graph.Graph) *graph.Graph {
+	b := graph.NewBuilder(1 + leaves + h.NumNodes())
+	for v := 1; v <= leaves; v++ {
+		b.AddEdge(0, v)
+	}
+	h.ForEachEdge(func(u, v int) { b.AddEdge(1+leaves+u, 1+leaves+v) })
+	return b.Build()
+}
+
+// pruningCases are the graphs on which a wrong degree bound, tie-break
+// or early exit would show: a hub whose best pair is not the maximum,
+// the bound min(d_u, d_v) met with equality, all-tied degrees (where
+// the early exit never fires), tiny and complete graphs, and Kronecker
+// samples, each also with the edge between a maximizing pair toggled.
+func pruningCases() map[string]*graph.Graph {
+	// K_{2,5}: nodes 0 and 1 share all five of their neighbours.
+	k25 := graph.NewBuilder(7)
+	for w := 2; w < 7; w++ {
+		k25.AddEdge(0, w)
+		k25.AddEdge(1, w)
+	}
+	cases := map[string]*graph.Graph{
+		"star200+K6":   hubPlus(200, graph.Complete(6)),
+		"star100+K2,5": hubPlus(100, k25.Build()),
+		"cycle5":       graph.Cycle(5),
+		"cycle12":      graph.Cycle(12),
+		"4-regular20":  circulant(20, 2, false),
+		"7-regular30":  circulant(30, 3, true),
+		"K3,3":         circulant(6, 1, true),
+		"path6":        graph.Path(6),
+		"empty0":       graph.Empty(0),
+		"empty1":       graph.Empty(1),
+		"empty2":       graph.Empty(2),
+		"edge2":        graph.Complete(2),
+		"empty9":       graph.Empty(9),
+	}
+	for n := 3; n <= 8; n++ {
+		cases[fmt.Sprintf("complete%d", n)] = graph.Complete(n)
+	}
+	for k := 8; k <= 10; k++ {
+		for i, init := range []skg.Initiator{{A: 0.99, B: 0.45, C: 0.25}, {A: 0.9, B: 0.7, C: 0.4}} {
+			m := skg.Model{Init: init, K: k}
+			cases[fmt.Sprintf("kron%d-%d", k, i)] = must(m.SampleExactCtx(nil, randx.New(uint64(10*k+i))))
+		}
+	}
+	toggled := map[string]*graph.Graph{}
+	for name, g := range cases {
+		if g.NumNodes() >= 2 {
+			_, u, v := bruteArgMaxCommon(g)
+			toggled[name+"/toggled"] = g.WithEdgeToggled(u, v)
+		}
+	}
+	maps.Copy(cases, toggled)
+	return cases
+}
+
+// TestMaxCommonNeighborsAndTrianglesVsBrute: both halves of the
+// triangle release are exact on every pruning case and worker count. A
+// pruned scan that under-reports LS would under-calibrate the noise.
+func TestMaxCommonNeighborsAndTrianglesVsBrute(t *testing.T) {
+	for name, g := range pruningCases() {
+		wantLS := bruteMaxCommon(g)
+		wantPer := bruteTrianglesPerNode(g)
+		var sum int64
+		for _, c := range wantPer {
+			sum += c
+		}
+		for _, workers := range []int{1, 2, 3, 8} {
+			run := pipeline.New(nil, workers, nil)
+			if got := must(MaxCommonNeighborsCtx(run, g)); got != wantLS {
+				t.Errorf("%s workers=%d: MaxCommonNeighbors = %d, brute %d", name, workers, got, wantLS)
+			}
+			if got := must(stats.TrianglesCtx(run, g)); got != sum/3 {
+				t.Errorf("%s workers=%d: Triangles = %d, brute %d", name, workers, got, sum/3)
+			}
+			if got := must(stats.TrianglesPerNodeCtx(run, g)); !slices.Equal(got, wantPer) {
+				t.Errorf("%s workers=%d: TrianglesPerNode = %v, brute %v", name, workers, got, wantPer)
+			}
 		}
 	}
 }

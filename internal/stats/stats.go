@@ -100,114 +100,106 @@ func TripinsCtx(run *pipeline.Run, g *graph.Graph) (int64, error) {
 	})
 }
 
-// TrianglesCtx returns the exact number of triangles in g using the
-// forward algorithm over sorted adjacency lists: every triangle
-// u < v < w is counted once at its smallest vertex pair, so shard
-// totals are disjoint and their sum is exact.
+// TrianglesCtx returns the exact number of triangles in g. Each
+// triangle is found once, at its highest-degree corner, in
+// O(Σ over edges of min(d_u, d_v)) time and O(n) scratch per worker;
+// the vertex range is sharded under run and the count is identical for
+// every worker count.
 func TrianglesCtx(run *pipeline.Run, g *graph.Graph) (int64, error) {
-	return parallel.SumInt64(run.Context(), run.Workers(), g.NumNodes(), func(lo, hi int) int64 {
-		var total int64
-		for u := lo; u < hi; u++ {
-			nu := g.Neighbors(u)
-			for i, v := range nu {
-				if int(v) <= u {
-					continue
-				}
-				// Count common neighbours w of u and v with w > v.
-				total += countCommonAbove(nu[i+1:], g.Neighbors(int(v)), v)
-			}
-		}
-		return total
-	})
-}
-
-// countCommonAbove counts elements present in both sorted lists a and b
-// that are strictly greater than lim. a is assumed already restricted to
-// values > lim by the caller slicing; b is scanned past lim first.
-func countCommonAbove(a, b []int32, lim int32) int64 {
-	j := sort.Search(len(b), func(i int) bool { return b[i] > lim })
-	b = b[j:]
-	var count int64
-	i, k := 0, 0
-	for i < len(a) && k < len(b) {
-		switch {
-		case a[i] < b[k]:
-			i++
-		case a[i] > b[k]:
-			k++
-		default:
-			count++
-			i++
-			k++
-		}
-	}
-	return count
+	total, _, err := trianglesCtx(run, g, false)
+	return total, err
 }
 
 // TrianglesPerNodeCtx returns, for every node, the number of
 // triangles it participates in; summing the result counts each
-// triangle three times. The pass is sharded over vertex ranges and
-// checks the Run's context between shards. A triangle anchored in one
-// shard credits nodes that may belong to other shards, so each worker
-// accumulates into a private counter array (no atomics on the hot
-// loop) and the arrays are summed afterwards; integer addition
-// commutes, so the result is identical for every worker count.
+// triangle three times. It runs the kernel of TrianglesCtx, crediting
+// each triangle's three corners.
 func TrianglesPerNodeCtx(run *pipeline.Run, g *graph.Graph) ([]int64, error) {
+	_, per, err := trianglesCtx(run, g, true)
+	return per, err
+}
+
+// trianglesCtx enumerates every triangle of g once, at its top-ranked
+// corner, where a node ranks above another if its degree is larger, or
+// equal with a smaller id. For each node v it stamps, one by one, the
+// neighbours u that rank below v, and before stamping u scans N(u) for
+// the neighbours already stamped: each such w closes the triangle
+// {v, u, w}, found exactly once, when the later-stamped of u and w is
+// scanned. The scanned list is always the lower-degree end of the edge
+// v–u, so the work is Σ over edges of min(d_u, d_v), against Σ_v d_v²
+// for counting two-hop paths.
+//
+// The vertex range is sharded under run and the Run's context is
+// checked between shards. Each worker keeps an O(n) stamp array and, if
+// perNode is set, its own per-node counter array (a triangle credits
+// corners outside the shard); the integer totals and arrays are summed
+// afterwards, so the result is identical for every worker count.
+func trianglesCtx(run *pipeline.Run, g *graph.Graph, perNode bool) (int64, []int64, error) {
 	n := g.NumNodes()
-	w := run.Workers()
+	off, adj := g.CSR()
 	blocks := parallel.Blocks(n, parallel.DefaultShards)
-	if w > len(blocks) {
-		w = len(blocks)
+	w := min(run.Workers(), len(blocks))
+	type scratch struct {
+		stamp []int32 // stamp[u] = v+1 once u is stamped for corner v
+		per   []int64
+		total int64
 	}
-	parts := make([][]int64, max(w, 1))
+	parts := make([]scratch, max(w, 1))
 	for i := range parts {
-		parts[i] = make([]int64, n)
+		parts[i].stamp = make([]int32, n)
+		if perNode {
+			parts[i].per = make([]int64, n)
+		}
 	}
 	err := parallel.RunIndexed(run.Context(), w, len(blocks), func(worker, sh int) {
-		per := parts[worker]
-		for u := blocks[sh].Lo; u < blocks[sh].Hi; u++ {
-			nu := g.Neighbors(u)
-			for i, v := range nu {
-				if int(v) <= u {
-					continue
+		sc := &parts[worker]
+		stamp, per := sc.stamp, sc.per
+		for v := int32(blocks[sh].Lo); v < int32(blocks[sh].Hi); v++ {
+			dv, mark := off[v+1]-off[v], v+1
+			var found int64
+			stamped := false // the first one stamped has nothing to find
+			for _, u := range adj[off[v]:off[v+1]] {
+				du := off[u+1] - off[u]
+				if du > dv || du == dv && u < v {
+					continue // u ranks above v
 				}
-				// For each common neighbour w > v of u and v, credit all three.
-				forEachCommonAbove(nu[i+1:], g.Neighbors(int(v)), v, func(w int32) {
-					per[u]++
-					per[v]++
-					per[w]++
-				})
+				if stamped {
+					for _, w := range adj[off[u]:off[u+1]] {
+						if stamp[w] == mark {
+							found++
+							if per != nil {
+								per[u]++
+								per[w]++
+							}
+						}
+					}
+				}
+				stamp[u] = mark
+				stamped = true
+			}
+			sc.total += found
+			if per != nil {
+				per[v] += found
 			}
 		}
 	})
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	per := parts[0]
+	var total int64
+	for _, p := range parts {
+		total += p.total
+	}
+	if !perNode {
+		return total, nil, nil
+	}
+	per := parts[0].per
 	for _, p := range parts[1:] {
 		for v := range per {
-			per[v] += p[v]
+			per[v] += p.per[v]
 		}
 	}
-	return per, nil
-}
-
-func forEachCommonAbove(a, b []int32, lim int32, fn func(int32)) {
-	j := sort.Search(len(b), func(i int) bool { return b[i] > lim })
-	b = b[j:]
-	i, k := 0, 0
-	for i < len(a) && k < len(b) {
-		switch {
-		case a[i] < b[k]:
-			i++
-		case a[i] > b[k]:
-			k++
-		default:
-			fn(a[i])
-			i++
-			k++
-		}
-	}
+	return total, per, nil
 }
 
 // CommonNeighbors returns |N(u) ∩ N(v)| for two distinct nodes.
