@@ -13,7 +13,6 @@
 package dataset
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/binary"
@@ -271,40 +270,8 @@ func uvarint(p []byte) (uint64, []byte, error) {
 	}
 }
 
-// Encode writes the binary DPKG form of g (version 1) to w, streaming
-// row by row through a fixed-size buffer instead of materializing the
-// whole encoding — writing a graph costs O(max row), not O(n+m).
-func Encode(w io.Writer, g *graph.Graph) error {
-	h := sha256.New()
-	bw := bufio.NewWriterSize(w, 1<<16)
-	mw := io.MultiWriter(bw, h)
-	n := g.NumNodes()
-	buf := make([]byte, 0, 256)
-	buf = append(buf, magic[:]...)
-	buf = binary.AppendUvarint(buf, codecVersion)
-	buf = binary.AppendUvarint(buf, uint64(n))
-	buf = binary.AppendUvarint(buf, uint64(g.NumEdges()))
-	if _, err := mw.Write(buf); err != nil {
-		return err
-	}
-	for u := 0; u < n; u++ {
-		buf = appendV1Row(buf[:0], u, upperRow(g, u))
-		if _, err := mw.Write(buf); err != nil {
-			return err
-		}
-	}
-	if _, err := bw.Write(h.Sum(nil)); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// DecodeBinary reads a DPKG-encoded graph from r (to EOF).
-func DecodeBinary(r io.Reader) (*graph.Graph, error) {
-	return DecodeBinaryLimit(r, 0)
-}
-
-// DecodeBinaryLimit is DecodeBinary with UnmarshalLimit's node cap.
+// DecodeBinaryLimit reads a DPKG-encoded graph (either version) from r
+// to EOF and decodes it with UnmarshalLimit's node cap.
 func DecodeBinaryLimit(r io.Reader, maxNodes int) (*graph.Graph, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {

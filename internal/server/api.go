@@ -515,6 +515,8 @@ type GenerateRequest struct {
 	// "exact", "balldrop".
 	Method string `json:"method"`
 	// Target overrides the ball-drop edge target (0 = expected count).
+	// A target selects ball dropping under "auto" and is rejected with
+	// "exact", which cannot honour it.
 	Target int `json:"target"`
 	// OmitEdges drops the edge list from the result (counts only) for
 	// large graphs.
@@ -572,9 +574,18 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("method exact is capped at k = %d (O(4^k) pair draws); use balldrop or auto", maxExactK))
 		return
 	}
-	if req.Target > maxGenerateEdges {
+	switch {
+	case req.Target < 0:
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("target = %d is negative (0 = expected count)", req.Target))
+		return
+	case req.Target > maxGenerateEdges:
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("target = %d exceeds the per-request cap of %d edges", req.Target, maxGenerateEdges))
 		return
+	case req.Target > 0 && method == "exact":
+		writeError(w, http.StatusBadRequest, "target applies to ball dropping; method exact cannot honour it")
+		return
+	case req.Target > 0:
+		method = "balldrop"
 	}
 	m, err := skg.NewModel(skg.Initiator{A: req.A, B: req.B, C: req.C}, req.K)
 	if err != nil {

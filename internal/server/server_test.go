@@ -185,6 +185,38 @@ func TestServerGenerateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestServerGenerateTarget: a generate target is either honoured or
+// rejected, never silently dropped. A negative target and a target
+// with method exact are 400s; under auto a target selects ball
+// dropping, in memory and streamed into the store alike.
+func TestServerGenerateTarget(t *testing.T) {
+	_, ts := newStoreServer(t, nil)
+	for name, req := range map[string]GenerateRequest{
+		"negative target":    {A: 0.9, B: 0.5, C: 0.3, K: 10, Target: -1},
+		"target with exact":  {A: 0.9, B: 0.5, C: 0.3, K: 10, Target: 100, Method: "exact"},
+		"negative with auto": {A: 0.9, B: 0.5, C: 0.3, K: 14, Target: -5, Method: "auto"},
+	} {
+		if code, resp := doJSON(t, http.MethodPost, ts.URL+"/v1/generate", req); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%v)", name, code, resp)
+		}
+	}
+	for _, store := range []bool{false, true} {
+		code, resp := doJSON(t, http.MethodPost, ts.URL+"/v1/generate", GenerateRequest{
+			A: 0.9, B: 0.5, C: 0.3, K: 14, Seed: 2, Target: 500, OmitEdges: true, Store: store,
+		})
+		if code != http.StatusAccepted {
+			t.Fatalf("auto with target (store %v): status %d (%v)", store, code, resp)
+		}
+		job := pollJob(t, ts.URL, resp["id"].(string), 60*time.Second)
+		if job["status"] != StatusDone {
+			t.Fatalf("auto with target (store %v) ended %v: %v", store, job["status"], job)
+		}
+		if edges := job["result"].(map[string]any)["edges"].(float64); edges != 500 {
+			t.Errorf("auto with target 500 (store %v) sampled %v edges", store, edges)
+		}
+	}
+}
+
 func TestServerSubmitCancel(t *testing.T) {
 	// One worker and one slot: the long first job occupies the slot.
 	_, ts := newTestServer(t, Options{Workers: 1, MaxJobs: 1})

@@ -160,62 +160,3 @@ func (m GeneralModel) SampleExact(rng *randx.Rand) *graph.Graph {
 	}
 	return b.Build()
 }
-
-// SampleBallDrop draws approximately the expected number of edges via
-// quadrant descent over the N1×N1 initiator.
-func (m GeneralModel) SampleBallDrop(rng *randx.Rand) *graph.Graph {
-	n := m.NumNodes()
-	n1 := m.N1()
-	target := int(math.Round(m.ExpectedFeatures().E))
-	maxPairs := n * (n - 1) / 2
-	if target > maxPairs {
-		target = maxPairs
-	}
-	var sum float64
-	for i := 0; i < n1; i++ {
-		for j := 0; j < n1; j++ {
-			sum += m.Theta[i][j]
-		}
-	}
-	if sum == 0 || target <= 0 {
-		return graph.NewBuilder(n).Build()
-	}
-	// Flattened cumulative distribution over initiator cells.
-	cum := make([]float64, n1*n1+1)
-	for i := 0; i < n1; i++ {
-		for j := 0; j < n1; j++ {
-			idx := i*n1 + j
-			cum[idx+1] = cum[idx] + m.Theta[i][j]/sum
-		}
-	}
-	seen := make(map[int64]struct{}, 2*target)
-	b := graph.NewBuilderCap(n, target)
-	placed := 0
-	for attempts := 0; placed < target && attempts < 200*target+1000; attempts++ {
-		u, v := 0, 0
-		for level := 0; level < m.K; level++ {
-			r := rng.Float64()
-			// Linear scan is fine: N1 is tiny.
-			cell := 0
-			for cell < n1*n1-1 && cum[cell+1] <= r {
-				cell++
-			}
-			u = u*n1 + cell/n1
-			v = v*n1 + cell%n1
-		}
-		if u == v {
-			continue
-		}
-		if u < v {
-			u, v = v, u
-		}
-		key := int64(v)<<32 | int64(u)
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		b.AddEdge(u, v)
-		placed++
-	}
-	return b.Build()
-}

@@ -184,26 +184,6 @@ func TestGeneralSampleExactMatchesExpectation(t *testing.T) {
 	}
 }
 
-func TestGeneralSampleBallDropEdgeCount(t *testing.T) {
-	theta := [][]float64{
-		{0.99, 0.5, 0.2},
-		{0.5, 0.4, 0.3},
-		{0.2, 0.3, 0.6},
-	}
-	m, err := NewGeneralModel(theta, 6) // 729 nodes
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := m.SampleBallDrop(randx.New(9))
-	want := int(math.Round(m.ExpectedFeatures().E))
-	if g.NumEdges() != want {
-		t.Fatalf("ball drop edges = %d, want %d", g.NumEdges(), want)
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestGeneralN1AndNodes(t *testing.T) {
 	theta := [][]float64{
 		{0.9, 0.5, 0.2},

@@ -9,10 +9,16 @@
 // simple: the directed realization is symmetrized by keeping the lower
 // triangle, so the undirected edge {u, v} (u ≠ v) is present
 // independently with probability P_uv where P = Θ^[k].
+//
+// Each sampler's shard protocol is written once. The in-memory
+// Sample* samplers and the streamed Stream* samplers run the same
+// protocol and differ only in where the accepted keys go (the heap or
+// an external sort), so for a given seed they yield the same edge set.
 package skg
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -185,6 +191,22 @@ func (m Model) ExpectedFeatures() stats.Features {
 	return stats.Features{E: e, H: h, T: t, Delta: delta}
 }
 
+// exactMaxK is the largest K that SampleCtx and StreamCtx draw with
+// the exact sampler; larger models are ball-dropped.
+const exactMaxK = 13
+
+// SampleCtx draws a graph using the exact sampler for K <= 13 and
+// ball dropping otherwise. This matches how the experiment harness
+// treats "original" graphs (exact) versus bulk synthetic realizations
+// (fast). See SampleExactCtx and SampleBallDropNCtx for the
+// cancellation contract.
+func (m Model) SampleCtx(run *pipeline.Run, rng *randx.Rand) (*graph.Graph, error) {
+	if m.K <= exactMaxK {
+		return m.SampleExactCtx(run, rng)
+	}
+	return m.SampleBallDropCtx(run, rng)
+}
+
 // SampleExactCtx draws an undirected simple graph from the model by
 // flipping an independent coin for every node pair {u, v}, u > v, with
 // bias P_uv. It costs O(n²·K) time and is exact; prefer
@@ -198,47 +220,247 @@ func (m Model) ExpectedFeatures() stats.Features {
 // is emitted, and a cancelled run returns run.Err().
 func (m Model) SampleExactCtx(run *pipeline.Run, rng *randx.Rand) (*graph.Graph, error) {
 	done := run.Stage("sample-exact")
+	sink := newMemSink()
+	if err := m.sampleExact(run, rng, sink); err != nil {
+		return nil, err
+	}
+	g := sink.build(run, m.NumNodes(), nil)
+	done()
+	return g, nil
+}
+
+// SampleBallDropCtx draws an undirected simple graph with approximately
+// the model's expected edge count using Kronecker ball dropping (the
+// standard fast generator, as in SNAP's krongen): each drop descends K
+// levels choosing an initiator quadrant with probability proportional
+// to its entry; self-loops and duplicate pairs are re-dropped. The
+// per-pair inclusion probabilities are proportional to P_uv, so the
+// realized graph approximates the SKG distribution conditioned on its
+// edge count; the paper's experiments depend only on this regime. See
+// SampleBallDropNCtx for the sharding and cancellation contract.
+func (m Model) SampleBallDropCtx(run *pipeline.Run, rng *randx.Rand) (*graph.Graph, error) {
+	return m.SampleBallDropNCtx(run, rng, m.expectedEdges())
+}
+
+// SampleBallDropNCtx is SampleBallDropCtx with an explicit target edge
+// count. Ball dropping is sharded over per-shard edge quotas on run's
+// worker budget. The target is split across a fixed number of shards,
+// each dropping its quota with a private random stream and
+// shard-local sort-and-dedup duplicate elimination (dropUnique); the
+// shards' sorted keys are then merged with a global radix-sort dedup
+// pass, and a final serial top-up stream replaces the few edges lost
+// to cross-shard collisions. The shard count, every stream derivation,
+// the per-stream drop order, and the top-up semantics depend only on
+// the model and target, so for a given seed the sampled graph is
+// identical for every worker count — and identical to what the
+// historical map-based dedup produced.
+//
+// The per-shard quota fan-out and the dedup sort check the context
+// between shards and passes, the serial top-up checks it between
+// rounds, and a "sample-ball-drop" stage event pair is emitted; a
+// cancelled run returns run.Err().
+func (m Model) SampleBallDropNCtx(run *pipeline.Run, rng *randx.Rand, target int) (*graph.Graph, error) {
+	done := run.Stage("sample-ball-drop")
+	sink := newMemSink()
+	extra, err := m.ballDrop(run, rng, target, sink)
+	if err != nil {
+		return nil, err
+	}
+	g := sink.build(run, m.NumNodes(), extra)
+	done()
+	return g, nil
+}
+
+// expectedEdges is the ball-drop target of SampleBallDropCtx and
+// StreamBallDropCtx: the model's expected edge count, rounded.
+func (m Model) expectedEdges() int { return int(math.Round(m.ExpectedFeatures().E)) }
+
+// keySink is where a sampling protocol (sampleExact, ballDrop) puts
+// its accepted keys, and the only thing the in-memory and streamed
+// samplers do differently: memSink keeps the keys on the heap, while
+// sorterSink (stream.go) spills them through an external sort. Keys are
+// packed undirected edges, int64(u)<<32 | v with u < v.
+type keySink interface {
+	// writer returns the writer of shard s, which expects about hint
+	// keys; each concurrent shard takes its own.
+	writer(s, hint int) keyWriter
+	// seal merges every closed writer's keys into one duplicate-free
+	// set and returns its size and a membership probe.
+	seal(run *pipeline.Run) (size int, contains func(int64) (bool, error), err error)
+}
+
+// keyWriter is one shard's writer; *extsort.Writer is one.
+type keyWriter interface {
+	Add(key int64) error
+	// AddSorted adds a sorted, duplicate-free slice.
+	AddSorted(keys []int64) error
+	Close() error
+}
+
+// sampleExact is the exact sampler's protocol: pair blocks, one random
+// stream per block, and a coin per pair, with each block's accepted
+// keys written to its own writer before the sink is sealed.
+func (m Model) sampleExact(run *pipeline.Run, rng *randx.Rand, sink keySink) error {
 	n := m.NumNodes()
 	tbl := m.powTables()
 	mask := 1<<m.K - 1
 	blocks := parallel.PairBlocks(n, parallel.DefaultShards)
 	rngs := parallel.Streams(rng, len(blocks))
-	parts := make([]*graph.Builder, len(blocks))
-	// Pre-size each shard's pair slice to its expected edge yield (plus
-	// slack) so the inner loop appends without regrowth.
+	// Each block's hint is its expected edge yield plus slack, so an
+	// in-memory shard appends without regrowth.
 	density := 2 * m.ExpectedFeatures().E / (float64(n) * float64(n-1))
 	pairsBelow := func(u int) float64 { return float64(u) * float64(u-1) / 2 }
-	err := parallel.Run(run.Context(), run.Workers(), len(blocks), func(s int) {
-		r := rngs[s]
+	err := runShards(run, len(blocks), func(s int) error {
 		hint := int(density*(pairsBelow(blocks[s].Hi)-pairsBelow(blocks[s].Lo))*1.2) + 16
-		b := graph.NewBuilderCap(n, hint)
+		r, w := rngs[s], sink.writer(s, hint)
 		for u := blocks[s].Lo; u < blocks[s].Hi; u++ {
 			for v := 0; v < u; v++ {
 				nc := bits.OnesCount64(uint64(u & v))
 				na := m.K - bits.OnesCount64(uint64((u|v)&mask))
 				p := tbl.a[na] * tbl.b[m.K-na-nc] * tbl.c[nc]
 				if r.Float64() < p {
-					b.AddEdge(u, v)
+					if err := w.Add(int64(v)<<32 | int64(u)); err != nil {
+						return errors.Join(err, w.Close())
+					}
 				}
 			}
 		}
-		parts[s] = b
+		return w.Close()
+	})
+	if err != nil {
+		return err
+	}
+	_, _, err = sink.seal(run)
+	return err
+}
+
+// ballDrop is the ball-drop protocol. The target (capped at the pair
+// count) is split into per-shard quotas, each shard drops its quota
+// with its own random stream and shard-local dedup and hands its
+// sorted keys to its writer, and the sealed sink is the cross-shard
+// dedup. The edges lost to cross-shard collisions are then re-dropped
+// from a final top-up stream, excluding the sealed set, and returned
+// as a sorted slice disjoint from it. A zero-mass initiator or a
+// target <= 0 seals an empty sink without touching rng.
+func (m Model) ballDrop(run *pipeline.Run, rng *randx.Rand, target int, sink keySink) (extra []int64, err error) {
+	n := m.NumNodes()
+	target = min(target, n*(n-1)/2)
+	sum := m.Init.EdgeSum()
+	if sum == 0 || target <= 0 {
+		if err := run.Err(); err != nil {
+			return nil, err
+		}
+		_, _, err := sink.seal(run)
+		return nil, err
+	}
+	pa, pb := m.Init.A/sum, m.Init.B/sum
+	shards := min(parallel.DefaultShards, target)
+	ctx := run.Context()
+	rngs := parallel.Streams(rng, shards+1) // last stream is the top-up
+	// Attempts are capped at 200·quota + 1000 per shard and 200·target +
+	// 1000 for the top-up: dense targets on tiny graphs may need many
+	// re-drops, and the caps are far beyond what the sparse regimes of
+	// the paper require but keep the routine total.
+	err = runShards(run, shards, func(s int) error {
+		q := target / shards
+		if s < target%shards {
+			q++
+		}
+		keys, _ := m.dropUnique(ctx, rngs[s], pa, pb, q, 200*q+1000, nil) // a nil probe cannot fail
+		w := sink.writer(s, 0)
+		return errors.Join(w.AddSorted(keys), w.Close())
 	})
 	if err != nil {
 		return nil, err
 	}
-	pending := 0
-	for _, p := range parts {
-		pending += p.NumPending()
+	placed, contains, err := sink.seal(run)
+	if err != nil || placed >= target {
+		return nil, err
 	}
-	merged := graph.NewBuilderCap(n, pending)
-	for _, p := range parts {
-		merged.Absorb(p)
+	extra, err = m.dropUnique(ctx, rngs[shards], pa, pb, target-placed, 200*target+1000, contains)
+	if err != nil {
+		return nil, err
 	}
-	g := merged.BuildWorkers(run.Workers())
-	done()
-	return g, nil
+	if err := run.Err(); err != nil {
+		return nil, err
+	}
+	return extra, nil
 }
+
+// runShards fans fn out over count shards on run's worker budget and
+// returns the run's error, else the shards' errors. The run is
+// re-checked after the fan-out because a drop loop returns early (with
+// a partial shard) when it observes cancellation, which parallel.Run
+// cannot see.
+func runShards(run *pipeline.Run, count int, fn func(s int) error) error {
+	errs := make([]error, count)
+	if err := parallel.Run(run.Context(), run.Workers(), count, func(s int) { errs[s] = fn(s) }); err != nil {
+		return err
+	}
+	if err := run.Err(); err != nil {
+		return err
+	}
+	return errors.Join(errs...)
+}
+
+// memSink keeps the shards' keys on the heap, one slot per shard (no
+// protocol runs more than parallel.DefaultShards shards). Sealing
+// concatenates, radix-sorts, and compacts the slots; the probe is a
+// binary search.
+type memSink struct {
+	parts [][]int64
+	keys  []int64 // the sealed set
+}
+
+func newMemSink() *memSink { return &memSink{parts: make([][]int64, parallel.DefaultShards)} }
+
+func (ms *memSink) writer(s, hint int) keyWriter {
+	ms.parts[s] = make([]int64, 0, hint)
+	return (*memShard)(&ms.parts[s])
+}
+
+func (ms *memSink) seal(run *pipeline.Run) (int, func(int64) (bool, error), error) {
+	all := slices.Concat(ms.parts...)
+	ms.parts = nil
+	if _, err := parallel.SortInt64(run.Context(), run.Workers(), all, nil); err != nil {
+		return 0, nil, err
+	}
+	ms.keys = slices.Compact(all)
+	return len(ms.keys), func(key int64) (bool, error) {
+		_, ok := slices.BinarySearch(ms.keys, key)
+		return ok, nil
+	}, nil
+}
+
+// build returns the graph on n nodes holding the sealed keys plus the
+// sorted top-up keys extra, which are disjoint from them.
+func (ms *memSink) build(run *pipeline.Run, n int, extra []int64) *graph.Graph {
+	keys := parallel.MergeSortedInt64(ms.keys, extra)
+	b := graph.NewBuilderCap(n, len(keys))
+	b.AddPackedEdges(keys)
+	return b.BuildWorkers(run.Workers())
+}
+
+// memShard is one shard's slot in a memSink.
+type memShard []int64
+
+func (w *memShard) Add(key int64) error {
+	*w = append(*w, key)
+	return nil
+}
+
+// AddSorted takes ownership of keys when the slot is empty instead of
+// copying them.
+func (w *memShard) AddSorted(keys []int64) error {
+	if len(*w) == 0 {
+		*w = keys
+		return nil
+	}
+	*w = append(*w, keys...)
+	return nil
+}
+
+func (w *memShard) Close() error { return nil }
 
 // dropPair performs one ball drop: a K-level descent choosing an
 // initiator quadrant per level with probability proportional to its
@@ -262,13 +484,13 @@ func (m Model) dropPair(r *randx.Rand, pa, pb float64) (u, v int) {
 }
 
 // dropUnique draws ball drops from r until it has accepted `need` keys
-// distinct from each other and from the sorted `exclude` set, or until
-// maxAttempts drops have been made, and returns the accepted keys as a
-// sorted slice. Duplicate elimination is map-free: candidates are
-// gathered in rounds sized to the remaining need, each round is sorted
-// and deduplicated (parallel.SortInt64 on the packed keys) and merged
-// into the sorted accepted set, and per-drop membership tests are
-// binary searches against that set.
+// distinct from each other and from the set that excluded probes (nil
+// for none), or until maxAttempts drops have been made, and returns the
+// accepted keys as a sorted slice. Duplicate elimination is map-free:
+// candidates are gathered in rounds sized to the remaining need, each
+// round is sorted and deduplicated (parallel.SortInt64 on the packed
+// keys) and merged into the sorted accepted set, and per-drop
+// membership tests are binary searches against that set.
 //
 // The rounds replay the historical one-map-lookup-per-drop generator
 // exactly: every drop consumes K draws from r; self-loops and keys
@@ -279,138 +501,49 @@ func (m Model) dropPair(r *randx.Rand, pa, pb float64) (u, v int) {
 // drop where the serial generator accepted its last key. The accepted
 // key set and the final state of r are therefore identical to the
 // map-based implementation for every seed.
-func (m Model) dropUnique(ctx context.Context, r *randx.Rand, pa, pb float64, need, maxAttempts int, exclude []int64) []int64 {
-	var fn func(int64) (bool, error)
-	if exclude != nil {
-		fn = func(key int64) (bool, error) {
-			_, dup := slices.BinarySearch(exclude, key)
-			return dup, nil
-		}
-	}
-	// The error path is unreachable with a slice-backed probe.
-	accepted, _ := m.dropUniqueFn(ctx, r, pa, pb, need, maxAttempts, fn)
-	return accepted
-}
-
-// SampleBallDropNCtx is SampleBallDropCtx with an explicit target edge
-// count. Ball dropping is sharded over per-shard edge quotas on run's
-// worker budget. The target is split across a fixed number of shards,
-// each dropping its quota with a private random stream and
-// shard-local sort-and-dedup duplicate elimination (dropUnique); the
-// shards' sorted keys are then merged with a global radix-sort dedup
-// pass, and a final serial top-up stream replaces the few edges lost
-// to cross-shard collisions. The shard count, every stream derivation,
-// the per-stream drop order, and the top-up semantics depend only on
-// the model and target, so for a given seed the sampled graph is
-// identical for every worker count — and identical to what the
-// historical map-based dedup produced.
 //
-// The per-shard quota fan-out and the dedup sort check the context
-// between shards and passes, the serial top-up checks it between
-// rounds, and a "sample-ball-drop" stage event pair is emitted; a
-// cancelled run returns run.Err().
-func (m Model) SampleBallDropNCtx(run *pipeline.Run, rng *randx.Rand, target int) (*graph.Graph, error) {
-	done := run.Stage("sample-ball-drop")
-	n := m.NumNodes()
-	maxPairs := n * (n - 1) / 2
-	if target > maxPairs {
-		target = maxPairs
-	}
-	sum := m.Init.EdgeSum()
-	if sum == 0 || target <= 0 {
-		if err := run.Err(); err != nil {
-			return nil, err
+// It returns early, with the keys accepted so far, once ctx is done.
+// A probe error aborts the draw (the caller discards the partial state
+// along with the rng).
+func (m Model) dropUnique(ctx context.Context, r *randx.Rand, pa, pb float64, need, maxAttempts int, excluded func(int64) (bool, error)) ([]int64, error) {
+	accepted := make([]int64, 0, need)
+	var cand, scratch []int64
+	attempts := 0
+	for len(accepted) < need && attempts < maxAttempts {
+		if ctx.Err() != nil {
+			return accepted, nil
 		}
-		done()
-		return graph.Empty(n), nil
-	}
-	pa := m.Init.A / sum
-	pb := m.Init.B / sum
-
-	shards := parallel.DefaultShards
-	if shards > target {
-		shards = target
-	}
-	ctx := run.Context()
-	rngs := parallel.Streams(rng, shards+1) // last stream is the top-up
-	quota := func(s int) int {
-		q := target / shards
-		if s < target%shards {
-			q++
+		want := need - len(accepted)
+		cand = cand[:0]
+		for len(cand) < want && attempts < maxAttempts {
+			u, v := m.dropPair(r, pa, pb)
+			attempts++
+			if u == v {
+				continue
+			}
+			if u > v {
+				u, v = v, u
+			}
+			key := int64(u)<<32 | int64(v)
+			if _, dup := slices.BinarySearch(accepted, key); dup {
+				continue
+			}
+			if excluded != nil {
+				dup, err := excluded(key)
+				if err != nil {
+					return nil, fmt.Errorf("skg: probing exclude set: %w", err)
+				}
+				if dup {
+					continue
+				}
+			}
+			cand = append(cand, key)
 		}
-		return q
+		scratch, _ = parallel.SortInt64(nil, 1, cand, scratch) // a nil context cannot fail
+		cand = slices.Compact(cand)
+		accepted = parallel.MergeSortedInt64(accepted, cand)
 	}
-	parts := make([][]int64, shards)
-	if err := parallel.Run(ctx, run.Workers(), shards, func(s int) {
-		// Cap total attempts: dense targets on tiny graphs may need many
-		// re-drops; 200·quota + 1000 is far beyond what the sparse
-		// regimes of the paper require but keeps the routine total.
-		q := quota(s)
-		parts[s] = m.dropUnique(ctx, rngs[s], pa, pb, q, 200*q+1000, nil)
-	}); err != nil {
-		return nil, err
-	}
-	// dropUnique returns early (with a partial shard) when it observes
-	// cancellation mid-shard, which Run cannot see; re-checking here
-	// rejects any such partial fan-out.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// Concatenate the per-shard keys, radix-sort, and deduplicate: the
-	// result is the same edge set the historical shard-ordered map merge
-	// placed. Then top up the edges lost to cross-shard collisions from
-	// the dedicated final stream, excluding everything already placed.
-	total := 0
-	for _, keys := range parts {
-		total += len(keys)
-	}
-	all := make([]int64, 0, total)
-	for _, keys := range parts {
-		all = append(all, keys...)
-	}
-	if _, err := parallel.SortInt64(ctx, run.Workers(), all, nil); err != nil {
-		return nil, err
-	}
-	uniq := slices.Compact(all)
-	if len(uniq) < target {
-		extra := m.dropUnique(ctx, rngs[shards], pa, pb, target-len(uniq), 200*target+1000, uniq)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		uniq = parallel.MergeSortedInt64(uniq, extra)
-	}
-	b := graph.NewBuilderCap(n, len(uniq))
-	b.AddPackedEdges(uniq)
-	g := b.BuildWorkers(run.Workers())
-	done()
-	return g, nil
-}
-
-// SampleCtx draws a graph using the exact sampler for K <= 13 and
-// ball dropping otherwise. This matches how the experiment harness
-// treats "original" graphs (exact) versus bulk synthetic realizations
-// (fast). See SampleExactCtx and SampleBallDropNCtx for the
-// cancellation contract.
-func (m Model) SampleCtx(run *pipeline.Run, rng *randx.Rand) (*graph.Graph, error) {
-	if m.K <= 13 {
-		return m.SampleExactCtx(run, rng)
-	}
-	return m.SampleBallDropCtx(run, rng)
-}
-
-// SampleBallDropCtx draws an undirected simple graph with approximately
-// the model's expected edge count using Kronecker ball dropping (the
-// standard fast generator, as in SNAP's krongen): each drop descends K
-// levels choosing an initiator quadrant with probability proportional
-// to its entry; self-loops and duplicate pairs are re-dropped. The
-// per-pair inclusion probabilities are proportional to P_uv, so the
-// realized graph approximates the SKG distribution conditioned on its
-// edge count; the paper's experiments depend only on this regime. See
-// SampleBallDropNCtx for the sharding and cancellation contract.
-func (m Model) SampleBallDropCtx(run *pipeline.Run, rng *randx.Rand) (*graph.Graph, error) {
-	target := int(math.Round(m.ExpectedFeatures().E))
-	return m.SampleBallDropNCtx(run, rng, target)
+	return accepted, nil
 }
 
 // KroneckerPower returns the dense k-th Kronecker power of a dense

@@ -1,6 +1,8 @@
 package skg
 
 import (
+	"context"
+	"errors"
 	"slices"
 	"testing"
 
@@ -143,5 +145,56 @@ func TestStreamFaults(t *testing.T) {
 	defer sorter.RemoveAll()
 	if _, err := m.StreamBallDropNCtx(pipeline.New(nil, 2, nil), randx.New(7), 500, sorter); err == nil {
 		t.Fatal("streaming sample with torn spill writes succeeded")
+	}
+}
+
+// TestBallDropSinksAgreeOnEdgePaths runs the ball-drop protocol's edge
+// paths through both sinks: an empty target, fewer edges than shards, a
+// target above the pair count, and a zero-mass initiator must yield the
+// same key set in memory and streamed, and a pre-cancelled run must
+// fail both with context.Canceled.
+func TestBallDropSinksAgreeOnEdgePaths(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		init      Initiator
+		k, target int
+		wantEdges int
+	}{
+		{"target 0", Initiator{A: 0.9, B: 0.6, C: 0.3}, 9, 0, 0},
+		{"target below shard count", Initiator{A: 0.9, B: 0.6, C: 0.3}, 9, 3, 3},
+		{"target above pair count", Initiator{A: 0.9, B: 0.6, C: 0.3}, 3, 40, 8 * 7 / 2},
+		{"zero-mass initiator", Initiator{}, 5, 10, 0},
+	} {
+		m := mustModel(t, tc.init.A, tc.init.B, tc.init.C, tc.k)
+		for _, workers := range []int{1, 4} {
+			g := must(m.SampleBallDropNCtx(pipeline.New(nil, workers, nil), randx.New(11), tc.target))
+			var memKeys []int64
+			g.ForEachEdge(func(u, v int) { memKeys = append(memKeys, int64(u)<<32|int64(v)) })
+			if len(memKeys) != tc.wantEdges {
+				t.Fatalf("%s, workers %d: in-memory sample has %d edges, want %d", tc.name, workers, len(memKeys), tc.wantEdges)
+			}
+			sorter, err := extsort.New(faultfs.OS, t.TempDir(), 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			es, err := m.StreamBallDropNCtx(pipeline.New(nil, workers, nil), randx.New(11), tc.target, sorter)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := packedKeys(t, es); !slices.Equal(got, memKeys) || es.NumEdges() != int64(len(memKeys)) {
+				t.Fatalf("%s, workers %d: streamed %d keys (NumEdges %d), in-memory %d", tc.name, workers, len(got), es.NumEdges(), len(memKeys))
+			}
+			es.Close()
+
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := m.SampleBallDropNCtx(pipeline.New(ctx, workers, nil), randx.New(11), tc.target); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s, workers %d: cancelled SampleBallDropNCtx returned %v", tc.name, workers, err)
+			}
+			if _, err := m.StreamBallDropNCtx(pipeline.New(ctx, workers, nil), randx.New(11), tc.target, sorter); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s, workers %d: cancelled StreamBallDropNCtx returned %v", tc.name, workers, err)
+			}
+			sorter.RemoveAll()
+		}
 	}
 }
