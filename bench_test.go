@@ -56,7 +56,6 @@ import (
 	"dpkron/internal/skg"
 	"dpkron/internal/smoothsens"
 	"dpkron/internal/stats"
-	"dpkron/internal/trace"
 )
 
 var printOnce sync.Map
@@ -1045,81 +1044,4 @@ func BenchmarkObsOverhead(b *testing.B) {
 
 	b.Run("K=15-plain", func(b *testing.B) { lifecycle(b, false) })
 	b.Run("K=15-instrumented", func(b *testing.B) { lifecycle(b, true) })
-}
-
-// BenchmarkTraceOverhead measures what per-job span tracing costs on
-// the serving path. Same production-shaped lifecycle as
-// BenchmarkObsOverhead — one complete K=15 private fit over the HTTP
-// API per op — against a plain server and one recording full span
-// trees (stage spans, serving-layer spans, audit events) into a
-// bounded trace store. BENCH_10.json's trace_overhead section records
-// traced_over_plain; the acceptance bound is <= 1.02 — a handful of span allocations per job must disappear
-// into the fit.
-func BenchmarkTraceOverhead(b *testing.B) {
-	g := featureGraph(b, 15, 1<<19)
-	store, err := dataset.Open(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	meta, _, err := store.Put(g, "bench", "generated")
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	lifecycle := func(b *testing.B, traced bool) {
-		opts := server.Options{
-			Workers: 1, MaxJobs: 1, MaxQueue: 4, MaxHistory: 64,
-			Datasets: store,
-		}
-		if traced {
-			opts.Traces = trace.NewStore(64)
-		}
-		srv := server.New(opts)
-		defer srv.Close()
-		ts := httptest.NewServer(srv.Handler())
-		defer ts.Close()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			body := fmt.Sprintf(`{"method":"private","eps":0.4,"delta":0.01,"k":15,"seed":%d,"dataset_id":%q}`,
-				i+1, meta.ID)
-			resp, err := http.Post(ts.URL+"/v1/fit", "application/json", strings.NewReader(body))
-			if err != nil {
-				b.Fatal(err)
-			}
-			var sub struct {
-				ID string `json:"id"`
-			}
-			if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-				b.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusAccepted || sub.ID == "" {
-				b.Fatalf("fit submit: %d %+v", resp.StatusCode, sub)
-			}
-			for {
-				resp, err := http.Get(ts.URL + "/v1/jobs/" + sub.ID)
-				if err != nil {
-					b.Fatal(err)
-				}
-				var job struct {
-					Status string `json:"status"`
-				}
-				if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
-					b.Fatal(err)
-				}
-				resp.Body.Close()
-				if job.Status == "done" {
-					break
-				}
-				if job.Status == "failed" || job.Status == "cancelled" {
-					b.Fatalf("job ended %s", job.Status)
-				}
-				time.Sleep(200 * time.Microsecond)
-			}
-		}
-	}
-
-	b.Run("K=15-plain", func(b *testing.B) { lifecycle(b, false) })
-	b.Run("K=15-traced", func(b *testing.B) { lifecycle(b, true) })
 }

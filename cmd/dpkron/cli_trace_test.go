@@ -16,8 +16,8 @@ import (
 )
 
 // TestCLITraceAuditEndToEnd drives the whole tracing/audit surface
-// through the compiled binary: a traced, ledger-enforced, journaled
-// server runs one private fit; `job wait -progress` streams its stage
+// through the compiled binary: a ledger-enforced, journaled server
+// (which traces every job) runs one private fit; `job wait -progress` streams its stage
 // transitions, `job trace` renders the waterfall with its audit
 // events, `-chrome` saves a loadable trace-event file, and — after a
 // graceful drain — `audit` replays ledger + journal into the
@@ -44,7 +44,7 @@ func TestCLITraceAuditEndToEnd(t *testing.T) {
 	run(t, bin, "budget", "set", "-ledger", ledger, "-dataset", ds, "-eps", "2", "-delta", "0.1")
 
 	cmd := exec.Command(bin, "serve", "-addr", "127.0.0.1:0", "-max-jobs", "1", "-workers", "2",
-		"-ledger", ledger, "-journal", jnlPath, "-trace")
+		"-ledger", ledger, "-journal", jnlPath)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@
 //	dpkron sweep   [-dataset NAME] [-trials N]
 //	dpkron ssgrowth [-kmin K] [-kmax K]
 //	dpkron sscompare [-kmin K] [-kmax K]
-//	dpkron serve   [-addr HOST:PORT] [-max-jobs N] [-ledger FILE] [-store DIR] [-release-cache DIR] [-journal FILE] [-trace] [-drain-timeout D] [-metrics-addr HOST:PORT] [-pprof] [-log-format text|json] [-log-level L]
+//	dpkron serve   [-addr HOST:PORT] [-max-jobs N] [-ledger FILE] [-store DIR] [-release-cache DIR] [-journal FILE] [-drain-timeout D] [-metrics-addr HOST:PORT] [-pprof] [-log-format text|json] [-log-level L]
 //	dpkron job     <list|show|wait|trace|cancel> -server URL [-id ID] [-v] [-progress] [-chrome FILE]
 //	dpkron audit   <dataset> -ledger FILE [-journal FILE]
 //	dpkron budget  <show|set|reset> -ledger FILE [-dataset ID] [-eps E] [-delta D]
@@ -74,7 +74,6 @@ import (
 	"dpkron/internal/skg"
 	"dpkron/internal/stats"
 	"dpkron/internal/textplot"
-	"dpkron/internal/trace"
 )
 
 // version identifies the build; release builds overwrite it with
@@ -764,10 +763,6 @@ func cmdServe(args []string) error {
 		"release cache directory; identical private fits coalesce and repeats are re-served at zero budget")
 	journalPath := fs.String("journal", "",
 		"job journal file; makes jobs durable across crashes (resume without a second debit) and restarts")
-	traceJobs := fs.Bool("trace", false,
-		"record per-job span traces (GET /v1/jobs/{id}/trace, `dpkron job trace`); bounded in-memory retention")
-	traceMax := fs.Int("trace-max", 0,
-		"with -trace, traces retained in memory (0 = default 512; evicted with job history)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second,
 		"on SIGINT/SIGTERM, how long running jobs may finish before being cancelled")
 	metricsAddr := fs.String("metrics-addr", "",
@@ -791,10 +786,6 @@ func cmdServe(args []string) error {
 	opts := server.Options{
 		Workers: *pf.workers, MaxJobs: *maxJobs, MaxQueue: *maxQueue, MaxHistory: *maxHistory,
 		Metrics: reg, Logger: logger, EnablePprof: *enablePprof,
-	}
-	if *traceJobs {
-		opts.Traces = trace.NewStore(*traceMax)
-		fmt.Fprintln(os.Stderr, "dpkron serve: per-job tracing on (GET /v1/jobs/{id}/trace)")
 	}
 	if *ledgerPath != "" {
 		led, err := accountant.Open(*ledgerPath)

@@ -159,15 +159,16 @@
 // idempotency token. A job's trace therefore doubles as its
 // privacy-audit timeline. The server joins W3C Trace Context: a valid
 // incoming traceparent header is adopted and echoed, so the job's
-// trace id is the caller's. Traces are retained in a bounded
-// in-memory TraceStore (NewTraceStore, server.Options.Traces; evicted
-// with job history) and exported three ways: GET /v1/jobs/{id}/trace
+// trace id is the caller's. Every job the server admits is traced;
+// the trace lives on the job, is evicted with the job's history, and
+// its stage spans are the job's only stage record (the job view's
+// stage seconds and the stage histogram read them). Traces are
+// exported three ways: GET /v1/jobs/{id}/trace
 // (the TraceTree JSON), ?format=chrome (WriteChromeTrace, loadable in
 // chrome://tracing and ui.perfetto.dev), and `dpkron job trace` (an
 // ASCII waterfall). `dpkron audit <dataset>` needs no server: it
 // replays the ledger's time-stamped receipts against the journal into
 // a chronological spend report naming the job and request that paid.
-// The observability discipline is unchanged: a nil tracer, span or
-// store no-ops everywhere, and traced runs release bit-identical
-// results.
+// The observability discipline is unchanged: a nil tracer or span
+// no-ops everywhere, and traced runs release bit-identical results.
 package dpkron

@@ -130,10 +130,6 @@ type (
 	// TraceTree is a Tracer's exportable snapshot — the JSON shape
 	// GET /v1/jobs/{id}/trace serves and WriteChromeTrace consumes.
 	TraceTree = trace.Tree
-	// TraceStore is a bounded in-memory map of job id → Tracer; hand
-	// one to server.Options.Traces to retain per-job traces (evicted
-	// with job history).
-	TraceStore = trace.Store
 	// TraceContext is a W3C Trace Context identity (trace id, span
 	// id, flags) as parsed from / rendered to a traceparent header.
 	TraceContext = trace.Context
@@ -157,11 +153,6 @@ func MetricsHandler(reg *MetricsRegistry) http.Handler { return reg.Handler() }
 // caller's trace (ParseTraceparent), or the zero TraceContext to
 // start a fresh one with a random trace id.
 func NewTracer(ctx TraceContext) *Tracer { return trace.New(ctx) }
-
-// NewTraceStore returns a bounded trace store (max <= 0 selects the
-// default of 512 traces); hand it to server.Options.Traces to enable
-// GET /v1/jobs/{id}/trace and the CLI's `job trace` waterfall.
-func NewTraceStore(max int) *TraceStore { return trace.NewStore(max) }
 
 // ParseTraceparent parses a W3C traceparent header value. ok reports
 // whether it was well-formed; the parser never panics on hostile

@@ -749,9 +749,10 @@ func TestFingerprintInstrumentedServer(t *testing.T) {
 	}
 }
 
-// TestFingerprintTracedServer: tracing is observation only — the traced
-// server releases the pinned bits, records one span per Algorithm 1
-// stage, and its audit events sum to the receipt.
+// TestFingerprintTracedServer: tracing is observation only — the
+// server, which traces every job, releases the pinned bits through a
+// fully instrumented stack, records one span per Algorithm 1 stage,
+// and its audit events sum to the receipt.
 func TestFingerprintTracedServer(t *testing.T) {
 	logger, err := obs.NewLogger(io.Discard, "json", "debug")
 	if err != nil {
@@ -760,7 +761,6 @@ func TestFingerprintTracedServer(t *testing.T) {
 	ts, hdr, id, result := fpServeFit(t, server.Options{
 		Workers: 4, MaxJobs: 2, MaxQueue: 8,
 		Metrics: obs.NewRegistry(), Logger: logger, EnablePprof: true,
-		Traces: trace.NewStore(0),
 	})
 	if !strings.HasPrefix(hdr.Get("traceparent"), "00-") {
 		t.Errorf("fit response carries no traceparent: %q", hdr.Get("traceparent"))

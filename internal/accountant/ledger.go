@@ -144,24 +144,8 @@ func (l *Ledger) persistLocked() error {
 	if err != nil {
 		return err
 	}
-	tmp := l.path + ".tmp"
-	f, err := l.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("accountant: writing ledger: %w", err)
-	}
-	if _, err := f.Write(append(b, '\n')); err != nil {
-		f.Close()
-		return fmt.Errorf("accountant: writing ledger: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("accountant: syncing ledger: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("accountant: closing ledger: %w", err)
-	}
-	if err := l.fs.Rename(tmp, l.path); err != nil {
-		return fmt.Errorf("accountant: committing ledger: %w", err)
+	if err := faultfs.WriteAtomic(l.fs, l.path, "ledger", append(b, '\n')); err != nil {
+		return fmt.Errorf("accountant: %w", err)
 	}
 	return nil
 }

@@ -182,8 +182,8 @@ func (s *Store) PutFormat(g *graph.Graph, name, source string, format int) (Meta
 	} else {
 		data = Marshal(g)
 	}
-	if err := writeAtomic(s.fs, s.graphPath(id), data); err != nil {
-		return Meta{}, false, err
+	if err := faultfs.WriteAtomic(s.fs, s.graphPath(id), s.graphPath(id), data); err != nil {
+		return Meta{}, false, fmt.Errorf("dataset: %w", err)
 	}
 	m := Meta{
 		ID:       id,
@@ -207,7 +207,10 @@ func (s *Store) writeMeta(m Meta) error {
 	if err != nil {
 		return err
 	}
-	return writeAtomic(s.fs, s.metaPath(m.ID), append(mb, '\n'))
+	if err := faultfs.WriteAtomic(s.fs, s.metaPath(m.ID), s.metaPath(m.ID), append(mb, '\n')); err != nil {
+		return fmt.Errorf("dataset: %w", err)
+	}
+	return nil
 }
 
 // ImportReader streams a graph from r — SNAP text, gzip, Matrix
@@ -419,8 +422,8 @@ func (s *Store) Convert(id string, format int) (Meta, error) {
 	} else {
 		out = Marshal(g)
 	}
-	if err := writeAtomic(s.fs, path, out); err != nil {
-		return Meta{}, err
+	if err := faultfs.WriteAtomic(s.fs, path, path, out); err != nil {
+		return Meta{}, fmt.Errorf("dataset: %w", err)
 	}
 	m.Bytes = int64(len(out))
 	m.Format = format
@@ -560,29 +563,4 @@ func (s *Store) ExportEdgeList(id string, w io.Writer) error {
 		return err
 	}
 	return g.WriteEdgeList(w)
-}
-
-// writeAtomic writes data to path via tmp file, fsync and rename, so
-// readers only ever observe complete files.
-func writeAtomic(fsys faultfs.FS, path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("dataset: writing %s: %w", path, err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("dataset: writing %s: %w", path, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("dataset: syncing %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("dataset: closing %s: %w", path, err)
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		return fmt.Errorf("dataset: committing %s: %w", path, err)
-	}
-	return nil
 }

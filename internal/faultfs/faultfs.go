@@ -21,6 +21,7 @@
 package faultfs
 
 import (
+	"fmt"
 	"io"
 	"io/fs"
 	"os"
@@ -93,3 +94,30 @@ func (osFS) Stat(name string) (fs.FileInfo, error)        { return os.Stat(name)
 func (osFS) MkdirAll(path string, perm fs.FileMode) error { return os.MkdirAll(path, perm) }
 func (osFS) Truncate(name string, size int64) error       { return os.Truncate(name, size) }
 func (osFS) Now() time.Time                               { return time.Now() }
+
+// WriteAtomic writes data to path through a temporary sibling file —
+// write, fsync, close, then rename over path — so readers only ever
+// observe a complete file. Errors name the failed step and what is
+// being written ("syncing ledger: …"); callers prefix their package.
+func WriteAtomic(fsys FS, path, what string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("writing %s: %w", what, err)
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return fmt.Errorf("writing %s: %w", what, err)
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return fmt.Errorf("syncing %s: %w", what, err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("closing %s: %w", what, err)
+	}
+	if err := fsys.Rename(tmp, path); err != nil {
+		return fmt.Errorf("committing %s: %w", what, err)
+	}
+	return nil
+}

@@ -282,10 +282,6 @@ func (b *Builder) AddPackedEdges(keys []int64) {
 	b.pairs = append(b.pairs, keys...)
 }
 
-// NumPending returns the number of edge mentions recorded so far
-// (duplicates included).
-func (b *Builder) NumPending() int { return len(b.pairs) }
-
 // Build produces the Graph on the calling goroutine; it is
 // BuildWorkers(1). The Builder may be reused afterwards; its
 // accumulated edges are retained, and the sort buffers are kept so
@@ -351,17 +347,6 @@ func (b *Builder) BuildWorkers(workers int) *Graph {
 		cursor[u]++
 	}
 	return g
-}
-
-// Absorb appends every edge mention recorded in o into b, leaving o
-// unchanged. It is how per-shard builders produced by parallel samplers
-// are merged before a single Build; duplicates across shards are merged
-// by Build as usual. It panics if the node counts differ.
-func (b *Builder) Absorb(o *Builder) {
-	if o.n != b.n {
-		panic(fmt.Sprintf("graph: Absorb node count mismatch: %d != %d", o.n, b.n))
-	}
-	b.pairs = append(b.pairs, o.pairs...)
 }
 
 // FromEdges builds a graph on n nodes from an edge slice. Loops are

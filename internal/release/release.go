@@ -225,8 +225,8 @@ func (c *Cache) Put(key Key, payload any) (*Entry, error) {
 		return nil, fmt.Errorf("release: locking cache: %w", err)
 	}
 	defer unlock()
-	if err := writeAtomic(c.fs, c.entryPath(fp), append(data, '\n')); err != nil {
-		return nil, err
+	if err := faultfs.WriteAtomic(c.fs, c.entryPath(fp), c.entryPath(fp), append(data, '\n')); err != nil {
+		return nil, fmt.Errorf("release: %w", err)
 	}
 	c.mu.Lock()
 	c.remember(fp, e)
@@ -423,30 +423,4 @@ func (c *Cache) forget(fp string) {
 			return
 		}
 	}
-}
-
-// writeAtomic writes data to path via tmp file, fsync and rename, so
-// readers only ever observe complete files (the dataset store's
-// pattern).
-func writeAtomic(fsys faultfs.FS, path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("release: writing %s: %w", path, err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("release: writing %s: %w", path, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("release: syncing %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("release: closing %s: %w", path, err)
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		return fmt.Errorf("release: committing %s: %w", path, err)
-	}
-	return nil
 }

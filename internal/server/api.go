@@ -130,7 +130,8 @@ type FitResult struct {
 	// Receipt itemizes the run's mechanism charges (private only).
 	Receipt *accountant.Receipt `json:"receipt,omitempty"`
 	// Dataset and Remaining report the ledger account charged and what
-	// it has left (ledger-enforced private fits only).
+	// it had left as of admission, right after this fit's debit
+	// (ledger-enforced private fits only).
 	Dataset   string     `json:"dataset,omitempty"`
 	Remaining *dp.Budget `json:"remaining,omitempty"`
 	// Features are the (private, for method private; exact otherwise)
@@ -192,9 +193,8 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 	}
 	// The job's tracer joins the trace context the middleware already
 	// established (and echoed), so the trace id the client holds finds
-	// this job's span tree. Nil tracer/span when tracing is off — every
-	// use below no-ops.
-	tr, root := s.startJobTrace(r, "fit/"+method)
+	// this job's span tree.
+	tr, root := startJobTrace(r, "fit/"+method)
 	// Release-cache keying: a private fit's question is identified by
 	// the content fingerprint of (dataset bytes, ε, δ, policy,
 	// mechanism config, seed). The key is built before the graph is
@@ -271,11 +271,14 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 	// per-admission idempotent spend token, so a replay after a crash
 	// re-issues it without double-charging; without one, as a plain
 	// debit. An exhausted account surfaces as 429 with the remaining
-	// budget in the body.
-	var admit func(token string) error
+	// budget in the body. The account is read once, right after the
+	// debit: that read labels the audit events and is the result's
+	// remaining budget.
+	var admit func(token string) (dp.Budget, error)
 	var dataset string
 	var planned *accountant.Receipt
 	var refused *accountant.ExhaustedError
+	var remaining *dp.Budget
 	if s.opts.Ledger != nil && method == "private" {
 		dataset = req.Dataset
 		if dataset == "" {
@@ -289,29 +292,30 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		}
 		p := core.PlannedReceipt(req.Eps, req.Delta)
 		planned = &p
-		admit = func(token string) error {
+		remaining = new(dp.Budget)
+		admit = func(token string) (dp.Budget, error) {
 			var err error
 			if token == "" {
 				err = s.opts.Ledger.Spend(dataset, p)
 			} else {
 				err = s.opts.Ledger.SpendToken(dataset, p, token)
 			}
-			errors.As(err, &refused)
-			return err
+			if err != nil {
+				errors.As(err, &refused)
+				return dp.Budget{}, err
+			}
+			*remaining = s.opts.Ledger.Remaining(dataset)
+			return *remaining, nil
 		}
 	}
 	fj := fitJob{
-		req: req, method: method, dataset: dataset,
+		req: req, method: method, dataset: dataset, remaining: remaining,
 		relKey: relKey, useCache: useCache,
 		loadGraph: func() (*graph.Graph, error) { return g, nil },
 		root:      root,
 	}
 	fn := s.fitFn(fj)
 	reqJSON, _ := json.Marshal(&req)
-	traceID := TraceContextFrom(r.Context()).TraceID
-	if tr != nil {
-		traceID = tr.TraceID()
-	}
 	spec := jobSpec{
 		kind:      "fit/" + method,
 		request:   reqJSON,
@@ -320,7 +324,7 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		admit:     admit,
 		fn:        fn,
 		requestID: RequestIDFrom(r.Context()),
-		traceID:   traceID,
+		traceID:   tr.TraceID(),
 		tr:        tr,
 		root:      root,
 	}
@@ -395,19 +399,23 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 type fitJob struct {
 	// req is the FitRequest after defaulting — the form that is
 	// journaled, so replay never re-derives defaults.
-	req      FitRequest
-	method   string
-	dataset  string
-	relKey   release.Key
-	useCache bool
+	req     FitRequest
+	method  string
+	dataset string
+	// remaining is the ledger account's remaining budget as of the
+	// admission debit, filled by that debit before the job runs (nil
+	// for fits no ledger charges).
+	remaining *dp.Budget
+	relKey    release.Key
+	useCache  bool
 	// loadGraph defers graph materialization into the job: the HTTP
 	// path closes over the already-decoded graph, replay loads from
 	// the store or re-parses the recorded request — and a load failure
 	// becomes a journaled job failure, never silence.
 	loadGraph func() (*graph.Graph, error)
-	// root is the job's root trace span (nil when tracing is off):
-	// the run's accountant charges land on it as audit events, and the
-	// release-cache Put gets a span under it.
+	// root is the job's root trace span: the run's accountant charges
+	// land on it as audit events, and the release-cache Put gets a span
+	// under it.
 	root *trace.Span
 }
 
@@ -448,7 +456,7 @@ func (s *Server) fitFn(fj fitJob) func(run *pipeline.Run) (any, error) {
 			// the ledger was debited for — a belt-and-braces guarantee
 			// that no mechanism can spend beyond the admission debit.
 			// Its observer turns every charge into a privacy-audit event
-			// on the job's trace (a no-op observer when tracing is off).
+			// on the job's trace.
 			acc := accountant.New(nil).
 				WithLimit(dp.Budget{Eps: req.Eps, Delta: req.Delta}).
 				WithObserver(auditObserver(fj.root))
@@ -461,17 +469,14 @@ func (s *Server) fitFn(fj fitJob) func(run *pipeline.Run) (any, error) {
 			out := PrivateFitResult(res, fj.dataset)
 			if fj.useCache {
 				// Memoize the release itself — before Remaining is filled,
-				// which reports ledger state at this moment, not part of
-				// the answer. A failed Put costs future hits, not this
-				// run's correctness.
+				// which reports ledger state, not part of the answer. A
+				// failed Put costs future hits, not this run's
+				// correctness.
 				psp := fj.root.Child("release-cache-put")
 				_, _ = s.opts.Releases.Put(fj.relKey, out)
 				psp.End()
 			}
-			if s.opts.Ledger != nil && fj.dataset != "" {
-				rem := s.opts.Ledger.Remaining(fj.dataset)
-				out.Remaining = &rem
-			}
+			out.Remaining = fj.remaining
 			return out, nil
 		}
 	}
@@ -598,15 +603,11 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	tr, root := s.startJobTrace(r, "generate")
+	tr, root := startJobTrace(r, "generate")
 	reqJSON, _ := json.Marshal(&req)
-	traceID := TraceContextFrom(r.Context()).TraceID
-	if tr != nil {
-		traceID = tr.TraceID()
-	}
 	spec := jobSpec{
 		kind: "generate", request: reqJSON,
-		requestID: RequestIDFrom(r.Context()), traceID: traceID,
+		requestID: RequestIDFrom(r.Context()), traceID: tr.TraceID(),
 		tr: tr, root: root,
 	}
 	spec.fn = func(run *pipeline.Run) (any, error) {

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"strings"
 
+	"dpkron/internal/dp"
 	"dpkron/internal/graph"
 	"dpkron/internal/journal"
 	"dpkron/internal/pipeline"
@@ -120,6 +121,9 @@ func (s *Server) resume(st *journal.JobState) {
 	// makes this the one real debit. A genuine refusal (the debit never
 	// landed and the budget is gone) closes the job as failed: the
 	// invariant's explicit-failure arm, with no debit left dangling.
+	// As on the HTTP path, the account is read once after the debit for
+	// the result's remaining budget.
+	var remaining *dp.Budget
 	if s.opts.Ledger != nil && method == "private" && ad.Dataset != "" && ad.Planned != nil {
 		tok := ad.Token
 		if tok == "" {
@@ -130,25 +134,24 @@ func (s *Server) resume(st *journal.JobState) {
 			return
 		}
 		_ = s.opts.Journal.Append(journal.Record{Job: st.Job, State: journal.StateDebited}, false)
+		rem := s.opts.Ledger.Remaining(ad.Dataset)
+		remaining = &rem
 	}
 	// The resumed job's tracer adopts the journaled trace id, so the
 	// trace a client started before the crash finds the work that
 	// finished after it; the originating request id rides along as an
 	// attribute on the new root span.
-	var tr *trace.Tracer
-	var root *trace.Span
-	if s.opts.Traces != nil {
-		tr = trace.New(trace.Context{TraceID: ad.TraceID})
-		root = tr.Start(nil, st.Kind,
-			trace.String("resumed", "true"),
-			trace.String("request_id", ad.RequestID))
-	}
+	tr := trace.New(trace.Context{TraceID: ad.TraceID})
+	root := tr.Start(nil, st.Kind,
+		trace.String("resumed", "true"),
+		trace.String("request_id", ad.RequestID))
 	fj := fitJob{
-		req:      req,
-		method:   method,
-		dataset:  ad.Dataset,
-		useCache: useCache,
-		root:     root,
+		req:       req,
+		method:    method,
+		dataset:   ad.Dataset,
+		remaining: remaining,
+		useCache:  useCache,
+		root:      root,
 		loadGraph: func() (*graph.Graph, error) {
 			dsp := root.Child("dataset-load")
 			defer dsp.End()

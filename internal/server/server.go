@@ -56,6 +56,17 @@
 // under its own context derived from the server's, so Close cancels
 // everything in flight.
 //
+// Every admitted job is traced: W3C traceparent adopted from the
+// request, spans for admission, journal appends, the ledger debit,
+// dataset load, queueing and every pipeline stage, plus a
+// privacy-audit event per accountant debit or refusal. The job holds
+// its tracer, so GET /v1/jobs/{id}/trace serves it for as long as the
+// job is retained and it is evicted with the job's history. The stage
+// spans are the job's one stage record: GET /v1/jobs/{id} stage
+// seconds and the dpkron_job_stage_seconds histogram are read from
+// them. Tracing never moves a released bit: trace ids never touch the
+// seeded streams.
+//
 // With Options.Journal configured, the server is crash-safe: every
 // job transition is appended to a durable, checksummed journal — the
 // admission record (fsynced before the ledger debit) carries the
@@ -84,10 +95,10 @@ import (
 	"log/slog"
 	"net/http"
 	"sync"
-	"time"
 
 	"dpkron/internal/accountant"
 	"dpkron/internal/dataset"
+	"dpkron/internal/dp"
 	"dpkron/internal/journal"
 	"dpkron/internal/obs"
 	"dpkron/internal/parallel"
@@ -108,11 +119,14 @@ type Options struct {
 	MaxQueue int
 	// MaxHistory bounds retained *finished* jobs (default 256): once
 	// exceeded, the oldest terminal jobs are evicted so a long-running
-	// server's memory stays bounded. Queued and running jobs are never
-	// evicted.
+	// server's memory stays bounded. Every admitted job is traced and
+	// its span tree is evicted with it. Queued and running jobs are
+	// never evicted.
 	MaxHistory int
 	// EventLog, when set, receives every job's pipeline events as they
 	// arrive (serialized per job). Used by `dpkron serve -progress`.
+	// The job's own stage record is its stage spans, whether or not
+	// EventLog is set.
 	EventLog func(jobID string, e pipeline.Event)
 	// Ledger, when set, turns on per-dataset privacy-budget
 	// enforcement: every private fit is debited against its dataset's
@@ -153,16 +167,6 @@ type Options struct {
 	// Logger receives structured request, job and admission logs with
 	// per-request/per-job correlation ids. Nil discards them.
 	Logger *slog.Logger
-	// Traces, when set, records a span tree per job — W3C traceparent
-	// adopted from the request, spans for admission, journal appends,
-	// the ledger debit, dataset load, queueing and every pipeline
-	// stage, plus a privacy-audit event per accountant debit/refusal —
-	// retained in this bounded store (dropped alongside job-history
-	// eviction) and served by GET /v1/jobs/{id}/trace. Nil keeps every
-	// tracing path at its zero-cost no-op; a job's outputs are
-	// bit-identical either way (trace ids never touch the seeded
-	// streams).
-	Traces *trace.Store
 	// EnablePprof mounts net/http/pprof under GET /debug/pprof/.
 	EnablePprof bool
 }
@@ -352,14 +356,15 @@ const (
 	StatusCancelled = "cancelled"
 )
 
-// StageProgress is one stage's latest progress fraction, in the order
-// the stages first reported.
+// StageProgress is one stage's furthest progress fraction, in the
+// order the stages first reported, read from the job's stage spans.
 type StageProgress struct {
 	Stage string  `json:"stage"`
 	Frac  float64 `json:"frac"`
-	// Seconds is the stage's wall-clock time so far (final once frac
-	// reaches 1) — the trace `dpkron job show -v` renders, matching
-	// the dpkron_job_stage_seconds histogram an operator scrapes.
+	// Seconds is the stage span's duration so far (final once frac
+	// reaches 1) — the same value as the span's seconds in
+	// GET /v1/jobs/{id}/trace and as the dpkron_job_stage_seconds
+	// observation an operator scrapes.
 	Seconds float64 `json:"seconds,omitempty"`
 }
 
@@ -372,59 +377,23 @@ type job struct {
 	status string
 	// ran records that the job reached running (vs cancelled straight
 	// out of the queue) — it decides which gauge finalize decrements.
-	ran        bool
-	stages     []StageProgress
-	stageStart map[string]time.Time
-	result     any
-	errMsg     string
+	ran bool
+	// stages is the job's stage record, set when the job starts
+	// running.
+	stages *trace.StageSpans
+	result any
+	errMsg string
 	// journaled marks the terminal state as recorded in the journal;
 	// only journaled terminal jobs may be evicted from memory.
 	journaled bool
 
-	// tr and root carry the job's tracer and root span when tracing is
-	// on (both nil otherwise — every use no-ops). Set before the job is
-	// registered and never mutated after, so they need no lock.
+	// tr and root carry the job's tracer and root span. Every admitted
+	// job has them; jobs registered already terminal (journal history,
+	// release-cache hits, journaled jobs that could not resume) never
+	// ran here and have none. Set before the job is registered and
+	// never mutated after, so they need no lock.
 	tr   *trace.Tracer
 	root *trace.Span
-}
-
-// sink returns the pipeline Sink recording stage progress (and
-// per-stage wall-clock timing) on the job. A stage's clock starts at
-// its first event and its duration lands in stageSeconds when an
-// event reports frac >= 1 — tracing derived entirely from the
-// progress events the pipeline already emits.
-func (j *job) sink(stageSeconds *obs.HistogramVec) pipeline.Sink {
-	return func(e pipeline.Event) {
-		now := time.Now()
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		for i := range j.stages {
-			if j.stages[i].Stage == e.Stage {
-				if e.Frac > j.stages[i].Frac {
-					j.stages[i].Frac = e.Frac
-				}
-				if start, ok := j.stageStart[e.Stage]; ok {
-					elapsed := now.Sub(start).Seconds()
-					j.stages[i].Seconds = elapsed
-					if e.Frac >= 1 {
-						stageSeconds.With(e.Stage).Observe(elapsed)
-						delete(j.stageStart, e.Stage)
-					}
-				}
-				return
-			}
-		}
-		if j.stageStart == nil {
-			j.stageStart = map[string]time.Time{}
-		}
-		j.stages = append(j.stages, StageProgress{Stage: e.Stage, Frac: e.Frac})
-		if e.Frac >= 1 {
-			// A stage whose very first event is completion: zero-length.
-			stageSeconds.With(e.Stage).Observe(0)
-			return
-		}
-		j.stageStart[e.Stage] = now
-	}
 }
 
 // setStatus transitions the job unless it already reached a terminal
@@ -460,16 +429,19 @@ type view struct {
 
 func (j *job) view() view {
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	v := view{
 		ID:     j.id,
 		Kind:   j.kind,
 		Status: j.status,
-		Stages: append([]StageProgress(nil), j.stages...),
 		Error:  j.errMsg,
 	}
 	if j.status == StatusDone {
 		v.Result = j.result
+	}
+	stages := j.stages
+	j.mu.Unlock()
+	for _, st := range stages.Stages() {
+		v.Stages = append(v.Stages, StageProgress{Stage: st.Name, Frac: st.Frac, Seconds: st.Seconds})
 	}
 	return v
 }
@@ -499,17 +471,19 @@ type jobSpec struct {
 	// job is registered — the ledger-debit hook. With a journal it
 	// receives the admission's unique spend token (journaled, so replay
 	// re-issues the identical idempotent debit); without one the token
-	// is empty and the hook debits plainly.
-	admit func(token string) error
+	// is empty and the hook debits plainly. On success it returns the
+	// account's remaining budget as of the debit, which the audit
+	// events record.
+	admit func(token string) (dp.Budget, error)
 	fn    func(run *pipeline.Run) (any, error)
 	// requestID and traceID tie the journaled admission back to the
 	// originating HTTP request, so a crash-resumed job's trace links to
 	// the request that paid for it.
 	requestID string
 	traceID   string
-	// tr and root are the job's tracer and root span (nil when tracing
-	// is off); submit hangs admission, queue-wait and run spans off
-	// them and stores the tracer under the job id.
+	// tr and root are the job's tracer and root span; submit hangs
+	// admission, queue-wait and run spans off them, and the job keeps
+	// the tracer for GET /v1/jobs/{id}/trace.
 	tr   *trace.Tracer
 	root *trace.Span
 }
@@ -583,8 +557,8 @@ func (s *Server) submit(spec jobSpec) (*job, int, string) {
 	}
 	if spec.admit != nil {
 		deb := adm.Child("ledger-debit", trace.String("dataset", spec.dataset))
-		err := spec.admit(token)
-		s.auditDebit(deb, spec.dataset, spec.planned, err)
+		rem, err := spec.admit(token)
+		auditDebit(deb, spec.dataset, spec.planned, rem, err)
 		deb.End()
 		if err != nil {
 			// Close the journaled admission with an explicit failure —
@@ -625,9 +599,6 @@ func (s *Server) submit(spec jobSpec) (*job, int, string) {
 	s.wg.Add(1)
 	s.mu.Unlock()
 	adm.End()
-	// Store the tracer as soon as the job exists: an in-flight job's
-	// trace is queryable while it runs, not only after it finishes.
-	s.opts.Traces.Put(id, spec.tr)
 	s.met.jobsSubmitted.With(spec.kind).Inc()
 	s.met.jobsQueued.Inc()
 	s.log.LogAttrs(context.Background(), slog.LevelInfo, "job admitted",
@@ -665,22 +636,20 @@ func (s *Server) submit(spec jobSpec) (*job, int, string) {
 			// started.
 			_ = s.opts.Journal.Append(journal.Record{Job: j.id, State: journal.StateRunning}, false)
 		}
-		sink := j.sink(s.met.stageSeconds)
-		if s.opts.EventLog != nil {
-			inner := sink
-			id := j.id
-			sink = func(e pipeline.Event) {
-				inner(e)
-				s.opts.EventLog(id, e)
-			}
-		}
 		runSp := j.tr.Start(j.root, "run", trace.Int("workers", s.jobWorkers))
 		stages := j.tr.StageSpans(runSp, trace.Int("workers", s.jobWorkers))
-		if stages != nil {
-			inner := sink
-			sink = func(e pipeline.Event) {
-				inner(e)
-				stages.Observe(e.Stage, e.Frac)
+		j.mu.Lock()
+		j.stages = stages
+		j.mu.Unlock()
+		// A stage's duration is observed when the event closing its span
+		// arrives; stages a failed or cancelled run leaves open are
+		// closed below but never observed.
+		sink := func(e pipeline.Event) {
+			if secs, closed := stages.Observe(e.Stage, e.Frac); closed {
+				s.met.stageSeconds.With(e.Stage).Observe(secs)
+			}
+			if s.opts.EventLog != nil {
+				s.opts.EventLog(j.id, e)
 			}
 		}
 		res, err := fn(pipeline.New(ctx, s.jobWorkers, sink))
@@ -818,10 +787,8 @@ func (s *Server) evictHistoryLocked() {
 	evicted := 0
 	for _, id := range s.order {
 		if evict > 0 && s.jobs[id].evictable() {
+			// The job holds its tracer, so its span tree goes with it.
 			delete(s.jobs, id)
-			// Trace retention tracks job retention: an evicted job's
-			// span tree goes with it.
-			s.opts.Traces.Drop(id)
 			evict--
 			evicted++
 			continue

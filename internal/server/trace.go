@@ -24,12 +24,8 @@ func TraceContextFrom(ctx context.Context) trace.Context {
 // startJobTrace builds the tracer and root span for a job-submitting
 // request, joining the trace the middleware established (so the trace
 // id a client received in the response traceparent finds this job's
-// tree). Returns nils when tracing is off — every downstream use
-// no-ops.
-func (s *Server) startJobTrace(r *http.Request, kind string) (*trace.Tracer, *trace.Span) {
-	if s.opts.Traces == nil {
-		return nil, nil
-	}
+// tree).
+func startJobTrace(r *http.Request, kind string) (*trace.Tracer, *trace.Span) {
 	tr := trace.New(TraceContextFrom(r.Context()))
 	root := tr.Start(nil, kind, trace.String("request_id", RequestIDFrom(r.Context())))
 	return tr, root
@@ -37,12 +33,13 @@ func (s *Server) startJobTrace(r *http.Request, kind string) (*trace.Tracer, *tr
 
 // auditDebit records the admission-time ledger decision on the debit
 // span: one audit event per planned mechanism charge on success (the
-// itemized ε/δ the ledger just accepted, plus the account's remaining
-// budget), or a single refusal event carrying what was asked and what
-// remained. Together with the per-run accountant events, this makes
-// the trace the job's privacy-audit timeline.
-func (s *Server) auditDebit(sp *trace.Span, dataset string, planned *accountant.Receipt, err error) {
-	if sp == nil || planned == nil {
+// itemized ε/δ the ledger just accepted, plus rem, the account's
+// remaining budget as of the debit), or a single refusal event carrying
+// what was asked and what remained. Together with the per-run
+// accountant events, this makes the trace the job's privacy-audit
+// timeline.
+func auditDebit(sp *trace.Span, dataset string, planned *accountant.Receipt, rem dp.Budget, err error) {
+	if planned == nil {
 		return
 	}
 	if err != nil {
@@ -62,10 +59,6 @@ func (s *Server) auditDebit(sp *trace.Span, dataset string, planned *accountant.
 		sp.Event("ledger-refusal", attrs...)
 		return
 	}
-	var rem dp.Budget
-	if s.opts.Ledger != nil && dataset != "" {
-		rem = s.opts.Ledger.Remaining(dataset)
-	}
 	for _, c := range planned.Charges {
 		sp.Event("ledger-debit",
 			trace.String("dataset", dataset),
@@ -81,12 +74,8 @@ func (s *Server) auditDebit(sp *trace.Span, dataset string, planned *accountant.
 // auditObserver builds the accountant Observer that turns each
 // in-run mechanism charge (or refusal) into an audit event on the
 // job's root span: mechanism name, ε/δ charged, and the run budget
-// remaining after the decision. Returns nil when the span is nil, so
-// an untraced accountant carries no observer at all.
+// remaining after the decision.
 func auditObserver(root *trace.Span) accountant.Observer {
-	if root == nil {
-		return nil
-	}
 	return func(c accountant.Charge, rem dp.Budget, err error) {
 		attrs := []trace.Attr{
 			trace.String("mechanism", c.Mechanism),
@@ -108,18 +97,15 @@ func auditObserver(root *trace.Span) accountant.Observer {
 // handleJobTrace serves GET /v1/jobs/{id}/trace: the job's span tree
 // as JSON, or as a Chrome/Perfetto trace-event file with
 // ?format=chrome (load it in chrome://tracing or ui.perfetto.dev).
+// The trace lives on the job, so it is evicted with the job's history.
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	if s.opts.Traces == nil {
-		writeError(w, http.StatusNotFound, "tracing is not enabled (start the server with tracing on)")
-		return
-	}
 	id := r.PathValue("id")
-	tr, ok := s.opts.Traces.Get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no trace for this job (unknown id, evicted with job history, or admitted before tracing)")
+	j := s.lookup(id)
+	if j == nil || j.tr == nil {
+		writeError(w, http.StatusNotFound, "no trace for this job (unknown id, evicted with job history, or a job that did not run here: restored as finished or a release-cache hit)")
 		return
 	}
-	tree := tr.Tree()
+	tree := j.tr.Tree()
 	if r.URL.Query().Get("format") == "chrome" {
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Content-Disposition", `attachment; filename="`+id+`.trace.json"`)

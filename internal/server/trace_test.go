@@ -14,8 +14,11 @@ import (
 
 	"dpkron/internal/accountant"
 	"dpkron/internal/dp"
+	"dpkron/internal/faultfs"
 	"dpkron/internal/graph"
 	"dpkron/internal/journal"
+	"dpkron/internal/obs"
+	"dpkron/internal/pipeline"
 	"dpkron/internal/release"
 	"dpkron/internal/trace"
 )
@@ -76,7 +79,7 @@ func sumEvents(t *testing.T, tree *trace.Tree, name string) (eps, delta float64,
 }
 
 // TestServerTraceEndToEnd runs one ledger-enforced private fit on a
-// fully traced server (ledger + release cache + journal + traces) and
+// fully wired server (ledger + release cache + journal) and
 // asserts the tentpole contract: the client's traceparent is adopted
 // and echoed, the exported trace holds one span per algorithm1/*
 // stage plus the explicit admission/journal/debit/dataset-load spans,
@@ -107,10 +110,9 @@ func TestServerTraceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer jnl.Close()
-	store := trace.NewStore(0)
 	_, ts := newTestServer(t, Options{
 		Workers: 2, MaxJobs: 2,
-		Ledger: led, Releases: cache, Journal: jnl, Traces: store,
+		Ledger: led, Releases: cache, Journal: jnl,
 	})
 
 	body, _ := json.Marshal(FitRequest{Method: "private", Eps: 0.4, Delta: 0.01, K: 8, Seed: 3, EdgeList: edges})
@@ -285,16 +287,20 @@ func TestServerTraceEndToEnd(t *testing.T) {
 		}
 	}
 
-	// A second identical fit is a cache hit: no new trace is stored
-	// for the synthetic completed job, and the original is untouched.
+	// A second identical fit is a cache hit: the synthetic completed
+	// job never ran here, so it has no trace, and the original's is
+	// untouched.
 	code2, resp2 := doJSON(t, http.MethodPost, ts.URL+"/v1/fit", FitRequest{
 		Method: "private", Eps: 0.4, Delta: 0.01, K: 8, Seed: 3, EdgeList: edges,
 	})
 	if code2 != http.StatusOK {
 		t.Fatalf("repeat fit: status %d (%v)", code2, resp2)
 	}
-	if store.Len() != 1 {
-		t.Fatalf("trace store holds %d traces after a cache hit, want 1", store.Len())
+	if _, code := getTree(t, ts.URL, resp2["id"].(string)); code != http.StatusNotFound {
+		t.Fatalf("cache-hit job trace: status %d, want 404", code)
+	}
+	if again, code := getTree(t, ts.URL, id); code != http.StatusOK || len(collectSpans(again)) != len(spans) {
+		t.Fatalf("original trace after a cache hit: status %d", code)
 	}
 }
 
@@ -307,7 +313,7 @@ func keys(m map[string][]*trace.Node) []string {
 }
 
 // TestServerTraceResumeLinksOrigin synthesizes a crash after the
-// admission record and restarts with tracing on: the resumed job's
+// admission record and restarts: the resumed job's
 // trace must adopt the journaled trace id and carry the originating
 // request id, linking the post-crash work to the pre-crash request.
 func TestServerTraceResumeLinksOrigin(t *testing.T) {
@@ -336,10 +342,9 @@ func TestServerTraceResumeLinksOrigin(t *testing.T) {
 	if err := jnl.Append(ad, true); err != nil {
 		t.Fatal(err)
 	}
-	store := trace.NewStore(0)
 	_, ts := newTestServer(t, Options{
 		Workers: 2, MaxJobs: 2,
-		Ledger: led, Releases: cache, Journal: jnl, Traces: store,
+		Ledger: led, Releases: cache, Journal: jnl,
 	})
 	job := pollJob(t, ts.URL, ad.Job, 120*time.Second)
 	if job["status"] != StatusDone {
@@ -361,14 +366,10 @@ func TestServerTraceResumeLinksOrigin(t *testing.T) {
 	}
 }
 
-// TestServerTraceEvictionAndDisabled covers the retention contract
-// (trace dropped with job-history eviction) and the disabled path
-// (404, not a panic or an empty tree).
-func TestServerTraceEvictionAndDisabled(t *testing.T) {
-	store := trace.NewStore(0)
-	_, ts := newTestServer(t, Options{
-		Workers: 1, MaxJobs: 1, MaxHistory: 1, Traces: store,
-	})
+// TestServerTraceEviction covers the retention contract: a job holds
+// its trace, so the trace is evicted with the job's history.
+func TestServerTraceEviction(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1, MaxJobs: 1, MaxHistory: 1})
 	var ids []string
 	for i := 0; i < 3; i++ {
 		code, resp := doJSON(t, http.MethodPost, ts.URL+"/v1/generate", GenerateRequest{
@@ -387,7 +388,7 @@ func TestServerTraceEvictionAndDisabled(t *testing.T) {
 	// with them; eviction runs in finalize, so poll briefly.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, ok := store.Get(ids[0]); !ok {
+		if _, code := getTree(t, ts.URL, ids[0]); code == http.StatusNotFound {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -395,28 +396,207 @@ func TestServerTraceEvictionAndDisabled(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if _, code := getTree(t, ts.URL, ids[0]); code != http.StatusNotFound {
-		t.Fatalf("evicted job trace: status %d, want 404", code)
-	}
 	if tree, code := getTree(t, ts.URL, ids[2]); code != http.StatusOK {
 		t.Fatalf("latest job trace: status %d", code)
 	} else if len(tree.Spans) == 0 || tree.Spans[0].Name != "generate" {
 		t.Fatalf("latest trace = %+v", tree.Spans)
 	}
+}
 
-	// Tracing disabled: the endpoint answers 404 and jobs run normally.
-	_, plain := newTestServer(t, Options{Workers: 1, MaxJobs: 1})
-	code, resp := doJSON(t, http.MethodPost, plain.URL+"/v1/generate", GenerateRequest{
-		A: 0.9, B: 0.5, C: 0.3, K: 3, Seed: 1, Method: "exact",
+// TestStageRecordOneClock: a job's stage spans are its one stage
+// record. A served private fit's stage seconds in GET /v1/jobs/{id},
+// its algorithm1/* span seconds in GET /v1/jobs/{id}/trace and its
+// dpkron_job_stage_seconds observations are the same numbers. A stage
+// whose first event reports completion is listed with a zero-length
+// span, and the stages a cancelled job leaves open are closed but
+// never observed.
+func TestStageRecordOneClock(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 2, MaxJobs: 2, Metrics: obs.NewRegistry()})
+	code, resp := doJSON(t, http.MethodPost, ts.URL+"/v1/fit", FitRequest{
+		Method: "private", Eps: 0.4, Delta: 0.01, K: 8, Seed: 3, EdgeList: testEdgeList(t, 8),
 	})
 	if code != http.StatusAccepted {
-		t.Fatalf("untraced generate: status %d (%v)", code, resp)
+		t.Fatalf("POST /v1/fit: status %d (%v)", code, resp)
 	}
 	id := resp["id"].(string)
-	if job := pollJob(t, plain.URL, id, 60*time.Second); job["status"] != StatusDone {
-		t.Fatalf("untraced generate ended %v", job["status"])
+	job := pollJob(t, ts.URL, id, 120*time.Second)
+	if job["status"] != StatusDone {
+		t.Fatalf("fit ended %v: %v", job["status"], job)
 	}
-	if _, code := getTree(t, plain.URL, id); code != http.StatusNotFound {
-		t.Fatalf("trace on untraced server: status %d, want 404", code)
+	tree, code := getTree(t, ts.URL, id)
+	if code != http.StatusOK {
+		t.Fatalf("GET trace: status %d", code)
 	}
+	spans := collectSpans(tree)
+	metrics := scrapeMetrics(t, ts.URL)
+	var compared int
+	for _, raw := range job["stages"].([]any) {
+		st := raw.(map[string]any)
+		name := st["stage"].(string)
+		if !strings.HasPrefix(name, "algorithm1/") {
+			continue
+		}
+		secs, _ := st["seconds"].(float64) // omitted when zero
+		if len(spans[name]) != 1 {
+			t.Fatalf("stage %q has %d spans, want 1", name, len(spans[name]))
+		}
+		if span := spans[name][0].Seconds; secs != span {
+			t.Errorf("stage %q: job view says %v s, its span %v s", name, secs, span)
+		}
+		if st["frac"] != 1.0 {
+			t.Errorf("finished stage %q at frac %v", name, st["frac"])
+		}
+		if obsSum := metrics[`dpkron_job_stage_seconds_sum{stage="`+name+`"}`]; obsSum != secs {
+			t.Errorf("stage %q: histogram observed %v s, job view says %v s", name, obsSum, secs)
+		}
+		compared++
+	}
+	if compared != 5 {
+		t.Fatalf("compared %d algorithm1 stages, want 5: %v", compared, job["stages"])
+	}
+
+	// A job that reports one stage complete on its first event, then
+	// blocks in a second stage until it is cancelled.
+	tr := trace.New(trace.Context{})
+	blocked := make(chan struct{})
+	j, code, msg := s.submit(jobSpec{
+		kind: "test", tr: tr, root: tr.Start(nil, "test"),
+		fn: func(run *pipeline.Run) (any, error) {
+			run.Progress("instant", 1)
+			run.Stage("blocked")
+			close(blocked)
+			<-run.Context().Done()
+			return nil, run.Err()
+		},
+	})
+	if j == nil {
+		t.Fatalf("submit: status %d (%s)", code, msg)
+	}
+	<-blocked
+	if code, _ := doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+j.id, nil); code != http.StatusAccepted {
+		t.Fatalf("DELETE job: status %d", code)
+	}
+	if job := pollJob(t, ts.URL, j.id, 30*time.Second); job["status"] != StatusCancelled {
+		t.Fatalf("blocked job ended %v", job["status"])
+	}
+	v := j.view()
+	if len(v.Stages) != 2 || v.Stages[0] != (StageProgress{Stage: "instant", Frac: 1}) || v.Stages[1].Stage != "blocked" {
+		t.Fatalf("cancelled job stages = %+v, want instant (done, 0 s) then blocked", v.Stages)
+	}
+	spans = collectSpans(tr.Tree())
+	if in := spans["instant"]; len(in) != 1 || in[0].Open || in[0].Seconds != 0 {
+		t.Fatalf("instant stage spans = %+v, want one closed zero-length span", in)
+	}
+	if bl := spans["blocked"]; len(bl) != 1 || bl[0].Open || bl[0].Seconds != v.Stages[1].Seconds {
+		t.Fatalf("blocked stage spans = %+v, want one span closed at %v s", bl, v.Stages[1].Seconds)
+	}
+	metrics = scrapeMetrics(t, ts.URL)
+	if n := metrics[`dpkron_job_stage_seconds_count{stage="instant"}`]; n != 1 {
+		t.Errorf("instant stage observed %v times, want 1", n)
+	}
+	if sum := metrics[`dpkron_job_stage_seconds_sum{stage="instant"}`]; sum != 0 {
+		t.Errorf("instant stage observed %v s, want 0", sum)
+	}
+	if n := metrics[`dpkron_job_stage_seconds_count{stage="blocked"}`]; n != 0 {
+		t.Errorf("cancelled job's open stage observed %v times, want 0", n)
+	}
+}
+
+// TestLedgerReadsPerPrivateFit: the audit events and the result's
+// remaining budget share one account read taken right after the
+// debit, so an admitted private fit reads the ledger file twice — the
+// debit's reload and that read — on the HTTP path and on the resume
+// path alike.
+func TestLedgerReadsPerPrivateFit(t *testing.T) {
+	const wantReads = 2
+	open := func(t *testing.T, dir, ds string) (*accountant.Ledger, *faultfs.Injector) {
+		t.Helper()
+		inj := faultfs.NewInjector(nil)
+		led, err := accountant.OpenFS(inj, filepath.Join(dir, "ledger.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := led.SetBudget(ds, dp.Budget{Eps: 0.9, Delta: 0.05}); err != nil {
+			t.Fatal(err)
+		}
+		return led, inj
+	}
+	// checkRemaining asserts the result's remaining budget is the
+	// account after the one debit, matching the audit events' label.
+	checkRemaining := func(t *testing.T, job map[string]any, tree *trace.Tree) {
+		t.Helper()
+		rem := job["result"].(map[string]any)["remaining"].(map[string]any)
+		if math.Abs(rem["eps"].(float64)-0.5) > 1e-9 {
+			t.Fatalf("result remaining = %v, want eps 0.5", rem)
+		}
+		tree.Walk(func(n *trace.Node, depth int) {
+			for _, e := range n.Events {
+				if e.Name == "ledger-debit" && e.Attrs["remaining_eps"] != strconv.FormatFloat(rem["eps"].(float64), 'g', 17, 64) {
+					t.Errorf("ledger-debit event remaining_eps = %s, result says %v", e.Attrs["remaining_eps"], rem["eps"])
+				}
+			}
+		})
+	}
+
+	t.Run("http", func(t *testing.T) {
+		dir := t.TempDir()
+		edges := testEdgeList(t, 8)
+		g, err := graph.ReadEdgeList(strings.NewReader(edges), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		led, inj := open(t, dir, accountant.DatasetID(g))
+		cache, err := release.Open(filepath.Join(dir, "releases"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		jnl, err := journal.Open(filepath.Join(dir, "journal.dpkj"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer jnl.Close()
+		_, ts := newTestServer(t, Options{Workers: 2, MaxJobs: 2, Ledger: led, Releases: cache, Journal: jnl})
+		before := inj.Ops(faultfs.OpRead, "ledger.json")
+		code, resp := doJSON(t, http.MethodPost, ts.URL+"/v1/fit", FitRequest{
+			Method: "private", Eps: 0.4, Delta: 0.01, K: 8, Seed: 3, EdgeList: edges,
+		})
+		if code != http.StatusAccepted {
+			t.Fatalf("POST /v1/fit: status %d (%v)", code, resp)
+		}
+		id := resp["id"].(string)
+		job := pollJob(t, ts.URL, id, 120*time.Second)
+		if job["status"] != StatusDone {
+			t.Fatalf("fit ended %v: %v", job["status"], job)
+		}
+		tree, _ := getTree(t, ts.URL, id)
+		if reads := inj.Ops(faultfs.OpRead, "ledger.json") - before; reads > wantReads {
+			t.Fatalf("one admitted private fit read the ledger %d times, want at most %d", reads, wantReads)
+		}
+		checkRemaining(t, job, tree)
+	})
+
+	t.Run("resume", func(t *testing.T) {
+		fx := buildCrashFixture(t)
+		dir := t.TempDir()
+		led, inj := open(t, dir, fx.dsID)
+		jnl, err := journal.Open(filepath.Join(dir, "journal.dpkj"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer jnl.Close()
+		if err := jnl.Append(fx.records[0], true); err != nil {
+			t.Fatal(err)
+		}
+		before := inj.Ops(faultfs.OpRead, "ledger.json")
+		_, ts := newTestServer(t, Options{Workers: 2, MaxJobs: 2, Ledger: led, Journal: jnl})
+		job := pollJob(t, ts.URL, fx.records[0].Job, 120*time.Second)
+		if job["status"] != StatusDone {
+			t.Fatalf("resumed fit ended %v: %v", job["status"], job)
+		}
+		tree, _ := getTree(t, ts.URL, fx.records[0].Job)
+		if reads := inj.Ops(faultfs.OpRead, "ledger.json") - before; reads > wantReads {
+			t.Fatalf("one resumed private fit read the ledger %d times, want at most %d", reads, wantReads)
+		}
+		checkRemaining(t, job, tree)
+	})
 }

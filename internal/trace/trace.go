@@ -8,7 +8,10 @@
 // privacy-audit timeline: every accountant debit or refusal becomes
 // an event recording mechanism name, ε/δ charged, and remaining
 // budget, so a job's trace doubles as the auditable account of where
-// its privacy budget went.
+// its privacy budget went. The server traces every job it admits and
+// keeps the tracer on the job, so a trace is evicted with its job's
+// history; a job's StageSpans is also its only stage record, timing
+// the progress the job view and the stage histogram report.
 //
 // The package follows the repository's observability discipline:
 //
@@ -171,11 +174,36 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
+	s.close(false)
+}
+
+// close ends the span unless it already ended — at its start when
+// instant, making it zero-length — and returns its duration.
+func (s *Span) close(instant bool) float64 {
 	s.t.mu.Lock()
+	defer s.t.mu.Unlock()
 	if s.end.IsZero() {
-		s.end = s.t.now()
+		if instant {
+			s.end = s.start
+		} else {
+			s.end = s.t.now()
+		}
 	}
-	s.t.mu.Unlock()
+	secs, _ := s.seconds(s.end)
+	return secs
+}
+
+// seconds is the span's duration as Tree reports it: up to now while
+// the span is open. Callers hold s.t.mu.
+func (s *Span) seconds(now time.Time) (secs float64, open bool) {
+	end := s.end
+	if end.IsZero() {
+		end, open = now, true
+	}
+	if d := end.Sub(s.start); d > 0 {
+		secs = d.Seconds()
+	}
+	return secs, open
 }
 
 // Tree is the JSON form of a trace: the span forest plus identity,
@@ -226,14 +254,7 @@ func (t *Tracer) Tree() *Tree {
 			Start:  s.start,
 			Attrs:  attrMap(s.attrs),
 		}
-		end := s.end
-		if end.IsZero() {
-			end = now
-			n.Open = true
-		}
-		if d := end.Sub(s.start); d > 0 {
-			n.Seconds = d.Seconds()
-		}
+		n.Seconds, n.Open = s.seconds(now)
 		for _, e := range s.events {
 			n.Events = append(n.Events, EventNode{Name: e.name, Time: e.time, Attrs: attrMap(e.attrs)})
 		}
@@ -274,56 +295,105 @@ func (tr *Tree) Walk(fn func(n *Node, depth int)) {
 	rec(tr.Spans, 0)
 }
 
-// StageSpans adapts the pipeline's stage-progress event stream into
-// spans: a fraction ≤ 0 (or the first sighting of a stage) opens a
-// span, a fraction ≥ 1 closes it. Nesting follows the slash-path
-// convention of pipeline.Run.Sub — a stage whose name extends an open
-// stage's name with "/" becomes its child, so "algorithm1/moment-fit"
-// parents "algorithm1/moment-fit/kronmom".
+// StageSpans is a job's stage record. It adapts the pipeline's
+// stage-progress event stream into spans and keeps every stage's
+// furthest progress fraction in first-seen order, so one clock — the
+// span's start and end — times each stage for the trace, the job view
+// and the stage histogram alike. The first sighting of a stage opens
+// its span (already closed, zero-length, when that first event reports
+// completion); a fraction ≥ 1 closes it. Nesting follows the
+// slash-path convention of pipeline.Run.Sub — a stage whose name
+// extends an open stage's name with "/" becomes its child, so
+// "algorithm1/moment-fit" parents "algorithm1/moment-fit/kronmom".
 type StageSpans struct {
 	t      *Tracer
 	parent *Span
 	attrs  []Attr
 	mu     sync.Mutex
-	open   map[string]*Span
+	stages []*stageRecord // first-seen order
 }
 
-// StageSpans builds a stage adapter rooted at parent; attrs are
-// stamped on every stage span (the server records the worker count
-// here). Nil-safe: a nil tracer yields a nil adapter whose Observe
-// and Close no-op.
+type stageRecord struct {
+	name string
+	frac float64
+	span *Span
+	open bool
+}
+
+// Stage is one stage's record: its furthest progress fraction and its
+// span's duration, exactly as Tree reports it (final once the span is
+// closed, up to the snapshot while it is open).
+type Stage struct {
+	Name    string
+	Frac    float64
+	Seconds float64
+}
+
+// StageSpans builds a stage record rooted at parent; attrs are stamped
+// on every stage span (the server records the worker count here).
+// Nil-safe: a nil tracer yields a nil record whose methods no-op.
 func (t *Tracer) StageSpans(parent *Span, attrs ...Attr) *StageSpans {
 	if t == nil {
 		return nil
 	}
-	return &StageSpans{t: t, parent: parent, attrs: attrs, open: make(map[string]*Span)}
+	return &StageSpans{t: t, parent: parent, attrs: attrs}
 }
 
 // Observe feeds one pipeline event (stage path, progress fraction).
-func (ss *StageSpans) Observe(stage string, frac float64) {
+// When the event closes the stage's span it returns the span's
+// duration and true; a stage already closed stays closed.
+func (ss *StageSpans) Observe(stage string, frac float64) (seconds float64, closed bool) {
 	if ss == nil || stage == "" {
-		return
+		return 0, false
 	}
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	sp, seen := ss.open[stage]
-	if !seen && frac < 1 {
+	var rec *stageRecord
+	for _, r := range ss.stages {
+		if r.name == stage {
+			rec = r
+			break
+		}
+	}
+	first := rec == nil
+	if first {
 		parent := ss.parent
 		// Deepest open stage whose path prefixes this one is the parent.
 		best := -1
-		for path, open := range ss.open {
-			if len(path) > best && len(stage) > len(path) && stage[:len(path)+1] == path+"/" {
-				best = len(path)
-				parent = open
+		for _, r := range ss.stages {
+			if r.open && len(r.name) > best && len(stage) > len(r.name) && stage[:len(r.name)+1] == r.name+"/" {
+				best = len(r.name)
+				parent = r.span
 			}
 		}
-		ss.open[stage] = ss.t.Start(parent, stage, ss.attrs...)
-		return
+		rec = &stageRecord{name: stage, frac: frac, span: ss.t.Start(parent, stage, ss.attrs...), open: true}
+		ss.stages = append(ss.stages, rec)
 	}
-	if frac >= 1 && seen {
-		sp.End()
-		delete(ss.open, stage)
+	rec.frac = max(rec.frac, frac)
+	if frac < 1 || !rec.open {
+		return 0, false
 	}
+	rec.open = false
+	// A stage whose first event reports completion is zero-length.
+	return rec.span.close(first), true
+}
+
+// Stages snapshots the record in first-seen order. Nil-safe.
+func (ss *StageSpans) Stages() []Stage {
+	if ss == nil {
+		return nil
+	}
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	ss.t.mu.Lock()
+	defer ss.t.mu.Unlock()
+	now := ss.t.now()
+	out := make([]Stage, len(ss.stages))
+	for i, r := range ss.stages {
+		secs, _ := r.span.seconds(now)
+		out[i] = Stage{Name: r.name, Frac: r.frac, Seconds: secs}
+	}
+	return out
 }
 
 // Close ends any stage spans left open (failed or cancelled runs).
@@ -334,13 +404,15 @@ func (ss *StageSpans) Close() {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	// Deterministic close order for stable snapshots.
-	paths := make([]string, 0, len(ss.open))
-	for p := range ss.open {
-		paths = append(paths, p)
+	var open []*stageRecord
+	for _, r := range ss.stages {
+		if r.open {
+			open = append(open, r)
+		}
 	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		ss.open[p].End()
-		delete(ss.open, p)
+	sort.Slice(open, func(a, b int) bool { return open[a].name < open[b].name })
+	for _, r := range open {
+		r.span.End()
+		r.open = false
 	}
 }

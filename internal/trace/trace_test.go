@@ -156,10 +156,50 @@ func TestStageSpansCloseEndsOpen(t *testing.T) {
 			t.Fatalf("span %q left open after Close", n.Name)
 		}
 	}
-	// A done event for an unseen stage must not open anything.
-	ss.Observe("never-started", 1)
-	if len(tr.Tree().Spans) != 1 {
-		t.Fatalf("unexpected span count %d", len(tr.Tree().Spans))
+	// A done event for an unseen stage records a closed, zero-length
+	// span and leaves nothing open.
+	if secs, closed := ss.Observe("never-started", 1); !closed || secs != 0 {
+		t.Fatalf("first-event completion = (%g, %v), want (0, true)", secs, closed)
+	}
+	roots := tr.Tree().Spans
+	if len(roots) != 2 || roots[1].Name != "never-started" || roots[1].Open || roots[1].Seconds != 0 {
+		t.Fatalf("first-event completion spans = %+v", roots)
+	}
+}
+
+// TestStageRecord: the stage record lists stages in first-seen
+// order with their furthest fraction, times each from its span, and
+// reports a stage's duration exactly once — on the event that closes
+// it.
+func TestStageRecord(t *testing.T) {
+	tr := New(Context{}).WithClock(fixedClock())
+	ss := tr.StageSpans(nil)
+	ss.Observe("a", 0)
+	ss.Observe("b", 0)
+	ss.Observe("a", 0.5)
+	if _, closed := ss.Observe("a", 0.25); closed {
+		t.Fatal("a progress event closed its stage")
+	}
+	secs, closed := ss.Observe("a", 1)
+	if !closed || secs <= 0 {
+		t.Fatalf("closing a = (%g, %v)", secs, closed)
+	}
+	if _, again := ss.Observe("a", 1); again {
+		t.Fatal("a second done event closed the stage again")
+	}
+	got := ss.Stages()
+	if len(got) != 2 || got[0].Name != "a" || got[1].Name != "b" {
+		t.Fatalf("stages = %+v, want a then b", got)
+	}
+	if got[0].Frac != 1 || got[1].Frac != 0 {
+		t.Fatalf("fractions = %g, %g", got[0].Frac, got[1].Frac)
+	}
+	tree := tr.Tree()
+	if got[0].Seconds != secs || tree.Spans[0].Seconds != secs {
+		t.Fatalf("a took %g in the record, %g in the tree, %g when closed", got[0].Seconds, tree.Spans[0].Seconds, secs)
+	}
+	if !tree.Spans[1].Open || got[1].Seconds <= 0 {
+		t.Fatalf("open stage b: span %+v, record %+v", tree.Spans[1], got[1])
 	}
 }
 
@@ -183,40 +223,5 @@ func TestTracerConcurrency(t *testing.T) {
 	tree := tr.Tree()
 	if len(tree.Spans[0].Children) != 8*50 {
 		t.Fatalf("lost spans under concurrency: %d", len(tree.Spans[0].Children))
-	}
-}
-
-func TestStoreBoundsAndDrop(t *testing.T) {
-	st := NewStore(2)
-	a, b, c := New(Context{}), New(Context{}), New(Context{})
-	st.Put("job-1", a)
-	st.Put("job-2", b)
-	st.Put("job-3", c) // evicts job-1
-	if st.Len() != 2 {
-		t.Fatalf("store len = %d, want 2", st.Len())
-	}
-	if _, ok := st.Get("job-1"); ok {
-		t.Fatalf("oldest trace not evicted")
-	}
-	if got, ok := st.Get("job-3"); !ok || got != c {
-		t.Fatalf("job-3 missing after put")
-	}
-	st.Drop("job-2")
-	if _, ok := st.Get("job-2"); ok {
-		t.Fatalf("Drop did not remove trace")
-	}
-	st.Drop("job-2") // idempotent
-	// Re-putting an existing id must not duplicate its order entry.
-	st.Put("job-3", c)
-	st.Put("job-4", a)
-	if st.Len() != 2 {
-		t.Fatalf("store len after re-put = %d, want 2", st.Len())
-	}
-	// Nil store no-ops.
-	var nilStore *Store
-	nilStore.Put("x", a)
-	nilStore.Drop("x")
-	if _, ok := nilStore.Get("x"); ok || nilStore.Len() != 0 {
-		t.Fatalf("nil store misbehaved")
 	}
 }
