@@ -728,6 +728,53 @@ func BenchmarkReleaseCache(b *testing.B) {
 	})
 }
 
+// BenchmarkLedgerSpend times what every served private fit asks of the
+// privacy ledger — a token-bearing debit and the Remaining read that
+// labels it — against a ledger already holding 500 or 5,000 receipts.
+// An append-only ledger makes both independent of the receipts before
+// them, so the two sub-benchmarks should read the same. The priors are
+// written as one v1 JSON ledger, which Open converts in a single
+// rewrite, instead of fsyncing thousands of spends during set-up.
+func BenchmarkLedgerSpend(b *testing.B) {
+	const dataset = "ds-bench"
+	budget := dp.Budget{Eps: 1e9, Delta: 0.999}
+	// δ small enough that priors and any b.N of debits fit the budget.
+	receipt := core.PlannedReceipt(0.4, 1e-7)
+	for _, priors := range []int{500, 5000} {
+		b.Run(fmt.Sprintf("priors=%d", priors), func(b *testing.B) {
+			old := accountant.Account{Budget: budget}
+			for i := 0; i < priors; i++ {
+				r := receipt
+				r.Token = fmt.Sprintf("prior-%d", i)
+				old.Spent = dp.Compose(old.Spent, r.Total)
+				old.Receipts = append(old.Receipts, r)
+			}
+			v1, err := json.Marshal(map[string]any{"version": 1, "datasets": map[string]any{dataset: old}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			path := filepath.Join(b.TempDir(), "ledger.json")
+			if err := os.WriteFile(path, v1, 0o644); err != nil {
+				b.Fatal(err)
+			}
+			led, err := accountant.Open(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := led.SpendToken(dataset, receipt, fmt.Sprintf("job-%d", i)); err != nil {
+					b.Fatal(err)
+				}
+				if led.Remaining(dataset).Eps <= 0 {
+					b.Fatal("budget exhausted")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkJournalOverhead measures what crash durability costs on the
 // serving path. Each op is one complete job lifecycle over the HTTP
 // API — admission, a K=15 private fit by stored dataset id, completion

@@ -274,6 +274,53 @@ func TestCLIBudgetWorkflow(t *testing.T) {
 	}
 }
 
+// TestCLIAuditV1Conversion: a v1 JSON ledger is converted to the
+// append-only log the first time it is opened, and `dpkron audit` and
+// `budget show` report exactly what the v1 code reported on it.
+// testdata/ledger-v1.json was written by the v1 ledger (token-bearing
+// and plain spends, a reset, a budget with no spends) and
+// testdata/ledger-v1.golden holds the v1 binary's output for the
+// commands below.
+func TestCLIAuditV1Conversion(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration test")
+	}
+	bin := buildCLI(t)
+	v1, err := os.ReadFile(filepath.Join("testdata", "ledger-v1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "ledger-v1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledger := filepath.Join(t.TempDir(), "ledger.json")
+	if err := os.WriteFile(ledger, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	report := func() string {
+		var b strings.Builder
+		for _, ds := range []string{"ds-a", "ds-b", "ds-c"} {
+			b.WriteString(run(t, bin, "audit", ds, "-ledger", ledger))
+		}
+		b.WriteString(run(t, bin, "budget", "show", "-ledger", ledger))
+		return b.String()
+	}
+	// The first audit converts; the second reads the log it left.
+	for i := 0; i < 2; i++ {
+		if got := report(); got != string(want) {
+			t.Fatalf("report #%d differs from the v1 report:\n%s\nwant:\n%s", i+1, got, want)
+		}
+		data, err := os.ReadFile(ledger)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(string(data), "DPKL") {
+			t.Fatalf("ledger after report #%d is not a log: %.40q", i+1, data)
+		}
+	}
+}
+
 // TestCLIServeEndToEnd boots the real service, submits a generate job
 // over HTTP, polls it to completion, and exercises cancel.
 func TestCLIServeEndToEnd(t *testing.T) {

@@ -1,15 +1,22 @@
 package accountant
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"dpkron/internal/dp"
 	"dpkron/internal/faultfs"
+	"dpkron/internal/frame"
 	"dpkron/internal/graph"
 )
 
@@ -289,40 +296,63 @@ func TestSpendTokenIdempotent(t *testing.T) {
 	}
 }
 
-// TestLedgerInjectedFaults drives the persist path through every fault
-// point — open, torn write, failed fsync, failed rename — and asserts
-// the debit never lands half-way: the spend reports the error and both
-// the in-memory and on-disk state still show the pre-spend balance.
+// TestLedgerInjectedFaults drives a debit through every fault point of
+// its append — the open of the ledger file for append, a torn write, a
+// failed fsync — and the v1 conversion's rename, and asserts the debit
+// never lands half-way: the spend reports the error, the file's bytes
+// are unchanged, and both the in-memory and the reopened state still
+// show the pre-spend balance.
 func TestLedgerInjectedFaults(t *testing.T) {
-	faults := []faultfs.Fault{
-		{Op: faultfs.OpOpen, Path: "ledger.json.tmp"},
-		{Op: faultfs.OpWrite, Path: "ledger.json.tmp", Short: 10},
-		{Op: faultfs.OpSync, Path: "ledger.json.tmp"},
-		{Op: faultfs.OpRename, Path: "ledger.json.tmp"},
+	cases := []struct {
+		name string
+		// v1 puts a v1 JSON ledger on disk after the handle is opened,
+		// so the spend itself converts it.
+		v1    bool
+		fault faultfs.Fault
+	}{
+		// The spend's first open reads the appended tail; the second
+		// opens the file for the append.
+		{"open", false, faultfs.Fault{Op: faultfs.OpOpen, Path: "ledger.json", After: 1}},
+		{"write", false, faultfs.Fault{Op: faultfs.OpWrite, Path: "ledger.json", Short: 10}},
+		{"sync", false, faultfs.Fault{Op: faultfs.OpSync, Path: "ledger.json"}},
+		{"rename", true, faultfs.Fault{Op: faultfs.OpRename, Path: "ledger.json.tmp"}},
 	}
-	for _, fault := range faults {
-		t.Run(string(fault.Op), func(t *testing.T) {
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
 			inj := faultfs.NewInjector(faultfs.OS)
 			path := filepath.Join(t.TempDir(), "ledger.json")
 			led, err := OpenFS(inj, path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := led.SetBudget("ds-a", dp.Budget{Eps: 1, Delta: 0.01}); err != nil {
+			budget := dp.Budget{Eps: 1, Delta: 0.01}
+			if c.v1 {
+				v1 := `{"version":1,"datasets":{"ds-a":{"budget":{"eps":1,"delta":0.01},"spent":{"eps":0,"delta":0}}}}`
+				if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			} else if err := led.SetBudget("ds-a", budget); err != nil {
 				t.Fatal(err)
 			}
-			inj.Fail(fault)
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inj.Fail(c.fault)
 			if err := led.Spend("ds-a", testReceipt(0.4, 0)); !errors.Is(err, faultfs.ErrInjected) {
-				t.Fatalf("spend under %s fault: %v, want ErrInjected", fault.Op, err)
+				t.Fatalf("spend under %s fault: %v, want ErrInjected", c.name, err)
+			}
+			if after, err := os.ReadFile(path); err != nil || string(after) != string(before) {
+				t.Fatalf("failed spend changed the file (%v):\n%q\nwas\n%q", err, after, before)
 			}
 			// The failed debit must not exist, in memory or on disk.
 			acct, ok := led.Account("ds-a")
-			if !ok || acct.Spent.Eps != 0 || len(acct.Receipts) != 0 {
+			if !ok || acct.Budget != budget || acct.Spent.Eps != 0 || len(acct.Receipts) != 0 {
 				t.Fatalf("failed spend left state behind: %+v", acct)
 			}
 			led2, err := Open(path)
 			if err != nil {
-				t.Fatalf("reopen after %s fault: %v", fault.Op, err)
+				t.Fatalf("reopen after %s fault: %v", c.name, err)
 			}
 			acct, ok = led2.Account("ds-a")
 			if !ok || acct.Spent.Eps != 0 || len(acct.Receipts) != 0 {
@@ -332,6 +362,226 @@ func TestLedgerInjectedFaults(t *testing.T) {
 			if err := led.Spend("ds-a", testReceipt(0.4, 0)); err != nil {
 				t.Fatalf("spend after fault cleared: %v", err)
 			}
+			if rem := led2.Remaining("ds-a"); math.Abs(rem.Eps-0.6) > 1e-12 {
+				t.Fatalf("other handle's remaining after the retried spend = %v, want 0.6", rem)
+			}
 		})
 	}
+}
+
+// spendN opens a ledger at path with one budgeted dataset and n
+// token-bearing debits of 0.1.
+func spendN(t *testing.T, path string, n int) *Ledger {
+	t.Helper()
+	led, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := led.SetBudget("ds-a", dp.Budget{Eps: 10}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := led.SpendToken("ds-a", testReceipt(0.1, 0), fmt.Sprintf("job-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return led
+}
+
+// TestLedgerTornTail: a partial final record — what a crash mid-append
+// leaves — is ignored by every reader, including a handle that was
+// already open, and cut by the next append, after which the whole log
+// decodes again.
+func TestLedgerTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ledger.json")
+	live := spendN(t, path, 3)
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Tear a fourth debit: append all but the last byte of its frame,
+	// taken from a copy of the ledger that took it.
+	ref := filepath.Join(t.TempDir(), "ref.json")
+	if err := os.WriteFile(ref, whole, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := must(Open(ref)).SpendToken("ds-a", testReceipt(0.1, 0), "job-3"); err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, full[:len(full)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, led := range map[string]*Ledger{"live": live, "reopened": must(Open(path))} {
+		acct, ok := led.Account("ds-a")
+		if !ok || len(acct.Receipts) != 3 || math.Abs(acct.Spent.Eps-0.3) > 1e-12 {
+			t.Fatalf("%s handle over a torn tail: %+v", name, acct)
+		}
+	}
+	// The torn debit's token did not land: spending it debits.
+	if err := live.SpendToken("ds-a", testReceipt(0.1, 0), "job-3"); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := decodeLog(data)
+	if err != nil || st.size != int64(len(data)) {
+		t.Fatalf("log after the append: size %d of %d, err %v", st.size, len(data), err)
+	}
+	if acct, _ := must(Open(path)).Account("ds-a"); len(acct.Receipts) != 4 || math.Abs(acct.Spent.Eps-0.4) > 1e-12 {
+		t.Fatalf("after cutting the torn tail: %+v", acct)
+	}
+}
+
+// TestLedgerCorruptInterior: a damaged record with complete bytes after
+// it is a typed ErrCorrupt — on Open, and for a live handle whose next
+// read reaches it — and a spend against it fails closed.
+func TestLedgerCorruptInterior(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ledger.json")
+	live := spendN(t, path, 1)
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Another handle appends two more debits; then a byte of the first
+	// of them flips.
+	other := must(Open(path))
+	for i := 0; i < 2; i++ {
+		if err := other.Spend("ds-a", testReceipt(0.1, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(valid)+5] ^= 0x20
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(path); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open over interior damage: %v, want ErrCorrupt", err)
+	}
+	if err := live.Spend("ds-a", testReceipt(0.1, 0)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("spend over interior damage: %v, want ErrCorrupt", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || string(after) != string(data) {
+		t.Fatalf("a refused spend changed the damaged file (%v)", err)
+	}
+	// An unknown record kind is damage too, not something to skip.
+	bad := frame.Append(append([]byte(nil), valid...), []byte(`{"op":"refund","dataset":"ds-a"}`))
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(path); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open over an unknown record: %v, want ErrCorrupt", err)
+	}
+}
+
+// TestLedgerV1Conversion: a v1 JSON ledger opens as the same accounts
+// — budgets, spends bit for bit, receipts with their times and tokens —
+// and is rewritten as a log once; a later Open leaves the file alone.
+func TestLedgerV1Conversion(t *testing.T) {
+	at := time.Date(2026, 3, 1, 12, 0, 0, 123456789, time.UTC)
+	r1, r2, r3 := testReceipt(0.1, 0.001), testReceipt(0.2, 0), testReceipt(0.3, 0.002)
+	r1.Token, r1.Time = "job-1", &at
+	r2.Time = &at
+	old := map[string]*Account{
+		// Spent is deliberately not the sum of the receipts: conversion
+		// must keep the file's totals, not recompute them.
+		"ds-a": {Budget: dp.Budget{Eps: 1, Delta: 0.01}, Spent: dp.Budget{Eps: 0.30000000000000004, Delta: 0.001}, Receipts: []Receipt{r1, r2}},
+		"ds-b": {Budget: dp.Budget{Eps: 2}, Spent: r3.Total, Receipts: []Receipt{r3}},
+		"ds-c": {Budget: dp.Budget{Eps: 0.5}},
+	}
+	v1, err := json.MarshalIndent(map[string]any{"version": 1, "datasets": old}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ledger.json")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	led := must(Open(path))
+	converted, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(converted), string(logMagic)) {
+		t.Fatalf("ledger not converted: %.40q", converted)
+	}
+	if ids := led.Datasets(); !slices.Equal(ids, []string{"ds-a", "ds-b", "ds-c"}) {
+		t.Fatalf("Datasets = %v", ids)
+	}
+	for id, want := range old {
+		got, ok := led.Account(id)
+		if !ok || !reflect.DeepEqual(got, *want) {
+			t.Fatalf("%s converted to %+v, want %+v", id, got, *want)
+		}
+	}
+	// The converted token still makes its debit idempotent.
+	if err := led.SpendToken("ds-a", r1, "job-1"); err != nil {
+		t.Fatal(err)
+	}
+	if acct, _ := led.Account("ds-a"); len(acct.Receipts) != 2 {
+		t.Fatalf("replayed converted token debited again: %d receipts", len(acct.Receipts))
+	}
+	// Conversion happens once: reopening reads the log as it is.
+	must(Open(path))
+	if again, err := os.ReadFile(path); err != nil || string(again) != string(converted) {
+		t.Fatalf("second Open rewrote the converted ledger (%v)", err)
+	}
+}
+
+// TestLedgerIncrementalReads: once a handle has read the log, its
+// operations read only what other handles appended since — never the
+// whole file — until the file is replaced, when it re-reads it whole.
+func TestLedgerIncrementalReads(t *testing.T) {
+	inj := faultfs.NewInjector(nil)
+	path := filepath.Join(t.TempDir(), "ledger.json")
+	led, err := OpenFS(inj, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := led.SetBudget("ds-a", dp.Budget{Eps: 10}); err != nil {
+		t.Fatal(err)
+	}
+	other := must(Open(path))
+	for i := 0; i < 20; i++ {
+		if err := led.SpendToken("ds-a", testReceipt(0.1, 0), fmt.Sprintf("job-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := other.Spend("ds-a", testReceipt(0.1, 0)); err != nil {
+			t.Fatal(err)
+		}
+		led.Remaining("ds-a")
+	}
+	if reads := inj.Ops(faultfs.OpRead, "ledger.json"); reads != 0 {
+		t.Fatalf("%d whole-file reads, want 0", reads)
+	}
+	if rem := led.Remaining("ds-a"); math.Abs(rem.Eps-6) > 1e-9 {
+		t.Fatalf("remaining = %v, want 6", rem)
+	}
+	// Replace the file with a fresh ledger of a different budget: the
+	// header changes, so the handle re-reads it.
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := must(Open(path)).SetBudget("ds-a", dp.Budget{Eps: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if rem := led.Remaining("ds-a"); rem.Eps != 3 {
+		t.Fatalf("remaining after the file was replaced = %v, want 3", rem)
+	}
+}
+
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -3,8 +3,10 @@
 // Package fslock provides the advisory cross-process file lock every
 // on-disk store in the module uses for its read-modify-write brackets:
 // the accountant's budget ledgers, the dataset store, the release
-// cache and the job journal all lock a sidecar file, reload state from
-// disk, mutate, and atomically rename the result into place.
+// cache and the job journal all lock a sidecar file, bring their state
+// up to date from disk, and then mutate — the ledger and the journal
+// by appending, the others by atomically renaming the result into
+// place.
 package fslock
 
 import (

@@ -20,9 +20,10 @@
 // explicit journaled failure — never silence.
 //
 // On-disk format ("DPKJ"): a 5-byte header (magic + version) followed
-// by self-delimiting frames, each a uvarint payload length, the
-// record's compact JSON, and the first 8 bytes of the payload's
-// SHA-256. Appends are single writes; state-bearing transitions
+// by the frames of internal/frame, the module's one durable record
+// format (shared with the privacy ledger): each a uvarint payload
+// length, the record's compact JSON, and the first 8 bytes of the
+// payload's SHA-256. Appends are single writes; state-bearing transitions
 // (admission, terminal) are fsynced, intermediate ones ride the next
 // sync. Recovery distinguishes a torn tail — an incomplete final
 // frame, the signature of a crash mid-append, silently truncated away
@@ -35,8 +36,6 @@
 package journal
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -47,6 +46,7 @@ import (
 
 	"dpkron/internal/accountant"
 	"dpkron/internal/faultfs"
+	"dpkron/internal/frame"
 	"dpkron/internal/fslock"
 	"dpkron/internal/release"
 )
@@ -257,42 +257,20 @@ func Decode(data []byte) (records []Record, validLen int64, err error) {
 	if string(data[:len(magic)]) != string(magic) {
 		return nil, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	off := int64(len(magic))
-	rest := data[off:]
 	var lastSeq uint64
-	for len(rest) > 0 {
-		n, ln := binary.Uvarint(rest)
-		if ln <= 0 {
-			if len(rest) < binary.MaxVarintLen64 {
-				return records, off, nil // torn length varint
-			}
-			return records, off, fmt.Errorf("%w: invalid frame length at offset %d", ErrCorrupt, off)
-		}
-		if n > maxRecordBytes {
-			return records, off, fmt.Errorf("%w: frame of %d bytes at offset %d exceeds the %d-byte cap", ErrCorrupt, n, off, maxRecordBytes)
-		}
-		frame := int64(ln) + int64(n) + 8
-		if int64(len(rest)) < frame {
-			return records, off, nil // torn payload or checksum
-		}
-		payload := rest[ln : int64(ln)+int64(n)]
-		sum := sha256.Sum256(payload)
-		if string(rest[int64(ln)+int64(n):frame]) != string(sum[:8]) {
-			return records, off, fmt.Errorf("%w: checksum mismatch at offset %d", ErrCorrupt, off)
-		}
+	end, err := frame.Decode(data[len(magic):], int64(len(magic)), maxRecordBytes, ErrCorrupt, func(off int64, payload []byte) error {
 		var rec Record
 		if err := json.Unmarshal(payload, &rec); err != nil {
-			return records, off, fmt.Errorf("%w: undecodable record at offset %d: %v", ErrCorrupt, off, err)
+			return fmt.Errorf("%w: undecodable record at offset %d: %v", ErrCorrupt, off, err)
 		}
 		if rec.Seq <= lastSeq {
-			return records, off, fmt.Errorf("%w: sequence %d at offset %d does not advance past %d", ErrCorrupt, rec.Seq, off, lastSeq)
+			return fmt.Errorf("%w: sequence %d at offset %d does not advance past %d", ErrCorrupt, rec.Seq, off, lastSeq)
 		}
 		lastSeq = rec.Seq
 		records = append(records, rec)
-		off += frame
-		rest = rest[frame:]
-	}
-	return records, off, nil
+		return nil
+	})
+	return records, end, err
 }
 
 func isPrefix(data, of []byte) bool {
@@ -333,14 +311,8 @@ func (j *Journal) Append(rec Record, sync bool) error {
 	if err != nil {
 		return fmt.Errorf("journal: encoding record: %w", err)
 	}
-	var lenBuf [binary.MaxVarintLen64]byte
-	ln := binary.PutUvarint(lenBuf[:], uint64(len(payload)))
-	sum := sha256.Sum256(payload)
-	frame := make([]byte, 0, ln+len(payload)+8)
-	frame = append(frame, lenBuf[:ln]...)
-	frame = append(frame, payload...)
-	frame = append(frame, sum[:8]...)
-	if _, err := j.f.Write(frame); err != nil {
+	buf := frame.Append(nil, payload)
+	if _, err := j.f.Write(buf); err != nil {
 		// The write may have torn: reopen at the last committed size so
 		// this process's future appends do not build on a torn tail the
 		// way a crashed process's next Open would have to recover.
@@ -356,7 +328,7 @@ func (j *Journal) Append(rec Record, sync bool) error {
 		j.met.observeFsync(start)
 	}
 	j.seq = rec.Seq
-	j.size += int64(len(frame))
+	j.size += int64(len(buf))
 	j.records = append(j.records, rec)
 	j.met.appends.With(rec.State).Inc()
 	return nil
@@ -411,12 +383,7 @@ func (j *Journal) Compact(keep func(job string) bool) error {
 		if err != nil {
 			return fmt.Errorf("journal: encoding record: %w", err)
 		}
-		var lenBuf [binary.MaxVarintLen64]byte
-		ln := binary.PutUvarint(lenBuf[:], uint64(len(payload)))
-		sum := sha256.Sum256(payload)
-		data = append(data, lenBuf[:ln]...)
-		data = append(data, payload...)
-		data = append(data, sum[:8]...)
+		data = frame.Append(data, payload)
 		kept = append(kept, rec)
 	}
 	// tmp + fsync + atomic rename: a crash mid-compaction leaves either

@@ -32,15 +32,28 @@
 //   - Once a source has d_u ≤ best, so does every later one, and every
 //     pair it would count is bounded by d_v ≤ d_u ≤ best: the scan
 //     stops.
+//   - Within a source u, scanned against the bound lim = best read
+//     when it started, the neighbours w are walked in ascending degree
+//     and each adds one to the count of every partner v it reaches. A
+//     partner's final count is at most its count so far plus the
+//     number of neighbours not yet walked, so once the largest count
+//     so far plus that number is ≤ lim, no partner of u can beat lim
+//     and the walk stops. It stops only then, so it never drops a count
+//     above lim, and the expensive hub neighbours, walked last, are
+//     the ones it skips. The seed scan of t runs with lim = −1 and
+//     never stops early.
 //
 // best only grows and always holds a real count, so any stale value a
-// worker reads is still a valid bound. The result is the exact maximum,
-// not an estimate, for every worker count and interleaving.
+// worker reads is still a valid bound. A source whose walk stopped
+// reports a count ≤ lim ≤ best, which leaves best unchanged. The result
+// is the exact maximum, not an estimate, for every worker count and
+// interleaving.
 package smoothsens
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"dpkron/internal/accountant"
@@ -55,9 +68,11 @@ import (
 // |N(u) ∩ N(v)|, the local sensitivity of the triangle count, by the
 // degree-pruned scan described in the package comment. Its cost is the
 // two-hop walk of the few sources whose degree exceeds the running
-// maximum, not Σ_w d_w² over every source. The candidate sources are
-// sharded under run; each worker reuses one O(n) two-hop scratch array,
-// and the running maximum is shared through an atomic, so the exact
+// maximum, not Σ_w d_w² over every source, cut short further once a
+// source's unwalked neighbours cannot lift any partner past the
+// maximum. The candidate sources are sharded under run; each worker
+// reuses one O(n) two-hop scratch array and one neighbour buffer of
+// the maximum degree, and the running maximum is shared through an atomic, so the exact
 // result is identical for every worker count. The context is checked
 // between candidate blocks; a cancelled run returns run.Err().
 func MaxCommonNeighborsCtx(run *pipeline.Run, g *graph.Graph) (int, error) {
@@ -76,9 +91,11 @@ func MaxCommonNeighborsCtx(run *pipeline.Run, g *graph.Graph) (int, error) {
 	if err := run.Err(); err != nil {
 		return 0, err
 	}
-	first := make([]int32, n)
+	// Each worker owns an O(n) two-hop count array and a buffer that
+	// holds one source's neighbours sorted by degree.
+	first, firstOrder := make([]int32, n), make([]uint64, off[top+1]-off[top])
 	var best atomic.Int32
-	best.Store(scan(first, off, adj, top, math.MaxInt32, -1))
+	best.Store(scan(first, firstOrder, off, adj, top, math.MaxInt32, -1))
 
 	// Only a node of degree > best can share more than best neighbours
 	// with anyone. Rank those candidates by descending degree (ties by
@@ -91,9 +108,10 @@ func MaxCommonNeighborsCtx(run *pipeline.Run, g *graph.Graph) (int, error) {
 	blocks := parallel.Blocks(len(cands), parallel.DefaultShards)
 	w := min(run.Workers(), len(blocks))
 	counts := make([][]int32, max(w, 1))
-	counts[0] = first
+	orders := make([][]uint64, len(counts))
+	counts[0], orders[0] = first, firstOrder
 	for i := 1; i < len(counts); i++ {
-		counts[i] = make([]int32, n)
+		counts[i], orders[i] = make([]int32, n), make([]uint64, len(firstOrder))
 	}
 	err := parallel.RunIndexed(run.Context(), w, len(blocks), func(worker, sh int) {
 		for _, u := range cands[blocks[sh].Lo:blocks[sh].Hi] {
@@ -102,7 +120,7 @@ func MaxCommonNeighborsCtx(run *pipeline.Run, g *graph.Graph) (int, error) {
 				// Every later source has degree ≤ du ≤ best: done.
 				return
 			}
-			c := scan(counts[worker], off, adj, u, du, lim)
+			c := scan(counts[worker], orders[worker], off, adj, u, du, lim)
 			for c > lim && !best.CompareAndSwap(lim, c) {
 				lim = best.Load()
 			}
@@ -117,11 +135,26 @@ func MaxCommonNeighborsCtx(run *pipeline.Run, g *graph.Graph) (int, error) {
 // scan returns max |N(u) ∩ N(v)| over the nodes v ranked after u (by
 // degree du, in the order of rankAbove) with degree > lim, counting the
 // two-hop paths u–w–v into count, which is all zero before and after.
-// du = MaxInt32 and lim = −1 admit every v ≠ u.
-func scan(count, off, adj []int32, u, du, lim int32) int32 {
+// du = MaxInt32 and lim = −1 admit every v ≠ u. It walks u's
+// neighbours w in ascending degree, sorted in order (capacity ≥ du),
+// and stops once no partner can exceed lim any more: then it returns a
+// count ≤ lim, not necessarily u's exact best.
+func scan(count []int32, order []uint64, off, adj []int32, u, du, lim int32) int32 {
+	nbrs := adj[off[u]:off[u+1]]
+	order = order[:len(nbrs)]
+	for i, w := range nbrs {
+		order[i] = uint64(off[w+1]-off[w])<<32 | uint64(w)
+	}
+	slices.Sort(order)
 	var best int32
-	walk := 0
-	for _, w := range adj[off[u]:off[u+1]] {
+	walked, walk := len(order), 0
+	for i, key := range order {
+		// Each unwalked neighbour adds at most one to any count.
+		if best+int32(len(order)-i) <= lim {
+			walked = i
+			break
+		}
+		w := int32(uint32(key))
 		nw := adj[off[w]:off[w+1]]
 		walk += len(nw)
 		for _, v := range nw {
@@ -133,13 +166,14 @@ func scan(count, off, adj []int32, u, du, lim int32) int32 {
 			best = max(best, count[v])
 		}
 	}
-	// Zero the counts by walking again, unless clearing the whole array
-	// is cheaper: no list of touched nodes is kept.
+	// Zero the counts by walking the same prefix again, unless clearing
+	// the whole array is cheaper: no list of touched nodes is kept.
 	if walk > len(count)/8 {
 		clear(count)
 		return best
 	}
-	for _, w := range adj[off[u]:off[u+1]] {
+	for _, key := range order[:walked] {
+		w := uint32(key)
 		for _, v := range adj[off[w]:off[w+1]] {
 			count[v] = 0
 		}

@@ -431,3 +431,166 @@ func TestTinyGraphs(t *testing.T) {
 		t.Fatalf("tiny graph result = %+v", res)
 	}
 }
+
+// stopGraph grows a graph node by node for the stop-rule cases.
+type stopGraph struct {
+	n     int
+	edges [][2]int
+}
+
+func (s *stopGraph) node() int { s.n++; return s.n - 1 }
+
+func (s *stopGraph) edge(u, v int) { s.edges = append(s.edges, [2]int{u, v}) }
+
+// leaves hangs k new degree-1 nodes off u.
+func (s *stopGraph) leaves(u, k int) {
+	for i := 0; i < k; i++ {
+		s.edge(u, s.node())
+	}
+}
+
+// shared adds k new nodes adjacent to both a and b, each with extra
+// further leaves of its own, so a and b share k neighbours of degree
+// 2+extra.
+func (s *stopGraph) shared(a, b, k, extra int) {
+	for i := 0; i < k; i++ {
+		w := s.node()
+		s.edge(a, w)
+		s.edge(b, w)
+		s.leaves(w, extra)
+	}
+}
+
+func (s *stopGraph) build() *graph.Graph { return graph.FromEdges(s.n, s.edges) }
+
+// seeded starts a stop-rule graph with a top-degree node t that has
+// exactly ls common neighbours with a partner and many leaves, so the
+// scan's seed bound — the lim every later source is walked against —
+// is ls.
+func seeded(ls, topLeaves int) *stopGraph {
+	s := &stopGraph{}
+	t, p := s.node(), s.node()
+	s.shared(t, p, ls, 0)
+	s.leaves(t, topLeaves)
+	return s
+}
+
+// stopRuleCases are graphs on which an early stop of the cheapest-first
+// walk that fires one neighbour too soon, or a prefix left uncleared,
+// would under-report LS.
+func stopRuleCases() map[string]*graph.Graph {
+	cases := map[string]*graph.Graph{}
+
+	// u's common neighbours with v are exactly u's highest-degree
+	// neighbours (6 hubs of degree 12), walked after 20 leaves; the seed
+	// bound is 5, so after the leaves best + 6 unwalked = 6 > 5 and the
+	// walk must go on.
+	s := seeded(5, 60)
+	u, v := s.node(), s.node()
+	s.leaves(u, 20)
+	s.shared(u, v, 6, 10)
+	cases["hubs-last"] = s.build()
+
+	// LS = 7 is reached only at u's last neighbour: the shared hubs have
+	// distinct degrees 3…9 and v's count reaches 7 on the most expensive.
+	s = seeded(6, 60)
+	u, v = s.node(), s.node()
+	s.leaves(u, 12)
+	for extra := 1; extra <= 7; extra++ {
+		s.shared(u, v, 1, extra)
+	}
+	cases["ls-at-last"] = s.build()
+
+	// The same with the bound already met: LS equals the seed, so the
+	// walk may stop after the leaves, but must still report the seed.
+	s = seeded(6, 60)
+	u, v = s.node(), s.node()
+	s.leaves(u, 12)
+	s.shared(u, v, 6, 4)
+	cases["ls-equals-seed"] = s.build()
+
+	// Ties: two sources of equal degree 9 share 8 neighbours of equal
+	// degree, with either one numbered first, against a seed of 7; all
+	// of u's neighbours also tie, so the sort falls back to ids.
+	for _, flip := range []bool{false, true} {
+		s = seeded(7, 40)
+		a, b := s.node(), s.node()
+		if flip {
+			a, b = b, a
+		}
+		s.shared(a, b, 8, 2)
+		s.edge(a, s.node())
+		s.edge(b, s.node())
+		cases[fmt.Sprintf("equal-degree-ties/flip=%v", flip)] = s.build()
+	}
+	// Every node has the same degree: a 6-regular circulant with a
+	// planted twin pair is all ties, and the seed is already exact.
+	cases["regular-ties"] = circulant(40, 3, false).WithEdgeToggled(0, 20)
+
+	// A hub (not the top node) whose cheapest 100 neighbours are leaves:
+	// with 4 shared neighbours against a seed of 3 the walk must reach
+	// them; with 3 it may stop right after the leaves.
+	for _, k := range []int{3, 4} {
+		s = seeded(3, 200)
+		h, w := s.node(), s.node()
+		s.leaves(h, 100)
+		s.shared(h, w, k, 1)
+		cases[fmt.Sprintf("hub-leaves/shared=%d", k)] = s.build()
+	}
+
+	// Heavy-tailed random graphs (Chung–Lu weights ∝ 1/√i), where
+	// sources of every degree stop at varied points of their walks.
+	for seed := uint64(1); seed <= 6; seed++ {
+		r := rand.New(rand.NewPCG(seed, 7))
+		const n = 300
+		b := graph.NewBuilder(n)
+		for x := 0; x < n; x++ {
+			for y := x + 1; y < n; y++ {
+				if r.Float64() < 4/math.Sqrt(float64((x+1)*(y+1))) {
+					b.AddEdge(x, y)
+				}
+			}
+		}
+		cases[fmt.Sprintf("chung-lu/seed=%d", seed)] = b.Build()
+	}
+	return cases
+}
+
+// TestMaxCommonNeighborsStopRule: the cheapest-first walk's early stop
+// keeps LS exact on graphs built to trip it, at every worker count.
+func TestMaxCommonNeighborsStopRule(t *testing.T) {
+	for name, g := range stopRuleCases() {
+		want := bruteMaxCommon(g)
+		for _, workers := range []int{1, 2, 4, 8} {
+			if got := must(MaxCommonNeighborsCtx(pipeline.New(nil, workers, nil), g)); got != want {
+				t.Errorf("%s workers=%d: MaxCommonNeighbors = %d, brute %d", name, workers, got, want)
+			}
+		}
+	}
+}
+
+// TestMaxCommonNeighborsScanStopsExactly drives scan itself: against a
+// bound it cannot beat it returns at most the bound, against one below
+// its best it returns that best exactly, and either way it leaves the
+// count array all zero for the next source. Isolated nodes make the
+// array large enough that scan re-walks the prefix it walked instead of
+// clearing all of it.
+func TestMaxCommonNeighborsScanStopsExactly(t *testing.T) {
+	s := &stopGraph{}
+	h, w := s.node(), s.node()
+	s.leaves(h, 100)
+	s.shared(h, w, 4, 1)
+	s.n += 4000
+	g := s.build()
+	off, adj := g.CSR()
+	dh := off[h+1] - off[h]
+	count, order := make([]int32, g.NumNodes()), make([]uint64, dh)
+	for _, c := range []struct{ lim, want int32 }{{-1, 4}, {0, 4}, {3, 4}, {4, 0}, {10, 0}} {
+		if got := scan(count, order, off, adj, int32(h), dh, c.lim); got != c.want {
+			t.Errorf("lim=%d: scan = %d, want %d", c.lim, got, c.want)
+		}
+		if i := slices.IndexFunc(count, func(x int32) bool { return x != 0 }); i >= 0 {
+			t.Fatalf("lim=%d: count[%d] = %d left behind", c.lim, i, count[i])
+		}
+	}
+}
