@@ -11,7 +11,6 @@ import (
 	"io"
 	"os"
 	"slices"
-	"sort"
 	"sync"
 
 	"dpkron/internal/dp"
@@ -101,6 +100,8 @@ type state struct {
 	accts  map[string]*account
 }
 
+func newState() *state { return &state{accts: map[string]*account{}} }
+
 // decodeRecord parses and validates one record's payload.
 func decodeRecord(off int64, payload []byte) (record, error) {
 	var rec record
@@ -168,7 +169,9 @@ func decodeLog(data []byte) (*state, error) {
 	if len(data) < headerLen || !bytes.Equal(data[:len(logMagic)], logMagic) {
 		return nil, fmt.Errorf("%w: bad header", ErrCorrupt)
 	}
-	s := &state{header: data[:headerLen:headerLen], accts: map[string]*account{}}
+	s := newState()
+	// A copy, so the state does not keep the whole file's bytes alive.
+	s.header = bytes.Clone(data[:headerLen])
 	var err error
 	s.size, err = walk(data[headerLen:], headerLen, s.apply)
 	return s, err
@@ -216,7 +219,7 @@ func Open(path string) (*Ledger, error) { return OpenFS(faultfs.OS, path) }
 // OpenFS is Open against an explicit filesystem (fault-injection
 // tests).
 func OpenFS(fsys faultfs.FS, path string) (*Ledger, error) {
-	l := &Ledger{path: path, fs: fsys, st: &state{accts: map[string]*account{}}}
+	l := &Ledger{path: path, fs: fsys, st: newState()}
 	if _, err := fsys.Stat(path); os.IsNotExist(err) {
 		return l, nil
 	}
@@ -238,7 +241,7 @@ func (l *Ledger) syncLocked() (int64, error) {
 	fi, err := l.fs.Stat(l.path)
 	switch {
 	case os.IsNotExist(err):
-		l.st = &state{accts: map[string]*account{}}
+		l.st = newState()
 		return 0, nil
 	case err != nil:
 		return 0, fmt.Errorf("accountant: opening ledger: %w", err)
@@ -270,7 +273,7 @@ func (l *Ledger) syncLocked() (int64, error) {
 	if err != nil {
 		// Records before the damage may have been applied: forget this
 		// handle's state so the next call re-reads from the start.
-		l.st = &state{accts: map[string]*account{}}
+		l.st = newState()
 		return 0, fmt.Errorf("accountant: ledger %s: %w", l.path, err)
 	}
 	l.st.size = end
@@ -280,7 +283,7 @@ func (l *Ledger) syncLocked() (int64, error) {
 // reloadLocked replaces memory with the fold of the whole file,
 // converting a v1 JSON ledger to the log first.
 func (l *Ledger) reloadLocked() error {
-	l.st = &state{accts: map[string]*account{}}
+	l.st = newState()
 	data, err := l.fs.ReadFile(l.path)
 	if err != nil {
 		return fmt.Errorf("accountant: opening ledger: %w", err)
@@ -316,8 +319,19 @@ func (l *Ledger) convertLocked(v1 []byte) ([]byte, error) {
 	for id := range old.Datasets {
 		ids = append(ids, id)
 	}
-	sort.Strings(ids)
-	data := newHeader()
+	slices.Sort(ids)
+	data, err := newHeader()
+	if err != nil {
+		return nil, err
+	}
+	add := func(rec record) error {
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			return fmt.Errorf("accountant: converting v1 ledger %s: %w", l.path, err)
+		}
+		data = frame.Append(data, payload)
+		return nil
+	}
 	for _, id := range ids {
 		acct := old.Datasets[id]
 		if acct == nil {
@@ -326,34 +340,28 @@ func (l *Ledger) convertLocked(v1 []byte) ([]byte, error) {
 		var spent dp.Budget
 		for i := range acct.Receipts {
 			spent = dp.Compose(spent, acct.Receipts[i].Total)
-			data = frame.Append(data, encode(record{Op: opSpend, Dataset: id, Receipt: &acct.Receipts[i], Spent: &spent}))
+			if err := add(record{Op: opSpend, Dataset: id, Receipt: &acct.Receipts[i], Spent: &spent}); err != nil {
+				return nil, err
+			}
 		}
-		data = frame.Append(data, encode(record{Op: opBudget, Dataset: id, Budget: &acct.Budget, Spent: &acct.Spent}))
+		if err := add(record{Op: opBudget, Dataset: id, Budget: &acct.Budget, Spent: &acct.Spent}); err != nil {
+			return nil, err
+		}
 	}
 	if err := faultfs.WriteAtomic(l.fs, l.path, "ledger", data); err != nil {
-		return nil, fmt.Errorf("accountant: converting v1 %w", err)
+		return nil, fmt.Errorf("accountant: converting v1 ledger: %w", err)
 	}
 	return data, nil
 }
 
 // newHeader returns a fresh log header with a random file id.
-func newHeader() []byte {
+func newHeader() ([]byte, error) {
 	h := make([]byte, headerLen)
 	copy(h, logMagic)
 	if _, err := rand.Read(h[len(logMagic):]); err != nil {
-		panic(fmt.Sprintf("accountant: reading random file id: %v", err))
+		return nil, fmt.Errorf("accountant: drawing a ledger file id: %w", err)
 	}
-	return h
-}
-
-// encode marshals a record; every field is a plain value, so it cannot
-// fail.
-func encode(rec record) []byte {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		panic(fmt.Sprintf("accountant: encoding ledger record: %v", err))
-	}
-	return b
+	return h, nil
 }
 
 // withLocked runs fn with the in-process mutex held, the cross-process
@@ -380,13 +388,21 @@ func (l *Ledger) withLocked(fn func(size int64) error) error {
 // is cut first, and a failed write or fsync truncates the file back to
 // the last whole record, leaving memory unchanged.
 func (l *Ledger) appendLocked(size int64, rec record) error {
-	payload := encode(rec)
+	// A receipt carrying NaN or ±Inf cannot be encoded: refused here.
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return fmt.Errorf("accountant: encoding ledger record: %w", err)
+	}
 	if l.st.header == nil {
-		data := frame.Append(newHeader(), payload)
+		header, err := newHeader()
+		if err != nil {
+			return err
+		}
+		data := frame.Append(header, payload)
 		if err := faultfs.WriteAtomic(l.fs, l.path, "ledger", data); err != nil {
 			return fmt.Errorf("accountant: %w", err)
 		}
-		l.st.header, l.st.size = data[:headerLen:headerLen], int64(len(data))
+		l.st.header, l.st.size = header, int64(len(data))
 		l.st.apply(rec)
 		return nil
 	}

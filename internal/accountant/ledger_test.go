@@ -100,9 +100,10 @@ func TestLedgerLifecycle(t *testing.T) {
 
 // TestLedgerCrossHandleVisibility: two handles on one ledger file (the
 // `dpkron serve` / `dpkron budget set` split, here in-process) observe
-// each other's writes, because every operation re-reads the file under
-// the cross-process lock — a budget set after the server opened its
-// handle must be honored, and spends through either handle accrue.
+// each other's writes, because every operation first reads what other
+// handles appended, under the cross-process lock — a budget set after
+// the server opened its handle must be honored, and spends through
+// either handle accrue.
 func TestLedgerCrossHandleVisibility(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ledger.json")
 	server, err := Open(path) // long-lived handle, opened first
@@ -133,9 +134,10 @@ func TestLedgerCrossHandleVisibility(t *testing.T) {
 	}
 }
 
-// TestLedgerCrashMidWrite: the atomic-rename protocol means a crashed
-// writer leaves either the old file or the new one, plus possibly a
-// garbage .tmp — which Open must ignore and the next write replace.
+// TestLedgerCrashMidWrite: creating a ledger (and converting a v1 one)
+// writes a tmp file and renames it into place, so a crash leaves the
+// old file or the new one plus possibly a garbage .tmp — which Open
+// must ignore and which must not block the next write.
 func TestLedgerCrashMidWrite(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ledger.json")
 	led, err := Open(path)

@@ -15,7 +15,7 @@
 // their own fingerprint, so a corrupt, truncated or bit-flipped file
 // is detected, evicted and transparently recomputed instead of served.
 //
-// Persistence follows the ledger/dataset-store discipline: one JSON
+// Persistence follows the dataset-store discipline: one JSON
 // file per entry under the cache directory, written via tmp file +
 // fsync + atomic rename, with mutations serialized through an
 // in-process mutex plus an advisory file lock (internal/fslock) so
