@@ -23,9 +23,9 @@
 // by the frames of internal/frame, the module's one durable record
 // format (shared with the privacy ledger): each a uvarint payload
 // length, the record's compact JSON, and the first 8 bytes of the
-// payload's SHA-256. Appends are single writes; state-bearing transitions
-// (admission, terminal) are fsynced, intermediate ones ride the next
-// sync. Recovery distinguishes a torn tail — an incomplete final
+// payload's SHA-256. Appends are single writes; state-bearing
+// transitions (admission, terminal) are fsynced, intermediate ones
+// ride the next sync. Recovery distinguishes a torn tail — an incomplete final
 // frame, the signature of a crash mid-append, silently truncated away
 // — from interior corruption — a checksum or structural failure with
 // complete bytes on both sides, which is damage, reported as a typed

@@ -72,9 +72,10 @@ import (
 // source's unwalked neighbours cannot lift any partner past the
 // maximum. The candidate sources are sharded under run; each worker
 // reuses one O(n) two-hop scratch array and one neighbour buffer of
-// the maximum degree, and the running maximum is shared through an atomic, so the exact
-// result is identical for every worker count. The context is checked
-// between candidate blocks; a cancelled run returns run.Err().
+// the maximum degree, and the running maximum is shared through an
+// atomic, so the exact result is identical for every worker count.
+// The context is checked between candidate blocks; a cancelled run
+// returns run.Err().
 func MaxCommonNeighborsCtx(run *pipeline.Run, g *graph.Graph) (int, error) {
 	n := g.NumNodes()
 	if n < 2 {
@@ -91,8 +92,6 @@ func MaxCommonNeighborsCtx(run *pipeline.Run, g *graph.Graph) (int, error) {
 	if err := run.Err(); err != nil {
 		return 0, err
 	}
-	// Each worker owns an O(n) two-hop count array and a buffer that
-	// holds one source's neighbours sorted by degree.
 	first, firstOrder := make([]int32, n), make([]uint64, off[top+1]-off[top])
 	var best atomic.Int32
 	best.Store(scan(first, firstOrder, off, adj, top, math.MaxInt32, -1))
