@@ -15,14 +15,21 @@ import (
 
 // Rand is a deterministic random source with samplers for the
 // distributions required by the estimators and mechanisms.
+//
+// pcg is the generator that src wraps, so both advance one shared
+// state; Uint64 and Float64 call pcg directly, without src's dynamic
+// call through the rand.Source interface, and consume the stream
+// exactly as src's methods would.
 type Rand struct {
+	pcg *rand.PCG
 	src *rand.Rand
 }
 
 // New returns a Rand seeded with the given seed. Equal seeds yield
 // identical streams.
 func New(seed uint64) *Rand {
-	return &Rand{src: rand.New(rand.NewPCG(seed, splitmix64(seed)))}
+	pcg := rand.NewPCG(seed, splitmix64(seed))
+	return &Rand{pcg: pcg, src: rand.New(pcg)}
 }
 
 // splitmix64 is the finalizer of the SplitMix64 generator; it is used to
@@ -37,14 +44,15 @@ func splitmix64(x uint64) uint64 {
 // Split derives a new Rand whose stream is independent of the receiver's
 // future output. The receiver advances by one draw.
 func (r *Rand) Split() *Rand {
-	return New(splitmix64(r.src.Uint64()))
+	return New(splitmix64(r.Uint64()))
 }
 
-// Float64 returns a uniform sample in [0, 1).
-func (r *Rand) Float64() float64 { return r.src.Float64() }
+// Float64 returns a uniform sample in [0, 1): the low 53 bits of one
+// Uint64 draw over 2^53, which is math/rand/v2's Rand.Float64.
+func (r *Rand) Float64() float64 { return float64(r.pcg.Uint64()<<11>>11) / (1 << 53) }
 
 // Uint64 returns a uniform 64-bit value.
-func (r *Rand) Uint64() uint64 { return r.src.Uint64() }
+func (r *Rand) Uint64() uint64 { return r.pcg.Uint64() }
 
 // IntN returns a uniform sample in [0, n). It panics if n <= 0.
 func (r *Rand) IntN(n int) int { return r.src.IntN(n) }
@@ -63,7 +71,7 @@ func (r *Rand) Bernoulli(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return r.src.Float64() < p
+	return r.Float64() < p
 }
 
 // Exponential returns a sample from Exp(rate), i.e. with mean 1/rate.
@@ -87,7 +95,7 @@ func (r *Rand) Laplace(scale float64) float64 {
 	}
 	// Inverse CDF on u ~ Uniform(-1/2, 1/2):
 	// x = -b * sgn(u) * ln(1 - 2|u|).
-	u := r.src.Float64() - 0.5
+	u := r.Float64() - 0.5
 	if u >= 0 {
 		return -scale * math.Log(1-2*u)
 	}
@@ -105,7 +113,7 @@ func (r *Rand) Cauchy(scale float64) float64 {
 	if scale < 0 {
 		panic("randx: Cauchy scale must be non-negative")
 	}
-	return scale * math.Tan(math.Pi*(r.src.Float64()-0.5))
+	return scale * math.Tan(math.Pi*(r.Float64()-0.5))
 }
 
 // LaplaceVec returns n independent Laplace(scale) samples.
@@ -127,9 +135,9 @@ func (r *Rand) Geometric(p float64) int {
 		return 0
 	}
 	// Inversion: floor(ln(U) / ln(1-p)).
-	u := r.src.Float64()
+	u := r.Float64()
 	for u == 0 {
-		u = r.src.Float64()
+		u = r.Float64()
 	}
 	return int(math.Floor(math.Log(u) / math.Log(1-p)))
 }

@@ -1,7 +1,9 @@
 package randx
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -268,4 +270,49 @@ func TestPanics(t *testing.T) {
 	mustPanic("Laplace(-1)", func() { r.Laplace(-1) })
 	mustPanic("Geometric(0)", func() { r.Geometric(0) })
 	mustPanic("Binomial(-1,.5)", func() { r.Binomial(-1, 0.5) })
+}
+
+// TestStreamMatchesStdlibPCG checks that Rand's direct PCG calls and the
+// rand.Rand wrapping the same PCG advance one stream: an interleaving of
+// every kind of draw must reproduce math/rand/v2 over the PCG that New
+// seeds, draw for draw, including samplers that consume a variable
+// number of draws.
+func TestStreamMatchesStdlibPCG(t *testing.T) {
+	stdlib := func(seed uint64) *rand.Rand { return rand.New(rand.NewPCG(seed, splitmix64(seed))) }
+	for _, seed := range []uint64{0, 1, 1 << 63, math.MaxUint64} {
+		r, ref := New(seed), stdlib(seed)
+		pick := rand.New(rand.NewPCG(seed, 7))
+		for i := range 5000 {
+			op := pick.IntN(8)
+			var got, want any
+			switch op {
+			case 0:
+				got, want = r.Uint64(), ref.Uint64()
+			case 1:
+				got, want = r.Float64(), ref.Float64()
+			case 2:
+				got, want = r.IntN(1000), ref.IntN(1000)
+			case 3:
+				got, want = r.Normal(), ref.NormFloat64()
+			case 4:
+				got, want = r.Exponential(2), ref.ExpFloat64()/2
+			case 5:
+				got, want = fmt.Sprint(r.Perm(5)), fmt.Sprint(ref.Perm(5))
+			case 6:
+				u, x := ref.Float64()-0.5, 0.0
+				if u >= 0 {
+					x = -3 * math.Log(1-2*u)
+				} else {
+					x = 3 * math.Log(1+2*u)
+				}
+				got, want = r.Laplace(3), x
+			case 7:
+				child, refChild := r.Split(), stdlib(splitmix64(ref.Uint64()))
+				got, want = child.Uint64(), refChild.Uint64()
+			}
+			if got != want {
+				t.Fatalf("seed %d draw %d (op %d): got %v, stdlib %v", seed, i, op, got, want)
+			}
+		}
+	}
 }

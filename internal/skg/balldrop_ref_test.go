@@ -1,6 +1,7 @@
 package skg
 
 import (
+	"slices"
 	"testing"
 
 	"dpkron/internal/graph"
@@ -8,6 +9,27 @@ import (
 	"dpkron/internal/pipeline"
 	"dpkron/internal/randx"
 )
+
+// refDropPair is the historical float-switch ball-drop descent, kept as
+// the oracle for dropPair's integer kernel: per level one uniform draw
+// picks the initiator quadrant whose cumulative normalized entry (pa,
+// pa+pb, pa+2pb, 1) it first falls below.
+func (m Model) refDropPair(r *randx.Rand, pa, pb float64) (u, v int) {
+	for level := 0; level < m.K; level++ {
+		x, y := 1, 1
+		switch rv := r.Float64(); {
+		case rv < pa:
+			x, y = 0, 0
+		case rv < pa+pb:
+			x, y = 0, 1
+		case rv < pa+2*pb:
+			x, y = 1, 0
+		}
+		u = u<<1 | x
+		v = v<<1 | y
+	}
+	return u, v
+}
 
 // sampleBallDropNRef is the historical map-based ball dropper, kept
 // verbatim as the oracle for the documented contract that the map-free
@@ -46,7 +68,7 @@ func (m Model) sampleBallDropNRef(rng *randx.Rand, target, workers int) *graph.G
 		local := make(map[int64]struct{}, 2*q)
 		keys := make([]int64, 0, q)
 		for attempts := 0; len(keys) < q && attempts < 200*q+1000; attempts++ {
-			u, v := m.dropPair(r, pa, pb)
+			u, v := m.refDropPair(r, pa, pb)
 			if u == v {
 				continue
 			}
@@ -78,7 +100,7 @@ func (m Model) sampleBallDropNRef(rng *randx.Rand, target, workers int) *graph.G
 	}
 	top := rngs[shards]
 	for attempts := 0; placed < target && attempts < 200*target+1000; attempts++ {
-		u, v := m.dropPair(top, pa, pb)
+		u, v := m.refDropPair(top, pa, pb)
 		if u == v {
 			continue
 		}
@@ -143,4 +165,60 @@ func must[T any](v T, err error) T {
 		panic(err)
 	}
 	return v
+}
+
+// TestDropThresholdsExact pins dropPair's integer kernel to the float
+// rule of refDropPair. For each threshold T = ⌈t·2^53⌉, k < T must agree
+// with float64(k)/2^53 < t at and around T and at both ends of the
+// draw range, for the benchmark initiator, degenerate ones whose
+// thresholds coincide or sit at 0, and random ones. The two descents
+// must then land on the same (u, v) from equal streams and leave the
+// streams in the same state.
+func TestDropThresholdsExact(t *testing.T) {
+	const top = 1<<53 - 1
+	named := []Initiator{
+		{A: 0.99, B: 0.45, C: 0.25}, // the benchmark's
+		{A: 0.9, B: 0, C: 0.5},      // B = 0: T1 = T2
+		{A: 0.8, B: 0.3, C: 0},      // C = 0: T3 = 2^53
+		{A: 0, B: 0.4, C: 0.7},      // A = 0: T1 = 0
+		{A: 0.5, B: 0.5, C: 0.5},    // thresholds on multiples of 2^51
+	}
+	inits := slices.Clone(named)
+	pick := randx.New(18)
+	for range 1000 {
+		inits = append(inits, Initiator{A: pick.Float64(), B: pick.Float64(), C: pick.Float64()})
+	}
+	for _, in := range inits {
+		sum := in.EdgeSum()
+		pa, pb := in.A/sum, in.B/sum
+		th := dropThresholds(pa, pb)
+		for i, bound := range []float64{pa, pa + pb, pa + 2*pb} {
+			T := int64(th[i])
+			for _, k := range []int64{0, T - 2, T - 1, T, T + 1, top} {
+				k = min(max(k, 0), top)
+				if got, want := k < T, float64(k)/(1<<53) < bound; got != want {
+					t.Fatalf("init %v threshold %d: k=%d < T=%d is %v, float rule says %v", in, i, k, T, got, want)
+				}
+			}
+		}
+	}
+	for _, in := range named {
+		sum := in.EdgeSum()
+		pa, pb := in.A/sum, in.B/sum
+		th := dropThresholds(pa, pb)
+		for _, k := range []int{1, 14, 20, 30} {
+			m := Model{Init: in, K: k}
+			r, ref := randx.New(uint64(k)), randx.New(uint64(k))
+			for i := range 100_000 {
+				u, v := m.dropPair(r, th)
+				wu, wv := m.refDropPair(ref, pa, pb)
+				if u != wu || v != wv {
+					t.Fatalf("init %v K=%d drop %d: dropPair (%d, %d), reference (%d, %d)", in, k, i, u, v, wu, wv)
+				}
+			}
+			if r.Uint64() != ref.Uint64() {
+				t.Fatalf("init %v K=%d: streams diverged after the drops", in, k)
+			}
+		}
+	}
 }

@@ -353,7 +353,7 @@ func (m Model) ballDrop(run *pipeline.Run, rng *randx.Rand, target int, sink key
 		_, _, err := sink.seal(run)
 		return nil, err
 	}
-	pa, pb := m.Init.A/sum, m.Init.B/sum
+	t := dropThresholds(m.Init.A/sum, m.Init.B/sum)
 	shards := min(parallel.DefaultShards, target)
 	ctx := run.Context()
 	rngs := parallel.Streams(rng, shards+1) // last stream is the top-up
@@ -366,7 +366,7 @@ func (m Model) ballDrop(run *pipeline.Run, rng *randx.Rand, target int, sink key
 		if s < target%shards {
 			q++
 		}
-		keys, _ := m.dropUnique(ctx, rngs[s], pa, pb, q, 200*q+1000, nil) // a nil probe cannot fail
+		keys, _ := m.dropUnique(ctx, rngs[s], t, q, 200*q+1000, nil) // a nil probe cannot fail
 		w := sink.writer(s, 0)
 		return errors.Join(w.AddSorted(keys), w.Close())
 	})
@@ -377,7 +377,7 @@ func (m Model) ballDrop(run *pipeline.Run, rng *randx.Rand, target int, sink key
 	if err != nil || placed >= target {
 		return nil, err
 	}
-	extra, err = m.dropUnique(ctx, rngs[shards], pa, pb, target-placed, 200*target+1000, contains)
+	extra, err = m.dropUnique(ctx, rngs[shards], t, target-placed, 200*target+1000, contains)
 	if err != nil {
 		return nil, err
 	}
@@ -462,23 +462,35 @@ func (w *memShard) AddSorted(keys []int64) error {
 
 func (w *memShard) Close() error { return nil }
 
+// dropThresholds returns the ball-drop descent's draw thresholds for
+// the normalized A and B entries pa and pb: T = ⌈t·2^53⌉ for the
+// quadrant boundaries t = pa, pa+pb and pa+2pb.
+func dropThresholds(pa, pb float64) [3]uint64 {
+	ceil := func(t float64) uint64 { return uint64(math.Ceil(t * (1 << 53))) }
+	return [3]uint64{ceil(pa), ceil(pa + pb), ceil(pa + 2*pb)}
+}
+
 // dropPair performs one ball drop: a K-level descent choosing an
 // initiator quadrant per level with probability proportional to its
-// entry (pa and pb are the normalized A and B entries). It consumes
-// exactly K draws from r.
-func (m Model) dropPair(r *randx.Rand, pa, pb float64) (u, v int) {
+// entry, given the thresholds t of dropThresholds. It consumes exactly
+// K draws from r.
+//
+// The descent is exact integer arithmetic on the draws. A uniform draw
+// rv = r.Float64() is k/2^53 for the low 53 bits k of r.Uint64(), and
+// t·2^53 is exact, so rv < t holds exactly when k < ⌈t·2^53⌉ = T. The
+// bit b = (T−1−k)>>63, in wrapping uint64 arithmetic, is therefore
+// [rv ≥ t] (also for T = 0, where T−1 wraps). The thresholds are
+// ordered, so b1 ≥ b2 ≥ b3, and the quadrant of the float rule
+// (rv < pa → (0,0); < pa+pb → (0,1); < pa+2pb → (1,0); else (1,1)) is
+// x = b2, y = b1⊕b2⊕b3, with no branch to mispredict. Every drop takes
+// the same draws and lands on the same (u, v) as that rule.
+func (m Model) dropPair(r *randx.Rand, t [3]uint64) (u, v int) {
+	t1, t2, t3 := t[0]-1, t[1]-1, t[2]-1
 	for level := 0; level < m.K; level++ {
-		x, y := 1, 1
-		switch rv := r.Float64(); {
-		case rv < pa:
-			x, y = 0, 0
-		case rv < pa+pb:
-			x, y = 0, 1
-		case rv < pa+2*pb:
-			x, y = 1, 0
-		}
-		u = u<<1 | x
-		v = v<<1 | y
+		k := r.Uint64() & (1<<53 - 1)
+		b1, b2, b3 := (t1-k)>>63, (t2-k)>>63, (t3-k)>>63
+		u = u<<1 | int(b2)
+		v = v<<1 | int(b1^b2^b3)
 	}
 	return u, v
 }
@@ -505,9 +517,11 @@ func (m Model) dropPair(r *randx.Rand, pa, pb float64) (u, v int) {
 // It returns early, with the keys accepted so far, once ctx is done.
 // A probe error aborts the draw (the caller discards the partial state
 // along with the rng).
-func (m Model) dropUnique(ctx context.Context, r *randx.Rand, pa, pb float64, need, maxAttempts int, excluded func(int64) (bool, error)) ([]int64, error) {
+func (m Model) dropUnique(ctx context.Context, r *randx.Rand, t [3]uint64, need, maxAttempts int, excluded func(int64) (bool, error)) ([]int64, error) {
 	accepted := make([]int64, 0, need)
-	var cand, scratch []int64
+	// No round gathers more than need candidates, so cand never regrows.
+	cand := make([]int64, 0, need)
+	var scratch []int64
 	attempts := 0
 	for len(accepted) < need && attempts < maxAttempts {
 		if ctx.Err() != nil {
@@ -516,7 +530,7 @@ func (m Model) dropUnique(ctx context.Context, r *randx.Rand, pa, pb float64, ne
 		want := need - len(accepted)
 		cand = cand[:0]
 		for len(cand) < want && attempts < maxAttempts {
-			u, v := m.dropPair(r, pa, pb)
+			u, v := m.dropPair(r, t)
 			attempts++
 			if u == v {
 				continue
