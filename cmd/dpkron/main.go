@@ -546,7 +546,7 @@ func cmdGenerate(args []string) error {
 	rng := randx.New(*seed)
 	if *storeDir != "" {
 		// Generate-to-store streams the sampled edges through an external
-		// sort straight into the store's v2 encoder: the edge set never
+		// sort into the store's row-windowed v2 encoder: the edge set never
 		// materializes in memory, so k is bounded by disk, not RAM. The
 		// stored graph is bit-identical to the in-memory sampler's output
 		// for the same seed.

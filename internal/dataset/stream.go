@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -16,9 +17,9 @@ import (
 // ingest. Edges yields the packed upper-triangle keys u<<32|v (u < v),
 // strictly ascending with no duplicates — the order extsort's
 // merge-dedup naturally produces — and may be called more than once:
-// PutStream makes two passes, one to size the CSR layout and one to
-// write it. The interface is structural on purpose, so samplers can
-// satisfy it without importing this package.
+// PutStream makes one counting pass and then one pass per row window of
+// the adjacency it writes. The interface is structural on purpose, so
+// samplers can satisfy it without importing this package.
 type EdgeSource interface {
 	// NumNodes is the node count of the streamed graph.
 	NumNodes() int
@@ -26,14 +27,19 @@ type EdgeSource interface {
 	Edges() (*extsort.Iterator, error)
 }
 
+// errSourceChanged reports an EdgeSource whose passes disagree or whose
+// keys are out of order.
+var errSourceChanged = errors.New("dataset: edge source is not the same strictly ascending edge set on every pass")
+
 // PutStream imports a graph from an edge stream without ever holding
-// its edge set in memory: peak residency is O(n) for the CSR offsets
-// plus O(sort chunk) for an external re-sort of the reversed keys —
-// not O(m). The graph lands directly in the v2 mmap layout, and the
-// content-addressed id is computed on the fly during the first pass,
-// so a re-import of an already-stored graph is detected before any
-// file is written. Returns the metadata plus whether the dataset was
-// newly created.
+// its edge set in memory. One counting pass sizes the CSR layout and
+// computes the content-addressed id, so a re-import of an
+// already-stored graph is detected before any file is written. The
+// adjacency is then filled one row window at a time, one pass over the
+// source per window, straight into the v2 mmap layout. Peak residency
+// is O(n) for the CSR offsets plus one window (at most 8 MiB unless a
+// single row is larger) — not O(m). Returns the metadata plus whether
+// the dataset was newly created.
 //
 // The id is bit-identical to Put's: the hash consumes the same bytes
 // accountant.DatasetID feeds it, in the same (sorted) edge order.
@@ -41,80 +47,54 @@ func (s *Store) PutStream(src EdgeSource, name, source string) (Meta, bool, erro
 	return s.putStream(src, name, source, extsort.DefaultChunk)
 }
 
-// putStream is PutStream with an explicit external-sort chunk size
-// (tests shrink it to force multi-run spills).
+// putStream is PutStream with the window budget set by chunk: 2·chunk
+// int32s, as many bytes as a chunk of int64 sort keys (8 MiB at
+// extsort.DefaultChunk). Tests shrink it to force many windows.
 func (s *Store) putStream(src EdgeSource, name, source string, chunk int) (Meta, bool, error) {
 	n := src.NumNodes()
 	if n < 0 || n >= 1<<31 {
 		return Meta{}, false, fmt.Errorf("dataset: streaming %d nodes exceeds the node-id limit", n)
 	}
 
-	// The v2 adjacency lists every neighbor of every row in order, which
-	// interleaves lower neighbors (from edges where this row is v) with
-	// upper ones (where it is u). The natural key stream gives the upper
-	// halves; an external re-sort of the reversed keys v<<32|u gives the
-	// lower halves in exactly row-major order. Spill runs live beside
-	// the store so they share its filesystem (and fault injection).
-	spillDir, err := os.MkdirTemp(s.dir, "spill-")
-	if err != nil {
-		return Meta{}, false, fmt.Errorf("dataset: creating spill dir: %w", err)
-	}
-	sorter, err := extsort.New(s.fs, spillDir, chunk)
-	if err != nil {
-		os.RemoveAll(spillDir)
-		return Meta{}, false, err
-	}
-	defer sorter.RemoveAll()
-
-	// Pass 1: validate and count. Degrees become CSR offsets, the id
-	// hash consumes each edge as accountant.DatasetID would, and every
-	// reversed key is spilled for pass 2.
+	// Pass 1: validate and count. Degrees become CSR offsets, and the id
+	// hash consumes each edge as accountant.DatasetID would, in batches.
 	h := sha256.New()
-	var hbuf [16]byte
-	binary.LittleEndian.PutUint64(hbuf[:8], uint64(n))
-	h.Write(hbuf[:8])
+	hbuf := binary.LittleEndian.AppendUint64(make([]byte, 0, 16<<10), uint64(n))
 	off := make([]int32, n+1)
 	m := 0
-	rev := sorter.Writer()
 	it, err := src.Edges()
 	if err != nil {
-		rev.Close()
 		return Meta{}, false, err
 	}
 	err = func() error {
 		defer it.Close()
 		for {
 			key, ok, err := it.Next()
-			if err != nil {
+			if err != nil || !ok {
 				return err
 			}
-			if !ok {
-				return nil
-			}
 			u, v := int(uint64(key)>>32), int(uint64(key)&0xffffffff)
-			if u < 0 || u >= v || v >= n {
+			if u >= v || v >= n {
 				return fmt.Errorf("dataset: streamed edge (%d,%d) outside 0 <= u < v < %d", u, v, n)
 			}
 			if m >= v2MaxEdges {
 				return fmt.Errorf("dataset: streamed graph exceeds the v2 limit of %d edges", v2MaxEdges)
 			}
-			binary.LittleEndian.PutUint64(hbuf[:8], uint64(u))
-			binary.LittleEndian.PutUint64(hbuf[8:], uint64(v))
-			h.Write(hbuf[:])
+			if len(hbuf)+16 > cap(hbuf) {
+				h.Write(hbuf)
+				hbuf = hbuf[:0]
+			}
+			hbuf = binary.LittleEndian.AppendUint64(hbuf, uint64(u))
+			hbuf = binary.LittleEndian.AppendUint64(hbuf, uint64(v))
 			off[u+1]++
 			off[v+1]++
 			m++
-			if err := rev.Add(int64(v)<<32 | int64(u)); err != nil {
-				return err
-			}
 		}
 	}()
-	if cerr := rev.Close(); err == nil {
-		err = cerr
-	}
 	if err != nil {
 		return Meta{}, false, err
 	}
+	h.Write(hbuf)
 	id := fmt.Sprintf("ds-%x", h.Sum(nil)[:8])
 
 	unlock, err := s.lock()
@@ -132,22 +112,6 @@ func (s *Store) putStream(src EdgeSource, name, source string, chunk int) (Meta,
 		off[i+1] += off[i]
 	}
 
-	// Pass 2: co-merge the natural and reversed key streams. Both are
-	// ascending and disjoint (natural keys have high < low, reversed
-	// high > low), and plain int64 order on the union is exactly
-	// row-major CSR order — the low 32 bits of each key are the
-	// neighbor.
-	nat, err := src.Edges()
-	if err != nil {
-		return Meta{}, false, err
-	}
-	defer nat.Close()
-	low, err := sorter.Merge()
-	if err != nil {
-		return Meta{}, false, err
-	}
-	defer low.Close()
-
 	tmp := s.graphPath(id) + ".tmp"
 	f, err := s.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -160,7 +124,7 @@ func (s *Store) putStream(src EdgeSource, name, source string, chunk int) (Meta,
 			s.fs.Remove(tmp)
 		}
 	}()
-	if err := writeV2Stream(f, n, m, off, nat, low); err != nil {
+	if err := writeV2Stream(f, src, n, m, off, 2*chunk); err != nil {
 		return Meta{}, false, fmt.Errorf("dataset: writing %s: %w", tmp, err)
 	}
 	if err := f.Sync(); err != nil {
@@ -192,9 +156,14 @@ func (s *Store) putStream(src EdgeSource, name, source string, chunk int) (Meta,
 }
 
 // writeV2Stream renders a complete v2 file — header, offsets, padding,
-// co-merged adjacency, trailing checksum — onto w. nat and low are the
-// ascending natural (u<<32|v) and reversed (v<<32|u) key streams.
-func writeV2Stream(w io.Writer, n, m int, off []int32, nat, low *extsort.Iterator) error {
+// adjacency, trailing checksum — onto w. The adjacency is filled in
+// windows of rows [r0, r1) whose entries plus one cursor per row fit
+// budget int32s (a row too large for that gets a window of its own).
+// Each window is one pass over src that stops at the first edge with
+// u ≥ r1 and places v at row u's cursor and u at row v's. Every row
+// comes out sorted: its lower neighbours arrive before its upper ones,
+// each in ascending order.
+func writeV2Stream(w io.Writer, src EdgeSource, n, m int, off []int32, budget int) error {
 	h := sha256.New()
 	bw := bufio.NewWriterSize(w, 1<<16)
 	mw := io.MultiWriter(bw, h)
@@ -211,58 +180,71 @@ func writeV2Stream(w io.Writer, n, m int, off []int32, nat, low *extsort.Iterato
 		}
 	}
 
-	natKey, natOK, err := nat.Next()
-	if err != nil {
-		return err
-	}
-	lowKey, lowOK, err := low.Next()
-	if err != nil {
-		return err
-	}
-	var buf [4096]byte
-	fill := 0
-	flush := func() error {
-		_, err := mw.Write(buf[:fill])
-		fill = 0
-		return err
-	}
-	emit := func(neighbor int64) error {
-		if fill == len(buf) {
-			if err := flush(); err != nil {
-				return err
-			}
+	buf := make([]int32, min(budget, n+2*m))
+	for r0, r1 := 0, 0; r0 < n; r0 = r1 {
+		r1 = r0 + 1
+		for r1 < n && int(off[r1+1]-off[r0])+r1+1-r0 <= budget {
+			r1++
 		}
-		binary.LittleEndian.PutUint32(buf[fill:], uint32(uint64(neighbor)&0xffffffff))
-		fill += 4
-		return nil
-	}
-	wrote := 0
-	for natOK || lowOK {
-		var key int64
-		if !lowOK || (natOK && natKey < lowKey) {
-			key = natKey
-			if natKey, natOK, err = nat.Next(); err != nil {
-				return err
-			}
-		} else {
-			key = lowKey
-			if lowKey, lowOK, err = low.Next(); err != nil {
-				return err
-			}
+		if need := int(off[r1]-off[r0]) + r1 - r0; need > len(buf) {
+			buf = make([]int32, need)
 		}
-		if err := emit(key); err != nil {
+		cur, adj := buf[:r1-r0], buf[r1-r0:r1-r0+int(off[r1]-off[r0])]
+		copy(cur, off[r0:r1])
+		if err := fillWindow(src, n, off, r0, r1, cur, adj); err != nil {
 			return err
 		}
-		wrote++
-	}
-	if wrote != 2*m {
-		return fmt.Errorf("dataset: adjacency stream yielded %d entries, want %d (edge source changed between passes?)", wrote, 2*m)
-	}
-	if err := flush(); err != nil {
-		return err
+		if err := writeInt32sLE(mw, adj); err != nil {
+			return err
+		}
 	}
 	if _, err := bw.Write(h.Sum(nil)); err != nil {
 		return err
 	}
 	return bw.Flush()
+}
+
+// fillWindow makes one pass over src placing the neighbours of rows
+// [r0, r1) into adj, which starts at offset off[r0]. cur holds each
+// row's next absolute adjacency position. A cursor that would pass its
+// row's end, or stops short of it, means the source changed since the
+// counting pass.
+func fillWindow(src EdgeSource, n int, off []int32, r0, r1 int, cur, adj []int32) error {
+	it, err := src.Edges()
+	if err != nil {
+		return err
+	}
+	defer it.Close()
+	base := off[r0]
+	place := func(r, nb int) bool {
+		c := cur[r-r0]
+		if c == off[r+1] {
+			return false
+		}
+		adj[c-base] = int32(nb)
+		cur[r-r0] = c + 1
+		return true
+	}
+	prev := int64(-1)
+	for {
+		key, ok, err := it.Next()
+		if err != nil {
+			return err
+		}
+		u, v := int(uint64(key)>>32), int(uint64(key)&0xffffffff)
+		if !ok || u >= r1 {
+			break
+		}
+		if key <= prev || u >= v || v >= n ||
+			u >= r0 && !place(u, v) || v >= r0 && v < r1 && !place(v, u) {
+			return errSourceChanged
+		}
+		prev = key
+	}
+	for r := r0; r < r1; r++ {
+		if cur[r-r0] != off[r+1] {
+			return errSourceChanged
+		}
+	}
+	return nil
 }

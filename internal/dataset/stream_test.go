@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"strings"
 	"testing"
 
 	"dpkron/internal/accountant"
@@ -12,42 +13,53 @@ import (
 	"dpkron/internal/graph"
 )
 
-// sliceEdgeSource adapts an in-memory graph to the EdgeSource
-// interface by spilling its packed edges through a throwaway sorter —
-// the test stand-in for a streaming sampler.
+// sliceEdgeSource serves a fixed edge-key set from one consolidated
+// run under a test temp dir — the test stand-in for a streaming
+// sampler. Every Edges call re-reads the same run.
 type sliceEdgeSource struct {
-	n    int
-	keys []int64
+	n   int
+	run *extsort.Run
+}
+
+// newKeySource spills keys once through a sorter on fsys (nil selects
+// the OS) and consolidates them.
+func newKeySource(tb testing.TB, fsys faultfs.FS, n int, keys []int64) *sliceEdgeSource {
+	tb.Helper()
+	sorter, err := extsort.New(fsys, tb.TempDir(), 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w := sorter.Writer()
+	for _, k := range keys {
+		if err := w.Add(k); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	run, err := sorter.Consolidate()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { run.Close() })
+	return &sliceEdgeSource{n: n, run: run}
+}
+
+// edgeKeys packs g's edges as upper-triangle keys.
+func edgeKeys(g *graph.Graph) []int64 {
+	var keys []int64
+	g.ForEachEdge(func(u, v int) { keys = append(keys, int64(u)<<32|int64(v)) })
+	return keys
 }
 
 func newSliceEdgeSource(tb testing.TB, g *graph.Graph) *sliceEdgeSource {
-	tb.Helper()
-	var keys []int64
-	g.ForEachEdge(func(u, v int) { keys = append(keys, int64(u)<<32|int64(v)) })
-	return &sliceEdgeSource{n: g.NumNodes(), keys: keys}
+	return newKeySource(tb, nil, g.NumNodes(), edgeKeys(g))
 }
 
 func (s *sliceEdgeSource) NumNodes() int { return s.n }
 
-func (s *sliceEdgeSource) Edges() (*extsort.Iterator, error) {
-	sorter, err := extsort.NewTemp(nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	w := sorter.Writer()
-	if err := w.AddSorted(s.keys); err != nil {
-		w.Close()
-		return nil, err
-	}
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-	it, err := sorter.Merge()
-	// The spill dir leaks until process exit on the error path only;
-	// tests run in t.TempDir-adjacent temp space.
-	_ = err
-	return it, err
-}
+func (s *sliceEdgeSource) Edges() (*extsort.Iterator, error) { return s.run.Iter() }
 
 // TestPutStreamMatchesPut: the streaming ingest is a drop-in for
 // PutFormat(v2) — same content-addressed id, same metadata, and the
@@ -111,35 +123,177 @@ func TestPutStreamRejectsBadEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := map[string]*sliceEdgeSource{
-		"v-out-of-range": {n: 4, keys: []int64{int64(1)<<32 | 9}},
-		"self-loop":      {n: 4, keys: []int64{int64(2)<<32 | 2}},
-		"inverted":       {n: 4, keys: []int64{int64(3)<<32 | 1}},
+	cases := map[string]int64{
+		"v-out-of-range": int64(1)<<32 | 9,
+		"self-loop":      int64(2)<<32 | 2,
+		"inverted":       int64(3)<<32 | 1,
 	}
-	for name, src := range cases {
-		if _, _, err := st.PutStream(src, "bad", "test"); err == nil {
+	for name, key := range cases {
+		if _, _, err := st.PutStream(newKeySource(t, nil, 4, []int64{key}), "bad", "test"); err == nil {
 			t.Errorf("%s: PutStream accepted a hostile edge stream", name)
+		}
+	}
+	// A top-up slice that breaks IterWith's sorted contract makes the
+	// merge yield keys out of order.
+	src := &topUpSource{newKeySource(t, nil, 100, []int64{1<<32 | 2}), []int64{50<<32 | 51, 3<<32 | 4}}
+	if _, _, err := st.PutStream(src, "bad", "test"); !errors.Is(err, errSourceChanged) {
+		t.Errorf("unsorted: got %v, want errSourceChanged", err)
+	}
+}
+
+// topUpSource merges a run with an in-memory top-up, as skg.EdgeStream
+// does.
+type topUpSource struct {
+	*sliceEdgeSource
+	extra []int64
+}
+
+func (s *topUpSource) Edges() (*extsort.Iterator, error) { return s.run.IterWith(s.extra) }
+
+// TestPutStreamWindows: the row-windowed adjacency is byte-identical to
+// MarshalV2, with DatasetID's id, for windows of a few rows, for a hub
+// whose degree exceeds the window (it gets a window of its own), and
+// for graphs with isolated rows.
+func TestPutStreamWindows(t *testing.T) {
+	graphs := testGraphs(t)
+	for _, tc := range []struct {
+		graph   string
+		chunk   int
+		windows int // expected window count; 0 skips the check
+	}{
+		// Budget 8: the hub (degree 32) alone, then 4 leaves a window.
+		{"star", 4, 1 + 32/4},
+		{"star", 1, 33},
+		{"skg-k10", 1, 0},
+		{"skg-k10", 2, 0},
+		{"skg-k10", 7, 0},
+		{"isolated", 1, 0},
+		{"complete", 2, 20},
+		{"complete", 7, 20},
+	} {
+		g := graphs[tc.graph]
+		inj := faultfs.NewInjector(faultfs.OS)
+		src := newKeySource(t, inj, g.NumNodes(), edgeKeys(g))
+		opens := inj.Ops(faultfs.OpOpen, ".run")
+		st, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, _, err := st.putStream(src, "w", "test", tc.chunk)
+		if err != nil {
+			t.Fatalf("%s (chunk %d): %v", tc.graph, tc.chunk, err)
+		}
+		if want := accountant.DatasetID(g); m.ID != want {
+			t.Fatalf("%s (chunk %d): id %s, want %s", tc.graph, tc.chunk, m.ID, want)
+		}
+		onDisk, err := os.ReadFile(st.graphPath(m.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(onDisk, MarshalV2(g)) {
+			t.Fatalf("%s (chunk %d): streamed v2 file differs from MarshalV2", tc.graph, tc.chunk)
+		}
+		// One counting pass, then one pass per window.
+		if passes := inj.Ops(faultfs.OpOpen, ".run") - opens; tc.windows > 0 && passes != 1+tc.windows {
+			t.Errorf("%s (chunk %d): %d passes over the source, want 1 + %d windows", tc.graph, tc.chunk, passes, tc.windows)
 		}
 	}
 }
 
-// TestPutStreamFaults: spill and commit failures during streaming
-// ingest surface as errors and leave no torn dataset behind.
-func TestPutStreamFaults(t *testing.T) {
+// changingSource yields one edge set on its first Edges call and
+// another on every later call, as a source mutated between the
+// counting pass and the window passes would.
+type changingSource struct {
+	first, later *sliceEdgeSource
+	calls        int
+}
+
+func (s *changingSource) NumNodes() int { return s.first.n }
+
+func (s *changingSource) Edges() (*extsort.Iterator, error) {
+	s.calls++
+	if s.calls == 1 {
+		return s.first.Edges()
+	}
+	return s.later.Edges()
+}
+
+// TestPutStreamSourceChanged: a source whose window passes disagree
+// with its counting pass — same edge count, one edge moved, or one edge
+// dropped — fails with errSourceChanged and leaves no temporary file
+// and no dataset behind.
+func TestPutStreamSourceChanged(t *testing.T) {
 	g := testGraphs(t)["path"]
+	key := func(u, v int) int64 { return int64(u)<<32 | int64(v) }
+	for name, move := range map[string][2]int64{
+		"same-row":  {key(10, 11), key(10, 12)},
+		"far-row":   {key(0, 1), key(0, 99)},
+		"new-row":   {key(50, 51), key(70, 90)},
+		"last-rows": {key(98, 99), key(3, 5)},
+		"dropped":   {key(40, 41), -1},
+	} {
+		for _, chunk := range []int{1, 7, extsort.DefaultChunk} {
+			var later []int64
+			for _, k := range edgeKeys(g) {
+				if k == move[0] {
+					k = move[1]
+				}
+				if k >= 0 {
+					later = append(later, k)
+				}
+			}
+			src := &changingSource{
+				first: newSliceEdgeSource(t, g),
+				later: newKeySource(t, nil, g.NumNodes(), later),
+			}
+			dir := t.TempDir()
+			st, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := st.putStream(src, "c", "test", chunk); !errors.Is(err, errSourceChanged) {
+				t.Errorf("%s (chunk %d): got %v, want errSourceChanged", name, chunk, err)
+			}
+			if list, err := st.List(); err != nil || len(list) != 0 {
+				t.Errorf("%s (chunk %d): store lists %v (err %v) after a failed put", name, chunk, list, err)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				if strings.HasSuffix(e.Name(), ".tmp") || strings.HasSuffix(e.Name(), graphExt) {
+					t.Errorf("%s (chunk %d): %s left behind", name, chunk, e.Name())
+				}
+			}
+		}
+	}
+}
+
+// TestPutStreamFaults: window and commit failures during streaming
+// ingest surface as errors and leave no torn dataset behind. The
+// adjacency (159 KB) spans several buffered writes and, at chunk 3,
+// one window per row.
+func TestPutStreamFaults(t *testing.T) {
+	g := graph.Complete(200)
 	for fault, f := range map[string]faultfs.Fault{
-		"spill-write":  {Op: faultfs.OpWrite, Path: ".run", Short: 4},
 		"graph-rename": {Op: faultfs.OpRename, Path: graphExt},
 		"graph-write":  {Op: faultfs.OpWrite, Path: graphExt + ".tmp", Short: 8},
-		"merge-reopen": {Op: faultfs.OpOpen, Path: ".run", After: 2},
-		"meta-sync":    {Op: faultfs.OpSync, Path: metaExt},
+		// The second buffered write lands after the first windows.
+		"window-write":  {Op: faultfs.OpWrite, Path: graphExt + ".tmp", After: 1, Short: 8},
+		"window-reread": {Op: faultfs.OpOpen, Path: ".run", After: 2},
+		"meta-sync":     {Op: faultfs.OpSync, Path: metaExt},
 	} {
-		inj := faultfs.NewInjector(faultfs.OS).Fail(f)
+		inj := faultfs.NewInjector(faultfs.OS)
 		st, err := OpenFS(inj, t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, err = st.putStream(newSliceEdgeSource(t, g), "f", "test", 3)
+		// The source reads its run through the injector too, so a failed
+		// re-read of a later window is one of the faults.
+		src := newKeySource(t, inj, g.NumNodes(), edgeKeys(g))
+		inj.Fail(f)
+		_, _, err = st.putStream(src, "f", "test", 3)
 		if !errors.Is(err, faultfs.ErrInjected) {
 			t.Errorf("%s: got %v, want ErrInjected", fault, err)
 		}

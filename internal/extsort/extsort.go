@@ -3,8 +3,14 @@
 // and spilled to disk as runs, and a k-way merge streams the unique
 // ascending sequence back. It is the machinery behind streaming
 // generate-to-store — the sampled edge keys of a graph too large to
-// hold are spilled shard by shard and merged straight into the v2
-// on-disk encoder, so peak memory is O(chunk), not O(edges).
+// hold are spilled shard by shard and consolidated into one sorted run,
+// which the store's v2 encoder re-reads once per row window, so peak
+// memory is O(chunk), not O(edges).
+//
+// Runs are raw little-endian int64s, written and read blockKeys keys at
+// a time. The merge keeps one decoded block and a cursor per run and a
+// heap of (key, cursor) slots; the per-key step replaces the heap top
+// and sifts it down once, with no interface call and no allocation.
 //
 // All spill I/O goes through faultfs.FS, so the fault-injection tests
 // that cover the durable stores cover the spill files too: a torn
@@ -17,7 +23,6 @@
 package extsort
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -122,31 +127,42 @@ func (s *Sorter) addRun(path string, count int64) {
 	s.runs = append(s.runs, runInfo{path: path, count: count})
 }
 
-// writeRun writes sorted keys as one run file: raw little-endian
-// int64s, buffered, no fsync (spill data does not survive a crash by
-// design — a failed run aborts the whole operation instead).
-func (s *Sorter) writeRun(path string, keys []int64) error {
+// writeRun writes the keys it yields as one run file at path: raw
+// little-endian int64s, encoded and written blockKeys at a time, no
+// fsync (spill data does not survive a crash by design — a failed run
+// aborts the whole operation instead). what names the file in errors.
+func (s *Sorter) writeRun(path, what string, it *Iterator) (int64, error) {
 	f, err := s.fs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o600)
 	if err != nil {
-		return fmt.Errorf("extsort: creating run: %w", err)
+		return 0, fmt.Errorf("extsort: creating %s: %w", what, err)
 	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	var kb [8]byte
-	for _, k := range keys {
-		binary.LittleEndian.PutUint64(kb[:], uint64(k))
-		if _, err := bw.Write(kb[:]); err != nil {
+	buf := make([]byte, 0, 8*blockKeys)
+	var count int64
+	for {
+		k, ok, err := it.Next()
+		if err != nil {
 			f.Close()
-			return fmt.Errorf("extsort: writing run: %w", err)
+			return 0, err
+		}
+		if ok {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(k))
+			count++
+		}
+		if len(buf) == cap(buf) || !ok && len(buf) > 0 {
+			if _, err := f.Write(buf); err != nil {
+				f.Close()
+				return 0, fmt.Errorf("extsort: writing %s: %w", what, err)
+			}
+			buf = buf[:0]
+		}
+		if !ok {
+			break
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("extsort: writing run: %w", err)
-	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("extsort: closing run: %w", err)
+		return 0, fmt.Errorf("extsort: closing %s: %w", what, err)
 	}
-	return nil
+	return count, nil
 }
 
 // spill sorts (unless presorted), deduplicates, and writes keys as a
@@ -160,10 +176,11 @@ func (s *Sorter) spill(keys []int64, presorted bool) error {
 		keys = slices.Compact(keys)
 	}
 	path := s.nextPath("run")
-	if err := s.writeRun(path, keys); err != nil {
+	count, err := s.writeRun(path, "run", newIterator([]source{&sliceSource{keys: keys}}))
+	if err != nil {
 		return err
 	}
-	s.addRun(path, int64(len(keys)))
+	s.addRun(path, count)
 	return nil
 }
 
@@ -258,39 +275,10 @@ func (s *Sorter) Consolidate() (*Run, error) {
 	}
 	path := s.nextPath("merged")
 	tmp := path + ".tmp"
-	f, err := s.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o600)
-	if err != nil {
-		it.Close()
-		return nil, fmt.Errorf("extsort: creating merged run: %w", err)
-	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	var count int64
-	var kb [8]byte
-	for {
-		k, ok, err := it.Next()
-		if err != nil {
-			f.Close()
-			it.Close()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		binary.LittleEndian.PutUint64(kb[:], uint64(k))
-		if _, err := bw.Write(kb[:]); err != nil {
-			f.Close()
-			it.Close()
-			return nil, fmt.Errorf("extsort: writing merged run: %w", err)
-		}
-		count++
-	}
+	count, err := s.writeRun(tmp, "merged run", it)
 	it.Close()
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("extsort: writing merged run: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return nil, fmt.Errorf("extsort: closing merged run: %w", err)
+	if err != nil {
+		return nil, err
 	}
 	if err := s.fs.Rename(tmp, path); err != nil {
 		return nil, fmt.Errorf("extsort: committing merged run: %w", err)
@@ -323,13 +311,7 @@ type Run struct {
 func (r *Run) Count() int64 { return r.count }
 
 // Iter returns a fresh sequential iterator over the run.
-func (r *Run) Iter() (*Iterator, error) {
-	src, err := newFileSource(r.fs, r.path, r.count)
-	if err != nil {
-		return nil, err
-	}
-	return newIterator([]source{src}), nil
-}
+func (r *Run) Iter() (*Iterator, error) { return r.IterWith(nil) }
 
 // IterWith returns an iterator over the unique ascending union of the
 // run and a sorted slice — how a streamed sample's disk-resident bulk
@@ -386,32 +368,35 @@ func (r *Run) Close() error {
 	return err
 }
 
-// source is one pull stream of ascending keys.
+// blockKeys is how many keys a run file is written and read in at a
+// time: 32 KiB of raw bytes plus 32 KiB decoded per open run.
+const blockKeys = 4096
+
+// source is one pull stream of ascending keys, delivered in blocks.
 type source interface {
-	next() (int64, bool, error)
+	// block returns the next non-empty block of keys, or nil at the
+	// end. The block is valid until the next call.
+	block() ([]int64, error)
 	close() error
 }
 
-type sliceSource struct {
-	keys []int64
-	pos  int
-}
+// sliceSource yields an in-memory sorted slice as one block.
+type sliceSource struct{ keys []int64 }
 
-func (s *sliceSource) next() (int64, bool, error) {
-	if s.pos >= len(s.keys) {
-		return 0, false, nil
-	}
-	k := s.keys[s.pos]
-	s.pos++
-	return k, true, nil
+func (s *sliceSource) block() ([]int64, error) {
+	keys := s.keys
+	s.keys = nil
+	return keys, nil
 }
 
 func (s *sliceSource) close() error { return nil }
 
+// fileSource decodes a run file blockKeys keys per read.
 type fileSource struct {
 	f         faultfs.Reader
-	br        *bufio.Reader
 	remaining int64
+	raw       []byte
+	keys      []int64
 }
 
 func newFileSource(fsys faultfs.FS, path string, count int64) (*fileSource, error) {
@@ -419,19 +404,24 @@ func newFileSource(fsys faultfs.FS, path string, count int64) (*fileSource, erro
 	if err != nil {
 		return nil, fmt.Errorf("extsort: opening run: %w", err)
 	}
-	return &fileSource{f: f, br: bufio.NewReaderSize(f, 1<<16), remaining: count}, nil
+	n := min(count, blockKeys)
+	return &fileSource{f: f, remaining: count, raw: make([]byte, 8*n), keys: make([]int64, n)}, nil
 }
 
-func (s *fileSource) next() (int64, bool, error) {
-	if s.remaining <= 0 {
-		return 0, false, nil
+func (s *fileSource) block() ([]int64, error) {
+	n := min(s.remaining, blockKeys)
+	if n <= 0 {
+		return nil, nil
 	}
-	var kb [8]byte
-	if _, err := io.ReadFull(s.br, kb[:]); err != nil {
-		return 0, false, fmt.Errorf("extsort: reading run: %w", err)
+	raw, keys := s.raw[:8*n], s.keys[:n]
+	if _, err := io.ReadFull(s.f, raw); err != nil {
+		return nil, fmt.Errorf("extsort: reading run: %w", err)
 	}
-	s.remaining--
-	return int64(binary.LittleEndian.Uint64(kb[:])), true, nil
+	for i := range keys {
+		keys[i] = int64(binary.LittleEndian.Uint64(raw[8*i:]))
+	}
+	s.remaining -= n
+	return keys, nil
 }
 
 func (s *fileSource) close() error { return s.f.Close() }
@@ -440,110 +430,127 @@ func (s *fileSource) close() error { return s.f.Close() }
 // merge with duplicate suppression. Close releases the underlying run
 // files; Next after exhaustion keeps returning ok = false.
 type Iterator struct {
-	heads []head // min-ordered by key: heads[0] is next
+	curs  []cursor
+	heap  []slot // min-ordered by key: heap[0] is next
 	last  int64
 	first bool
 	err   error
 }
 
-type head struct {
+// cursor is one source's current block and position in it; src is nil
+// once the source is closed.
+type cursor struct {
+	src  source
+	keys []int64
+	pos  int
+}
+
+// slot is a heap entry: the key under cursor c.
+type slot struct {
 	key int64
-	src source
+	c   int
 }
 
 func newIterator(srcs []source) *Iterator {
-	it := &Iterator{first: true}
-	for _, src := range srcs {
-		k, ok, err := src.next()
-		if err != nil {
-			it.err = err
-			src.close()
-			continue
+	it := &Iterator{curs: make([]cursor, len(srcs)), first: true}
+	for i, src := range srcs {
+		it.curs[i].src = src
+	}
+	for i := range it.curs {
+		if it.refill(&it.curs[i]) != nil {
+			break
 		}
-		if !ok {
-			src.close()
-			continue
+		if c := &it.curs[i]; c.src != nil {
+			it.heap = append(it.heap, slot{key: c.keys[0], c: i})
 		}
-		it.push(head{key: k, src: src})
+	}
+	for i := len(it.heap)/2 - 1; i >= 0; i-- {
+		it.siftDown(i)
 	}
 	return it
 }
 
-// push inserts h into the binary heap.
-func (it *Iterator) push(h head) {
-	it.heads = append(it.heads, h)
-	i := len(it.heads) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if it.heads[parent].key <= it.heads[i].key {
-			break
-		}
-		it.heads[parent], it.heads[i] = it.heads[i], it.heads[parent]
-		i = parent
-	}
-}
-
-// pop removes the minimum head.
-func (it *Iterator) pop() head {
-	h := it.heads[0]
-	last := len(it.heads) - 1
-	it.heads[0] = it.heads[last]
-	it.heads = it.heads[:last]
-	i := 0
+// siftDown restores the heap order below slot i.
+func (it *Iterator) siftDown(i int) {
+	h := it.heap
 	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < len(it.heads) && it.heads[l].key < it.heads[min].key {
-			min = l
+		l := 2*i + 1
+		if l >= len(h) {
+			return
 		}
-		if r < len(it.heads) && it.heads[r].key < it.heads[min].key {
-			min = r
+		if r := l + 1; r < len(h) && h[r].key < h[l].key {
+			l = r
 		}
-		if min == i {
-			break
+		if h[i].key <= h[l].key {
+			return
 		}
-		it.heads[i], it.heads[min] = it.heads[min], it.heads[i]
-		i = min
+		h[i], h[l] = h[l], h[i]
+		i = l
 	}
-	return h
 }
 
-// Next returns the next unique key in ascending order.
+// Next returns the next unique key in ascending order. The top slot is
+// replaced by its cursor's next key and sifted down once; a source is
+// only called when its block runs out.
 func (it *Iterator) Next() (int64, bool, error) {
 	if it.err != nil {
 		return 0, false, it.err
 	}
-	for len(it.heads) > 0 {
-		h := it.pop()
-		k, ok, err := h.src.next()
-		if err != nil {
-			it.err = err
-			h.src.close()
-			it.Close()
+	for len(it.heap) > 0 {
+		top := &it.heap[0]
+		k := top.key
+		c := &it.curs[top.c]
+		if c.pos++; c.pos < len(c.keys) {
+			top.key = c.keys[c.pos]
+		} else if err := it.refill(c); err != nil {
 			return 0, false, err
-		}
-		if ok {
-			it.push(head{key: k, src: h.src})
+		} else if c.src != nil {
+			top.key = c.keys[0]
 		} else {
-			h.src.close()
+			last := len(it.heap) - 1
+			it.heap[0] = it.heap[last]
+			it.heap = it.heap[:last]
 		}
-		if it.first || h.key != it.last {
+		it.siftDown(0)
+		if it.first || k != it.last {
 			it.first = false
-			it.last = h.key
-			return h.key, true, nil
+			it.last = k
+			return k, true, nil
 		}
 	}
 	return 0, false, nil
 }
 
+// refill loads c's next block, closing its source at the end. An error
+// closes every source and sticks.
+func (it *Iterator) refill(c *cursor) error {
+	keys, err := c.src.block()
+	c.keys, c.pos = keys, 0
+	if err != nil {
+		it.err = err
+		it.Close()
+		return err
+	}
+	if len(keys) == 0 {
+		c.src.close()
+		c.src = nil
+	}
+	return nil
+}
+
 // Close releases every source still open.
 func (it *Iterator) Close() error {
 	var first error
-	for _, h := range it.heads {
-		if err := h.src.close(); err != nil && first == nil {
+	for i := range it.curs {
+		c := &it.curs[i]
+		if c.src == nil {
+			continue
+		}
+		if err := c.src.close(); err != nil && first == nil {
 			first = err
 		}
+		c.src = nil
 	}
-	it.heads = nil
+	it.heap = nil
 	return first
 }

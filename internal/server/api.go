@@ -614,11 +614,11 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		rng := randx.New(req.Seed)
 		if store != nil && req.OmitEdges {
 			// Streaming route: nothing downstream needs the edge list in
-			// memory, so spill the sample through an external sort straight
-			// into the store's v2 encoder — peak residency is O(spill
-			// chunk), not O(edges), and the stored bytes are bit-identical
-			// to what the in-memory route would have produced for this
-			// seed.
+			// memory, so spill the sample through an external sort into one
+			// sorted run, which the store's v2 encoder re-reads once per
+			// row window — peak residency is O(n) offsets plus one window,
+			// not O(edges), and the stored bytes are bit-identical to what
+			// the in-memory route would have produced for this seed.
 			sorter, err := extsort.NewTemp(nil, 0)
 			if err != nil {
 				return nil, err

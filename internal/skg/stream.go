@@ -15,7 +15,8 @@ import (
 // other.
 //
 // Edges may be called repeatedly — each call re-reads the run — which
-// is what lets the store make its two encoding passes over one sample.
+// is what lets the store make its counting pass and one pass per row
+// window over one sample.
 type EdgeStream struct {
 	n     int
 	run   *extsort.Run
