@@ -12,15 +12,17 @@ import (
 // fixed seed, Algorithm 1 releases the same private initiator, features
 // and degree sequence for every Workers setting, because each parallel
 // stage (sampling, feature counting, sensitivity scan, moment descent)
-// is sharded deterministically.
+// is sharded deterministically. Each run fits a fresh copy of the
+// graph, so every run computes the triangle-release facts itself
+// instead of reading the first run's memo.
 func TestEstimateWorkerInvariant(t *testing.T) {
 	m, err := skg.NewModel(skg.Initiator{A: 0.99, B: 0.55, C: 0.35}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := must(m.SampleExactCtx(nil, randx.New(1)))
 
 	run := func(workers int) *Result {
+		g := must(m.SampleExactCtx(nil, randx.New(1)))
 		res, err := EstimateCtx(pipeline.New(nil, workers, nil), g, Options{Eps: 0.5, Delta: 0.01, Rng: randx.New(2)})
 		if err != nil {
 			t.Fatal(err)

@@ -13,8 +13,6 @@
 package degseq
 
 import (
-	"sort"
-
 	"dpkron/internal/accountant"
 	"dpkron/internal/dp"
 	"dpkron/internal/graph"
@@ -26,13 +24,20 @@ import (
 const GlobalSensitivity = 2.0
 
 // Sorted returns the degree sequence of g sorted ascending, as floats
-// ready for noise addition.
+// ready for noise addition. It counting-sorts the degrees, read from the
+// CSR offsets, straight into the output in O(n + max degree).
 func Sorted(g *graph.Graph) []float64 {
-	d := g.Degrees()
-	sort.Ints(d)
-	out := make([]float64, len(d))
-	for i, x := range d {
-		out[i] = float64(x)
+	off, _ := g.CSR()
+	out := make([]float64, g.NumNodes())
+	count := make([]int32, g.MaxDegree()+1)
+	for v := range out {
+		count[off[v+1]-off[v]]++
+	}
+	i := 0
+	for d, c := range count {
+		for end := i + int(c); i < end; i++ {
+			out[i] = float64(d)
+		}
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package degseq
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -240,5 +241,26 @@ func TestSortedIsSorted(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSortedMatchesSortedDegrees: the counting sort from the CSR
+// offsets gives exactly the sorted degree list, including on graphs
+// with no nodes, no edges and one hub.
+func TestSortedMatchesSortedDegrees(t *testing.T) {
+	cases := []*graph.Graph{{}, graph.Empty(0), graph.Empty(4), graph.Star(9), graph.Complete(5)}
+	for seed := uint64(0); seed < 6; seed++ {
+		cases = append(cases, randomGraph(50, 0.1*float64(seed), seed))
+	}
+	for i, g := range cases {
+		d := g.Degrees()
+		sort.Ints(d)
+		want := make([]float64, len(d))
+		for j, x := range d {
+			want[j] = float64(x)
+		}
+		if got := Sorted(g); !slices.Equal(got, want) {
+			t.Errorf("case %d: Sorted = %v, want %v", i, got, want)
+		}
 	}
 }

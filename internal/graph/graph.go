@@ -4,6 +4,14 @@
 // neighbour iteration is cache-friendly and edge membership is a binary
 // search. Node identifiers are dense integers in [0, NumNodes).
 //
+// Immutability is load-bearing for privacy, not only for concurrency. A
+// graph carries a memo of facts derived from it (Memo, SetMemo), and the
+// private triangle release reads its local sensitivity from that memo:
+// a graph whose edges changed after a fact was stored would release
+// noise calibrated to another graph. Every edit therefore makes a new
+// Graph (WithEdgeToggled, a Builder), whose memo starts empty, and no
+// code may write through the slices CSR, Neighbors or FromCSR share.
+//
 // The package also provides the edge-list text format used by SNAP
 // (whitespace-separated pairs, '#' comments), which the paper's datasets
 // ship in.
@@ -13,6 +21,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"dpkron/internal/parallel"
 )
@@ -20,8 +29,33 @@ import (
 // Graph is an immutable undirected simple graph (no self-loops, no
 // multi-edges) in CSR form. The zero value is an empty graph with no nodes.
 type Graph struct {
-	off []int32 // len n+1; adjacency of v is adj[off[v]:off[v+1]]
-	adj []int32 // concatenated sorted neighbour lists; each edge appears twice
+	off  []int32 // len n+1; adjacency of v is adj[off[v]:off[v+1]]
+	adj  []int32 // concatenated sorted neighbour lists; each edge appears twice
+	memo atomic.Pointer[memoEntry]
+}
+
+// memoEntry is the value a graph's memo slot holds, with its key.
+type memoEntry struct{ key, val any }
+
+// Memo returns the value SetMemo stored under key on g, and whether one
+// was stored. As with context.WithValue, key should be a value of an
+// unexported type of the calling package, so that no other package can
+// read or plant it. The memo lives and dies with g: a value derived
+// from g's edges stays true for as long as g exists, because g never
+// changes.
+func (g *Graph) Memo(key any) (any, bool) {
+	if e := g.memo.Load(); e != nil && e.key == key {
+		return e.val, true
+	}
+	return nil, false
+}
+
+// SetMemo stores val under key on g if g's memo slot is still empty.
+// The slot holds one value: the first one stored stays, whatever its
+// key. It is safe for concurrent use; callers racing to store the same
+// derived fact store equal values.
+func (g *Graph) SetMemo(key, val any) {
+	g.memo.CompareAndSwap(nil, &memoEntry{key: key, val: val})
 }
 
 // CSR returns the graph's raw CSR arrays: off has length NumNodes()+1
@@ -116,9 +150,10 @@ func (g *Graph) Edges() [][2]int {
 }
 
 // WithEdgeToggled returns a copy of g with edge {u, v} added if absent or
-// removed if present. It is the edge-neighbourhood operation from
-// Definition 4.1 of the paper and is used by the differential privacy
-// tests. It panics if u == v or either endpoint is out of range.
+// removed if present; the copy is a new Graph with an empty memo. It is
+// the edge-neighbourhood operation from Definition 4.1 of the paper and
+// is used by the differential privacy tests. It panics if u == v or
+// either endpoint is out of range.
 func (g *Graph) WithEdgeToggled(u, v int) *Graph {
 	n := g.NumNodes()
 	if u == v || u < 0 || v < 0 || u >= n || v >= n {

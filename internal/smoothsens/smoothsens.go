@@ -48,6 +48,24 @@
 // reports a count ≤ lim ≤ best, which leaves best unchanged. The result
 // is the exact maximum, not an estimate, for every worker count and
 // interleaving.
+//
+// # Why the memoised facts are exact and safe
+//
+// LS(G) and the exact triangle count Δ(G) are integers fixed by the
+// graph: ε, δ and β enter the release only through SmoothFromLS and the
+// noise. So the releases read both from a memo on the *graph.Graph,
+// computed by the two kernels on a graph's first release and reused by
+// every later one (every fit of a stored dataset, every cell of an ε
+// sweep), and each release applies SmoothFromLS for its own β. A hit
+// returns the very integers the kernels would, so the released bits
+// are unchanged. It is safe because graphs are immutable: the memo
+// lives on the graph it was derived from, a toggled neighbour
+// (WithEdgeToggled) is a new Graph with an empty memo that gets its own
+// LS and Δ, and the key's type is unexported here, so no other package
+// can read or plant an LS. A pair is stored only once both kernels
+// have returned without error, and a hit checks the run's context
+// before any charge or noise, as the kernels would. The raw kernels
+// themselves (MaxCommonNeighborsCtx, stats.TrianglesCtx) stay uncached.
 package smoothsens
 
 import (
@@ -274,6 +292,39 @@ func BetaFor(eps, delta float64) float64 {
 	return eps / (2 * math.Log(2/delta))
 }
 
+// factsKey is the key of a graph's triangle-release facts in its memo
+// (graph.Graph.Memo). Its type is unexported, so no other package can
+// read or plant an LS.
+type factsKey struct{}
+
+// facts are the two integers of a graph that the triangle release
+// reads: neither depends on ε, δ or the noise.
+type facts struct {
+	ls  int   // LS(G), MaxCommonNeighborsCtx
+	tri int64 // Δ(G), stats.TrianglesCtx
+}
+
+// triangleFacts returns LS(g) and Δ(g) from g's memo, or runs both
+// kernels under run and memoises their results. Only a pair of
+// results from kernels that both returned without error is stored: a
+// cancelled or failed scan stores nothing. Concurrent first calls each
+// compute and store equal facts. A hit still returns run.Err(), so a
+// cancelled run is refused before any charge or noise either way.
+func triangleFacts(run *pipeline.Run, g *graph.Graph) (ls int, tri int64, err error) {
+	if v, ok := g.Memo(factsKey{}); ok {
+		f := v.(facts)
+		return f.ls, f.tri, run.Err()
+	}
+	if ls, err = MaxCommonNeighborsCtx(run, g); err != nil {
+		return 0, 0, err
+	}
+	if tri, err = stats.TrianglesCtx(run, g); err != nil {
+		return 0, 0, err
+	}
+	g.SetMemo(factsKey{}, facts{ls: ls, tri: tri})
+	return ls, tri, nil
+}
+
 // Result carries a private triangle count together with the calibration
 // quantities, so experiments can report the magnitude of the added
 // noise. Only Noisy is differentially private; Exact is the sensitive
@@ -296,26 +347,24 @@ const (
 
 // PrivateTrianglesCtx releases an (ε, δ)-differentially private
 // triangle count of g via the smooth-sensitivity Laplace mechanism
-// under a pipeline Run: the sensitivity scan and the exact count check
-// the context between shards, and a "triangle-release" stage event pair
-// is emitted. The (ε, δ) charge is recorded on acc (nil records
-// nothing and never refuses) after the sensitivity scan but before any
-// noise is drawn, and a refused charge returns the error with no noise
-// consumed from rng. A run that is never cancelled consumes one Laplace
-// draw from rng, and the released value is identical for every worker
-// count and with or without an accountant; a cancelled run returns
-// run.Err() before any noise is drawn.
+// under a pipeline Run: LS(g) and Δ(g) come from g's memo, or from the
+// sensitivity scan and the exact count, which check the context between
+// shards, and a "triangle-release" stage event pair is emitted. The
+// (ε, δ) charge is recorded on acc (nil records nothing and never
+// refuses) once LS(g) is known but before any noise is drawn, and a
+// refused charge returns the error with no noise consumed from rng. A
+// run that is never cancelled consumes one Laplace draw from rng, and the
+// released value is identical for every worker count and with or
+// without an accountant; a cancelled run returns run.Err() before any
+// noise is drawn.
 func PrivateTrianglesCtx(run *pipeline.Run, acc *accountant.Accountant, g *graph.Graph, eps, delta float64, rng *randx.Rand) (Result, error) {
 	done := run.Stage("triangle-release")
 	beta := BetaFor(eps, delta)
-	ss, err := SmoothCtx(run, g, beta)
+	ls, exact, err := triangleFacts(run, g)
 	if err != nil {
 		return Result{}, err
 	}
-	exact, err := stats.TrianglesCtx(run, g)
-	if err != nil {
-		return Result{}, err
-	}
+	ss := SmoothFromLS(ls, g.NumNodes(), beta)
 	mech := accountant.SmoothLaplace{SmoothSens: ss, Beta: beta, Eps: eps, Delta: delta}
 	if err := acc.Charge(Query, mech); err != nil {
 		return Result{}, err
@@ -344,19 +393,17 @@ func BetaForPure(eps float64) float64 {
 // PrivateTrianglesPureCtx releases an (ε, 0)-differentially private
 // triangle count via the smooth-sensitivity Cauchy mechanism — the
 // pure-ε alternative to the paper's (ε, δ) Laplace release, with
-// heavier-tailed noise as the price of dropping δ. The charge is
-// recorded on acc (nil records nothing) before the single Cauchy draw.
+// heavier-tailed noise as the price of dropping δ. It reads LS(g) and
+// Δ(g) as PrivateTrianglesCtx does, and the charge is recorded on acc
+// (nil records nothing) before the single Cauchy draw.
 func PrivateTrianglesPureCtx(run *pipeline.Run, acc *accountant.Accountant, g *graph.Graph, eps float64, rng *randx.Rand) (Result, error) {
 	done := run.Stage("triangle-release")
 	beta := BetaForPure(eps)
-	ss, err := SmoothCtx(run, g, beta)
+	ls, exact, err := triangleFacts(run, g)
 	if err != nil {
 		return Result{}, err
 	}
-	exact, err := stats.TrianglesCtx(run, g)
-	if err != nil {
-		return Result{}, err
-	}
+	ss := SmoothFromLS(ls, g.NumNodes(), beta)
 	mech := accountant.SmoothCauchy{SmoothSens: ss, Beta: beta, Eps: eps}
 	if err := acc.Charge(QueryPure, mech); err != nil {
 		return Result{}, err

@@ -125,9 +125,12 @@ func TrianglesPerNodeCtx(run *pipeline.Run, g *graph.Graph) ([]int64, error) {
 // neighbours u that rank below v, and before stamping u scans N(u) for
 // the neighbours already stamped: each such w closes the triangle
 // {v, u, w}, found exactly once, when the later-stamped of u and w is
-// scanned. The scanned list is always the lower-degree end of the edge
-// v–u, so the work is Σ over edges of min(d_u, d_v), against Σ_v d_v²
-// for counting two-hop paths.
+// scanned. N(v) is walked in ascending id, so every stamped w has
+// w < u, and the scan of the sorted N(u) stops at its first w ≥ u,
+// with no memory beyond the stamps. The work is therefore the sum over
+// edges v–u, u ranked below v, of |N(u) ∩ [0, u)|, which is at most
+// Σ over edges of min(d_u, d_v) (the scanned list is the lower-degree
+// end of the edge), against Σ_v d_v² for counting two-hop paths.
 //
 // The vertex range is sharded under run and the Run's context is
 // checked between shards. Each worker keeps an O(n) stamp array and, if
@@ -165,6 +168,9 @@ func trianglesCtx(run *pipeline.Run, g *graph.Graph, perNode bool) (int64, []int
 				}
 				if stamped {
 					for _, w := range adj[off[u]:off[u+1]] {
+						if w >= u {
+							break // stamped nodes precede u in N(v)
+						}
 						if stamp[w] == mark {
 							found++
 							if per != nil {
