@@ -18,7 +18,7 @@ import (
 // `convert` rewrites a dataset between the compact v1 and mmap-ready
 // v2 layouts in place, and `rm` deletes. The same -store directory
 // drives `fit -store`/`stats -store` (where -in may name a stored id)
-// and `serve -store` (fit-by-id over HTTP).
+// and `serve -store` (private fits by id over HTTP).
 func cmdDataset(args []string) error {
 	fs := newFlagSet("dataset")
 	storeDir := fs.String("store", "", "dataset store directory (required)")

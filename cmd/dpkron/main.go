@@ -758,7 +758,7 @@ func cmdServe(args []string) error {
 	maxQueue := fs.Int("max-queue", 32, "bound on admitted unfinished jobs (429 beyond it)")
 	maxHistory := fs.Int("max-history", 256, "finished jobs retained for polling before eviction")
 	ledgerPath := fs.String("ledger", "", "privacy-budget ledger file; enables per-dataset enforcement of private fits")
-	storeDir := fs.String("store", "", "dataset store directory; enables /v1/datasets and fit-by-dataset-id")
+	storeDir := fs.String("store", "", "dataset store directory; enables /v1/datasets and private fits by dataset id")
 	releaseCache := fs.String("release-cache", "",
 		"release cache directory; identical private fits coalesce and repeats are re-served at zero budget")
 	journalPath := fs.String("journal", "",

@@ -547,7 +547,9 @@ func TestCLIDatasetUsageErrors(t *testing.T) {
 }
 
 // TestCLIServeWithStore boots the service with a store and walks
-// upload → fit-by-id over HTTP, sharing the store with the CLI.
+// upload → private fit-by-id over HTTP, sharing the store with the CLI.
+// The HTTP view of the dataset is public fields only, and a non-private
+// fit by id is refused.
 func TestCLIServeWithStore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI integration test")
@@ -599,10 +601,26 @@ func TestCLIServeWithStore(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || meta["id"] != id {
 		t.Fatalf("GET dataset: %d %v", resp.StatusCode, meta)
 	}
+	for _, private := range []string{"edges", "bytes"} {
+		if _, ok := meta[private]; ok {
+			t.Errorf("GET dataset carries %q: %v", private, meta)
+		}
+	}
 
-	// ...and fittable by id.
+	// ...refused to a non-private fit by id...
 	resp, err = http.Post(base+"/v1/fit", "application/json",
 		strings.NewReader(`{"method":"mom","k":8,"dataset_id":"`+id+`"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("mom fit by id: %d, want 400", resp.StatusCode)
+	}
+
+	// ...and privately fittable by id.
+	resp, err = http.Post(base+"/v1/fit", "application/json",
+		strings.NewReader(`{"method":"private","k":8,"dataset_id":"`+id+`"}`))
 	if err != nil {
 		t.Fatal(err)
 	}

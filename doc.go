@@ -46,8 +46,8 @@
 // binary CSR format whose load is bit-identical to parsing the original
 // edge list and considerably faster. Every later interaction is by the
 // dataset's id, which doubles as its ledger account: `dpkron fit -store
-// DIR -in ds-...` on the command line, "dataset_id" in server fit
-// requests. See ExampleOpenStore.
+// DIR -in ds-...` on the command line, "dataset_id" in server private
+// fit requests. See ExampleOpenStore.
 //
 // # Release cache
 //

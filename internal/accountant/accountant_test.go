@@ -58,7 +58,7 @@ func TestQuickSequentialSums(t *testing.T) {
 		acc := New(nil)
 		var wantEps, wantDelta float64
 		for i := 0; i < n; i++ {
-			eps := float64(epsRaw[i]+1) / 1000
+			eps := (float64(epsRaw[i]) + 1) / 1000
 			delta := float64(deltaRaw[i]) / 200000
 			if err := acc.Charge("q", SmoothLaplace{Beta: 1, Eps: eps, Delta: delta}); err != nil {
 				return false

@@ -24,17 +24,18 @@ import (
 	"dpkron/internal/randx"
 	"dpkron/internal/release"
 	"dpkron/internal/skg"
-	"dpkron/internal/stats"
 	"dpkron/internal/trace"
 )
 
 // FitRequest is the body of POST /v1/fit. The graph arrives as an
 // explicit pair list (Edges, with Nodes optionally raising the node
-// count), as SNAP edge-list text (EdgeList), or — when the server has
-// a dataset store — as a stored dataset id (DatasetID); exactly one is
-// required.
+// count), as SNAP edge-list text (EdgeList), or — for a private fit on
+// a server with a dataset store — as a stored dataset id (DatasetID);
+// exactly one is required.
 type FitRequest struct {
 	// Method selects the estimator: "private" (default), "mom", "mle".
+	// The non-private methods release exact statistics of their input,
+	// so they take inline graphs only: the caller already holds them.
 	Method string `json:"method"`
 	// Eps/Delta are the privacy budget for method "private"
 	// (defaults 0.2, 0.01).
@@ -58,9 +59,55 @@ type FitRequest struct {
 	EdgeList string `json:"edgelist,omitempty"`
 	// DatasetID names a graph previously imported into the server's
 	// dataset store (POST /v1/datasets), replacing the inline forms.
-	// Ledger debits default to this same id, so budget follows the
-	// stored graph.
+	// Stored data leaves the server only as a private fit: a "mom" or
+	// "mle" request naming a dataset id is refused with 400. Ledger
+	// debits default to this same id, so budget follows the stored
+	// graph.
 	DatasetID string `json:"dataset_id,omitempty"`
+}
+
+// errNonPrivateByID refuses a non-private fit of a stored dataset.
+var errNonPrivateByID = errors.New(`a stored dataset (dataset_id) is fitted only by method "private", which the ledger debits; methods mom and mle release exact statistics and take an inline graph`)
+
+// normalize fills a request's defaults and checks the rules both
+// admission paths hold it to — handleFit before any store access,
+// journal record or job, and replay before a resume — so a journaled
+// request resumes only if a fresh one would be admitted.
+func (r *FitRequest) normalize() error {
+	if r.Method == "" {
+		r.Method = "private"
+	}
+	if r.Eps == 0 {
+		r.Eps = 0.2
+	}
+	if r.Delta == 0 {
+		r.Delta = 0.01
+	}
+	if r.Seed == 0 {
+		r.Seed = 1
+	}
+	method := strings.ToLower(r.Method)
+	switch method {
+	case "private":
+		// Bad budgets fail here (400), not deep inside the job.
+		if err := (dp.Budget{Eps: r.Eps, Delta: r.Delta}).Validate(); err != nil {
+			return err
+		}
+	case "mom", "mle":
+		if r.DatasetID != "" {
+			return errNonPrivateByID
+		}
+	default:
+		return fmt.Errorf("unknown method %q (want private, mom or mle)", r.Method)
+	}
+	r.Method = method
+	return nil
+}
+
+// byID reports whether the request names a stored dataset alone;
+// naming one next to an inline graph is the inline parser's 400.
+func (r *FitRequest) byID() bool {
+	return r.DatasetID != "" && len(r.Edges) == 0 && r.EdgeList == ""
 }
 
 // maxGraphNodes caps the node count a fit request may imply. Graph
@@ -134,28 +181,17 @@ type FitResult struct {
 	// (ledger-enforced private fits only).
 	Dataset   string     `json:"dataset,omitempty"`
 	Remaining *dp.Budget `json:"remaining,omitempty"`
-	// Features are the (private, for method private; exact otherwise)
-	// feature counts used by the fit.
-	Features *struct {
-		E     float64 `json:"e"`
-		H     float64 `json:"h"`
-		T     float64 `json:"t"`
-		Delta float64 `json:"delta"`
-	} `json:"features,omitempty"`
+	// Features are the released feature counts the fit used (private
+	// only).
+	Features *FeaturesJSON `json:"features,omitempty"`
 }
 
-func featuresJSON(f stats.Features) *struct {
+// FeaturesJSON is a private fit's released feature counts in JSON form.
+type FeaturesJSON struct {
 	E     float64 `json:"e"`
 	H     float64 `json:"h"`
 	T     float64 `json:"t"`
 	Delta float64 `json:"delta"`
-} {
-	return &struct {
-		E     float64 `json:"e"`
-		H     float64 `json:"h"`
-		T     float64 `json:"t"`
-		Delta float64 `json:"delta"`
-	}{f.E, f.H, f.T, f.Delta}
 }
 
 func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
@@ -164,263 +200,233 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		s.decodeError(w, r, err)
 		return
 	}
-	if req.Method == "" {
-		req.Method = "private"
-	}
-	if req.Eps == 0 {
-		req.Eps = 0.2
-	}
-	if req.Delta == 0 {
-		req.Delta = 0.01
-	}
-	if req.Seed == 0 {
-		req.Seed = 1
-	}
-	method := strings.ToLower(req.Method)
-	switch method {
-	case "private", "mom", "mle":
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown method %q (want private, mom or mle)", req.Method))
+	if err := req.normalize(); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
-	}
-	if method == "private" {
-		// Reject bad budgets at the door (400) instead of deep inside the
-		// job (failed status); the zero-value defaults above are valid.
-		if err := (dp.Budget{Eps: req.Eps, Delta: req.Delta}).Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
 	}
 	// The job's tracer joins the trace context the middleware already
 	// established (and echoed), so the trace id the client holds finds
 	// this job's span tree.
-	tr, root := startJobTrace(r, "fit/"+method)
-	// Release-cache keying: a private fit's question is identified by
-	// the content fingerprint of (dataset bytes, ε, δ, policy,
-	// mechanism config, seed). The key is built before the graph is
-	// decoded when the request names a stored dataset, so a repeated
-	// question skips even the graph load.
-	useCache := s.opts.Releases != nil && method == "private"
-	var relKey release.Key
-	var haveKey bool
-	var g *graph.Graph
-	var err error
-	if req.DatasetID != "" && len(req.Edges) == 0 && req.EdgeList == "" {
-		// Fit-by-id: resolve the stored graph. Unknown ids — and a
-		// server without a store — are 404s with a JSON body, matching
-		// the dataset routes.
-		st := s.requireStore(w)
-		if st == nil {
-			return
+	tr, root := startJobTrace(r, "fit/"+req.Method)
+	cached, charged := s.fitGates(req.Method)
+	serve := func(key release.Key) bool { return s.serveReleaseLocked(w, key) }
+	// A private fit's question is keyed by the content fingerprint of
+	// (dataset, ε, δ, policy, mechanism config, seed). A stored dataset's
+	// key is built from its metadata (the inferred Kronecker power needs
+	// only the node count), so a repeated question skips even the graph
+	// load. A failed metadata read falls through to keying after the
+	// load.
+	var key *release.Key
+	if cached && req.byID() && s.opts.Datasets != nil {
+		var meta dataset.Meta
+		var err error
+		if req.K <= 0 {
+			meta, err = s.opts.Datasets.Meta(req.DatasetID)
 		}
-		if useCache {
-			// The inferred Kronecker power is part of the question;
-			// resolve it from the stored metadata (no graph decode). A
-			// failed lookup just falls through to the post-load keying.
-			k := req.K
-			if k <= 0 {
-				if meta, err := st.Meta(req.DatasetID); err == nil {
-					k = kronmom.KForNodes(meta.Nodes)
-				}
-			}
-			if k > 0 {
-				relKey = release.KeyFor(req.DatasetID, req.Eps, req.Delta, k, req.Seed, core.PlannedReceipt(req.Eps, req.Delta))
-				haveKey = true
-				lk := tr.Start(root, "release-cache-lookup")
-				s.flightMu.Lock()
-				handled := s.serveReleaseLocked(w, relKey)
-				s.flightMu.Unlock()
-				lk.SetAttr(trace.String("hit", strconv.FormatBool(handled)))
-				lk.End()
-				if handled {
-					return
-				}
+		if err == nil {
+			key = releaseKey(&req, req.DatasetID, meta.Nodes)
+			lk := root.Child("release-cache-lookup")
+			s.flightMu.Lock()
+			handled := serve(*key)
+			s.flightMu.Unlock()
+			lk.SetAttr(trace.String("hit", strconv.FormatBool(handled)))
+			lk.End()
+			if handled {
+				return
 			}
 		}
-		dsp := tr.Start(root, "dataset-load",
-			trace.String("dataset_id", req.DatasetID), trace.String("source", "store"))
-		g, err = st.Load(req.DatasetID)
-		dsp.End()
-		if err != nil {
-			datasetError(w, err)
-			return
-		}
-	} else {
-		dsp := tr.Start(root, "dataset-load", trace.String("source", "inline"))
-		g, err = req.graph()
-		dsp.End()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
 	}
-	if useCache && !haveKey {
-		// Inline graphs key by their content fingerprint — the same id
-		// the dataset store would assign — so the identical bytes hit the
-		// identical entry no matter how they arrived.
-		k := req.K
-		if k <= 0 {
-			k = kronmom.KForNodes(g.NumNodes())
-		}
-		relKey = release.KeyFor(accountant.DatasetID(g), req.Eps, req.Delta, k, req.Seed, core.PlannedReceipt(req.Eps, req.Delta))
+	g, status, err := s.fitGraph(&req, root)
+	if err != nil {
+		writeError(w, status, err.Error())
+		return
 	}
-	// Ledger enforcement: debit the full requested budget at admission
-	// (Algorithm 1's charge schedule is data-independent, so the spend
-	// is known before the job runs). The debit happens inside submit's
-	// admission critical section — with a journal, under a journaled
-	// per-admission idempotent spend token, so a replay after a crash
-	// re-issues it without double-charging; without one, as a plain
-	// debit. An exhausted account surfaces as 429 with the remaining
-	// budget in the body. The account is read once, right after the
-	// debit: that read labels the audit events and is the result's
-	// remaining budget.
-	var admit func(token string) (dp.Budget, error)
-	var dataset string
-	var planned *accountant.Receipt
-	var refused *accountant.ExhaustedError
-	var remaining *dp.Budget
-	if s.opts.Ledger != nil && method == "private" {
-		dataset = req.Dataset
-		if dataset == "" {
-			// A stored dataset's id already is its content fingerprint;
-			// inline graphs are fingerprinted here. Either way repeated
-			// fits of the same bytes share one budget account.
-			dataset = req.DatasetID
-		}
-		if dataset == "" {
-			dataset = accountant.DatasetID(g)
+	// A stored dataset's id already is its content fingerprint; inline
+	// graphs are fingerprinted here, so identical bytes share one cache
+	// entry and one budget account however they arrived.
+	id := req.DatasetID
+	if id == "" && (cached || charged) {
+		id = accountant.DatasetID(g)
+	}
+	if cached && key == nil {
+		key = releaseKey(&req, id, g.NumNodes())
+	}
+	reqJSON, _ := json.Marshal(&req)
+	spec := jobSpec{
+		request:   reqJSON,
+		requestID: RequestIDFrom(r.Context()),
+		traceID:   tr.TraceID(),
+		tr:        tr,
+		root:      root,
+	}
+	if charged {
+		// Algorithm 1's charge schedule is data-independent, so the
+		// full requested budget is known, and debited, at admission.
+		spec.dataset = req.Dataset
+		if spec.dataset == "" {
+			spec.dataset = id
 		}
 		p := core.PlannedReceipt(req.Eps, req.Delta)
-		planned = &p
+		spec.planned = &p
+	}
+	fj := fitJob{req: req, relKey: key, loadGraph: func() (*graph.Graph, error) { return g, nil }}
+	j, status, err := s.admitFit(spec, fj, serve)
+	var refused *accountant.ExhaustedError
+	switch {
+	case j != nil:
+		writeJSON(w, status, j.view())
+	case err == nil:
+		// Answered by serve.
+	case errors.As(err, &refused):
+		// Budget refusals answer with the machine-readable remaining
+		// budget so clients can right-size their next request, and a
+		// Retry-After suited to budgets (a raise is an operator action,
+		// not a momentary spike).
+		rem := refused.Remaining()
+		s.rejectAdmission(r, rejectBudget, spec.dataset, err.Error(),
+			slog.Float64("remaining_eps", rem.Eps),
+			slog.Float64("remaining_delta", rem.Delta))
+		setRetryAfter(w, http.StatusTooManyRequests, true)
+		writeJSON(w, http.StatusTooManyRequests, map[string]any{
+			"error":     err.Error(),
+			"dataset":   spec.dataset,
+			"remaining": rem,
+		})
+	default:
+		s.rejectAdmission(r, rejectReason(status), spec.dataset, err.Error())
+		setRetryAfter(w, status, false)
+		writeError(w, status, err.Error())
+	}
+}
+
+// fitGates reports whether a fit of the given method is memoized in
+// the release cache and whether it is debited against the ledger:
+// both apply to private fits only, on a server configured with them.
+func (s *Server) fitGates(method string) (cached, charged bool) {
+	private := method == "private"
+	return private && s.opts.Releases != nil, private && s.opts.Ledger != nil
+}
+
+// releaseKey is the release-cache key of a private fit of the dataset
+// with the given content id and node count.
+func releaseKey(req *FitRequest, id string, nodes int) *release.Key {
+	k := req.K
+	if k <= 0 {
+		k = kronmom.KForNodes(nodes)
+	}
+	key := release.KeyFor(id, req.Eps, req.Delta, k, req.Seed, core.PlannedReceipt(req.Eps, req.Delta))
+	return &key
+}
+
+// fitGraph resolves a fit's graph, a stored dataset or the inline
+// edges, under a dataset-load span. It is the one graph choice of both
+// admission paths: handleFit answers a failure with the returned
+// status, and a resumed job fails with the error.
+func (s *Server) fitGraph(req *FitRequest, root *trace.Span) (*graph.Graph, int, error) {
+	if !req.byID() {
+		sp := root.Child("dataset-load", trace.String("source", "inline"))
+		defer sp.End()
+		g, err := req.graph()
+		return g, http.StatusBadRequest, err
+	}
+	sp := root.Child("dataset-load", trace.String("dataset_id", req.DatasetID), trace.String("source", "store"))
+	defer sp.End()
+	if s.opts.Datasets == nil {
+		return nil, http.StatusNotFound, errNoStore
+	}
+	g, err := s.opts.Datasets.Load(req.DatasetID)
+	return g, datasetStatus(err), err
+}
+
+// fitJob is what a fit job runs, built from the HTTP request on the
+// admission path and from the journaled admission record on the replay
+// path, so a resumed fit runs the identical code (same seed, same
+// mechanisms) and lands the identical release.
+type fitJob struct {
+	// req is the FitRequest after normalize — the form that is
+	// journaled, so replay never re-derives defaults.
+	req FitRequest
+	// relKey is the release-cache key of a cached fit, nil otherwise.
+	relKey *release.Key
+	// loadGraph yields the graph inside the job: the HTTP path closes
+	// over the graph it already loaded, replay loads it there, so a
+	// load failure becomes a journaled job failure, never silence.
+	loadGraph func() (*graph.Graph, error)
+}
+
+// admitFit is the one admission path for fit jobs, shared by handleFit
+// and journal replay. A charged spec (spec.planned set) gets the
+// ledger-debit hook: it debits spec.dataset with the admission's spend
+// token (the journaled one on replay, so a resume re-issues the
+// identical idempotent debit) and reads the account once, right after
+// the debit, for the audit events and the result's remaining budget.
+//
+// A cached fit is single-flighted by its release key. Under flightMu,
+// hit may answer the question instead of a job (a nil job and a nil
+// error); otherwise the admitted job is the question's flight until it
+// ends. The lock makes miss-then-debit atomic: of N concurrent
+// identical requests, exactly one passes the ledger debit and runs.
+func (s *Server) admitFit(spec jobSpec, fj fitJob, hit func(release.Key) bool) (*job, int, error) {
+	spec.kind = "fit/" + fj.req.Method
+	var remaining *dp.Budget
+	if spec.planned != nil {
 		remaining = new(dp.Budget)
-		admit = func(token string) (dp.Budget, error) {
+		dataset, planned := spec.dataset, *spec.planned
+		spec.admit = func(token string) (dp.Budget, error) {
 			var err error
 			if token == "" {
-				err = s.opts.Ledger.Spend(dataset, p)
+				err = s.opts.Ledger.Spend(dataset, planned)
 			} else {
-				err = s.opts.Ledger.SpendToken(dataset, p, token)
+				err = s.opts.Ledger.SpendToken(dataset, planned, token)
 			}
 			if err != nil {
-				errors.As(err, &refused)
 				return dp.Budget{}, err
 			}
 			*remaining = s.opts.Ledger.Remaining(dataset)
 			return *remaining, nil
 		}
 	}
-	fj := fitJob{
-		req: req, method: method, dataset: dataset, remaining: remaining,
-		relKey: relKey, useCache: useCache,
-		loadGraph: func() (*graph.Graph, error) { return g, nil },
-		root:      root,
+	fn := s.fitFn(fj, spec.dataset, remaining, spec.root)
+	if fj.relKey == nil {
+		spec.fn = fn
+		return s.submit(spec)
 	}
-	fn := s.fitFn(fj)
-	reqJSON, _ := json.Marshal(&req)
-	spec := jobSpec{
-		kind:      "fit/" + method,
-		request:   reqJSON,
-		dataset:   dataset,
-		planned:   planned,
-		admit:     admit,
-		fn:        fn,
-		requestID: RequestIDFrom(r.Context()),
-		traceID:   tr.TraceID(),
-		tr:        tr,
-		root:      root,
-	}
-	var j *job
-	var status int
-	var msg string
-	if useCache {
-		// Single-flight admission: under flightMu, re-check the cache
-		// and the in-flight map, then submit. The lock makes
-		// miss-then-debit atomic — of N concurrent identical requests,
-		// exactly one passes the ledger-debit critical section and runs;
-		// the rest join its job or are served the cached result.
-		fp := relKey.Fingerprint()
-		inner := fn
-		spec.releaseKey = &relKey
-		spec.fn = func(run *pipeline.Run) (any, error) {
-			// Drop the flight registration on every exit; on success the
-			// Put above has already happened, so the question is always
-			// answerable by either the flight map or the cache.
-			defer s.forgetFlight(fp)
-			return inner(run)
-		}
-		lk := tr.Start(root, "release-cache-lookup", trace.String("fingerprint", fp))
-		s.flightMu.Lock()
-		if s.serveReleaseLocked(w, relKey) {
+	fp := fj.relKey.Fingerprint()
+	spec.releaseKey = fj.relKey
+	spec.fn = func(run *pipeline.Run) (any, error) {
+		// Drop the flight registration on every exit; on success the
+		// release is already in the cache, so the question is always
+		// answerable by either the flight map or the cache.
+		defer func() {
+			s.flightMu.Lock()
+			delete(s.flights, fp)
 			s.flightMu.Unlock()
-			lk.SetAttr(trace.String("hit", "true"))
-			lk.End()
-			return
-		}
-		lk.SetAttr(trace.String("hit", "false"))
-		lk.End()
-		j, status, msg = s.submit(spec)
-		if j != nil {
-			s.flights[fp] = j
-		}
-		s.flightMu.Unlock()
-	} else {
-		j, status, msg = s.submit(spec)
+		}()
+		return fn(run)
 	}
-	if j == nil {
-		if refused != nil {
-			// Budget refusals answer with the machine-readable remaining
-			// budget so clients can right-size their next request, and a
-			// Retry-After suited to budgets (a raise is an operator
-			// action, not a momentary spike).
-			rem := refused.Remaining()
-			s.rejectAdmission(r, rejectBudget, dataset, msg,
-				slog.Float64("remaining_eps", rem.Eps),
-				slog.Float64("remaining_delta", rem.Delta))
-			setRetryAfter(w, http.StatusTooManyRequests, true)
-			writeJSON(w, http.StatusTooManyRequests, map[string]any{
-				"error":     msg,
-				"dataset":   dataset,
-				"remaining": rem,
-			})
-			return
-		}
-		s.rejectAdmission(r, rejectReason(status), dataset, msg)
-		setRetryAfter(w, status, false)
-		writeError(w, status, msg)
-		return
+	lk := spec.root.Child("release-cache-lookup", trace.String("fingerprint", fp))
+	s.flightMu.Lock()
+	defer s.flightMu.Unlock()
+	handled := hit(*fj.relKey)
+	lk.SetAttr(trace.String("hit", strconv.FormatBool(handled)))
+	lk.End()
+	if handled {
+		return nil, 0, nil
 	}
-	writeJSON(w, status, j.view())
-}
-
-// fitJob bundles everything a fit job's execution closure needs —
-// built from the HTTP request on the admission path and from the
-// journaled admission record on the replay path, so a resumed fit
-// runs the identical code (same seed, same mechanisms) and lands the
-// identical release.
-type fitJob struct {
-	// req is the FitRequest after defaulting — the form that is
-	// journaled, so replay never re-derives defaults.
-	req     FitRequest
-	method  string
-	dataset string
-	// remaining is the ledger account's remaining budget as of the
-	// admission debit, filled by that debit before the job runs (nil
-	// for fits no ledger charges).
-	remaining *dp.Budget
-	relKey    release.Key
-	useCache  bool
-	// loadGraph defers graph materialization into the job: the HTTP
-	// path closes over the already-decoded graph, replay loads from
-	// the store or re-parses the recorded request — and a load failure
-	// becomes a journaled job failure, never silence.
-	loadGraph func() (*graph.Graph, error)
-	// root is the job's root trace span: the run's accountant charges
-	// land on it as audit events, and the release-cache Put gets a span
-	// under it.
-	root *trace.Span
+	j, status, err := s.submit(spec)
+	if j != nil {
+		s.flights[fp] = j
+	}
+	return j, status, err
 }
 
 // fitFn builds the job closure executing the fit described by fj.
-func (s *Server) fitFn(fj fitJob) func(run *pipeline.Run) (any, error) {
+// dataset is the ledger account the result names; remaining, filled by
+// the admission debit before the job runs, is the account's remaining
+// budget (nil for fits no ledger charges). The run's accountant
+// charges land on root as audit events, and the release-cache Put gets
+// a span under it.
+func (s *Server) fitFn(fj fitJob, dataset string, remaining *dp.Budget, root *trace.Span) func(run *pipeline.Run) (any, error) {
 	return func(run *pipeline.Run) (any, error) {
 		g, err := fj.loadGraph()
 		if err != nil {
@@ -428,14 +434,14 @@ func (s *Server) fitFn(fj fitJob) func(run *pipeline.Run) (any, error) {
 		}
 		req := fj.req
 		rng := randx.New(req.Seed)
-		switch fj.method {
+		switch req.Method {
 		case "mom":
 			est, err := kronmom.FitGraphCtx(run, g, req.K, kronmom.Options{Rng: rng})
 			if err != nil {
 				return nil, err
 			}
 			return FitResult{
-				Method:    fj.method,
+				Method:    req.Method,
 				Initiator: InitiatorJSON{est.Init.A, est.Init.B, est.Init.C},
 				K:         est.K,
 				Objective: &est.Objective,
@@ -446,7 +452,7 @@ func (s *Server) fitFn(fj fitJob) func(run *pipeline.Run) (any, error) {
 				return nil, err
 			}
 			return FitResult{
-				Method:        fj.method,
+				Method:        req.Method,
 				Initiator:     InitiatorJSON{res.Init.A, res.Init.B, res.Init.C},
 				K:             res.K,
 				LogLikelihood: &res.LogLikelihood,
@@ -459,24 +465,24 @@ func (s *Server) fitFn(fj fitJob) func(run *pipeline.Run) (any, error) {
 			// on the job's trace.
 			acc := accountant.New(nil).
 				WithLimit(dp.Budget{Eps: req.Eps, Delta: req.Delta}).
-				WithObserver(auditObserver(fj.root))
+				WithObserver(auditObserver(root))
 			res, err := core.EstimateCtx(run, g, core.Options{
 				Eps: req.Eps, Delta: req.Delta, K: req.K, Rng: rng, Accountant: acc,
 			})
 			if err != nil {
 				return nil, err
 			}
-			out := PrivateFitResult(res, fj.dataset)
-			if fj.useCache {
+			out := PrivateFitResult(res, dataset)
+			if fj.relKey != nil {
 				// Memoize the release itself — before Remaining is filled,
 				// which reports ledger state, not part of the answer. A
 				// failed Put costs future hits, not this run's
 				// correctness.
-				psp := fj.root.Child("release-cache-put")
-				_, _ = s.opts.Releases.Put(fj.relKey, out)
+				psp := root.Child("release-cache-put")
+				_, _ = s.opts.Releases.Put(*fj.relKey, out)
 				psp.End()
 			}
-			out.Remaining = fj.remaining
+			out.Remaining = remaining
 			return out, nil
 		}
 	}
@@ -527,8 +533,9 @@ type GenerateRequest struct {
 	// large graphs.
 	OmitEdges bool `json:"omit_edges"`
 	// Store saves the sampled graph into the server's dataset store:
-	// the result then carries the dataset metadata, and the graph can
-	// be fitted later by dataset_id instead of re-shipping edges.
+	// the result then carries the dataset's public view, and the graph
+	// can be fitted privately later by dataset_id instead of re-shipping
+	// edges.
 	// Requires a configured store (404 otherwise). Usually paired with
 	// omit_edges.
 	Store bool `json:"store,omitempty"`
@@ -543,9 +550,10 @@ type GenerateResult struct {
 	// EdgeList is the sampled graph in SNAP edge-list text (omitted
 	// when the request set omit_edges).
 	EdgeList string `json:"edgelist,omitempty"`
-	// Dataset is the stored dataset's metadata (store requests only);
-	// Dataset.ID is directly usable as a fit request's dataset_id.
-	Dataset *dataset.Meta `json:"dataset,omitempty"`
+	// Dataset is the stored dataset's public view (store requests
+	// only); Dataset.ID is directly usable as a private fit request's
+	// dataset_id.
+	Dataset *DatasetView `json:"dataset,omitempty"`
 }
 
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
@@ -643,7 +651,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return nil, err
 			}
-			return GenerateResult{Nodes: meta.Nodes, Edges: meta.Edges, Dataset: &meta}, nil
+			return GenerateResult{Nodes: meta.Nodes, Edges: meta.Edges, Dataset: publicView(meta)}, nil
 		}
 		var g *graph.Graph
 		var err error
@@ -666,7 +674,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return nil, err
 			}
-			res.Dataset = &meta
+			res.Dataset = publicView(meta)
 		}
 		if !req.OmitEdges {
 			var sb strings.Builder
@@ -677,11 +685,11 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		}
 		return res, nil
 	}
-	j, status, msg := s.submit(spec)
+	j, status, err := s.submit(spec)
 	if j == nil {
-		s.rejectAdmission(r, rejectReason(status), "", msg)
+		s.rejectAdmission(r, rejectReason(status), "", err.Error())
 		setRetryAfter(w, status, false)
-		writeError(w, status, msg)
+		writeError(w, status, err.Error())
 		return
 	}
 	writeJSON(w, status, j.view())

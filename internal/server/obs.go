@@ -4,7 +4,6 @@ import (
 	"context"
 	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -123,33 +122,20 @@ func requestID(r *http.Request) string {
 	return id
 }
 
-// routeLabel normalizes a request path to a bounded label set —
-// path parameters collapse to their pattern so metric cardinality
-// stays O(routes), never O(ids). (http.Request.Pattern would hand us
-// this, but it needs Go 1.23 and CI pins 1.22.)
-func routeLabel(r *http.Request) string {
-	p := r.URL.Path
-	switch p {
-	case "/v1/fit", "/v1/generate", "/v1/jobs", "/v1/datasets", "/v1/releases",
-		"/healthz", "/readyz", "/metrics":
-		return p
-	}
+// routeLabel is the route-table pattern a request matched, without
+// its method, so metric cardinality stays O(routes), never O(ids); the
+// profiles share one label, and anything the table does not route
+// (404, 405, redirects) is "other".
+func (s *Server) routeLabel(r *http.Request) string {
+	_, pattern := s.mux.Handler(r)
+	_, path, ok := strings.Cut(pattern, " ")
 	switch {
-	case strings.HasPrefix(p, "/v1/jobs/") && strings.HasSuffix(p, "/trace"):
-		return "/v1/jobs/{id}/trace"
-	case strings.HasPrefix(p, "/v1/jobs/"):
-		return "/v1/jobs/{id}"
-	case strings.HasPrefix(p, "/v1/datasets/"):
-		return "/v1/datasets/{id}"
-	case strings.HasPrefix(p, "/v1/releases/"):
-		return "/v1/releases/{id}"
-	case strings.HasPrefix(p, "/v1/budget/"):
-		return "/v1/budget/{dataset}"
-	case strings.HasPrefix(p, "/debug/pprof"):
-		return "/debug/pprof"
-	default:
+	case !ok:
 		return "other"
+	case strings.HasPrefix(path, "/debug/pprof"):
+		return "/debug/pprof"
 	}
+	return path
 }
 
 // quietRoute marks the probe endpoints whose per-scrape access logs
@@ -204,7 +190,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		ctx := context.WithValue(r.Context(), ridKey{}, id)
 		ctx = context.WithValue(ctx, tcKey{}, tc)
 		r = r.WithContext(ctx)
-		route := routeLabel(r)
+		route := s.routeLabel(r)
 		s.met.httpInFlight.Inc()
 		defer s.met.httpInFlight.Dec()
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
@@ -246,14 +232,13 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
-// registerPprof mounts net/http/pprof's profiling handlers. Gated
-// behind Options.EnablePprof (`serve -pprof`): profiles expose
-// runtime internals and cost CPU while sampling, so an operator opts
-// in.
-func registerPprof(mux *http.ServeMux) {
-	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+// handleHealth serves GET /healthz, the liveness probe.
+func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+	status := "ok"
+	s.mu.Lock()
+	if s.draining {
+		status = "draining"
+	}
+	s.mu.Unlock()
+	writeJSON(w, http.StatusOK, map[string]string{"status": status})
 }

@@ -42,7 +42,7 @@ func PrivateFitResult(res *core.Result, dataset string) FitResult {
 		Initiator: InitiatorJSON{res.Init.A, res.Init.B, res.Init.C},
 		K:         res.K,
 		Objective: &objective,
-		Features:  featuresJSON(res.Features),
+		Features:  &FeaturesJSON{res.Features.E, res.Features.H, res.Features.T, res.Features.Delta},
 		Privacy:   &privacy,
 		Spent:     &spent,
 		Receipt:   &receipt,
@@ -53,7 +53,7 @@ func PrivateFitResult(res *core.Result, dataset string) FitResult {
 // serveReleaseLocked answers a private fit request from the release
 // cache or an identical in-flight job, reporting whether the request
 // was handled. Callers hold s.flightMu, which makes the
-// miss-check-then-submit sequence in handleFit atomic: between "no
+// miss-check-then-submit sequence in admitFit atomic: between "no
 // entry, no flight" and the debit-bearing submit, no concurrent
 // identical request can slip in a second debit.
 //
@@ -92,17 +92,6 @@ func (s *Server) serveReleaseLocked(w http.ResponseWriter, key release.Key) bool
 		// release; fall through and let this request start a fresh one.
 	}
 	return false
-}
-
-// forgetFlight drops a fingerprint's single-flight registration. Runs
-// after the flight's Put (success) or failure, so every moment of a
-// successful fit's lifetime is covered by either the flight map or
-// the cache — a concurrent identical request always finds one of
-// them.
-func (s *Server) forgetFlight(fp string) {
-	s.flightMu.Lock()
-	delete(s.flights, fp)
-	s.flightMu.Unlock()
 }
 
 // requireReleases returns the configured release cache or answers 404.

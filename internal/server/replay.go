@@ -7,10 +7,9 @@ import (
 	"log/slog"
 	"strings"
 
-	"dpkron/internal/dp"
 	"dpkron/internal/graph"
 	"dpkron/internal/journal"
-	"dpkron/internal/pipeline"
+	"dpkron/internal/release"
 	"dpkron/internal/trace"
 )
 
@@ -74,8 +73,9 @@ func (s *Server) replay() {
 	}
 }
 
-// resume restarts one unfinished journaled job, or closes it with a
-// journaled failure when it cannot run again.
+// resume restarts one unfinished journaled job through admitFit, the
+// admission path of a fresh fit, or closes it with a journaled failure
+// when it cannot run again.
 func (s *Server) resume(st *journal.JobState) {
 	ad := st.Admitted
 	if ad == nil {
@@ -89,53 +89,18 @@ func (s *Server) resume(st *journal.JobState) {
 		s.closeUnresumable(st, "interrupted by server restart; resubmit to regenerate")
 		return
 	}
-	method := strings.TrimPrefix(st.Kind, "fit/")
 	var req FitRequest
 	if err := json.Unmarshal(ad.Request, &req); err != nil {
 		s.closeUnresumable(st, fmt.Sprintf("journaled request does not decode: %v", err))
 		return
 	}
-	useCache := s.opts.Releases != nil && method == "private" && ad.ReleaseKey != nil
-	if useCache {
-		// Cache-first: the release-cache Put precedes the done record,
-		// so a crash in between leaves finished, paid-for work. Serve
-		// it; recomputing would waste the compute (the debit already
-		// covers this exact release).
-		if e, ok := s.opts.Releases.Get(*ad.ReleaseKey); ok {
-			j := &job{
-				id:     st.Job,
-				kind:   st.Kind,
-				cancel: func() {},
-				status: StatusDone,
-				result: json.RawMessage(e.Payload),
-			}
-			s.register(j)
-			s.journalTerminal(j, true)
-			return
-		}
-	}
-	// Re-issue the admission debit under the journaled spend token.
-	// When the journal holds the debited record the token is provably
-	// in the ledger and this is a no-op — even against an exhausted
-	// account; when the crash fell between debit and record, the token
-	// makes this the one real debit. A genuine refusal (the debit never
-	// landed and the budget is gone) closes the job as failed: the
-	// invariant's explicit-failure arm, with no debit left dangling.
-	// As on the HTTP path, the account is read once after the debit for
-	// the result's remaining budget.
-	var remaining *dp.Budget
-	if s.opts.Ledger != nil && method == "private" && ad.Dataset != "" && ad.Planned != nil {
-		tok := ad.Token
-		if tok == "" {
-			tok = st.Job
-		}
-		if err := s.opts.Ledger.SpendToken(ad.Dataset, *ad.Planned, tok); err != nil {
-			s.closeUnresumable(st, fmt.Sprintf("budget unavailable at resume: %v", err))
-			return
-		}
-		_ = s.opts.Journal.Append(journal.Record{Job: st.Job, State: journal.StateDebited}, false)
-		rem := s.opts.Ledger.Remaining(ad.Dataset)
-		remaining = &rem
+	// The job kind names the method, and the request meets the rules a
+	// fresh one does: a by-id mom or mle fit that an older binary
+	// journaled is closed, not run.
+	req.Method = strings.TrimPrefix(st.Kind, "fit/")
+	if err := req.normalize(); err != nil {
+		s.closeUnresumable(st, "journaled request refused: "+err.Error())
+		return
 	}
 	// The resumed job's tracer adopts the journaled trace id, so the
 	// trace a client started before the crash finds the work that
@@ -145,65 +110,57 @@ func (s *Server) resume(st *journal.JobState) {
 	root := tr.Start(nil, st.Kind,
 		trace.String("resumed", "true"),
 		trace.String("request_id", ad.RequestID))
-	fj := fitJob{
-		req:       req,
-		method:    method,
-		dataset:   ad.Dataset,
-		remaining: remaining,
-		useCache:  useCache,
-		root:      root,
-		loadGraph: func() (*graph.Graph, error) {
-			dsp := root.Child("dataset-load")
-			defer dsp.End()
-			if req.DatasetID != "" && len(req.Edges) == 0 && req.EdgeList == "" {
-				if s.opts.Datasets == nil {
-					return nil, fmt.Errorf("job references stored dataset %s but the server has no dataset store", req.DatasetID)
-				}
-				return s.opts.Datasets.Load(req.DatasetID)
-			}
-			return req.graph()
-		},
+	cached, charged := s.fitGates(req.Method)
+	fj := fitJob{req: req, loadGraph: func() (*graph.Graph, error) {
+		g, _, err := s.fitGraph(&req, root)
+		return g, err
+	}}
+	if cached {
+		fj.relKey = ad.ReleaseKey
 	}
-	if useCache {
-		fj.relKey = *ad.ReleaseKey
-	}
-	fn := s.fitFn(fj)
 	spec := jobSpec{
-		kind:      st.Kind,
 		id:        st.Job,
 		replayed:  true,
-		fn:        fn,
+		dataset:   ad.Dataset,
 		requestID: ad.RequestID,
 		traceID:   ad.TraceID,
 		tr:        tr,
 		root:      root,
 	}
-	var j *job
-	var msg string
-	if useCache {
-		// Re-register the single flight so identical requests arriving
-		// after the restart join the resumed job instead of debiting a
-		// second run.
-		fp := ad.ReleaseKey.Fingerprint()
-		inner := fn
-		spec.fn = func(run *pipeline.Run) (any, error) {
-			defer s.forgetFlight(fp)
-			return inner(run)
+	if charged && ad.Dataset != "" && ad.Planned != nil {
+		// Re-issue the admission debit under the journaled spend token.
+		// When the journal holds the debited record the token is provably
+		// in the ledger and this is a no-op — even against an exhausted
+		// account; when the crash fell between debit and record, the
+		// token makes this the one real debit.
+		spec.planned, spec.token = ad.Planned, ad.Token
+		if spec.token == "" {
+			spec.token = st.Job
 		}
-		s.flightMu.Lock()
-		j, _, msg = s.submit(spec)
-		if j != nil {
-			s.flights[fp] = j
+	}
+	j, _, err := s.admitFit(spec, fj, func(key release.Key) bool {
+		// Cache-first: the release-cache Put precedes the done record,
+		// so a crash in between leaves finished, paid-for work. Serve
+		// it; recomputing would waste the compute (the debit already
+		// covers this exact release).
+		e, ok := s.opts.Releases.Get(key)
+		if ok {
+			j := &job{id: st.Job, kind: st.Kind, cancel: func() {}, status: StatusDone, result: json.RawMessage(e.Payload)}
+			s.register(j)
+			s.journalTerminal(j, true)
 		}
-		s.flightMu.Unlock()
-	} else {
-		j, _, msg = s.submit(spec)
+		return ok
+	})
+	switch {
+	case j != nil:
+		s.met.resumedJobs.Inc()
+	case err != nil:
+		// A resume skips the queue cap and nothing drains during New, so
+		// only the debit refuses: it never landed and the budget is
+		// gone. Closing the job is the invariant's explicit-failure arm,
+		// with no debit left dangling.
+		s.closeUnresumable(st, fmt.Sprintf("budget unavailable at resume: %v", err))
 	}
-	if j == nil {
-		s.closeUnresumable(st, "resume refused: "+msg)
-		return
-	}
-	s.met.resumedJobs.Inc()
 }
 
 // closeUnresumable journals an explicit failure for a job that cannot

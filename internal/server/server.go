@@ -7,7 +7,8 @@
 //
 // Endpoints:
 //
-//	POST   /v1/fit              submit an estimation job (private | mom | mle)
+//	POST   /v1/fit              submit an estimation job (private | mom | mle;
+//	                            a stored dataset_id: private only)
 //	POST   /v1/generate         submit a synthetic-graph sampling job
 //	GET    /v1/jobs             list all jobs (newest last)
 //	GET    /v1/jobs/{id}        one job with stage progress and result
@@ -16,17 +17,21 @@
 //	DELETE /v1/jobs/{id}        cancel a queued or running job
 //	GET    /v1/budget/{dataset} a dataset's ledger account (ledger mode)
 //	POST   /v1/datasets         import a graph into the dataset store
-//	GET    /v1/datasets[/{id}]  list stored datasets / one's metadata
+//	GET    /v1/datasets[/{id}]  list stored datasets / one's public view
 //	DELETE /v1/datasets/{id}    remove a stored dataset
 //	GET    /v1/releases[/{id}]  list cached releases / one with payload
 //	GET    /healthz             liveness probe
 //
-// With Options.Datasets configured, fit requests may name a stored
-// dataset id ("dataset_id") instead of shipping an inline edge list —
-// the register-once, query-many workflow: the graph is uploaded a
-// single time (streamed, gzip-transparent, exempt from the inline body
-// cap) and every subsequent fit references it by its content
-// fingerprint, which is also the id the privacy ledger charges.
+// With Options.Datasets configured, private fit requests may name a
+// stored dataset id ("dataset_id") instead of shipping an inline edge
+// list — the register-once, query-many workflow: the graph is uploaded
+// a single time (streamed, gzip-transparent, exempt from the inline
+// body cap) and every subsequent fit references it by its content
+// fingerprint, which is also the id the privacy ledger charges. Stored
+// data leaves the server only as a private fit: a mom or mle fit by id
+// is refused with 400 before any store access, and every response that
+// describes a dataset carries only its public fields (DatasetView) —
+// never the edge count or the file size.
 //
 // When Options.Ledger is set, private fits are additionally charged
 // against a persistent per-dataset privacy-budget ledger: the request's
@@ -94,6 +99,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/http/pprof"
 	"sync"
 
 	"dpkron/internal/accountant"
@@ -137,8 +143,8 @@ type Options struct {
 	// body. The debit is conservative — cancelled or failed jobs do
 	// not refund, since their mechanisms may already have drawn noise.
 	Ledger *accountant.Ledger
-	// Datasets, when set, enables the dataset endpoints and
-	// fit-by-dataset-id: graphs are imported once into the persistent
+	// Datasets, when set, enables the dataset endpoints and private
+	// fits by dataset id: graphs are imported once into the persistent
 	// store and later requests reference them by content-addressed id.
 	Datasets *dataset.Store
 	// MaxUploadBytes bounds POST /v1/datasets bodies (default 1 GiB);
@@ -266,39 +272,58 @@ func New(opts Options) *Server {
 		s.jobWorkers = 1
 	}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/fit", s.handleFit)
-	s.mux.HandleFunc("POST /v1/generate", s.handleGenerate)
-	s.mux.HandleFunc("GET /v1/jobs", s.handleJobs)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleJobTrace)
-	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	s.mux.HandleFunc("GET /v1/budget/{dataset}", s.handleBudget)
-	s.mux.HandleFunc("POST /v1/datasets", s.handleDatasetImport)
-	s.mux.HandleFunc("GET /v1/datasets", s.handleDatasetList)
-	s.mux.HandleFunc("GET /v1/datasets/{id}", s.handleDatasetMeta)
-	s.mux.HandleFunc("DELETE /v1/datasets/{id}", s.handleDatasetDelete)
-	s.mux.HandleFunc("GET /v1/releases", s.handleReleaseList)
-	s.mux.HandleFunc("GET /v1/releases/{id}", s.handleRelease)
-	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		status := "ok"
-		s.mu.Lock()
-		if s.draining {
-			status = "draining"
-		}
-		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, map[string]string{"status": status})
-	})
-	s.mux.HandleFunc("GET /readyz", s.handleReady)
-	if opts.Metrics != nil {
-		s.mux.Handle("GET /metrics", opts.Metrics.Handler())
-	}
-	if opts.EnablePprof {
-		registerPprof(s.mux)
+	for _, rt := range s.routes() {
+		s.mux.HandleFunc(rt.pattern, rt.handler)
 	}
 	if opts.Journal != nil {
 		s.replay()
 	}
 	return s
+}
+
+// route is one entry of the server's route table.
+type route struct {
+	pattern string
+	handler http.HandlerFunc
+}
+
+// routes is the server's route table: New registers exactly these, the
+// metrics label each request by its pattern, and the release-closure
+// test walks the same table, so a new route fails that test until it
+// is classified. /metrics and the profiles are mounted only when
+// configured.
+func (s *Server) routes() []route {
+	rs := []route{
+		{"POST /v1/fit", s.handleFit},
+		{"POST /v1/generate", s.handleGenerate},
+		{"GET /v1/jobs", s.handleJobs},
+		{"GET /v1/jobs/{id}", s.handleJob},
+		{"GET /v1/jobs/{id}/trace", s.handleJobTrace},
+		{"DELETE /v1/jobs/{id}", s.handleCancel},
+		{"GET /v1/budget/{dataset}", s.handleBudget},
+		{"POST /v1/datasets", s.handleDatasetImport},
+		{"GET /v1/datasets", s.handleDatasetList},
+		{"GET /v1/datasets/{id}", s.handleDatasetMeta},
+		{"DELETE /v1/datasets/{id}", s.handleDatasetDelete},
+		{"GET /v1/releases", s.handleReleaseList},
+		{"GET /v1/releases/{id}", s.handleRelease},
+		{"GET /healthz", s.handleHealth},
+		{"GET /readyz", s.handleReady},
+	}
+	if s.opts.Metrics != nil {
+		rs = append(rs, route{"GET /metrics", s.opts.Metrics.Handler().ServeHTTP})
+	}
+	if s.opts.EnablePprof {
+		// Profiles expose runtime internals and cost CPU while sampling,
+		// so an operator opts in (`serve -pprof`).
+		rs = append(rs,
+			route{"GET /debug/pprof/", pprof.Index},
+			route{"GET /debug/pprof/cmdline", pprof.Cmdline},
+			route{"GET /debug/pprof/profile", pprof.Profile},
+			route{"GET /debug/pprof/symbol", pprof.Symbol},
+			route{"GET /debug/pprof/trace", pprof.Trace})
+	}
+	return rs
 }
 
 // Handler returns the HTTP handler serving the job API, wrapped in
@@ -475,6 +500,9 @@ type jobSpec struct {
 	// account's remaining budget as of the debit, which the audit
 	// events record.
 	admit func(token string) (dp.Budget, error)
+	// token is a resumed admission's journaled spend token, which admit
+	// receives in place of a fresh one.
+	token string
 	fn    func(run *pipeline.Run) (any, error)
 	// requestID and traceID tie the journaled admission back to the
 	// originating HTTP request, so a crash-resumed job's trace links to
@@ -490,9 +518,9 @@ type jobSpec struct {
 
 // submit registers a job and launches its goroutine. fn runs once a
 // job slot frees up, under a pipeline Run wired to the job's context
-// and progress sink. Returns nil (plus an HTTP status and message)
+// and progress sink. Returns nil (plus an HTTP status and the reason)
 // when the server is draining, the queue is full, or the admit hook
-// refuses. The queue slot is reserved first, then journaling and
+// refuses; a refusal by the hook is its error, unwrapped. The queue slot is reserved first, then journaling and
 // admission run outside s.mu — both do disk I/O (fsync) and must not
 // stall every other endpoint — so a committed debit never needs
 // rolling back for a queue-full rejection, only the slot reservation
@@ -504,17 +532,17 @@ type jobSpec struct {
 // re-issues the debit under its idempotent job-id token — exactly one
 // debit lands no matter where the crash fell. A refused admission is
 // closed with a journaled failure so the admitted record never
-// dangles.
-func (s *Server) submit(spec jobSpec) (*job, int, string) {
+// dangles; a refused resume is closed by replay.
+func (s *Server) submit(spec jobSpec) (*job, int, error) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		return nil, http.StatusServiceUnavailable, "server is draining; retry against the restarted instance"
+		return nil, http.StatusServiceUnavailable, errors.New("server is draining; retry against the restarted instance")
 	}
 	if !spec.replayed && s.active >= s.opts.MaxQueue {
 		active := s.active
 		s.mu.Unlock()
-		return nil, http.StatusTooManyRequests, fmt.Sprintf("job queue full (%d active)", active)
+		return nil, http.StatusTooManyRequests, fmt.Errorf("job queue full (%d active)", active)
 	}
 	s.active++ // reserve the queue slot before the lock is dropped
 	id := spec.id
@@ -531,7 +559,7 @@ func (s *Server) submit(spec jobSpec) (*job, int, string) {
 		s.mu.Unlock()
 	}
 	adm := spec.tr.Start(spec.root, "admission", trace.String("job_id", id))
-	var token string
+	token := spec.token
 	if s.opts.Journal != nil && !spec.replayed {
 		// The spend token must be unique across process lifetimes (job
 		// ids restart with the server; a collision with an old receipt
@@ -552,7 +580,7 @@ func (s *Server) submit(spec jobSpec) (*job, int, string) {
 		jsp.End()
 		if err != nil {
 			undo()
-			return nil, http.StatusInternalServerError, fmt.Sprintf("journaling admission: %v", err)
+			return nil, http.StatusInternalServerError, fmt.Errorf("journaling admission: %w", err)
 		}
 	}
 	if spec.admit != nil {
@@ -563,7 +591,7 @@ func (s *Server) submit(spec jobSpec) (*job, int, string) {
 		if err != nil {
 			// Close the journaled admission with an explicit failure —
 			// the invariant's "never silence" — before undoing the slot.
-			if s.opts.Journal != nil {
+			if s.opts.Journal != nil && !spec.replayed {
 				_ = s.opts.Journal.Append(journal.Record{
 					Job: id, State: journal.StateFailed, Kind: spec.kind,
 					Error: "admission refused: " + err.Error(),
@@ -575,7 +603,7 @@ func (s *Server) submit(spec jobSpec) (*job, int, string) {
 			if errors.Is(err, accountant.ErrBudgetExhausted) {
 				status = http.StatusTooManyRequests
 			}
-			return nil, status, err.Error()
+			return nil, status, err
 		}
 		if s.opts.Journal != nil && spec.planned != nil {
 			// The debit landed; record it. Async is safe: losing this
@@ -673,7 +701,7 @@ func (s *Server) submit(spec jobSpec) (*job, int, string) {
 			j.errMsg = err.Error()
 		}
 	}()
-	return j, http.StatusAccepted, ""
+	return j, http.StatusAccepted, nil
 }
 
 // terminal reports whether the job has finished (any outcome).

@@ -611,8 +611,15 @@ func TestServerDatasetLifecycle(t *testing.T) {
 	if meta["id"] != wantID {
 		t.Errorf("uploaded id %v, want %v", meta["id"], wantID)
 	}
-	if meta["nodes"].(float64) != float64(g.NumNodes()) || meta["edges"].(float64) != float64(g.NumEdges()) {
-		t.Errorf("meta %v does not describe the graph (%d nodes, %d edges)", meta, g.NumNodes(), g.NumEdges())
+	// The view carries the public node count, never the edge count or
+	// the file size (a function of the edge count).
+	if nodes, _ := meta["nodes"].(float64); nodes != float64(g.NumNodes()) {
+		t.Errorf("meta %v does not carry the node count %d", meta, g.NumNodes())
+	}
+	for _, private := range []string{"edges", "bytes"} {
+		if _, ok := meta[private]; ok {
+			t.Errorf("upload response carries %q: %v", private, meta)
+		}
 	}
 	if meta["source"] != "snap" || meta["name"] != "test-graph" {
 		t.Errorf("meta source/name = %v/%v", meta["source"], meta["name"])
@@ -651,9 +658,15 @@ func TestServerDatasetLifecycle(t *testing.T) {
 		t.Fatalf("stored graph differs: %v", err)
 	}
 
-	// Fit by dataset id (non-private, no ledger needed).
+	// A stored dataset is fitted only privately: mom by id is a 400.
 	code, resp := doJSON(t, http.MethodPost, ts.URL+"/v1/fit", FitRequest{
 		Method: "mom", K: 8, DatasetID: wantID,
+	})
+	if msg, _ := resp["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, "inline") {
+		t.Fatalf("mom fit by id: status %d (%v), want 400 naming the rule", code, resp)
+	}
+	code, resp = doJSON(t, http.MethodPost, ts.URL+"/v1/fit", FitRequest{
+		Method: "private", K: 8, DatasetID: wantID,
 	})
 	if code != http.StatusAccepted {
 		t.Fatalf("fit by id: status %d (%v)", code, resp)
@@ -672,7 +685,7 @@ func TestServerDatasetLifecycle(t *testing.T) {
 	if code, _ := doJSON(t, http.MethodDelete, ts.URL+"/v1/datasets/"+otherID, nil); code != http.StatusNotFound {
 		t.Errorf("double delete: status %d, want 404", code)
 	}
-	code, resp = doJSON(t, http.MethodPost, ts.URL+"/v1/fit", FitRequest{Method: "mom", K: 8, DatasetID: otherID})
+	code, resp = doJSON(t, http.MethodPost, ts.URL+"/v1/fit", FitRequest{Method: "private", K: 8, DatasetID: otherID})
 	if code != http.StatusNotFound {
 		t.Errorf("fit by deleted id: status %d, want 404 (%v)", code, resp)
 	}
@@ -833,8 +846,12 @@ func TestServerDatasetRoutesWithoutStore(t *testing.T) {
 	if code, _ := doJSON(t, http.MethodGet, ts.URL+"/v1/datasets", nil); code != http.StatusNotFound {
 		t.Errorf("list without store: status %d, want 404", code)
 	}
-	if code, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/fit", FitRequest{Method: "mom", DatasetID: "ds-0011223344556677"}); code != http.StatusNotFound {
+	if code, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/fit", FitRequest{Method: "private", DatasetID: "ds-0011223344556677"}); code != http.StatusNotFound {
 		t.Errorf("fit by id without store: status %d, want 404", code)
+	}
+	// The by-id rule does not depend on a store being configured.
+	if code, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/fit", FitRequest{Method: "mom", DatasetID: "ds-0011223344556677"}); code != http.StatusBadRequest {
+		t.Errorf("mom fit by id without store: status %d, want 400", code)
 	}
 	if code, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/generate", GenerateRequest{A: 0.9, B: 0.5, C: 0.3, K: 5, Store: true}); code != http.StatusNotFound {
 		t.Errorf("generate-into-store without store: status %d, want 404", code)
@@ -842,7 +859,8 @@ func TestServerDatasetRoutesWithoutStore(t *testing.T) {
 }
 
 // TestServerGenerateIntoStore: a generate job can persist its sample
-// as a dataset, and the returned id immediately works for fit-by-id.
+// as a dataset, and the returned id immediately works for a private
+// fit by id.
 func TestServerGenerateIntoStore(t *testing.T) {
 	st, ts := newStoreServer(t, nil)
 	code, resp := doJSON(t, http.MethodPost, ts.URL+"/v1/generate", GenerateRequest{
@@ -864,6 +882,11 @@ func TestServerGenerateIntoStore(t *testing.T) {
 	if ds["name"] != "synthetic-8" || ds["source"] != "generated" {
 		t.Errorf("stored meta name/source = %v/%v", ds["name"], ds["source"])
 	}
+	for _, private := range []string{"edges", "bytes"} {
+		if _, ok := ds[private]; ok {
+			t.Errorf("result dataset view carries %q: %v", private, ds)
+		}
+	}
 	if _, hasEdges := result["edgelist"]; hasEdges {
 		t.Errorf("omit_edges ignored: %v", result)
 	}
@@ -874,8 +897,8 @@ func TestServerGenerateIntoStore(t *testing.T) {
 	if err != nil || !want.Equal(back) {
 		t.Fatalf("stored sample differs from local sample: %v", err)
 	}
-	// Round trip: fit the stored dataset by id.
-	code, resp = doJSON(t, http.MethodPost, ts.URL+"/v1/fit", FitRequest{Method: "mom", K: 8, DatasetID: id})
+	// Round trip: fit the stored dataset privately by id.
+	code, resp = doJSON(t, http.MethodPost, ts.URL+"/v1/fit", FitRequest{Method: "private", K: 8, DatasetID: id})
 	if code != http.StatusAccepted {
 		t.Fatalf("fit stored sample: status %d (%v)", code, resp)
 	}
