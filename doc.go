@@ -34,7 +34,7 @@
 // allowance, debit each fit's PlannedReceipt before running it, and the
 // ledger refuses the debit once the allowance cannot cover it. See
 // ExampleOpenLedger, and the Accountant type for in-process metering
-// with pluggable composition policies.
+// under sequential composition.
 //
 // # Dataset store
 //

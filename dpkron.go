@@ -44,8 +44,8 @@ type (
 	Features = stats.Features
 	// Budget is an (ε, δ) differential privacy guarantee.
 	Budget = dp.Budget
-	// Accountant records mechanism charges, composes them under a
-	// pluggable policy, and can refuse charges beyond a limit.
+	// Accountant records mechanism charges, composes them
+	// sequentially, and can refuse charges beyond a limit.
 	Accountant = accountant.Accountant
 	// Charge is one recorded mechanism invocation (query, mechanism,
 	// calibration, price).

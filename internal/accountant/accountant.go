@@ -9,11 +9,11 @@
 // The pieces:
 //
 //   - A Mechanism describes one calibrated noise primitive (Laplace,
-//     vector Laplace, smooth-sensitivity Laplace or Cauchy) and can
-//     state its privacy price before it runs.
+//     vector Laplace or smooth-sensitivity Laplace) and can state its
+//     privacy price before it runs.
 //   - An Accountant records Mechanism applications as Charges, composes
-//     them under a pluggable Policy (sequential or advanced
-//     composition), and can refuse charges beyond a configured limit.
+//     them sequentially (Theorem 4.9), and can refuse charges beyond a
+//     configured limit.
 //   - A Ledger (ledger.go) persists per-dataset budgets across
 //     processes and refuses spends once a dataset's budget is
 //     exhausted.
@@ -43,7 +43,7 @@ type Charge struct {
 	// Query names the released quantity ("algorithm1/degree-sequence").
 	Query string `json:"query"`
 	// Mechanism is the noise primitive applied ("laplace",
-	// "laplace-vec", "smooth-laplace", "smooth-cauchy").
+	// "laplace-vec", "smooth-laplace").
 	Mechanism string `json:"mechanism"`
 	// Sensitivity is the global L1 sensitivity the noise was calibrated
 	// to. Zero for smooth-sensitivity mechanisms, whose calibration is
@@ -128,30 +128,6 @@ func (m SmoothLaplace) Scale() float64 { return 2 * m.SmoothSens / m.Eps }
 // Apply perturbs value, drawing one Laplace variate from rng.
 func (m SmoothLaplace) Apply(value float64, rng *randx.Rand) float64 {
 	return value + rng.Laplace(m.Scale())
-}
-
-// SmoothCauchy is the pure-ε smooth-sensitivity mechanism: standard
-// Cauchy noise scaled by 6·SmoothSens/Eps is (Eps, 0)-DP when
-// SmoothSens is the β-smooth sensitivity at β = Beta = Eps/6 (the
-// Cauchy density ∝ 1/(1+z²) is (ε/6, ε/6)-admissible in the sense of
-// Nissim et al.). Heavier-tailed than SmoothLaplace, but the guarantee
-// needs no δ.
-type SmoothCauchy struct {
-	SmoothSens, Beta, Eps float64
-}
-
-// Charge implements Mechanism.
-func (m SmoothCauchy) Charge(query string) Charge {
-	return Charge{Query: query, Mechanism: "smooth-cauchy", Beta: m.Beta, Eps: m.Eps}
-}
-
-// Scale is the Cauchy scale applied: 6·SmoothSens/Eps. Sensitive; not
-// for release.
-func (m SmoothCauchy) Scale() float64 { return 6 * m.SmoothSens / m.Eps }
-
-// Apply perturbs value, drawing one Cauchy variate from rng.
-func (m SmoothCauchy) Apply(value float64, rng *randx.Rand) float64 {
-	return value + rng.Cauchy(m.Scale())
 }
 
 // Receipt is the machine-readable record of a sequence of charges: the

@@ -1,25 +1,20 @@
 package accountant
 
-import (
-	"math"
-
-	"dpkron/internal/dp"
-)
+import "dpkron/internal/dp"
 
 // Policy composes a sequence of charges into one (ε, δ) guarantee.
-// Any valid composition theorem may be plugged in; the accountant only
-// requires that Compose be monotone in its input (more charges never
-// shrink the total).
+// Sequential is the only implementation; the accountant only requires
+// that Compose be monotone in its input (more charges never shrink the
+// total).
 type Policy interface {
-	// Name identifies the policy in receipts ("sequential", "advanced").
+	// Name identifies the policy in receipts ("sequential").
 	Name() string
 	// Compose returns the composed guarantee of the charges.
 	Compose(charges []Charge) dp.Budget
 }
 
 // Sequential is basic composition: ε and δ add across charges
-// (Theorem 4.9 of the paper; dp.Compose). Tight for the pure-ε regime
-// and for the small charge counts of a single Algorithm 1 run.
+// (Theorem 4.9 of the paper; dp.Compose).
 type Sequential struct{}
 
 // Name implements Policy.
@@ -32,45 +27,4 @@ func (Sequential) Compose(charges []Charge) dp.Budget {
 		parts[i] = c.Budget()
 	}
 	return dp.Compose(parts...)
-}
-
-// Advanced is the heterogeneous advanced-composition bound
-// (Dwork–Rothblum–Vadhan; Kairouz–Oh–Viswanath give the heterogeneous
-// form): at slack δ' > 0, k charges (ε_i, δ_i) compose to
-//
-//	ε* = √(2·ln(1/δ')·Σ ε_i²) + Σ ε_i·(e^{ε_i} − 1),   δ* = δ' + Σ δ_i.
-//
-// For many small-ε charges ε* grows like √k instead of k. Compose
-// returns the tighter of this bound and sequential composition —
-// sequential wins for few or large charges — so Advanced is never
-// looser than Sequential (and pays the δ' slack only when the advanced
-// bound is the one used).
-type Advanced struct {
-	// DeltaSlack is δ'; <= 0 selects 1e-9.
-	DeltaSlack float64
-}
-
-// Name implements Policy.
-func (Advanced) Name() string { return "advanced" }
-
-// Compose implements Policy.
-func (p Advanced) Compose(charges []Charge) dp.Budget {
-	seq := Sequential{}.Compose(charges)
-	if len(charges) == 0 {
-		return seq
-	}
-	slack := p.DeltaSlack
-	if slack <= 0 {
-		slack = 1e-9
-	}
-	var sumSq, sumLin float64
-	for _, c := range charges {
-		sumSq += c.Eps * c.Eps
-		sumLin += c.Eps * math.Expm1(c.Eps)
-	}
-	adv := math.Sqrt(2*math.Log(1/slack)*sumSq) + sumLin
-	if adv >= seq.Eps {
-		return seq
-	}
-	return dp.Budget{Eps: adv, Delta: seq.Delta + slack}
 }

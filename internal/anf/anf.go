@@ -19,13 +19,14 @@ import (
 // phi is the Flajolet–Martin bias correction constant.
 const phi = 0.77351
 
+// maxHops caps the number of propagation rounds.
+const maxHops = 64
+
 // Options configures the sketch estimator.
 type Options struct {
 	// Trials is the number R of parallel bitmasks per node; the standard
 	// error decreases like 1/sqrt(R). Default 32.
 	Trials int
-	// MaxHops caps the number of propagation rounds. Default 64.
-	MaxHops int
 	// Rng supplies randomness; required.
 	Rng *randx.Rand
 }
@@ -34,15 +35,12 @@ func (o *Options) fill() {
 	if o.Trials <= 0 {
 		o.Trials = 32
 	}
-	if o.MaxHops <= 0 {
-		o.MaxHops = 64
-	}
 }
 
 // HopPlotCtx estimates the cumulative hop plot of g under a pipeline
 // Run: element h approximates the number of ordered pairs (u, v),
 // including u = v, within distance h. The returned slice stops when the
-// estimate stops growing (within one part in 1e6) or at MaxHops.
+// estimate stops growing (within one part in 1e6) or after 64 hops.
 //
 // Propagation and estimation fan out over run's worker budget, and the
 // estimate is identical for every worker count: sketch initialization
@@ -74,7 +72,7 @@ func HopPlotCtx(run *pipeline.Run, g *graph.Graph, opts Options) ([]float64, err
 		return nil, err
 	}
 	est := []float64{first}
-	for h := 1; h <= opts.MaxHops; h++ {
+	for h := 1; h <= maxHops; h++ {
 		// Each round reads cur and writes disjoint node blocks of next,
 		// so the propagation shards freely across the pool.
 		if err := parallel.ForBlocks(ctx, workers, n, func(_, lo, hi int) {

@@ -45,13 +45,6 @@ type Options struct {
 	// K is the Kronecker power; 0 infers the smallest k with 2^k >= n.
 	// The node count is public under edge differential privacy.
 	K int
-	// Objective is the Equation 2 configuration (default: DistSq/NormF²
-	// over all four features, as in the paper's experiments).
-	Objective kronmom.Objective
-	// RandomStarts and GridPoints tune the moment optimizer
-	// (see kronmom.Options).
-	RandomStarts int
-	GridPoints   int
 	// KeepNonpositiveDelta disables the robustness rule that drops the
 	// triangle feature from the moment objective when the released Δ̃ is
 	// non-positive. A non-positive Δ̃ is pure noise (the true count is
@@ -202,22 +195,15 @@ func EstimateCtx(run *pipeline.Run, g *graph.Graph, opts Options) (*Result, erro
 	}
 	feats.Delta = tri.Noisy
 
-	// Step 6: moment matching on the private features (post-processing).
-	objective := opts.Objective
-	if objective.Features.Count() == 0 {
-		objective.Features = kronmom.AllFeatures()
-	}
-	deltaDropped := false
-	if !opts.KeepNonpositiveDelta && feats.Delta <= 0 && objective.Features.Delta {
-		objective.Features.Delta = false
-		deltaDropped = true
-	}
+	// Step 6: moment matching on the private features (post-processing)
+	// under DistSq/NormF², as in the paper's experiments.
+	objective := kronmom.DefaultObjective()
+	deltaDropped := !opts.KeepNonpositiveDelta && feats.Delta <= 0
+	objective.Features.Delta = !deltaDropped
 	stageDone = alg.Stage("moment-fit")
 	est, err := kronmom.FitCtx(alg.Sub("moment-fit"), feats, k, kronmom.Options{
-		Objective:    objective,
-		RandomStarts: opts.RandomStarts,
-		GridPoints:   opts.GridPoints,
-		Rng:          opts.Rng.Split(),
+		Objective: objective,
+		Rng:       opts.Rng.Split(),
 	})
 	if err != nil {
 		return nil, err

@@ -37,8 +37,6 @@ type DecodeOptions struct {
 	// so a tiny hostile upload naming node id 2e9 cannot force a
 	// multi-gigabyte allocation.
 	MaxNodes int
-	// MinNodes raises the node count (isolated trailing nodes).
-	MinNodes int
 	// MaxBytes bounds the decompressed input size (0 = no bound), so a
 	// gzip bomb cannot expand past what an uncompressed upload of the
 	// same cap could ship. Exceeding it fails with ErrTooLarge.
@@ -129,7 +127,7 @@ func decodeSniffed(br *bufio.Reader, opt DecodeOptions) (Format, *graph.Graph, e
 // decodeSNAP streams edge-list text into a Builder through the shared
 // graph-package parser, which enforces opt.MaxNodes before allocation.
 func decodeSNAP(r io.Reader, opt DecodeOptions) (*graph.Graph, error) {
-	return graph.ReadEdgeListLimit(r, opt.MinNodes, opt.MaxNodes)
+	return graph.ReadEdgeListLimit(r, 0, opt.MaxNodes)
 }
 
 const mmBanner = "%%MatrixMarket"
@@ -189,9 +187,6 @@ func decodeMatrixMarket(r *bufio.Reader, opt DecodeOptions) (*graph.Graph, error
 				return nil, fmt.Errorf("dataset: matrix market: %d entries impossible in a %dx%d matrix", nnz, rows, rows)
 			}
 			n = rows
-			if opt.MinNodes > n {
-				n = opt.MinNodes
-			}
 			// The declared nnz is attacker-controlled until the entries
 			// are actually read, so it is only a capacity hint: clamp it
 			// so a tiny upload declaring a huge count cannot force a

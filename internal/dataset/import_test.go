@@ -132,16 +132,6 @@ func TestDecodeGraphMatrixMarketHugeDeclaredNnz(t *testing.T) {
 	}
 }
 
-func TestDecodeGraphMinNodes(t *testing.T) {
-	g, _, err := DecodeGraph(strings.NewReader("0 1\n"), DecodeOptions{MinNodes: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumNodes() != 10 {
-		t.Errorf("nodes = %d, want 10", g.NumNodes())
-	}
-}
-
 func TestDecodeGraphBadGzip(t *testing.T) {
 	// A gzip magic followed by garbage must error, not hang or panic.
 	if _, _, err := DecodeGraph(bytes.NewReader([]byte{0x1f, 0x8b, 0xff, 0x00}), DecodeOptions{}); err == nil {

@@ -47,8 +47,6 @@ type FigureOptions struct {
 	ExpectedRuns int
 	// ScreeRank is the number of leading singular values (default 48).
 	ScreeRank int
-	// ANFTrials controls hop-plot sketch accuracy (default 32).
-	ANFTrials int
 	// KronFitIters overrides the MLE iteration budget (default 60).
 	KronFitIters int
 	// ExactHopPlot forces all-source BFS instead of ANF sketches for
@@ -68,9 +66,6 @@ func (o *FigureOptions) fill() {
 	}
 	if o.ScreeRank == 0 {
 		o.ScreeRank = 48
-	}
-	if o.ANFTrials == 0 {
-		o.ANFTrials = 32
 	}
 	if o.KronFitIters == 0 {
 		o.KronFitIters = 60
@@ -208,7 +203,7 @@ func computeStatsCtx(run *pipeline.Run, g *graph.Graph, opts FigureOptions, rng 
 			hop.Y = append(hop.Y, float64(v))
 		}
 	} else {
-		approx, err := anf.HopPlotCtx(run, g, anf.Options{Trials: opts.ANFTrials, Rng: rng.Split()})
+		approx, err := anf.HopPlotCtx(run, g, anf.Options{Rng: rng.Split()})
 		if err != nil {
 			return GraphStats{}, err
 		}

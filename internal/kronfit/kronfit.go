@@ -43,34 +43,32 @@ type Options struct {
 	Init skg.Initiator
 	// Iters is the number of gradient ascent steps (default 60).
 	Iters int
-	// PermSamples is the number of permutation samples averaged per
-	// gradient step (default 4).
-	PermSamples int
-	// SwapsPerSample is the number of Metropolis proposals between
-	// samples (default n/4).
-	SwapsPerSample int
-	// WarmupSwaps is the per-iteration burn-in after the permutation is
-	// reset to the degree-seeded arrangement (default 2n). Restarting
-	// the chain every gradient step keeps it from descending into
-	// permutations that overfit the current parameters: with an
-	// unbounded chain the Metropolis acceptance is effectively greedy
-	// (per-swap likelihood deltas are large), and profile-likelihood
-	// overfitting drags the parameters toward a degenerate
-	// core–periphery solution. The restarted chain reproduces the
-	// recovery quality reported for KronFit in the paper's Table 1.
-	WarmupSwaps int
-	// resetPerm is always enabled by fill; it exists so the restart
-	// behaviour is explicit at the use site.
-	resetPerm bool
-	// Step0 is the initial normalized-gradient step size (default 0.04);
-	// step t uses Step0/(1+t/15).
-	Step0 float64
-	// MinParam and MaxParam clamp initiator entries away from {0, 1}
-	// where the log-likelihood degenerates (defaults 0.001 and 0.9999).
-	MinParam, MaxParam float64
 	// Rng is required.
 	Rng *randx.Rand
 }
+
+// Each gradient step resets the permutation to the degree-seeded
+// arrangement, burns the Metropolis chain in for warmupSweeps·2^K
+// proposals, then averages the gradient over permSamples permutations
+// taken 2^K/sampleGap proposals apart. Restarting the chain every
+// step keeps it from descending into permutations that overfit the
+// current parameters: with an unbounded chain the Metropolis acceptance
+// is effectively greedy (per-swap likelihood deltas are large), and
+// profile-likelihood overfitting drags the parameters toward a
+// degenerate core–periphery solution. The restarted chain reproduces
+// the recovery quality reported for KronFit in the paper's Table 1.
+//
+// Step t moves the parameters step0/(1+t/15) along the normalized
+// gradient, and initiator entries are clamped to [minParam, maxParam],
+// away from {0, 1} where the log-likelihood degenerates.
+const (
+	permSamples  = 4
+	sampleGap    = 4
+	warmupSweeps = 2
+	step0        = 0.04
+	minParam     = 0.001
+	maxParam     = 0.9999
+)
 
 func (o *Options) fill(n int) error {
 	if o.K == 0 {
@@ -87,25 +85,6 @@ func (o *Options) fill(n int) error {
 	}
 	if o.Iters == 0 {
 		o.Iters = 60
-	}
-	if o.PermSamples == 0 {
-		o.PermSamples = 4
-	}
-	if o.SwapsPerSample == 0 {
-		o.SwapsPerSample = (1 << o.K) / 4
-	}
-	if o.WarmupSwaps == 0 {
-		o.WarmupSwaps = 2 << o.K
-	}
-	o.resetPerm = true
-	if o.Step0 == 0 {
-		o.Step0 = 0.04
-	}
-	if o.MinParam == 0 {
-		o.MinParam = 0.001
-	}
-	if o.MaxParam == 0 {
-		o.MaxParam = 0.9999
 	}
 	if o.Rng == nil {
 		return fmt.Errorf("kronfit: Options.Rng is required")
@@ -410,7 +389,7 @@ func FitCtx(run *pipeline.Run, g *graph.Graph, opts Options) (Result, error) {
 		return Result{}, err
 	}
 	clamp := func(x float64) float64 {
-		return math.Min(opts.MaxParam, math.Max(opts.MinParam, x))
+		return math.Min(maxParam, math.Max(minParam, x))
 	}
 	done := run.Stage("kronfit")
 	init := skg.Initiator{A: clamp(opts.Init.A), B: clamp(opts.Init.B), C: clamp(opts.Init.C)}
@@ -424,26 +403,24 @@ func FitCtx(run *pipeline.Run, g *graph.Graph, opts Options) (Result, error) {
 		if t > 0 {
 			run.Progress("kronfit", float64(t)/float64(opts.Iters))
 		}
-		if opts.resetPerm {
-			copy(s.sigma, seedPerm)
-		}
-		s.metropolis(opts.WarmupSwaps, opts.Rng)
+		copy(s.sigma, seedPerm)
+		s.metropolis(warmupSweeps*s.n, opts.Rng)
 		var ga, gb, gc float64
-		for m := 0; m < opts.PermSamples; m++ {
-			s.metropolis(opts.SwapsPerSample, opts.Rng)
+		for m := 0; m < permSamples; m++ {
+			s.metropolis(s.n/sampleGap, opts.Rng)
 			a, b, c := s.grad()
 			ga += a
 			gb += b
 			gc += c
 		}
-		ga /= float64(opts.PermSamples)
-		gb /= float64(opts.PermSamples)
-		gc /= float64(opts.PermSamples)
+		ga /= permSamples
+		gb /= permSamples
+		gc /= permSamples
 		norm := math.Sqrt(ga*ga + gb*gb + gc*gc)
 		if norm < 1e-12 {
 			break
 		}
-		step := opts.Step0 / (1 + float64(t)/15)
+		step := step0 / (1 + float64(t)/15)
 		s.setTheta(skg.Initiator{
 			A: clamp(s.theta.A + step*ga/norm),
 			B: clamp(s.theta.B + step*gb/norm),

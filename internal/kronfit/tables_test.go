@@ -21,11 +21,10 @@ func ulpDiff(a, b float64) int {
 	return n
 }
 
-// tableThetas spans the clamp range [MinParam, MaxParam] of Options,
+// tableThetas spans the clamp range [minParam, maxParam] of FitCtx,
 // including the extremes where log P and 1/(1−P) are most delicate.
 func tableThetas() []skg.Initiator {
-	const minP, maxP = 0.001, 0.9999 // Options defaults
-	vals := []float64{minP, 0.01, 0.2, 0.5, 0.9, maxP}
+	vals := []float64{minParam, 0.01, 0.2, 0.5, 0.9, maxParam}
 	var out []skg.Initiator
 	for _, a := range vals {
 		for _, b := range vals {

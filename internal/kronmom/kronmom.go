@@ -160,29 +160,25 @@ type Options struct {
 	// Objective defaults to DefaultObjective(). A zero FeatureSet is
 	// replaced by AllFeatures().
 	Objective Objective
-	// RandomStarts is the number of random Nelder–Mead restarts on top
-	// of the grid-seeded one (default 8).
-	RandomStarts int
-	// GridPoints per axis for the seeding grid search (default 9).
-	GridPoints int
-	// MaxIter per Nelder–Mead run (default 600).
-	MaxIter int
 	// Rng supplies restart randomness; required.
 	Rng *randx.Rand
 }
 
+// The optimizer seeds one Nelder–Mead descent from the best point of a
+// gridPoints³ grid and runs randomStarts more from random points, each
+// from a simplex of edge simplexStep and for at most maxIter
+// iterations. The grid seed alone can stop in a worse local optimum
+// (TestMomentFitRestartsMatter), so the random restarts stay.
+const (
+	randomStarts = 8
+	gridPoints   = 9
+	simplexStep  = 0.08
+	maxIter      = 600
+)
+
 func (o *Options) fill() error {
 	if o.Objective.Features.Count() == 0 {
 		o.Objective.Features = AllFeatures()
-	}
-	if o.RandomStarts == 0 {
-		o.RandomStarts = 8
-	}
-	if o.GridPoints == 0 {
-		o.GridPoints = 9
-	}
-	if o.MaxIter == 0 {
-		o.MaxIter = 600
 	}
 	if o.Rng == nil {
 		return fmt.Errorf("kronmom: Options.Rng is required")
@@ -217,8 +213,8 @@ func FitCtx(run *pipeline.Run, obs stats.Features, k int, opts Options) (Estimat
 	}
 	lo := []float64{0, 0, 0}
 	hi := []float64{1, 1, 1}
-	res, err := optimize.MultiStartCtx(run, f, lo, hi, opts.RandomStarts, opts.GridPoints, opts.Rng,
-		optimize.NelderMeadOptions{MaxIter: opts.MaxIter, Step: 0.08})
+	res, err := optimize.MultiStartCtx(run, f, lo, hi, randomStarts, gridPoints, opts.Rng,
+		optimize.NelderMeadOptions{MaxIter: maxIter, Step: simplexStep})
 	if err != nil {
 		return Estimate{}, err
 	}

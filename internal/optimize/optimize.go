@@ -32,12 +32,14 @@ type NelderMeadOptions struct {
 	Step float64
 	// MaxIter bounds the number of iterations (default 400).
 	MaxIter int
-	// TolF stops when the simplex function spread falls below it
-	// (default 1e-10).
-	TolF float64
-	// TolX stops when the simplex diameter falls below it (default 1e-9).
-	TolX float64
 }
+
+// A descent has converged once the simplex function spread is below
+// tolF and its diameter is below tolX.
+const (
+	tolF = 1e-10
+	tolX = 1e-9
+)
 
 func (o *NelderMeadOptions) fill() {
 	if o.Step == 0 {
@@ -45,12 +47,6 @@ func (o *NelderMeadOptions) fill() {
 	}
 	if o.MaxIter == 0 {
 		o.MaxIter = 400
-	}
-	if o.TolF == 0 {
-		o.TolF = 1e-10
-	}
-	if o.TolX == 0 {
-		o.TolX = 1e-9
 	}
 }
 
@@ -105,7 +101,7 @@ func NelderMeadCtx(ctx context.Context, f Func, x0 []float64, opts NelderMeadOpt
 				diam = math.Max(diam, math.Abs(simplex[i][j]-simplex[best][j]))
 			}
 		}
-		if spread < opts.TolF && diam < opts.TolX {
+		if spread < tolF && diam < tolX {
 			converged = true
 			break
 		}

@@ -102,20 +102,6 @@ func (r *Rand) Laplace(scale float64) float64 {
 	return scale * math.Log(1+2*u)
 }
 
-// Cauchy returns a sample from the Cauchy distribution with median
-// zero and the given scale (density 1/(πb·(1+(x/b)²))), via the
-// inverse CDF x = b·tan(π(u − ½)). A scale of zero returns 0 so
-// callers can express "no noise" uniformly.
-func (r *Rand) Cauchy(scale float64) float64 {
-	if scale == 0 {
-		return 0
-	}
-	if scale < 0 {
-		panic("randx: Cauchy scale must be non-negative")
-	}
-	return scale * math.Tan(math.Pi*(r.Float64()-0.5))
-}
-
 // LaplaceVec returns n independent Laplace(scale) samples.
 func (r *Rand) LaplaceVec(n int, scale float64) []float64 {
 	out := make([]float64, n)
@@ -123,52 +109,4 @@ func (r *Rand) LaplaceVec(n int, scale float64) []float64 {
 		out[i] = r.Laplace(scale)
 	}
 	return out
-}
-
-// Geometric returns a sample from the geometric distribution on
-// {0, 1, 2, ...} with success probability p. It panics unless 0 < p <= 1.
-func (r *Rand) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
-		panic("randx: Geometric p must be in (0, 1]")
-	}
-	if p == 1 {
-		return 0
-	}
-	// Inversion: floor(ln(U) / ln(1-p)).
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return int(math.Floor(math.Log(u) / math.Log(1-p)))
-}
-
-// Binomial returns a sample from Binomial(n, p) in O(n) time for small n
-// and via waiting-time (geometric skip) sampling otherwise, which runs in
-// O(n·p) expected time.
-func (r *Rand) Binomial(n int, p float64) int {
-	if n < 0 {
-		panic("randx: Binomial n must be non-negative")
-	}
-	if p <= 0 || n == 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	if p > 0.5 {
-		return n - r.Binomial(n, 1-p)
-	}
-	// Waiting-time method: skip ahead by geometric gaps.
-	count := 0
-	i := r.Geometric(p)
-	for i < n {
-		count++
-		i += 1 + r.Geometric(p)
-	}
-	return count
-}
-
-// Shuffle permutes the integers in s uniformly at random.
-func (r *Rand) Shuffle(s []int) {
-	r.src.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -85,51 +84,6 @@ func TestLaplaceTailSymmetry(t *testing.T) {
 	}
 }
 
-// TestCauchyQuartiles: the Cauchy distribution has no moments, so the
-// distribution is checked through its quartiles — the CDF puts 1/4 of
-// the mass below −scale and 1/4 above +scale — plus median symmetry.
-func TestCauchyQuartiles(t *testing.T) {
-	r := New(321)
-	const n = 200000
-	scale := 2.5
-	below, above, pos := 0, 0, 0
-	for i := 0; i < n; i++ {
-		x := r.Cauchy(scale)
-		if x < -scale {
-			below++
-		}
-		if x > scale {
-			above++
-		}
-		if x > 0 {
-			pos++
-		}
-	}
-	for name, count := range map[string]int{"below -scale": below, "above +scale": above} {
-		if frac := float64(count) / n; math.Abs(frac-0.25) > 0.01 {
-			t.Errorf("Cauchy mass %s = %v, want ~0.25", name, frac)
-		}
-	}
-	if frac := float64(pos) / n; math.Abs(frac-0.5) > 0.01 {
-		t.Errorf("Cauchy positive mass = %v, want ~0.5", frac)
-	}
-}
-
-func TestCauchyZeroScaleAndPanic(t *testing.T) {
-	r := New(7)
-	for i := 0; i < 10; i++ {
-		if x := r.Cauchy(0); x != 0 {
-			t.Fatalf("Cauchy(0) = %v, want 0", x)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("negative scale did not panic")
-		}
-	}()
-	r.Cauchy(-1)
-}
-
 func TestExponentialMean(t *testing.T) {
 	r := New(321)
 	const n = 200000
@@ -171,70 +125,6 @@ func TestBernoulliRate(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	r := New(55)
-	const n = 200000
-	p := 0.25
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += float64(r.Geometric(p))
-	}
-	mean := sum / n
-	want := (1 - p) / p // mean of geometric on {0,1,...}
-	if math.Abs(mean-want) > 0.05 {
-		t.Errorf("Geometric mean = %v, want %v", mean, want)
-	}
-}
-
-func TestBinomialMeanVar(t *testing.T) {
-	r := New(77)
-	const trials = 20000
-	n, p := 50, 0.2
-	var sum, sumSq float64
-	for i := 0; i < trials; i++ {
-		x := float64(r.Binomial(n, p))
-		sum += x
-		sumSq += x * x
-	}
-	mean := sum / trials
-	variance := sumSq/trials - mean*mean
-	if math.Abs(mean-float64(n)*p) > 0.15 {
-		t.Errorf("Binomial mean = %v, want %v", mean, float64(n)*p)
-	}
-	wantVar := float64(n) * p * (1 - p)
-	if math.Abs(variance-wantVar) > 0.5 {
-		t.Errorf("Binomial variance = %v, want %v", variance, wantVar)
-	}
-}
-
-func TestBinomialBounds(t *testing.T) {
-	r := New(3)
-	err := quick.Check(func(seed uint64, n16 uint16, pRaw float64) bool {
-		n := int(n16 % 200)
-		p := math.Abs(pRaw)
-		p -= math.Floor(p) // p in [0,1)
-		x := r.Binomial(n, p)
-		return x >= 0 && x <= n
-	}, &quick.Config{MaxCount: 500})
-	if err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBinomialHighP(t *testing.T) {
-	r := New(8)
-	const trials = 50000
-	n, p := 20, 0.9
-	var sum float64
-	for i := 0; i < trials; i++ {
-		sum += float64(r.Binomial(n, p))
-	}
-	mean := sum / trials
-	if math.Abs(mean-18) > 0.1 {
-		t.Errorf("Binomial(20, .9) mean = %v, want 18", mean)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(11)
 	p := r.Perm(100)
@@ -268,8 +158,6 @@ func TestPanics(t *testing.T) {
 	}
 	mustPanic("Exponential(0)", func() { r.Exponential(0) })
 	mustPanic("Laplace(-1)", func() { r.Laplace(-1) })
-	mustPanic("Geometric(0)", func() { r.Geometric(0) })
-	mustPanic("Binomial(-1,.5)", func() { r.Binomial(-1, 0.5) })
 }
 
 // TestStreamMatchesStdlibPCG checks that Rand's direct PCG calls and the

@@ -625,8 +625,9 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 			// memory, so spill the sample through an external sort into one
 			// sorted run, which the store's v2 encoder re-reads once per
 			// row window — peak residency is O(n) offsets plus one window,
-			// not O(edges), and the stored bytes are bit-identical to what
-			// the in-memory route would have produced for this seed.
+			// not O(edges). Both routes store DPKG v2, so the stored bytes
+			// are bit-identical to what the in-memory route stores for
+			// this seed.
 			sorter, err := extsort.NewTemp(nil, 0)
 			if err != nil {
 				return nil, err
@@ -670,7 +671,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		}
 		res := GenerateResult{Nodes: g.NumNodes(), Edges: g.NumEdges()}
 		if store != nil {
-			meta, _, err := store.Put(g, req.Name, "generated")
+			meta, _, err := store.PutFormat(g, req.Name, "generated", 2)
 			if err != nil {
 				return nil, err
 			}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -904,6 +905,39 @@ func TestServerGenerateIntoStore(t *testing.T) {
 	}
 	if job := pollJob(t, ts.URL, resp["id"].(string), 60*time.Second); job["status"] != StatusDone {
 		t.Fatalf("fit stored sample ended %v", job["status"])
+	}
+}
+
+// TestServerGenerateStoreRoutesAgree: generate-to-store samples through
+// the in-memory route when the edge list is returned and through the
+// streamed route under omit_edges. Both routes store the same DPKG v2
+// file, byte for byte, and both report format 2.
+func TestServerGenerateStoreRoutesAgree(t *testing.T) {
+	stored := map[bool][]byte{}
+	for _, omit := range []bool{false, true} {
+		st, ts := newStoreServer(t, nil)
+		code, resp := doJSON(t, http.MethodPost, ts.URL+"/v1/generate", GenerateRequest{
+			A: 0.95, B: 0.55, C: 0.3, K: 10, Seed: 3, Store: true, Name: "routes", OmitEdges: omit,
+		})
+		if code != http.StatusAccepted {
+			t.Fatalf("omit_edges=%v: status %d (%v)", omit, code, resp)
+		}
+		job := pollJob(t, ts.URL, resp["id"].(string), 60*time.Second)
+		if job["status"] != StatusDone {
+			t.Fatalf("omit_edges=%v: generate ended %v: %v", omit, job["status"], job)
+		}
+		ds := job["result"].(map[string]any)["dataset"].(map[string]any)
+		if ds["format"] != float64(2) {
+			t.Errorf("omit_edges=%v: format %v, want 2", omit, ds["format"])
+		}
+		raw, err := os.ReadFile(filepath.Join(st.Dir(), ds["id"].(string)+".dpkg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored[omit] = raw
+	}
+	if !bytes.Equal(stored[false], stored[true]) {
+		t.Fatalf("in-memory route stored %d B, streamed route %d B: files differ", len(stored[false]), len(stored[true]))
 	}
 }
 

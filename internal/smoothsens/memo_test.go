@@ -210,7 +210,7 @@ func TestFactsMemoCancelledScanStoresNothing(t *testing.T) {
 
 // TestFactsMemoHitHonoursCancellation: a cancelled run on a graph whose
 // facts are memoised still returns the context's error, before any
-// charge or noise, from both releases.
+// charge or noise.
 func TestFactsMemoHitHonoursCancellation(t *testing.T) {
 	g := memoGraph(9, 11)
 	must(PrivateTrianglesCtx(nil, nil, g, 0.4, 0.01, randx.New(1)))
@@ -219,28 +219,16 @@ func TestFactsMemoHitHonoursCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	releases := map[string]func(*pipeline.Run, *accountant.Accountant, *randx.Rand) error{
-		"laplace": func(run *pipeline.Run, acc *accountant.Accountant, rng *randx.Rand) error {
-			_, err := PrivateTrianglesCtx(run, acc, g, 0.4, 0.01, rng)
-			return err
-		},
-		"cauchy": func(run *pipeline.Run, acc *accountant.Accountant, rng *randx.Rand) error {
-			_, err := PrivateTrianglesPureCtx(run, acc, g, 0.4, rng)
-			return err
-		},
+	acc := accountant.New(nil)
+	rng := randx.New(8)
+	if _, err := PrivateTrianglesCtx(pipeline.New(ctx, 1, nil), acc, g, 0.4, 0.01, rng); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v on a memo hit, want context.Canceled", err)
 	}
-	for name, release := range releases {
-		acc := accountant.New(nil)
-		rng := randx.New(8)
-		if err := release(pipeline.New(ctx, 1, nil), acc, rng); !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s: err = %v on a memo hit, want context.Canceled", name, err)
-		}
-		if acc.Len() != 0 {
-			t.Errorf("%s: cancelled hit recorded %d charges", name, acc.Len())
-		}
-		if rng.Float64() != randx.New(8).Float64() {
-			t.Errorf("%s: cancelled hit consumed randomness", name)
-		}
+	if acc.Len() != 0 {
+		t.Errorf("cancelled hit recorded %d charges", acc.Len())
+	}
+	if rng.Float64() != randx.New(8).Float64() {
+		t.Error("cancelled hit consumed randomness")
 	}
 }
 
@@ -248,19 +236,12 @@ func TestFactsMemoHitHonoursCancellation(t *testing.T) {
 // and a later hit release the same Result for the same seed.
 func TestFactsMemoSameSeedBitIdentical(t *testing.T) {
 	g := memoGraph(10, 13)
-	var laplace, cauchy []Result
-	for range 2 {
-		laplace = append(laplace, must(PrivateTrianglesCtx(nil, nil, g, 0.4, 0.01, randx.New(6))))
-		cauchy = append(cauchy, must(PrivateTrianglesPureCtx(nil, nil, g, 0.4, randx.New(6))))
-	}
-	if laplace[0] != laplace[1] {
-		t.Errorf("laplace: compute %+v, hit %+v", laplace[0], laplace[1])
-	}
-	if cauchy[0] != cauchy[1] {
-		t.Errorf("cauchy: first %+v, second %+v", cauchy[0], cauchy[1])
+	first := must(PrivateTrianglesCtx(nil, nil, g, 0.4, 0.01, randx.New(6)))
+	if hit := must(PrivateTrianglesCtx(nil, nil, g, 0.4, 0.01, randx.New(6))); hit != first {
+		t.Errorf("compute %+v, hit %+v", first, hit)
 	}
 	// A fresh copy of the graph computes again and releases the same.
-	if fresh := must(PrivateTrianglesCtx(nil, nil, memoGraph(10, 13), 0.4, 0.01, randx.New(6))); fresh != laplace[0] {
-		t.Errorf("fresh copy %+v, memoised %+v", fresh, laplace[0])
+	if fresh := must(PrivateTrianglesCtx(nil, nil, memoGraph(10, 13), 0.4, 0.01, randx.New(6))); fresh != first {
+		t.Errorf("fresh copy %+v, memoised %+v", fresh, first)
 	}
 }

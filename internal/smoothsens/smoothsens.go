@@ -339,11 +339,8 @@ type Result struct {
 }
 
 // Query is the name under which the (ε, δ) Laplace release is charged
-// to accountants; QueryPure names the pure-ε Cauchy release.
-const (
-	Query     = "triangles/smooth-laplace"
-	QueryPure = "triangles/smooth-cauchy"
-)
+// to accountants.
+const Query = "triangles/smooth-laplace"
 
 // PrivateTrianglesCtx releases an (ε, δ)-differentially private
 // triangle count of g via the smooth-sensitivity Laplace mechanism
@@ -367,45 +364,6 @@ func PrivateTrianglesCtx(run *pipeline.Run, acc *accountant.Accountant, g *graph
 	ss := SmoothFromLS(ls, g.NumNodes(), beta)
 	mech := accountant.SmoothLaplace{SmoothSens: ss, Beta: beta, Eps: eps, Delta: delta}
 	if err := acc.Charge(Query, mech); err != nil {
-		return Result{}, err
-	}
-	done()
-	return Result{
-		Noisy:     mech.Apply(float64(exact), rng),
-		Exact:     exact,
-		SmoothSen: ss,
-		Beta:      beta,
-		Scale:     mech.Scale(),
-	}, nil
-}
-
-// BetaForPure returns the admissible β for the pure-ε Cauchy
-// mechanism, ε/6: the standard Cauchy density ∝ 1/(1+z²) is
-// (ε/6, ε/6)-admissible (Nissim et al.), so noise 6·SS_β/ε · Cauchy(1)
-// at β = ε/6 gives (ε, 0)-DP. ε must be positive.
-func BetaForPure(eps float64) float64 {
-	if eps <= 0 || math.IsNaN(eps) {
-		panic(fmt.Sprintf("smoothsens: invalid eps=%v", eps))
-	}
-	return eps / 6
-}
-
-// PrivateTrianglesPureCtx releases an (ε, 0)-differentially private
-// triangle count via the smooth-sensitivity Cauchy mechanism — the
-// pure-ε alternative to the paper's (ε, δ) Laplace release, with
-// heavier-tailed noise as the price of dropping δ. It reads LS(g) and
-// Δ(g) as PrivateTrianglesCtx does, and the charge is recorded on acc
-// (nil records nothing) before the single Cauchy draw.
-func PrivateTrianglesPureCtx(run *pipeline.Run, acc *accountant.Accountant, g *graph.Graph, eps float64, rng *randx.Rand) (Result, error) {
-	done := run.Stage("triangle-release")
-	beta := BetaForPure(eps)
-	ls, exact, err := triangleFacts(run, g)
-	if err != nil {
-		return Result{}, err
-	}
-	ss := SmoothFromLS(ls, g.NumNodes(), beta)
-	mech := accountant.SmoothCauchy{SmoothSens: ss, Beta: beta, Eps: eps}
-	if err := acc.Charge(QueryPure, mech); err != nil {
 		return Result{}, err
 	}
 	done()

@@ -9,8 +9,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"dpkron/internal/accountant"
-	"dpkron/internal/dp"
 	"dpkron/internal/graph"
 	"dpkron/internal/pipeline"
 	"dpkron/internal/randx"
@@ -360,42 +358,6 @@ func TestPrivateTrianglesAccurateAtHugeEps(t *testing.T) {
 	}
 	if res.Scale <= 0 || res.SmoothSen < float64(must(MaxCommonNeighborsCtx(nil, g))) {
 		t.Fatalf("calibration fields wrong: %+v", res)
-	}
-}
-
-// TestPrivateTrianglesPure: the pure-ε Cauchy release uses β = ε/6,
-// records an (ε, 0) charge (with β but never the realized smooth
-// sensitivity), and approaches the exact count as ε grows.
-func TestPrivateTrianglesPure(t *testing.T) {
-	g := randomGraph(40, 0.3, 7)
-	acc := accountant.New(nil)
-	res, err := PrivateTrianglesPureCtx(nil, acc, g, 1e6, randx.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Noisy-float64(res.Exact)) > 1 {
-		t.Fatalf("noisy %v vs exact %d at huge epsilon", res.Noisy, res.Exact)
-	}
-	if res.Beta != BetaForPure(1e6) || res.Scale != 6*res.SmoothSen/1e6 {
-		t.Fatalf("pure calibration wrong: %+v", res)
-	}
-	ch := acc.Charges()
-	if len(ch) != 1 || ch[0].Query != QueryPure || ch[0].Delta != 0 || ch[0].Eps != 1e6 {
-		t.Fatalf("pure charge = %+v", ch)
-	}
-	if ch[0].Beta != res.Beta || ch[0].Sensitivity != 0 {
-		t.Fatalf("pure charge leaks or mislabels calibration: %+v", ch[0])
-	}
-
-	// A refused charge aborts before the Cauchy draw.
-	limited := accountant.New(nil).WithLimit(dp.Budget{Eps: 0.1})
-	rng := randx.New(2)
-	if _, err := PrivateTrianglesPureCtx(nil, limited, g, 0.5, rng); err == nil {
-		t.Fatal("over-limit pure release succeeded")
-	}
-	probe := randx.New(2)
-	if rng.Float64() != probe.Float64() {
-		t.Fatal("refused release consumed randomness")
 	}
 }
 
