@@ -1013,8 +1013,7 @@ func BenchmarkStreamingGenerate(b *testing.B) {
 // API — admission, a K=15 private fit by stored dataset id, completion
 // — against an uninstrumented server (plain) and one carrying the
 // whole PR 9 telemetry surface: a metrics registry with every
-// subsystem instrumented, a JSON logger at info, and pprof mounted
-// (instrumented). BENCH_9.json's obs_overhead section records
+// subsystem instrumented and a JSON logger at info (instrumented). BENCH_9.json's obs_overhead section records
 // instrumented_over_plain; the acceptance bound is
 // <= 1.02 — atomic counters and one log record per request/job must
 // disappear into a production-shaped fit.
@@ -1041,7 +1040,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 				b.Fatal(err)
 			}
 			opts.Logger = logger
-			opts.EnablePprof = true
 		}
 		srv := server.New(opts)
 		defer srv.Close()

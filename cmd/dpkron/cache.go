@@ -11,11 +11,10 @@ import (
 	"dpkron/internal/skg"
 )
 
-// printCachedFit renders a cache-served private fit in the same shape
-// as a cold `dpkron fit`, so scripts parsing the output cannot tell the
-// difference — except for the trailing release line, which records that
-// the result was re-served and nothing was debited.
-func printCachedFit(e *release.Entry, fr server.FitResult) {
+// printPrivateFit renders a private fit from its release payload, so a
+// cold fit and a cache-served one print the same lines and scripts
+// parsing the output cannot tell them apart.
+func printPrivateFit(fr server.FitResult) {
 	init := skg.Initiator{A: fr.Initiator.A, B: fr.Initiator.B, C: fr.Initiator.C}
 	fmt.Printf("private initiator: %s  (k=%d, %s)\n", init, fr.K, *fr.Privacy)
 	if f := fr.Features; f != nil {
@@ -24,8 +23,6 @@ func printCachedFit(e *release.Entry, fr server.FitResult) {
 	for _, c := range fr.Receipt.Charges {
 		fmt.Printf("  budget: %-40s %s %s\n", c.Query, c.Mechanism, c.Budget())
 	}
-	fmt.Printf("  release: %s stored %s (cached; no budget spent)\n",
-		e.Fingerprint, e.Stored.Format("2006-01-02T15:04:05Z"))
 }
 
 // cmdCache manages the release cache: `list` shows every memoized

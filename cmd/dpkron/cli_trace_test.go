@@ -43,8 +43,8 @@ func TestCLITraceAuditEndToEnd(t *testing.T) {
 	jnlPath := filepath.Join(dir, "journal.dpkj")
 	run(t, bin, "budget", "set", "-ledger", ledger, "-dataset", ds, "-eps", "2", "-delta", "0.1")
 
-	cmd := exec.Command(bin, "serve", "-addr", "127.0.0.1:0", "-max-jobs", "1", "-workers", "2",
-		"-ledger", ledger, "-journal", jnlPath)
+	cmd := exec.Command(bin, "serve", "-addr", "127.0.0.1:0", "-metrics-addr", "127.0.0.1:0",
+		"-max-jobs", "1", "-workers", "2", "-ledger", ledger, "-journal", jnlPath)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -62,19 +62,21 @@ func TestCLITraceAuditEndToEnd(t *testing.T) {
 		cmd.Wait()
 	}
 	defer stop()
-	var base string
+	var base, opsBase string
 	sc := bufio.NewScanner(stderr)
-	for sc.Scan() {
+	for base == "" && sc.Scan() {
 		line := sc.Text()
-		if strings.Contains(line, "listening on") {
-			if i := strings.Index(line, "http://"); i >= 0 {
-				base = strings.Fields(line[i:])[0]
-				break
-			}
+		i := strings.Index(line, "http://")
+		switch {
+		case i < 0:
+		case strings.Contains(line, "metrics on"):
+			opsBase = strings.TrimSuffix(strings.Fields(line[i:])[0], "/metrics")
+		case strings.Contains(line, "listening on"):
+			base = strings.Fields(line[i:])[0]
 		}
 	}
-	if base == "" {
-		t.Fatal("serve banner with address not seen")
+	if base == "" || opsBase == "" {
+		t.Fatalf("serve banners with both addresses not seen (request %q, metrics %q)", base, opsBase)
 	}
 	go io.Copy(io.Discard, stderr)
 
@@ -133,15 +135,28 @@ func TestCLITraceAuditEndToEnd(t *testing.T) {
 		t.Fatal("chrome export has no events")
 	}
 
-	// The build-info gauge is scrapeable alongside the other metrics.
-	mresp, err := http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	// The build-info gauge and the profiles are served on the
+	// -metrics-addr listener, and only there.
+	get := func(url string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b)
 	}
-	metrics, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	if !strings.Contains(string(metrics), `dpkron_build_info{version="devel"`) {
-		t.Fatalf("metrics lack dpkron_build_info:\n%.2000s", metrics)
+	if code, metrics := get(opsBase + "/metrics"); code != http.StatusOK || !strings.Contains(metrics, `dpkron_build_info{version="devel"`) {
+		t.Fatalf("metrics listener /metrics: status %d, lacks dpkron_build_info:\n%.2000s", code, metrics)
+	}
+	if code, _ := get(opsBase + "/debug/pprof/cmdline"); code != http.StatusOK {
+		t.Fatalf("metrics listener /debug/pprof/cmdline: status %d", code)
+	}
+	for _, path := range []string{"/metrics", "/debug/pprof/cmdline"} {
+		if code, _ := get(base + path); code != http.StatusNotFound {
+			t.Errorf("request listener %s: status %d, want 404", path, code)
+		}
 	}
 
 	// Drain, then audit offline: the report names the job and request

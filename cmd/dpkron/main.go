@@ -13,7 +13,7 @@
 //	dpkron sweep   [-dataset NAME] [-trials N]
 //	dpkron ssgrowth [-kmin K] [-kmax K]
 //	dpkron sscompare [-kmin K] [-kmax K]
-//	dpkron serve   [-addr HOST:PORT] [-max-jobs N] [-ledger FILE] [-store DIR] [-release-cache DIR] [-journal FILE] [-drain-timeout D] [-metrics-addr HOST:PORT] [-pprof] [-log-format text|json] [-log-level L]
+//	dpkron serve   [-addr HOST:PORT] [-max-jobs N] [-ledger FILE] [-store DIR] [-release-cache DIR] [-journal FILE] [-drain-timeout D] [-metrics-addr HOST:PORT] [-log-format text|json] [-log-level L]
 //	dpkron job     <list|show|wait|trace|cancel> -server URL [-id ID] [-v] [-progress] [-chrome FILE]
 //	dpkron audit   <dataset> -ledger FILE [-journal FILE]
 //	dpkron budget  <show|set|reset> -ledger FILE [-dataset ID] [-eps E] [-delta D]
@@ -455,7 +455,9 @@ func cmdFit(args []string) error {
 			if e, ok := rc.Get(relKey); ok {
 				var fr server.FitResult
 				if err := json.Unmarshal(e.Payload, &fr); err == nil && fr.Privacy != nil && fr.Receipt != nil {
-					printCachedFit(e, fr)
+					printPrivateFit(fr)
+					fmt.Printf("  release: %s stored %s (cached; no budget spent)\n",
+						e.Fingerprint, e.Stored.Format("2006-01-02T15:04:05Z"))
 					return nil
 				}
 			}
@@ -483,20 +485,16 @@ func cmdFit(args []string) error {
 		if err != nil {
 			return err
 		}
+		fr := server.PrivateFitResult(res, ds)
 		if rc != nil {
 			// Memoize the released result (the server's payload shape, so
 			// CLI and server fits share entries). Best-effort: a failed
 			// write costs future hits, not this run.
-			if _, err := rc.Put(relKey, server.PrivateFitResult(res, ds)); err != nil {
+			if _, err := rc.Put(relKey, fr); err != nil {
 				fmt.Fprintf(os.Stderr, "dpkron fit: caching release: %v\n", err)
 			}
 		}
-		fmt.Printf("private initiator: %s  (k=%d, %s)\n", res.Init, res.K, res.Privacy)
-		fmt.Printf("private features:  E=%.1f H=%.1f T=%.1f Delta=%.1f\n",
-			res.Features.E, res.Features.H, res.Features.T, res.Features.Delta)
-		for _, c := range res.Charges {
-			fmt.Printf("  budget: %-40s %s %s\n", c.Query, c.Mechanism, c.Budget())
-		}
+		printPrivateFit(fr)
 		if led != nil {
 			fmt.Printf("  ledger: dataset %s, remaining %s\n", ds, led.Remaining(ds))
 		}
@@ -766,8 +764,7 @@ func cmdServe(args []string) error {
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second,
 		"on SIGINT/SIGTERM, how long running jobs may finish before being cancelled")
 	metricsAddr := fs.String("metrics-addr", "",
-		"additionally serve /metrics (and -pprof profiles) on this separate listener, off the request path")
-	enablePprof := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
+		"serve /metrics and /debug/pprof/ on this separate operator listener, never on -addr")
 	lf := addLogFlags(fs, "info")
 	pf := addPipeFlags(fs) // -workers, -timeout (server lifetime), -progress (job event log)
 	if err := parse(fs, args); err != nil {
@@ -777,15 +774,17 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	reg := obs.NewRegistry()
-	// Build identity as a constant-1 gauge: `dpkron_build_info{version,
-	// go_version} 1` is the standard join key for "which build is this
-	// fleet running" dashboards.
-	reg.GaugeVec("dpkron_build_info", "Build metadata of the running dpkron binary; constant 1.",
-		"version", "go_version").With(version, runtime.Version()).Set(1)
 	opts := server.Options{
 		Workers: *pf.workers, MaxJobs: *maxJobs, MaxQueue: *maxQueue, MaxHistory: *maxHistory,
-		Metrics: reg, Logger: logger, EnablePprof: *enablePprof,
+		Logger: logger,
+	}
+	if *metricsAddr != "" {
+		opts.Metrics = obs.NewRegistry()
+		// Build identity as a constant-1 gauge: `dpkron_build_info{version,
+		// go_version} 1` is the standard join key for "which build is this
+		// fleet running" dashboards.
+		opts.Metrics.GaugeVec("dpkron_build_info", "Build metadata of the running dpkron binary; constant 1.",
+			"version", "go_version").With(version, runtime.Version()).Set(1)
 	}
 	if *ledgerPath != "" {
 		led, err := accountant.Open(*ledgerPath)
@@ -842,17 +841,17 @@ func cmdServe(args []string) error {
 	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 
 	if *metricsAddr != "" {
-		// Telemetry on its own listener: scrapes and profiles stay
-		// reachable (and firewallable) independently of request traffic.
+		// The operator listener is the only place the exposition and the
+		// profiles are served: the gauges reveal dataset sizes and every
+		// account's spend, so they stay off the request listener, and
+		// setting -metrics-addr is the operator's opt-in to both.
 		mmux := http.NewServeMux()
-		mmux.Handle("GET /metrics", reg.Handler())
-		if *enablePprof {
-			mmux.HandleFunc("GET /debug/pprof/", pprof.Index)
-			mmux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-			mmux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-			mmux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-			mmux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-		}
+		mmux.Handle("GET /metrics", opts.Metrics.Handler())
+		mmux.HandleFunc("GET /debug/pprof/", pprof.Index)
+		mmux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
+		mmux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
+		mmux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
+		mmux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 		mln, err := net.Listen("tcp", *metricsAddr)
 		if err != nil {
 			return err

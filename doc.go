@@ -119,7 +119,7 @@
 // the adjacency straight out of the page cache (internal/mmapfile;
 // platforms without mmap decode the same bytes onto the heap).
 // Generation scales the same way: `dpkron generate -store` and the
-// server's store-and-omit-edges generate jobs stream sampled edges
+// server's generate jobs with "store" stream sampled edges
 // through a bounded-memory external sort-and-dedup (internal/extsort)
 // into a one-pass v2 encoder, so peak residency is O(nodes), not
 // O(edges). The streamed sampler consumes the same random streams as
@@ -131,7 +131,7 @@
 // The serving tier is fully instrumented, with zero dependencies: a
 // MetricsRegistry (NewMetricsRegistry) of atomic counters, gauges and
 // histograms rendered in the Prometheus text exposition format
-// (MetricsHandler, GET /metrics), and structured request/job logging
+// (MetricsHandler), and structured request/job logging
 // via log/slog (NewStructuredLogger). Handing a registry and logger
 // to server.Options instruments every layer — HTTP routes (latency,
 // status, in-flight), the job queue (submissions, per-stage wall
@@ -143,9 +143,13 @@
 // body cap, drain) are counted by reason and warn-logged, never
 // silent. Observation never perturbs the observed: a nil registry and
 // logger are true no-ops, and fixed-seed releases are bit-identical
-// with or without instrumentation. `dpkron serve` flags: -metrics-addr,
-// -pprof, -log-format, -log-level; GET /readyz reports drain state
-// for load balancers, distinct from /healthz liveness.
+// with or without instrumentation. The exposition is operator-only —
+// its gauges reveal dataset sizes and every account's spend — so the
+// server's request handler never serves it: `dpkron serve
+// -metrics-addr` serves GET /metrics and net/http/pprof on a listener
+// of their own, and without that flag serve builds no registry. Other
+// `dpkron serve` flags: -log-format, -log-level; GET /readyz reports
+// drain state for load balancers, distinct from /healthz liveness.
 //
 // # Tracing and privacy audit
 //

@@ -145,7 +145,8 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // MetricsHandler returns an http.Handler rendering reg in the
 // Prometheus text exposition format (version 0.0.4) — mount it at
-// GET /metrics. A nil registry serves an empty exposition.
+// GET /metrics on an operator listener; the server's request handler
+// never serves it. A nil registry serves an empty exposition.
 func MetricsHandler(reg *MetricsRegistry) http.Handler { return reg.Handler() }
 
 // NewTracer returns a tracer for one traced operation. Pass the

@@ -700,33 +700,27 @@ func TestFingerprintCacheHitDrawsNoNoise(t *testing.T) {
 	})
 }
 
-// TestFingerprintInstrumentedServer: metrics, structured logging and
-// pprof are observation only — the instrumented server releases the
-// pinned bits and exposes every metric family.
+// TestFingerprintInstrumentedServer: metrics and structured logging
+// are observation only — the instrumented server releases the pinned
+// bits and its registry exposes every metric family.
 func TestFingerprintInstrumentedServer(t *testing.T) {
 	logger, err := obs.NewLogger(io.Discard, "json", "debug")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, hdr, _, result := fpServeFit(t, server.Options{
+	reg := obs.NewRegistry()
+	_, hdr, _, result := fpServeFit(t, server.Options{
 		Workers: 4, MaxJobs: 2, MaxQueue: 8,
-		Metrics: obs.NewRegistry(), Logger: logger, EnablePprof: true,
+		Metrics: reg, Logger: logger,
 	})
 	if hdr.Get("X-Request-ID") == "" {
 		t.Error("fit response carries no X-Request-ID")
 	}
 	checkPins(t, jsonEstimateRows("POST /v1/fit/instrumented", func(*testing.T) map[string]any { return result }))
 
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	raw, err := io.ReadAll(mresp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(raw)
+	rec := httptest.NewRecorder()
+	reg.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	text := rec.Body.String()
 	for _, fam := range []string{
 		"dpkron_http_requests_total",
 		"dpkron_http_request_seconds",
@@ -735,17 +729,8 @@ func TestFingerprintInstrumentedServer(t *testing.T) {
 		"dpkron_job_stage_seconds",
 	} {
 		if !strings.Contains(text, "# TYPE "+fam) {
-			t.Errorf("/metrics is missing family %s", fam)
+			t.Errorf("the exposition is missing family %s", fam)
 		}
-	}
-
-	presp, err := http.Get(ts.URL + "/debug/pprof/cmdline")
-	if err != nil {
-		t.Fatal(err)
-	}
-	presp.Body.Close()
-	if presp.StatusCode != http.StatusOK {
-		t.Errorf("/debug/pprof/cmdline: status %d", presp.StatusCode)
 	}
 }
 
@@ -760,7 +745,7 @@ func TestFingerprintTracedServer(t *testing.T) {
 	}
 	ts, hdr, id, result := fpServeFit(t, server.Options{
 		Workers: 4, MaxJobs: 2, MaxQueue: 8,
-		Metrics: obs.NewRegistry(), Logger: logger, EnablePprof: true,
+		Metrics: obs.NewRegistry(), Logger: logger,
 	})
 	if !strings.HasPrefix(hdr.Get("traceparent"), "00-") {
 		t.Errorf("fit response carries no traceparent: %q", hdr.Get("traceparent"))

@@ -14,7 +14,6 @@ package degseq
 
 import (
 	"dpkron/internal/accountant"
-	"dpkron/internal/dp"
 	"dpkron/internal/graph"
 	"dpkron/internal/randx"
 )
@@ -67,12 +66,6 @@ func PrivateAcc(acc *accountant.Accountant, g *graph.Graph, eps float64, rng *ra
 		return nil, err
 	}
 	return Isotonic(mech.Apply(Sorted(g), rng)), nil
-}
-
-// PrivateRaw is Private without the post-processing step; it exists so
-// experiments can quantify how much error constrained inference removes.
-func PrivateRaw(g *graph.Graph, eps float64, rng *randx.Rand) []float64 {
-	return dp.LaplaceVec(Sorted(g), GlobalSensitivity, eps, rng)
 }
 
 // Isotonic returns the L2 projection of x onto non-decreasing sequences

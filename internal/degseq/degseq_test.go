@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dpkron/internal/dp"
 	"dpkron/internal/graph"
 	"dpkron/internal/randx"
 )
@@ -210,7 +211,7 @@ func TestPrivatePostprocessingReducesError(t *testing.T) {
 	const trials = 30
 	for i := 0; i < trials; i++ {
 		rng := randx.New(uint64(100 + i))
-		raw := PrivateRaw(g, 0.2, rng)
+		raw := dp.LaplaceVec(Sorted(g), GlobalSensitivity, 0.2, rng)
 		rawErr += sse(raw, exact)
 		postErr += sse(Isotonic(raw), exact)
 	}

@@ -620,14 +620,15 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	}
 	spec.fn = func(run *pipeline.Run) (any, error) {
 		rng := randx.New(req.Seed)
-		if store != nil && req.OmitEdges {
-			// Streaming route: nothing downstream needs the edge list in
-			// memory, so spill the sample through an external sort into one
-			// sorted run, which the store's v2 encoder re-reads once per
-			// row window — peak residency is O(n) offsets plus one window,
-			// not O(edges). Both routes store DPKG v2, so the stored bytes
-			// are bit-identical to what the in-memory route stores for
-			// this seed.
+		var g *graph.Graph
+		var res GenerateResult
+		if store != nil {
+			// Generate-to-store spills the sample through an external sort
+			// into one sorted run, which the store's v2 encoder re-reads
+			// once per row window — peak residency is O(n) offsets plus
+			// one window, not O(edges). The streamed samplers draw the
+			// same graph as the in-memory ones for this seed, and a
+			// returned edge list is read back from the stored file.
 			sorter, err := extsort.NewTemp(nil, 0)
 			if err != nil {
 				return nil, err
@@ -652,30 +653,29 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return nil, err
 			}
-			return GenerateResult{Nodes: meta.Nodes, Edges: meta.Edges, Dataset: publicView(meta)}, nil
-		}
-		var g *graph.Graph
-		var err error
-		switch {
-		case method == "exact":
-			g, err = m.SampleExactCtx(run, rng)
-		case method == "balldrop" && req.Target > 0:
-			g, err = m.SampleBallDropNCtx(run, rng, req.Target)
-		case method == "balldrop":
-			g, err = m.SampleBallDropCtx(run, rng)
-		default:
-			g, err = m.SampleCtx(run, rng)
-		}
-		if err != nil {
-			return nil, err
-		}
-		res := GenerateResult{Nodes: g.NumNodes(), Edges: g.NumEdges()}
-		if store != nil {
-			meta, _, err := store.PutFormat(g, req.Name, "generated", 2)
+			res = GenerateResult{Nodes: meta.Nodes, Edges: meta.Edges, Dataset: publicView(meta)}
+			if req.OmitEdges {
+				return res, nil
+			}
+			if g, err = store.Load(meta.ID); err != nil {
+				return nil, err
+			}
+		} else {
+			var err error
+			switch {
+			case method == "exact":
+				g, err = m.SampleExactCtx(run, rng)
+			case method == "balldrop" && req.Target > 0:
+				g, err = m.SampleBallDropNCtx(run, rng, req.Target)
+			case method == "balldrop":
+				g, err = m.SampleBallDropCtx(run, rng)
+			default:
+				g, err = m.SampleCtx(run, rng)
+			}
 			if err != nil {
 				return nil, err
 			}
-			res.Dataset = publicView(meta)
+			res = GenerateResult{Nodes: g.NumNodes(), Edges: g.NumEdges()}
 		}
 		if !req.OmitEdges {
 			var sb strings.Builder

@@ -139,7 +139,7 @@ func newClosureFixture(t *testing.T, budget dp.Budget) *closureFixture {
 	}
 	s, ts := newTestServer(t, Options{
 		Workers: 2, MaxJobs: 2, Datasets: st, Ledger: led, Releases: rc, Journal: jnl,
-		Metrics: obs.NewRegistry(), EnablePprof: true,
+		Metrics: obs.NewRegistry(),
 	})
 	t.Cleanup(func() { jnl.Close() })
 	return &closureFixture{s: s, ts: ts, led: led, jnl: jnl, id: meta.ID}
@@ -148,10 +148,12 @@ func newClosureFixture(t *testing.T, budget dp.Budget) *closureFixture {
 // TestServerStoredDataReleaseClosure walks the server's route table
 // with a stored dataset that has budget. Every route is classified:
 // its responses carry no value of the stored graph beyond its public
-// fields, or they carry only private releases the ledger debited, or it
-// is an operator route, with the reason. A route added to the table
-// fails here until it is classified. Finally, the ledger's spend must
-// equal the receipts of the distinct releases served.
+// fields, or they carry only private releases the ledger debited. A
+// route added to the table fails here until it is classified. The
+// operator surface (the metrics exposition, which reveals dataset sizes
+// and every account's spend, and the runtime profiles) is not on this
+// listener even with Options.Metrics set. Finally, the ledger's spend
+// must equal the receipts of the distinct releases served.
 func TestServerStoredDataReleaseClosure(t *testing.T) {
 	fx := newClosureFixture(t, dp.Budget{Eps: 0.8, Delta: 0.02})
 	served := servedReleases{}
@@ -192,9 +194,6 @@ func TestServerStoredDataReleaseClosure(t *testing.T) {
 	genJob := resp["id"].(string)
 	wait(t, genJob)
 
-	operator := func(reason string) func(*testing.T) {
-		return func(t *testing.T) { t.Logf("operator route: %s", reason) }
-	}
 	// checkJob checks one job view: a fit is a private release
 	// (collected), a generate result shows its stored sample's view.
 	checkJob := func(t *testing.T, v any) {
@@ -337,21 +336,13 @@ func TestServerStoredDataReleaseClosure(t *testing.T) {
 			_, resp := call(t, http.MethodGet, "/readyz", nil)
 			checkKeys(t, "readyz", resp, "status")
 		},
-		"GET /metrics": operator("Prometheus exposition for the operator; " +
-			"dpkron_dataset_cache_resident_bytes is a function of the edge count " +
-			"when the server holds one dataset (an open ROADMAP item)"),
-		"GET /debug/pprof/":        operator("runtime profiles, mounted only by `serve -pprof`"),
-		"GET /debug/pprof/cmdline": operator("runtime profiles, mounted only by `serve -pprof`"),
-		"GET /debug/pprof/profile": operator("runtime profiles, mounted only by `serve -pprof`"),
-		"GET /debug/pprof/symbol":  operator("runtime profiles, mounted only by `serve -pprof`"),
-		"GET /debug/pprof/trace":   operator("runtime profiles, mounted only by `serve -pprof`"),
 	}
 	table := map[string]bool{}
 	for _, rt := range fx.s.routes() {
 		table[rt.pattern] = true
 		probe, ok := closure[rt.pattern]
 		if !ok {
-			t.Errorf("route %q is not classified: say whether it carries no stored-data value, only debited private releases, or is an operator route", rt.pattern)
+			t.Errorf("route %q is not classified: say whether it carries no stored-data value or only debited private releases", rt.pattern)
 			continue
 		}
 		t.Run(rt.pattern, probe)
@@ -359,6 +350,18 @@ func TestServerStoredDataReleaseClosure(t *testing.T) {
 	for pattern := range closure {
 		if !table[pattern] {
 			t.Errorf("classified route %q is not in the route table", pattern)
+		}
+	}
+
+	// The operator surface is served by `serve -metrics-addr` only.
+	for _, path := range []string{"/metrics", "/debug/pprof/", "/debug/pprof/cmdline"} {
+		resp, err := http.Get(fx.ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s on the request listener: status %d, want 404", path, resp.StatusCode)
 		}
 	}
 

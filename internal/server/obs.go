@@ -123,25 +123,20 @@ func requestID(r *http.Request) string {
 }
 
 // routeLabel is the route-table pattern a request matched, without
-// its method, so metric cardinality stays O(routes), never O(ids); the
-// profiles share one label, and anything the table does not route
-// (404, 405, redirects) is "other".
+// its method, so metric cardinality stays O(routes), never O(ids);
+// anything the table does not route (404, 405, redirects) is "other".
 func (s *Server) routeLabel(r *http.Request) string {
 	_, pattern := s.mux.Handler(r)
-	_, path, ok := strings.Cut(pattern, " ")
-	switch {
-	case !ok:
-		return "other"
-	case strings.HasPrefix(path, "/debug/pprof"):
-		return "/debug/pprof"
+	if _, path, ok := strings.Cut(pattern, " "); ok {
+		return path
 	}
-	return path
+	return "other"
 }
 
-// quietRoute marks the probe endpoints whose per-scrape access logs
+// quietRoute marks the probe endpoints whose per-poll access logs
 // would drown real traffic at info; they log at debug instead.
 func quietRoute(route string) bool {
-	return route == "/metrics" || route == "/healthz" || route == "/readyz" || route == "/debug/pprof"
+	return route == "/healthz" || route == "/readyz"
 }
 
 // statusRecorder captures the response status for metrics and logs.

@@ -4,8 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
-	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,23 +17,22 @@ import (
 	"dpkron/internal/obs"
 )
 
-// scrapeMetrics fetches /metrics and parses every sample line into a
-// map from "name{labels}" (labels as rendered) to its value.
-func scrapeMetrics(t *testing.T, base string) map[string]float64 {
+// scrapeMetrics renders the registry through its own Handler — the
+// handler an operator mounts, since Server.Handler never serves it —
+// and parses every sample line into a map from "name{labels}" (labels
+// as rendered) to its value.
+func scrapeMetrics(t *testing.T, reg *obs.Registry) map[string]float64 {
 	t.Helper()
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	rec := httptest.NewRecorder()
+	reg.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /metrics: status %d", rec.Code)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /metrics: status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
+	if ct := rec.Header().Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
 		t.Errorf("/metrics Content-Type = %q, want the 0.0.4 exposition type", ct)
 	}
 	out := map[string]float64{}
-	sc := bufio.NewScanner(resp.Body)
+	sc := bufio.NewScanner(rec.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
@@ -100,13 +99,13 @@ func newObsTestServer(t *testing.T, opts Options) (*Server, string, *syncBuffer)
 }
 
 // TestServerMetricsHammer floods an instrumented server with 64
-// concurrent fits while concurrently scraping /metrics, then checks
+// concurrent fits while concurrently rendering its registry, then checks
 // the final exposition for internal consistency: every submitted job
 // completed, the in-flight/queued/running gauges returned to rest, and
 // HTTP accounting covered the traffic. Run under -race this also
 // proves the collectors and render path are data-race free.
 func TestServerMetricsHammer(t *testing.T) {
-	_, base, _ := newObsTestServer(t, Options{Workers: 2, MaxJobs: 4, MaxQueue: 128})
+	s, base, _ := newObsTestServer(t, Options{Workers: 2, MaxJobs: 4, MaxQueue: 128})
 	el := testEdgeList(t, 6)
 
 	const fits = 64
@@ -122,11 +121,7 @@ func TestServerMetricsHammer(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := http.Get(base + "/metrics")
-				if err == nil {
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-				}
+				s.opts.Metrics.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/metrics", nil))
 			}
 		}()
 	}
@@ -159,12 +154,14 @@ func TestServerMetricsHammer(t *testing.T) {
 	}
 
 	// Terminal job status is visible before finalize updates the
-	// counters, so give the completion totals a moment to converge.
+	// counters, and a client can read a response before the middleware
+	// leaves the in-flight gauge, so give both a moment to converge.
 	deadline := time.Now().Add(10 * time.Second)
 	var m map[string]float64
 	for {
-		m = scrapeMetrics(t, base)
-		if sumPrefix(m, "dpkron_jobs_completed_total") == fits || time.Now().After(deadline) {
+		m = scrapeMetrics(t, s.opts.Metrics)
+		settled := sumPrefix(m, "dpkron_jobs_completed_total") == fits && m["dpkron_http_in_flight_requests"] == 0
+		if settled || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -185,9 +182,8 @@ func TestServerMetricsHammer(t *testing.T) {
 	if got := m["dpkron_jobs_queued"]; got != 0 {
 		t.Errorf("jobs_queued = %v at rest, want 0", got)
 	}
-	// The only request in flight during the final scrape is the scrape.
-	if got := m["dpkron_http_in_flight_requests"]; got != 1 {
-		t.Errorf("http_in_flight_requests = %v during a scrape, want 1", got)
+	if got := m["dpkron_http_in_flight_requests"]; got != 0 {
+		t.Errorf("http_in_flight_requests = %v at rest, want 0", got)
 	}
 	if got := m[`dpkron_http_requests_total{route="/v1/fit",method="POST",code="202"}`]; got != fits {
 		t.Errorf("http_requests_total for fits = %v, want %d", got, fits)
@@ -240,7 +236,7 @@ func TestServerAdmissionRejectionTelemetry(t *testing.T) {
 		if code != http.StatusServiceUnavailable {
 			t.Fatalf("fit while draining: status %d, want 503", code)
 		}
-		m := scrapeMetrics(t, base)
+		m := scrapeMetrics(t, s.opts.Metrics)
 		if got := m[`dpkron_admission_rejected_total{reason="draining"}`]; got != 1 {
 			t.Errorf(`admission_rejected_total{draining} = %v, want 1`, got)
 		}
@@ -250,7 +246,7 @@ func TestServerAdmissionRejectionTelemetry(t *testing.T) {
 	})
 
 	t.Run("queue_full", func(t *testing.T) {
-		_, base, logs := newObsTestServer(t, Options{Workers: 1, MaxJobs: 1, MaxQueue: 1})
+		s, base, logs := newObsTestServer(t, Options{Workers: 1, MaxJobs: 1, MaxQueue: 1})
 		_, first := doJSON(t, http.MethodPost, base+"/v1/generate", GenerateRequest{
 			A: 0.99, B: 0.55, C: 0.35, K: 13, Seed: 5, Method: "exact", OmitEdges: true,
 		})
@@ -261,7 +257,7 @@ func TestServerAdmissionRejectionTelemetry(t *testing.T) {
 		if code != http.StatusTooManyRequests {
 			t.Fatalf("over-queue submission: status %d, want 429", code)
 		}
-		m := scrapeMetrics(t, base)
+		m := scrapeMetrics(t, s.opts.Metrics)
 		if got := m[`dpkron_admission_rejected_total{reason="queue_full"}`]; got != 1 {
 			t.Errorf(`admission_rejected_total{queue_full} = %v, want 1`, got)
 		}
@@ -279,14 +275,14 @@ func TestServerAdmissionRejectionTelemetry(t *testing.T) {
 		if err := led.SetBudget(ds, dp.Budget{Eps: 0.01, Delta: 0.0001}); err != nil {
 			t.Fatal(err)
 		}
-		_, base, logs := newObsTestServer(t, Options{Workers: 1, MaxJobs: 1, Ledger: led})
+		s, base, logs := newObsTestServer(t, Options{Workers: 1, MaxJobs: 1, Ledger: led})
 		code, resp := doJSON(t, http.MethodPost, base+"/v1/fit", FitRequest{
 			Method: "private", Eps: 1, Delta: 0.01, Dataset: ds, EdgeList: "0 1\n1 2\n",
 		})
 		if code != http.StatusTooManyRequests {
 			t.Fatalf("starved fit: status %d (%v), want 429", code, resp)
 		}
-		m := scrapeMetrics(t, base)
+		m := scrapeMetrics(t, s.opts.Metrics)
 		if got := m[`dpkron_admission_rejected_total{reason="budget"}`]; got != 1 {
 			t.Errorf(`admission_rejected_total{budget} = %v, want 1`, got)
 		}

@@ -99,7 +99,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"sync"
 
 	"dpkron/internal/accountant"
@@ -166,15 +165,15 @@ type Options struct {
 	Journal *journal.Journal
 	// Metrics, when set, instruments the whole serving tier on the
 	// registry — HTTP middleware, the job manager, and every configured
-	// subsystem (ledger, dataset store, release cache, journal) — and
-	// mounts GET /metrics serving it in Prometheus text format. Nil
-	// keeps every instrumented path at its zero-cost no-op.
+	// subsystem (ledger, dataset store, release cache, journal). Nil
+	// keeps every instrumented path at its zero-cost no-op. The
+	// registry is operator-only: Handler never serves it, so the caller
+	// mounts Metrics.Handler on a listener of its own (`serve
+	// -metrics-addr`).
 	Metrics *obs.Registry
 	// Logger receives structured request, job and admission logs with
 	// per-request/per-job correlation ids. Nil discards them.
 	Logger *slog.Logger
-	// EnablePprof mounts net/http/pprof under GET /debug/pprof/.
-	EnablePprof bool
 }
 
 func (o *Options) fill() {
@@ -290,10 +289,9 @@ type route struct {
 // routes is the server's route table: New registers exactly these, the
 // metrics label each request by its pattern, and the release-closure
 // test walks the same table, so a new route fails that test until it
-// is classified. /metrics and the profiles are mounted only when
-// configured.
+// is classified.
 func (s *Server) routes() []route {
-	rs := []route{
+	return []route{
 		{"POST /v1/fit", s.handleFit},
 		{"POST /v1/generate", s.handleGenerate},
 		{"GET /v1/jobs", s.handleJobs},
@@ -310,20 +308,6 @@ func (s *Server) routes() []route {
 		{"GET /healthz", s.handleHealth},
 		{"GET /readyz", s.handleReady},
 	}
-	if s.opts.Metrics != nil {
-		rs = append(rs, route{"GET /metrics", s.opts.Metrics.Handler().ServeHTTP})
-	}
-	if s.opts.EnablePprof {
-		// Profiles expose runtime internals and cost CPU while sampling,
-		// so an operator opts in (`serve -pprof`).
-		rs = append(rs,
-			route{"GET /debug/pprof/", pprof.Index},
-			route{"GET /debug/pprof/cmdline", pprof.Cmdline},
-			route{"GET /debug/pprof/profile", pprof.Profile},
-			route{"GET /debug/pprof/symbol", pprof.Symbol},
-			route{"GET /debug/pprof/trace", pprof.Trace})
-	}
-	return rs
 }
 
 // Handler returns the HTTP handler serving the job API, wrapped in

@@ -908,25 +908,34 @@ func TestServerGenerateIntoStore(t *testing.T) {
 	}
 }
 
-// TestServerGenerateStoreRoutesAgree: generate-to-store samples through
-// the in-memory route when the edge list is returned and through the
-// streamed route under omit_edges. Both routes store the same DPKG v2
-// file, byte for byte, and both report format 2.
+// TestServerGenerateStoreRoutesAgree: generate-to-store always streams
+// the sample into the store, with or without omit_edges. Both requests
+// store the same DPKG v2 file, byte for byte, and it is the file the
+// store writes for the in-memory sample of the same seed. The edge list
+// a store request returns, read back from the stored file, is the one a
+// no-store request returns.
 func TestServerGenerateStoreRoutesAgree(t *testing.T) {
-	stored := map[bool][]byte{}
-	for _, omit := range []bool{false, true} {
-		st, ts := newStoreServer(t, nil)
-		code, resp := doJSON(t, http.MethodPost, ts.URL+"/v1/generate", GenerateRequest{
-			A: 0.95, B: 0.55, C: 0.3, K: 10, Seed: 3, Store: true, Name: "routes", OmitEdges: omit,
-		})
+	req := GenerateRequest{A: 0.95, B: 0.55, C: 0.3, K: 10, Seed: 3, Name: "routes"}
+	generate := func(t *testing.T, ts *httptest.Server, req GenerateRequest) map[string]any {
+		t.Helper()
+		code, resp := doJSON(t, http.MethodPost, ts.URL+"/v1/generate", req)
 		if code != http.StatusAccepted {
-			t.Fatalf("omit_edges=%v: status %d (%v)", omit, code, resp)
+			t.Fatalf("store=%v omit_edges=%v: status %d (%v)", req.Store, req.OmitEdges, code, resp)
 		}
 		job := pollJob(t, ts.URL, resp["id"].(string), 60*time.Second)
 		if job["status"] != StatusDone {
-			t.Fatalf("omit_edges=%v: generate ended %v: %v", omit, job["status"], job)
+			t.Fatalf("store=%v omit_edges=%v: generate ended %v: %v", req.Store, req.OmitEdges, job["status"], job)
 		}
-		ds := job["result"].(map[string]any)["dataset"].(map[string]any)
+		return job["result"].(map[string]any)
+	}
+	stored := map[bool][]byte{}
+	var storedEdges any
+	for _, omit := range []bool{false, true} {
+		st, ts := newStoreServer(t, nil)
+		r := req
+		r.Store, r.OmitEdges = true, omit
+		res := generate(t, ts, r)
+		ds := res["dataset"].(map[string]any)
 		if ds["format"] != float64(2) {
 			t.Errorf("omit_edges=%v: format %v, want 2", omit, ds["format"])
 		}
@@ -935,9 +944,38 @@ func TestServerGenerateStoreRoutesAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		stored[omit] = raw
+		if !omit {
+			storedEdges = res["edgelist"]
+		}
 	}
 	if !bytes.Equal(stored[false], stored[true]) {
-		t.Fatalf("in-memory route stored %d B, streamed route %d B: files differ", len(stored[false]), len(stored[true]))
+		t.Fatalf("omit_edges=false stored %d B, omit_edges=true %d B: files differ", len(stored[false]), len(stored[true]))
+	}
+
+	m, err := skg.NewModel(skg.Initiator{A: req.A, B: req.B, C: req.C}, req.K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := dataset.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, _, err := st.PutFormat(must(m.SampleCtx(nil, randx.New(req.Seed))), req.Name, "generated", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(st.Dir(), meta.ID+".dpkg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stored[true], raw) {
+		t.Fatalf("streamed route stored %d B, the in-memory sample %d B: files differ", len(stored[true]), len(raw))
+	}
+
+	_, ts := newTestServer(t, Options{Workers: 2, MaxJobs: 2})
+	plain := generate(t, ts, req)
+	if s, ok := storedEdges.(string); !ok || s == "" || s != plain["edgelist"] {
+		t.Fatalf("a store request returned a different edge list than a no-store request for seed %d", req.Seed)
 	}
 }
 

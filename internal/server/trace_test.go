@@ -428,7 +428,7 @@ func TestStageRecordOneClock(t *testing.T) {
 		t.Fatalf("GET trace: status %d", code)
 	}
 	spans := collectSpans(tree)
-	metrics := scrapeMetrics(t, ts.URL)
+	metrics := scrapeMetrics(t, s.opts.Metrics)
 	var compared int
 	for _, raw := range job["stages"].([]any) {
 		st := raw.(map[string]any)
@@ -490,7 +490,7 @@ func TestStageRecordOneClock(t *testing.T) {
 	if bl := spans["blocked"]; len(bl) != 1 || bl[0].Open || bl[0].Seconds != v.Stages[1].Seconds {
 		t.Fatalf("blocked stage spans = %+v, want one span closed at %v s", bl, v.Stages[1].Seconds)
 	}
-	metrics = scrapeMetrics(t, ts.URL)
+	metrics = scrapeMetrics(t, s.opts.Metrics)
 	if n := metrics[`dpkron_job_stage_seconds_count{stage="instant"}`]; n != 1 {
 		t.Errorf("instant stage observed %v times, want 1", n)
 	}
