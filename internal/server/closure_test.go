@@ -354,15 +354,23 @@ func TestServerStoredDataReleaseClosure(t *testing.T) {
 	}
 
 	// The operator surface is served by `serve -metrics-addr` only.
-	for _, path := range []string{"/metrics", "/debug/pprof/", "/debug/pprof/cmdline"} {
-		resp, err := http.Get(fx.ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("GET %s on the request listener: status %d, want 404", path, resp.StatusCode)
-		}
+	for _, path := range []string{
+		"/metrics", "/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/profile",
+		"/debug/pprof/symbol", "/debug/pprof/trace",
+	} {
+		t.Run("GET "+path, func(t *testing.T) {
+			if table["GET "+path] {
+				t.Fatalf("operator route %q is in the route table", path)
+			}
+			resp, err := http.Get(fx.ts.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("GET %s on the request listener: status %d, want 404", path, resp.StatusCode)
+			}
+		})
 	}
 
 	// Every release served was debited, and nothing else was.
