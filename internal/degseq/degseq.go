@@ -65,41 +65,46 @@ func PrivateAcc(acc *accountant.Accountant, g *graph.Graph, eps float64, rng *ra
 	if err := acc.Charge(Query, mech); err != nil {
 		return nil, err
 	}
-	return Isotonic(mech.Apply(Sorted(g), rng)), nil
+	out := mech.Apply(Sorted(g), rng)
+	isotonicInPlace(out)
+	return out, nil
 }
 
 // Isotonic returns the L2 projection of x onto non-decreasing sequences
 // using the pool-adjacent-violators algorithm in O(n). The input is not
 // modified.
 func Isotonic(x []float64) []float64 {
-	n := len(x)
-	out := make([]float64, n)
-	if n == 0 {
-		return out
-	}
-	// Stack of blocks, each carrying (sum, count). Blocks are merged
-	// while the previous block's mean exceeds the new block's mean.
-	sums := make([]float64, 0, n)
-	counts := make([]int, 0, n)
+	out := make([]float64, len(x))
+	copy(out, x)
+	isotonicInPlace(out)
+	return out
+}
+
+// isotonicInPlace overwrites x with its isotonic projection. The blocks
+// form a stack whose b-th sum is kept in x[b]: it never overtakes the
+// element being read, since every block holds at least one. Blocks are
+// merged while the previous block's mean is at least the new one's,
+// then expanded from the back, so the block sums still to be read stay
+// below the positions being written.
+func isotonicInPlace(x []float64) {
+	counts := make([]int32, 0, len(x))
 	for _, v := range x {
-		s, c := v, 1
-		for len(sums) > 0 && sums[len(sums)-1]*float64(c) >= s*float64(counts[len(counts)-1]) {
+		s, c := v, int32(1)
+		for nb := len(counts); nb > 0 && x[nb-1]*float64(c) >= s*float64(counts[nb-1]); nb-- {
 			// prev.mean >= cur.mean  <=>  prevSum*curCount >= curSum*prevCount
-			s += sums[len(sums)-1]
-			c += counts[len(counts)-1]
-			sums = sums[:len(sums)-1]
-			counts = counts[:len(counts)-1]
+			s += x[nb-1]
+			c += counts[nb-1]
+			counts = counts[:nb-1]
 		}
-		sums = append(sums, s)
+		x[len(counts)] = s
 		counts = append(counts, c)
 	}
-	i := 0
-	for b := range sums {
-		mean := sums[b] / float64(counts[b])
-		for j := 0; j < counts[b]; j++ {
-			out[i] = mean
-			i++
+	i := len(x)
+	for b := len(counts) - 1; b >= 0; b-- {
+		mean := x[b] / float64(counts[b])
+		for j := int32(0); j < counts[b]; j++ {
+			i--
+			x[i] = mean
 		}
 	}
-	return out
 }

@@ -8,7 +8,6 @@ package optimize
 import (
 	"context"
 	"math"
-	"sort"
 
 	"dpkron/internal/parallel"
 	"dpkron/internal/pipeline"
@@ -91,7 +90,7 @@ func NelderMeadCtx(ctx context.Context, f Func, x0 []float64, opts NelderMeadOpt
 		for i := range order {
 			order[i] = i
 		}
-		sort.Slice(order, func(a, b int) bool { return fvals[order[a]] < fvals[order[b]] })
+		sortByValue(order, fvals)
 		best, worst := order[0], order[d]
 		// Convergence checks.
 		spread := math.Abs(fvals[worst] - fvals[best])
@@ -175,6 +174,19 @@ func NelderMeadCtx(ctx context.Context, f Func, x0 []float64, opts NelderMeadOpt
 	return Result{X: append([]float64(nil), simplex[bi]...), F: fvals[bi], Evals: evals, Converged: converged}, ctxErr
 }
 
+// sortByValue orders the vertex indices in order by ascending fvals
+// with an insertion sort, allocating nothing. sort.Slice insertion-sorts
+// 12 or fewer elements (a simplex in up to 11 dimensions), and this is
+// the same sort, so tied vertices come out in sort.Slice's order and
+// fixed-seed fits keep their bits.
+func sortByValue(order []int, fvals []float64) {
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0 && fvals[order[j]] < fvals[order[j-1]]; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
+}
+
 // Clamp projects x into the box [lo, hi] componentwise, in place.
 func Clamp(x, lo, hi []float64) {
 	for i := range x {
@@ -235,9 +247,11 @@ func GridSearchCtx(ctx context.Context, f Func, lo, hi []float64, pointsPerAxis 
 }
 
 // MultiStartCtx runs Nelder–Mead from the grid-search optimum and from
-// additional random starts inside the box, clamping every candidate into
-// the box via penalty-free projection inside the objective wrapper, and
-// returns the best result found.
+// additional random starts inside the box, and returns the best result
+// found. The descents minimize a boxed objective: a candidate x is
+// projected to y in the box and, with penalty = |x − y|², the wrapper
+// returns f(y)·(1+penalty) + penalty, which is f(x) inside the box. The
+// winner is projected into the box and f is evaluated there once more.
 //
 // The descents run concurrently on run's worker budget. The restart
 // points are drawn from rng serially before any descent begins, the
@@ -249,9 +263,10 @@ func GridSearchCtx(ctx context.Context, f Func, lo, hi []float64, pointsPerAxis 
 // a cancelled run makes the whole call return its context's error.
 func MultiStartCtx(run *pipeline.Run, f Func, lo, hi []float64, randomStarts, gridPoints int, rng *randx.Rand, nm NelderMeadOptions) (Result, error) {
 	ctx := run.Context()
-	boxed := func(x []float64) float64 {
+	// boxed projects x into y, a buffer of len(x) owned by one descent:
+	// the descents run concurrently, so they cannot share one.
+	boxed := func(x, y []float64) float64 {
 		penalty := 0.0
-		y := make([]float64, len(x))
 		for i := range x {
 			y[i] = x[i]
 			if y[i] < lo[i] {
@@ -285,7 +300,8 @@ func MultiStartCtx(run *pipeline.Run, f Func, lo, hi []float64, randomStarts, gr
 		// A descent that observes cancellation returns early; its
 		// partial result is discarded below via the shared context
 		// error, so the per-start error can be dropped here.
-		results[s], _ = NelderMeadCtx(ctx, boxed, starts[s], nm)
+		y := make([]float64, len(lo))
+		results[s], _ = NelderMeadCtx(ctx, func(x []float64) float64 { return boxed(x, y) }, starts[s], nm)
 	})
 	if runErr != nil {
 		return Result{}, runErr

@@ -101,12 +101,3 @@ func (r *Rand) Laplace(scale float64) float64 {
 	}
 	return scale * math.Log(1+2*u)
 }
-
-// LaplaceVec returns n independent Laplace(scale) samples.
-func (r *Rand) LaplaceVec(n int, scale float64) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = r.Laplace(scale)
-	}
-	return out
-}

@@ -137,14 +137,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestLaplaceVecLength(t *testing.T) {
-	r := New(4)
-	v := r.LaplaceVec(37, 1.5)
-	if len(v) != 37 {
-		t.Fatalf("LaplaceVec length = %d, want 37", len(v))
-	}
-}
-
 func TestPanics(t *testing.T) {
 	r := New(0)
 	mustPanic := func(name string, f func()) {

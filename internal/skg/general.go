@@ -83,8 +83,7 @@ func (m GeneralModel) EdgeProb(u, v int) float64 {
 // Equation 1 to arbitrary symmetric initiators.
 func (m GeneralModel) ExpectedFeatures() stats.Features {
 	n1 := m.N1()
-	k := float64(m.K)
-	pk := func(x float64) float64 { return math.Pow(x, k) }
+	k := m.K
 
 	// Per-level aggregates over rows i of Θ: r_i row sum, d_i diagonal,
 	// s_i row sum of squares, plus whole-matrix sums.
@@ -122,11 +121,12 @@ func (m GeneralModel) ExpectedFeatures() stats.Features {
 		}
 	}
 
-	e := 0.5 * (pk(sumAll) - pk(trace))
-	h := 0.5 * (pk(rowSq) - 2*pk(rowD) - pk(sumSq) + 2*pk(diagSq))
-	delta := (pk(triPaths) - 3*pk(dS) + 2*pk(diag3)) / 6
-	t := (pk(rowCu) - 3*pk(rowS) + 2*pk(sumCu) -
-		3*pk(rowSqD) + 6*pk(rowD2) + 3*pk(dS) - 6*pk(diag3)) / 6
+	pdS, pdiag3 := powK(dS, k), powK(diag3, k)
+	e := 0.5 * (powK(sumAll, k) - powK(trace, k))
+	h := 0.5 * (powK(rowSq, k) - 2*powK(rowD, k) - powK(sumSq, k) + 2*powK(diagSq, k))
+	delta := (powK(triPaths, k) - 3*pdS + 2*pdiag3) / 6
+	t := (powK(rowCu, k) - 3*powK(rowS, k) + 2*powK(sumCu, k) -
+		3*powK(rowSqD, k) + 6*powK(rowD2, k) + 3*pdS - 6*pdiag3) / 6
 	return stats.Features{E: e, H: h, T: t, Delta: delta}
 }
 

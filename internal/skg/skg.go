@@ -164,8 +164,7 @@ func (m Model) powTables() powTable {
 // direct summation over the explicit probability matrix.
 func (m Model) ExpectedFeatures() stats.Features {
 	a, b, c := m.Init.A, m.Init.B, m.Init.C
-	k := float64(m.K)
-	pk := func(x float64) float64 { return math.Pow(x, k) }
+	k := m.K
 
 	// Per-level aggregates. Rows of Θ are (a+b) and (b+c); the diagonal
 	// cells are a and c.
@@ -182,13 +181,35 @@ func (m Model) ExpectedFeatures() stats.Features {
 	diag3 := a*a*a + c*c*c                        // Σ diag³
 	triPaths := a*a*a + 3*b*b*(a+c) + c*c*c       // Σ closed 3-walks over cells
 
-	e := 0.5 * (pk(a+2*b+c) - pk(a+c))
-	h := 0.5 * (pk(s1sq) - 2*pk(s1d) - pk(sumP2) + 2*pk(diag2))
-	delta := (pk(triPaths) - 3*pk(ds2) + 2*pk(diag3)) / 6
-	t := (pk(s1cu) - 3*pk(s1s2) + 2*pk(sumP3) -
-		3*pk(s1sqd) + 6*pk(s1d2) + 3*pk(ds2) - 6*pk(diag3)) / 6
+	// Each k-th power is taken once; ds2 and diag3 enter both Δ and T.
+	pds2, pdiag3 := powK(ds2, k), powK(diag3, k)
+	e := 0.5 * (powK(a+2*b+c, k) - powK(a+c, k))
+	h := 0.5 * (powK(s1sq, k) - 2*powK(s1d, k) - powK(sumP2, k) + 2*powK(diag2, k))
+	delta := (powK(triPaths, k) - 3*pds2 + 2*pdiag3) / 6
+	t := (powK(s1cu, k) - 3*powK(s1s2, k) + 2*powK(sumP3, k) -
+		3*powK(s1sqd, k) + 6*powK(s1d2, k) + 3*pds2 - 6*pdiag3) / 6
 
 	return stats.Features{E: e, H: h, T: t, Delta: delta}
+}
+
+// powK returns math.Pow(x, k) bit for bit. For 1 ≤ k ≤ 30 and
+// 2^-30 ≤ x ≤ 2^30 it multiplies out repeated squares of x, which is
+// the loop math.Pow runs on x's mantissa: rescaling by powers of two is
+// exact, and in that range no product (the last, unused square is at
+// most x^32) is subnormal or overflows, so every rounding is the same.
+// Other arguments go to math.Pow.
+func powK(x float64, k int) float64 {
+	if k < 1 || k > 30 || !(x >= 0x1p-30 && x <= 0x1p30) {
+		return math.Pow(x, float64(k))
+	}
+	r := 1.0
+	for ; k != 0; k >>= 1 {
+		if k&1 == 1 {
+			r *= x
+		}
+		x *= x
+	}
+	return r
 }
 
 // exactMaxK is the largest K that SampleCtx and StreamCtx draw with
