@@ -640,10 +640,12 @@ func BenchmarkModelSelection(b *testing.B) {
 //
 // Each pair loads the same k=16..18 graph from SNAP edge-list text
 // ("text": the streaming parser every pre-store fit paid on every run)
-// and from the dataset store's binary CSR codec ("binary": what
-// fit-by-dataset-id pays). Both decode from memory, so the ratio
+// and from the dataset store's binary CSR codec ("binary": the
+// verifying heap decode of the v2 layout, which an upload and a
+// platform without mmap pay). Both decode from memory, so the ratio
 // isolates parse cost from disk. BENCH_5.json's dataset_load section
-// records the binary_over_text ratios; the store's acceptance bar is binary measurably below text.
+// records the binary_over_text ratios of the v1 layout the store wrote
+// then; the store's acceptance bar is binary measurably below text.
 
 func BenchmarkDatasetLoad(b *testing.B) {
 	for _, cfg := range []struct{ k, edges int }{
@@ -654,7 +656,7 @@ func BenchmarkDatasetLoad(b *testing.B) {
 		if err := g.WriteEdgeList(&text); err != nil {
 			b.Fatal(err)
 		}
-		bin := dataset.Marshal(g)
+		bin := encodeV2(b, g)
 
 		b.Run(fmt.Sprintf("K=%d-text", cfg.k), func(b *testing.B) {
 			b.SetBytes(int64(text.Len()))
@@ -858,13 +860,13 @@ func BenchmarkJournalOverhead(b *testing.B) {
 
 // --- Out-of-core benchmarks (history in BENCH_8.json) ---
 //
-// MmapLoad pairs the cost of materializing a stored graph under the
-// two DPKG layouts: "v1decode" reads the varint file and decodes the
-// full CSR onto the heap (what every pre-v2 load paid), "v2open" maps
-// the fixed-width file and serves the CSR straight out of the page
-// cache — O(1) in the graph size. BENCH_8.json's mmap_load section
-// records the v1_over_v2 speedups; the acceptance bar is >= 10 at
-// k=18.
+// MmapLoad pairs the two ways a stored v2 graph is materialized:
+// "v2decode" reads the file and decodes the full CSR onto the heap,
+// verifying its checksum (the route without mmap), and "v2open" maps
+// the file and serves the CSR straight out of the page cache — O(1) in
+// the graph size. BENCH_8.json's mmap_load section records the
+// v1_over_v2 speedups against the legacy v1 decode, which the store no
+// longer writes; the acceptance bar there was >= 10 at k=18.
 
 func BenchmarkMmapLoad(b *testing.B) {
 	for _, cfg := range []struct{ k, edges int }{
@@ -872,22 +874,17 @@ func BenchmarkMmapLoad(b *testing.B) {
 	} {
 		g := featureGraph(b, cfg.k, cfg.edges)
 		dir := b.TempDir()
-		v1Path := filepath.Join(dir, "g.v1.dpkg")
 		v2Path := filepath.Join(dir, "g.v2.dpkg")
-		v1 := dataset.Marshal(g)
-		v2 := dataset.MarshalV2(g)
-		if err := os.WriteFile(v1Path, v1, 0o644); err != nil {
-			b.Fatal(err)
-		}
+		v2 := encodeV2(b, g)
 		if err := os.WriteFile(v2Path, v2, 0o644); err != nil {
 			b.Fatal(err)
 		}
 
-		b.Run(fmt.Sprintf("K=%d-v1decode", cfg.k), func(b *testing.B) {
-			b.SetBytes(int64(len(v1)))
+		b.Run(fmt.Sprintf("K=%d-v2decode", cfg.k), func(b *testing.B) {
+			b.SetBytes(int64(len(v2)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				data, err := os.ReadFile(v1Path)
+				data, err := os.ReadFile(v2Path)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -984,7 +981,7 @@ func BenchmarkStreamingGenerate(b *testing.B) {
 					sorter.RemoveAll()
 				} else {
 					g := must(m.SampleBallDropNCtx(nil, rng, cfg.edges))
-					meta, _, err = st.PutFormat(g, "bench", "generated", 2)
+					meta, _, err = st.Put(g, "bench", "generated")
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -14,9 +14,9 @@ import (
 // cmdDataset manages the persistent dataset store: `import` ingests a
 // graph (SNAP text, gzip, Matrix Market or DPKG binary — sniffed) under
 // its content-addressed id, `list`/`info` inspect the stored metadata
-// and on-disk layout, `export` re-emits canonical edge-list text,
-// `convert` rewrites a dataset between the compact v1 and mmap-ready
-// v2 layouts in place, and `rm` deletes. The same -store directory
+// and on-disk layout, `export` re-emits canonical edge-list text, and
+// `rm` deletes. Imports are stored in the mmap-ready v2 layout; v1
+// files left by older binaries still load. The same -store directory
 // drives `fit -store`/`stats -store` (where -in may name a stored id)
 // and `serve -store` (private fits by id over HTTP).
 func cmdDataset(args []string) error {
@@ -24,9 +24,8 @@ func cmdDataset(args []string) error {
 	storeDir := fs.String("store", "", "dataset store directory (required)")
 	in := fs.String("in", "", "input file, or - for stdin (import)")
 	name := fs.String("name", "", "label for the imported dataset (import)")
-	id := fs.String("id", "", "dataset id (required for info/export/convert/rm)")
+	id := fs.String("id", "", "dataset id (required for info/export/rm)")
 	out := fs.String("out", "", "output file (export; default stdout)")
-	format := fs.String("format", "", "on-disk layout: v1 (compact) or v2 (mmap-ready; import default v1, required for convert)")
 	action := ""
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
 		action, args = args[0], args[1:]
@@ -35,34 +34,21 @@ func cmdDataset(args []string) error {
 		return err
 	}
 	switch action {
-	case "import", "list", "info", "export", "convert", "rm":
+	case "import", "list", "info", "export", "rm":
 	case "":
-		return usagef(fs, "an action is required (import, list, info, export, convert or rm)")
+		return usagef(fs, "an action is required (import, list, info, export or rm)")
 	default:
-		return usagef(fs, "unknown action %q (want import, list, info, export, convert or rm)", action)
+		return usagef(fs, "unknown action %q (want import, list, info, export or rm)", action)
 	}
 	if *storeDir == "" {
 		return usagef(fs, "-store is required")
 	}
-	needID := action == "info" || action == "export" || action == "rm" || action == "convert"
+	needID := action == "info" || action == "export" || action == "rm"
 	if needID && *id == "" {
 		return usagef(fs, "-id is required for %s", action)
 	}
 	if action == "import" && *in == "" {
 		return usagef(fs, "-in is required for import")
-	}
-	layout := 0
-	switch strings.ToLower(*format) {
-	case "":
-	case "v1", "1":
-		layout = 1
-	case "v2", "2":
-		layout = 2
-	default:
-		return usagef(fs, "unknown -format %q (want v1 or v2)", *format)
-	}
-	if action == "convert" && layout == 0 {
-		return usagef(fs, "-format is required for convert")
 	}
 	st, err := dataset.Open(*storeDir)
 	if err != nil {
@@ -83,10 +69,7 @@ func cmdDataset(args []string) error {
 		if label == "" && *in != "-" {
 			label = *in
 		}
-		if layout == 0 {
-			layout = 1
-		}
-		m, err := st.ImportReaderFormat(r, label, dataset.DecodeOptions{}, layout)
+		m, err := st.ImportReader(r, label, dataset.DecodeOptions{})
 		if err != nil {
 			return err
 		}
@@ -113,19 +96,13 @@ func cmdDataset(args []string) error {
 		fmt.Printf("id:       %s\nname:     %s\nnodes:    %d\nedges:    %d\nsource:   %s\nimported: %s\n",
 			m.ID, m.Name, m.Nodes, m.Edges, m.Source, m.Imported.Format("2006-01-02T15:04:05Z"))
 		// The layout facts come from sniffing the live file, not the
-		// sidecar, so a converted or hand-replaced graph reports what a
+		// sidecar, so a legacy v1 or hand-replaced graph reports what a
 		// Load would actually see.
 		fi, err := st.FileInfo(*id)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("bytes:    %d\nformat:   v%d\nmmap:     %v\n", fi.Bytes, fi.Format, fi.Mmap)
-	case "convert":
-		m, err := st.Convert(*id, layout)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("converted %s to v%d (%d bytes)\n", m.ID, m.Format, m.Bytes)
 	case "export":
 		w := os.Stdout
 		if *out != "" {

@@ -17,7 +17,7 @@
 //	dpkron job     <list|show|wait|trace|cancel> -server URL [-id ID] [-v] [-progress] [-chrome FILE]
 //	dpkron audit   <dataset> -ledger FILE [-journal FILE]
 //	dpkron budget  <show|set|reset> -ledger FILE [-dataset ID] [-eps E] [-delta D]
-//	dpkron dataset <import|list|info|export|convert|rm> -store DIR [-in FILE|-] [-id ID] [-name S] [-out FILE] [-format v1|v2]
+//	dpkron dataset <import|list|info|export|rm> -store DIR [-in FILE|-] [-id ID] [-name S] [-out FILE]
 //	dpkron cache   <list|info|rm> -dir DIR [-id ID]
 //	dpkron datasets
 //
@@ -297,7 +297,7 @@ commands:
   job        list, show, wait for, trace or cancel jobs on a running server
   audit      chronological privacy-spend report for a dataset (ledger + journal)
   budget     show, set or reset a privacy-budget ledger
-  dataset    import, list, inspect, export, convert or remove stored datasets
+  dataset    import, list, inspect, export or remove stored datasets
   cache      list, inspect or remove cached private-fit releases
   datasets   list the built-in evaluation datasets
   version    print the build version

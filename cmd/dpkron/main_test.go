@@ -484,7 +484,8 @@ func TestCLIDatasetWorkflow(t *testing.T) {
 		t.Fatalf("list output: %s", out)
 	}
 	out = run(t, bin, "dataset", "info", "-store", store, "-id", id)
-	if !strings.Contains(out, "nodes:    256") || !strings.Contains(out, "source:   snap") {
+	if !strings.Contains(out, "nodes:    256") || !strings.Contains(out, "source:   snap") ||
+		!strings.Contains(out, "format:   v2") {
 		t.Fatalf("info output: %s", out)
 	}
 
@@ -534,6 +535,9 @@ func TestCLIDatasetUsageErrors(t *testing.T) {
 		{"dataset", "import", "-store", "/tmp/s"}, // missing -in
 		{"dataset", "info", "-store", "/tmp/s"},   // missing -id
 		{"dataset", "rm", "-store", "/tmp/s"},     // missing -id
+		// The store writes one layout: no convert, no -format.
+		{"dataset", "convert", "-store", "/tmp/s", "-id", "ds-0011223344556677"},
+		{"dataset", "import", "-store", "/tmp/s", "-in", "g.txt", "-format", "v1"},
 	} {
 		code, out := exitCode(t, bin, "", args...)
 		if code != 2 {

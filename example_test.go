@@ -265,8 +265,9 @@ func ExampleOpenStore() {
 		log.Fatal(err)
 	}
 	fmt.Println("imported nodes:", meta.Nodes)
+	fmt.Printf("stored layout: DPKG v%d\n", meta.Format)
 
-	// ...fit twice by id. Each load decodes the same stored bytes, so
+	// ...fit twice by id. Each load reads the same stored bytes, so
 	// equal seeds give equal releases (and a ledger keyed by meta.ID
 	// would meter both against one account).
 	var inits []dpkron.Initiator
@@ -287,6 +288,7 @@ func ExampleOpenStore() {
 	fmt.Println("store id stable:", meta.ID == dpkron.DatasetID(mustLoad(store, meta.ID)))
 	// Output:
 	// imported nodes: 512
+	// stored layout: DPKG v2
 	// fits completed: 2
 	// store id stable: true
 }

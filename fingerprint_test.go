@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -358,7 +359,13 @@ func TestFingerprintStoredDatasetEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromBinary, err := dataset.Unmarshal(dataset.Marshal(g))
+	// A DPKG v1 file written by an older binary's store: the layout is
+	// no longer written, but stored datasets in it must still load.
+	legacy, err := os.ReadFile("testdata/fp_k10.v1.dpkg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromBinary, err := dataset.Unmarshal(legacy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,11 +392,10 @@ func TestFingerprintStoredDatasetEstimate(t *testing.T) {
 }
 
 // TestFingerprintV2Routes extends the store pins to the v2 layout: the
-// v2 codec, a v2 store load (mmap-backed on unix), and an in-place
-// conversion back to v1.
+// v2 codec and a v2 store load (mmap-backed on unix).
 func TestFingerprintV2Routes(t *testing.T) {
 	g := fpGraphK10(t)
-	fromV2, err := dataset.Unmarshal(dataset.MarshalV2(g))
+	fromV2, err := dataset.Unmarshal(encodeV2(t, g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +403,7 @@ func TestFingerprintV2Routes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta, _, err := store.PutFormat(g, "fingerprint", "generated", 2)
+	meta, _, err := store.Put(g, "fingerprint", "generated")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,22 +414,20 @@ func TestFingerprintV2Routes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.Convert(meta.ID, 1); err != nil {
-		t.Fatal(err)
-	}
-	store2, err := dataset.Open(store.Dir()) // fresh handle: defeat the cache
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromConverted, err := store2.Load(meta.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
 	checkPins(t, loadedGraphRows(g, meta.ID, map[string]*graph.Graph{
-		"v2-binary":         fromV2,
-		"v2-mmap-load":      fromMmap,
-		"v1-converted-load": fromConverted,
+		"v2-binary":    fromV2,
+		"v2-mmap-load": fromMmap,
 	}))
+}
+
+// encodeV2 renders g in the DPKG v2 layout in memory.
+func encodeV2(tb testing.TB, g *graph.Graph) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := dataset.EncodeV2(&buf, g); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func TestFingerprintStreamingReadEdgeList(t *testing.T) {

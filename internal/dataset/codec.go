@@ -1,7 +1,12 @@
-// Package dataset is the persistent graph store behind fit-by-id: a
-// compact binary on-disk CSR format, a content-addressed Store with
-// atomic writes and cross-process locking, and streaming importers
-// (SNAP text, gzip, Matrix Market) that feed graph.Builder directly.
+// Package dataset is the persistent graph store behind fit-by-id: the
+// DPKG binary CSR format, a content-addressed Store with atomic writes
+// and cross-process locking, and streaming importers (SNAP text, gzip,
+// Matrix Market, DPKG) that feed graph.Builder directly.
+//
+// The store writes one layout, DPKG v2 (codecv2.go): fixed-width CSR
+// arrays that Load maps in O(1). The compact varint layout, DPKG v1
+// (below), is read-only: stores and uploads written by older binaries
+// still decode, but nothing writes v1 any more.
 //
 // The paper's estimator is run repeatedly against the same sensitive
 // graph (the ε-sweeps of Table 1), and the budget accountant already
@@ -19,12 +24,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 
 	"dpkron/internal/graph"
 )
 
-// Binary format ("DPKG", version 1):
+// Legacy binary format ("DPKG", version 1), decoded but never written:
 //
 //	magic    [4]byte  "DPKG"
 //	version  uvarint  (1)
@@ -37,10 +41,9 @@ import (
 //
 // Only the upper adjacency (u < w) is stored — half the CSR — and the
 // decoder rebuilds the symmetric form through the same two-pass fill
-// graph.Builder uses, so decode(encode(g)) is bit-identical to g. The
-// gap encoding keeps typical SKG adjacency to one or two bytes per
-// edge. The trailing checksum makes torn or bit-rotted files a typed
-// error instead of a silently wrong graph.
+// graph.Builder uses, so the decoded graph is bit-identical to the one
+// an older binary encoded. The trailing checksum makes torn or
+// bit-rotted files a typed error instead of a silently wrong graph.
 
 // Typed decode errors. Decode failures wrap exactly one of these, so
 // callers can distinguish wrong-file-type (ErrBadMagic) from damage
@@ -59,71 +62,6 @@ const (
 	codecVersion = 1
 	checksumLen  = sha256.Size
 )
-
-// upperRow returns the neighbours of u greater than u — the half v1
-// stores — by skipping the lower prefix of the sorted adjacency.
-func upperRow(g *graph.Graph, u int) []int32 {
-	nb := g.Neighbors(u)
-	i := 0
-	for i < len(nb) && int(nb[i]) <= u {
-		i++
-	}
-	return nb[i:]
-}
-
-// appendV1Row appends one node's count + gap varints to buf.
-func appendV1Row(buf []byte, u int, upper []int32) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(upper)))
-	prev := u
-	for _, w := range upper {
-		buf = binary.AppendUvarint(buf, uint64(int(w)-prev-1))
-		prev = int(w)
-	}
-	return buf
-}
-
-// uvarintLen returns the encoded size of x (1–10 bytes).
-func uvarintLen(x uint64) int {
-	return (bits.Len64(x|1) + 6) / 7
-}
-
-// marshaledSize returns the exact v1-encoded size of g, checksum
-// included, via a counting pass over the same rows Marshal writes.
-// The old pessimistic bound (4+30+n+5m) over-allocated roughly 2× on
-// typical SKG graphs — doubling peak encode memory for large graphs —
-// where gap varints are mostly a single byte.
-func marshaledSize(g *graph.Graph) int {
-	n := g.NumNodes()
-	m := g.NumEdges()
-	size := len(magic) + uvarintLen(codecVersion) + uvarintLen(uint64(n)) + uvarintLen(uint64(m))
-	for u := 0; u < n; u++ {
-		upper := upperRow(g, u)
-		size += uvarintLen(uint64(len(upper)))
-		prev := u
-		for _, w := range upper {
-			size += uvarintLen(uint64(int(w) - prev - 1))
-			prev = int(w)
-		}
-	}
-	return size + checksumLen
-}
-
-// Marshal encodes g in the binary DPKG format (version 1). The buffer
-// is sized exactly by a counting pass, so the returned slice's
-// capacity equals its length.
-func Marshal(g *graph.Graph) []byte {
-	n := g.NumNodes()
-	buf := make([]byte, 0, marshaledSize(g))
-	buf = append(buf, magic[:]...)
-	buf = binary.AppendUvarint(buf, codecVersion)
-	buf = binary.AppendUvarint(buf, uint64(n))
-	buf = binary.AppendUvarint(buf, uint64(g.NumEdges()))
-	for u := 0; u < n; u++ {
-		buf = appendV1Row(buf, u, upperRow(g, u))
-	}
-	sum := sha256.Sum256(buf)
-	return append(buf, sum[:]...)
-}
 
 // Unmarshal decodes a DPKG-encoded graph, verifying the checksum
 // before parsing. Damaged input returns an error wrapping one of the

@@ -42,7 +42,7 @@ func testGraphs(tb testing.TB) map[string]*graph.Graph {
 
 func TestCodecRoundTrip(t *testing.T) {
 	for name, g := range testGraphs(t) {
-		data := Marshal(g)
+		data := marshalV1(g)
 		back, err := Unmarshal(data)
 		if err != nil {
 			t.Errorf("%s: decode failed: %v", name, err)
@@ -70,7 +70,7 @@ func TestCodecBitIdenticalToTextParse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fromBinary, err := Unmarshal(Marshal(g))
+		fromBinary, err := Unmarshal(marshalV1(g))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestCodecCompact(t *testing.T) {
 	if err := g.WriteEdgeList(&text); err != nil {
 		t.Fatal(err)
 	}
-	bin := len(Marshal(g))
+	bin := len(marshalV1(g))
 	if bin*3 > text.Len() {
 		t.Errorf("binary form %d bytes vs text %d: want at least 3x smaller", bin, text.Len())
 	}
@@ -97,7 +97,7 @@ func TestCodecCompact(t *testing.T) {
 
 func TestCodecErrors(t *testing.T) {
 	g := graph.FromEdges(6, [][2]int{{0, 1}, {1, 2}, {2, 5}, {0, 3}})
-	good := Marshal(g)
+	good := marshalV1(g)
 
 	t.Run("truncation", func(t *testing.T) {
 		// Every proper prefix must fail cleanly — typed, never a panic.

@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/binary"
@@ -155,6 +154,13 @@ func EncodeV2(w io.Writer, g *graph.Graph) error {
 	if len(off) == 0 {
 		off = []int32{0} // the zero Graph still writes a valid off[0]
 	}
+	return writeV2(w, n, m, off, func(w io.Writer) error { return writeInt32sLE(w, adj) })
+}
+
+// writeV2 frames a v2 file onto w: the header, the offsets, the
+// padding up to adjPos, the 2m adjacency entries writeAdj streams, and
+// the trailing checksum over all of it.
+func writeV2(w io.Writer, n, m int, off []int32, writeAdj func(io.Writer) error) error {
 	h := sha256.New()
 	bw := bufio.NewWriterSize(w, 1<<16)
 	mw := io.MultiWriter(bw, h)
@@ -165,13 +171,12 @@ func EncodeV2(w io.Writer, g *graph.Graph) error {
 		return err
 	}
 	adjPos, _ := v2Layout(n, m)
-	pad := adjPos - int64(v2HeaderLen) - 4*int64(n+1)
-	if pad > 0 {
+	if pad := adjPos - int64(v2HeaderLen) - 4*int64(n+1); pad > 0 {
 		if _, err := mw.Write(make([]byte, pad)); err != nil {
 			return err
 		}
 	}
-	if err := writeInt32sLE(mw, adj); err != nil {
+	if err := writeAdj(mw); err != nil {
 		return err
 	}
 	if _, err := bw.Write(h.Sum(nil)); err != nil {
@@ -198,20 +203,6 @@ func writeInt32sLE(w io.Writer, vals []int32) error {
 		vals = vals[len(chunk):]
 	}
 	return nil
-}
-
-// MarshalV2 encodes g in the v2 mmap layout.
-func MarshalV2(g *graph.Graph) []byte {
-	_, size := v2Layout(g.NumNodes(), g.NumEdges())
-	var buf bytes.Buffer
-	buf.Grow(int(size))
-	if err := EncodeV2(&buf, g); err != nil {
-		// bytes.Buffer writes cannot fail; the only error source is the
-		// edge-count limit, which the int-typed NumEdges cannot reach on
-		// a graph that was buildable in memory.
-		panic(err)
-	}
-	return buf.Bytes()
 }
 
 // decodeV2Payload decodes the v2 sections onto the heap. payload is

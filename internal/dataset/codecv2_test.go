@@ -17,7 +17,7 @@ import (
 func TestV2RoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	for name, g := range testGraphs(t) {
-		data := MarshalV2(g)
+		data := marshalV2(g)
 		if v, err := Version(data); err != nil || v != 2 {
 			t.Fatalf("%s: Version = %d, %v", name, v, err)
 		}
@@ -52,7 +52,7 @@ func TestV2RoundTrip(t *testing.T) {
 // deterministic byte for byte.
 func TestV2CrossVersion(t *testing.T) {
 	for name, g := range testGraphs(t) {
-		v1, v2 := Marshal(g), MarshalV2(g)
+		v1, v2 := marshalV1(g), marshalV2(g)
 		g1, err := Unmarshal(v1)
 		if err != nil {
 			t.Fatal(err)
@@ -64,10 +64,10 @@ func TestV2CrossVersion(t *testing.T) {
 		if !g1.Equal(g2) {
 			t.Errorf("%s: v1 and v2 decodes differ", name)
 		}
-		if !bytes.Equal(MarshalV2(g1), v2) {
+		if !bytes.Equal(marshalV2(g1), v2) {
 			t.Errorf("%s: v1 -> v2 transcode is not deterministic", name)
 		}
-		if !bytes.Equal(Marshal(g2), v1) {
+		if !bytes.Equal(marshalV1(g2), v1) {
 			t.Errorf("%s: v2 -> v1 transcode is not deterministic", name)
 		}
 	}
@@ -78,7 +78,7 @@ func TestV2CrossVersion(t *testing.T) {
 // OpenMapped never a SIGBUS from trusting a forged header.
 func TestV2HostileInputs(t *testing.T) {
 	g := testGraphs(t)["skg-k10"]
-	good := MarshalV2(g)
+	good := marshalV2(g)
 	dir := t.TempDir()
 
 	// check runs a mutated file through both decode entries.

@@ -11,8 +11,8 @@ import (
 // TestStorePutInjectedFaults fails each point of Put's two atomic
 // writes (graph payload, then metadata sidecar) and asserts a failed
 // import is reported and never half-visible: the id either resolves to
-// the complete graph or to ErrNotFound, and a retry after the fault
-// clears succeeds.
+// the complete graph or to ErrNotFound, no temporary file is left, and
+// a retry after the fault clears succeeds.
 func TestStorePutInjectedFaults(t *testing.T) {
 	faults := []struct {
 		name  string
@@ -38,6 +38,7 @@ func TestStorePutInjectedFaults(t *testing.T) {
 			if _, _, err := s.Put(g, "toy", "generated"); !errors.Is(err, faultfs.ErrInjected) {
 				t.Fatalf("Put under %s fault: %v, want ErrInjected", tc.name, err)
 			}
+			assertNoTmp(t, dir)
 			// Retry with the fault cleared: the import completes and the
 			// graph round-trips.
 			m, _, err := s.Put(g, "toy", "generated")

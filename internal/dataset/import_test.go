@@ -28,7 +28,7 @@ func TestDecodeGraphFormats(t *testing.T) {
 	want := graph.FromEdges(4, [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
 	snap := "# toy\n0 1\n1 2\n0 2\n2 3\n"
 	mtx := "%%MatrixMarket matrix coordinate pattern symmetric\n% toy\n4 4 4\n1 2\n2 3\n1 3\n3 4\n"
-	bin := Marshal(want)
+	bin, binV2 := marshalV1(want), marshalV2(want)
 
 	for name, tc := range map[string]struct {
 		data []byte
@@ -40,6 +40,7 @@ func TestDecodeGraphFormats(t *testing.T) {
 		"mtx+gzip":  {gzipBytes(t, []byte(mtx)), "mtx+gzip"},
 		"dpkg":      {bin, FormatBinary},
 		"dpkg+gzip": {gzipBytes(t, bin), "dpkg+gzip"},
+		"dpkg-v2":   {binV2, FormatBinary},
 	} {
 		g, format, err := DecodeGraph(bytes.NewReader(tc.data), DecodeOptions{})
 		if err != nil {
@@ -103,8 +104,10 @@ func TestDecodeGraphMaxNodes(t *testing.T) {
 	}
 	// Binary inputs are also capped.
 	big := graph.Path(5000)
-	if _, _, err := DecodeGraph(bytes.NewReader(Marshal(big)), DecodeOptions{MaxNodes: 1000}); err == nil {
-		t.Error("dpkg over cap decoded successfully")
+	for _, bin := range [][]byte{marshalV1(big), marshalV2(big)} {
+		if _, _, err := DecodeGraph(bytes.NewReader(bin), DecodeOptions{MaxNodes: 1000}); err == nil {
+			t.Error("dpkg over cap decoded successfully")
+		}
 	}
 }
 

@@ -41,9 +41,11 @@ type Meta struct {
 	Imported time.Time `json:"imported"`
 	// Bytes is the size of the binary graph file.
 	Bytes int64 `json:"bytes"`
-	// Format is the DPKG layout version of the graph file: 1 (compact
-	// varint rows) or 2 (mmap-ready fixed-width CSR). 0 in metadata
-	// written before formats existed means 1.
+	// Format is the DPKG layout version of the graph file. The store
+	// writes only 2 (mmap-ready fixed-width CSR); 1 (compact varint
+	// rows) is the read-only legacy layout of datasets stored by older
+	// binaries, and 0 in metadata written before formats existed means
+	// 1.
 	Format int `json:"format,omitempty"`
 }
 
@@ -147,58 +149,61 @@ func (s *Store) lock() (unlock func(), err error) {
 
 // Put imports an in-memory graph under its content fingerprint and
 // returns the dataset's metadata plus whether it was newly created.
-// Importing a graph that is already stored is a no-op returning the
-// existing metadata (the id is content-addressed, so the bytes are
-// guaranteed identical); a half-deleted dataset — metadata surviving a
-// crash mid-Delete without its graph file, or vice versa — is
-// re-imported in full, not mistaken for stored.
+// The graph file is written in the v2 mmap layout, streamed straight
+// into the store (Load then opens it O(1) on unix). Importing a graph
+// that is already stored is a no-op returning the existing metadata
+// (the id is content-addressed, so the graph is guaranteed identical,
+// whatever layout its file has); a half-deleted dataset — metadata
+// surviving a crash mid-Delete without its graph file, or vice versa —
+// is re-imported in full, not mistaken for stored.
 func (s *Store) Put(g *graph.Graph, name, source string) (Meta, bool, error) {
-	return s.PutFormat(g, name, source, 1)
+	meta := Meta{
+		ID:     accountant.DatasetID(g),
+		Name:   name,
+		Nodes:  g.NumNodes(),
+		Edges:  g.NumEdges(),
+		Source: source,
+	}
+	return s.commit(meta, func(w io.Writer) error { return EncodeV2(w, g) })
 }
 
-// PutFormat is Put with an explicit DPKG layout version: 1 (compact,
-// the default) or 2 (mmap-ready; Load then opens it O(1) on unix).
-// The id is content-addressed over the graph, not the file bytes, so
-// both formats of the same graph share one id — and one budget
-// account.
+// PutFormat is Put for callers that name the layout, which must be 2:
+// the store writes only DPKG v2. It remains because the benchmark
+// module (bench/) calls PutFormat(g, name, source, 2).
 func (s *Store) PutFormat(g *graph.Graph, name, source string, format int) (Meta, bool, error) {
-	if format != 1 && format != 2 {
-		return Meta{}, false, fmt.Errorf("dataset: unknown format version %d (want 1 or 2)", format)
+	if format != codecVersion2 {
+		return Meta{}, false, fmt.Errorf("dataset: the store writes only DPKG v2, not v%d", format)
 	}
-	id := accountant.DatasetID(g)
+	return s.Put(g, name, source)
+}
+
+// commit is the store's one write path. Under the store lock it
+// returns the stored metadata when the dataset is already complete
+// (sidecar and graph file both present); otherwise it writes the graph
+// file atomically from encode, which must render meta's graph in the
+// v2 layout, and then the sidecar.
+func (s *Store) commit(meta Meta, encode func(io.Writer) error) (Meta, bool, error) {
 	unlock, err := s.lock()
 	if err != nil {
 		return Meta{}, false, fmt.Errorf("dataset: locking store: %w", err)
 	}
 	defer unlock()
-	if m, err := s.readMeta(id); err == nil {
-		if _, err := s.fs.Stat(s.graphPath(id)); err == nil {
+	path := s.graphPath(meta.ID)
+	if m, err := s.readMeta(meta.ID); err == nil {
+		if _, err := s.fs.Stat(path); err == nil {
 			return m, false, nil
 		}
 	}
-	var data []byte
-	if format == 2 {
-		data = MarshalV2(g)
-	} else {
-		data = Marshal(g)
-	}
-	if err := faultfs.WriteAtomic(s.fs, s.graphPath(id), s.graphPath(id), data); err != nil {
+	if err := faultfs.WriteAtomicFunc(s.fs, path, path, encode); err != nil {
 		return Meta{}, false, fmt.Errorf("dataset: %w", err)
 	}
-	m := Meta{
-		ID:       id,
-		Name:     name,
-		Nodes:    g.NumNodes(),
-		Edges:    g.NumEdges(),
-		Source:   source,
-		Imported: time.Now().UTC().Truncate(time.Second),
-		Bytes:    int64(len(data)),
-		Format:   format,
-	}
-	if err := s.writeMeta(m); err != nil {
+	meta.Imported = time.Now().UTC().Truncate(time.Second)
+	_, meta.Bytes = v2Layout(meta.Nodes, meta.Edges)
+	meta.Format = codecVersion2
+	if err := s.writeMeta(meta); err != nil {
 		return Meta{}, false, err
 	}
-	return m, true, nil
+	return meta, true, nil
 }
 
 // writeMeta persists a metadata sidecar atomically.
@@ -214,20 +219,14 @@ func (s *Store) writeMeta(m Meta) error {
 }
 
 // ImportReader streams a graph from r — SNAP text, gzip, Matrix
-// Market, or DPKG binary, auto-detected — into the store (stored in
-// the compact v1 layout).
+// Market, or DPKG binary of either version, auto-detected — into the
+// store, which writes it in the v2 layout.
 func (s *Store) ImportReader(r io.Reader, name string, opt DecodeOptions) (Meta, error) {
-	return s.ImportReaderFormat(r, name, opt, 1)
-}
-
-// ImportReaderFormat is ImportReader with an explicit on-disk layout
-// version (see PutFormat).
-func (s *Store) ImportReaderFormat(r io.Reader, name string, opt DecodeOptions, format int) (Meta, error) {
 	g, src, err := DecodeGraph(r, opt)
 	if err != nil {
 		return Meta{}, err
 	}
-	m, _, err := s.PutFormat(g, name, string(src), format)
+	m, _, err := s.Put(g, name, string(src))
 	return m, err
 }
 
@@ -373,70 +372,6 @@ func (s *Store) FileInfo(id string) (FileInfo, error) {
 		Bytes:  st.Size(),
 		Mmap:   version == codecVersion2 && mmapSupported,
 	}, nil
-}
-
-// Convert rewrites a stored dataset in the given DPKG layout version,
-// in place and atomically. The id is content-addressed over the graph,
-// not the file bytes, so it is unchanged; converting to the format the
-// file already has is a no-op. The decoded graph is verified against
-// its checksum before the old file is replaced.
-func (s *Store) Convert(id string, format int) (Meta, error) {
-	if format != 1 && format != 2 {
-		return Meta{}, fmt.Errorf("dataset: unknown format version %d (want 1 or 2)", format)
-	}
-	if !validID(id) {
-		return Meta{}, fmt.Errorf("%w: malformed id %q", ErrNotFound, id)
-	}
-	unlock, err := s.lock()
-	if err != nil {
-		return Meta{}, fmt.Errorf("dataset: locking store: %w", err)
-	}
-	defer unlock()
-	m, err := s.readMeta(id)
-	if err != nil {
-		return Meta{}, err
-	}
-	path := s.graphPath(id)
-	data, err := s.fs.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return Meta{}, fmt.Errorf("%w: %s", ErrNotFound, id)
-		}
-		return Meta{}, fmt.Errorf("dataset: loading %s: %w", id, err)
-	}
-	version, err := Version(data)
-	if err != nil {
-		return Meta{}, fmt.Errorf("dataset %s: %w", id, err)
-	}
-	if version == format {
-		m.Format = version // normalize pre-format metadata on the way out
-		return m, nil
-	}
-	g, err := Unmarshal(data)
-	if err != nil {
-		return Meta{}, fmt.Errorf("dataset %s: %w", id, err)
-	}
-	var out []byte
-	if format == 2 {
-		out = MarshalV2(g)
-	} else {
-		out = Marshal(g)
-	}
-	if err := faultfs.WriteAtomic(s.fs, path, path, out); err != nil {
-		return Meta{}, fmt.Errorf("dataset: %w", err)
-	}
-	m.Bytes = int64(len(out))
-	m.Format = format
-	if err := s.writeMeta(m); err != nil {
-		return Meta{}, err
-	}
-	// Drop any cached decode: a mapped graph would now be backed by a
-	// replaced file (the mapping itself stays valid — the old inode
-	// lives until unmapped — but fresh loads should see the new layout).
-	s.mu.Lock()
-	s.evictLocked(id)
-	s.mu.Unlock()
-	return m, nil
 }
 
 // Meta returns the stored metadata of a dataset.

@@ -154,36 +154,54 @@ func TestStoreUnknownAndMalformedIDs(t *testing.T) {
 	}
 }
 
+// TestStoreRejectsCorruptFile: damage to a stored graph file surfaces
+// on the next uncached load as a typed error, not a wrong graph. A
+// legacy v1 file is checksummed whole on every load, so a flip
+// anywhere is caught. A v2 file is mapped after O(1) validation, so
+// Load catches damage to its header, its length and its offset anchors
+// (TestV2HostileInputs covers each), but not a flip inside the
+// adjacency: that trade is the layout's (see codecv2.go).
 func TestStoreRejectsCorruptFile(t *testing.T) {
-	s := testStore(t)
-	m, _, err := s.Put(sampleGraph(t, 7), "x", "generated")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip a byte in the stored graph; the next (uncached) load must
-	// surface the checksum failure, not a wrong graph.
-	s2, err := Open(s.Dir()) // fresh handle: empty cache
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(s.Dir(), m.ID+graphExt)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 1
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.Load(m.ID); !errors.Is(err, ErrChecksum) {
-		t.Errorf("load of corrupt file: %v, want ErrChecksum", err)
-	}
-	// Truncation is likewise typed.
-	if err := os.WriteFile(path, data[:10], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.Load(m.ID); !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrChecksum) {
-		t.Errorf("load of truncated file: %v, want ErrTruncated/ErrChecksum", err)
+	for _, layout := range []string{"v1", "v2"} {
+		s := testStore(t)
+		g := sampleGraph(t, 7)
+		var id string
+		if layout == "v1" {
+			id = putLegacyV1(t, s, g, marshalV1(g))
+		} else {
+			m, _, err := s.Put(g, "x", "generated")
+			if err != nil {
+				t.Fatal(err)
+			}
+			id = m.ID
+		}
+		path := filepath.Join(s.Dir(), id+graphExt)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flip := len(data) / 2
+		if layout == "v2" {
+			flip = 8 // the node count, under the header's own checksum
+		}
+		data[flip] ^= 1
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s2, err := Open(s.Dir()) // fresh handle: empty cache
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s2.Load(id); !errors.Is(err, ErrChecksum) {
+			t.Errorf("%s: load of corrupt file: %v, want ErrChecksum", layout, err)
+		}
+		// Truncation is likewise typed.
+		if err := os.WriteFile(path, data[:10], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s2.Load(id); !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrChecksum) {
+			t.Errorf("%s: load of truncated file: %v, want ErrTruncated/ErrChecksum", layout, err)
+		}
 	}
 }
 

@@ -1,14 +1,11 @@
 package dataset
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"time"
 
 	"dpkron/internal/extsort"
 )
@@ -97,62 +94,11 @@ func (s *Store) putStream(src EdgeSource, name, source string, chunk int) (Meta,
 	h.Write(hbuf)
 	id := fmt.Sprintf("ds-%x", h.Sum(nil)[:8])
 
-	unlock, err := s.lock()
-	if err != nil {
-		return Meta{}, false, fmt.Errorf("dataset: locking store: %w", err)
-	}
-	defer unlock()
-	if meta, err := s.readMeta(id); err == nil {
-		if _, err := s.fs.Stat(s.graphPath(id)); err == nil {
-			return meta, false, nil
-		}
-	}
-
 	for i := 0; i < n; i++ { // degree counts -> prefix sums
 		off[i+1] += off[i]
 	}
-
-	tmp := s.graphPath(id) + ".tmp"
-	f, err := s.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return Meta{}, false, fmt.Errorf("dataset: writing %s: %w", tmp, err)
-	}
-	commit := false
-	defer func() {
-		if !commit {
-			f.Close()
-			s.fs.Remove(tmp)
-		}
-	}()
-	if err := writeV2Stream(f, src, n, m, off, 2*chunk); err != nil {
-		return Meta{}, false, fmt.Errorf("dataset: writing %s: %w", tmp, err)
-	}
-	if err := f.Sync(); err != nil {
-		return Meta{}, false, fmt.Errorf("dataset: syncing %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		return Meta{}, false, fmt.Errorf("dataset: closing %s: %w", tmp, err)
-	}
-	if err := s.fs.Rename(tmp, s.graphPath(id)); err != nil {
-		return Meta{}, false, fmt.Errorf("dataset: committing %s: %w", s.graphPath(id), err)
-	}
-	commit = true
-
-	_, fileSize := v2Layout(n, m)
-	meta := Meta{
-		ID:       id,
-		Name:     name,
-		Nodes:    n,
-		Edges:    m,
-		Source:   source,
-		Imported: time.Now().UTC().Truncate(time.Second),
-		Bytes:    fileSize,
-		Format:   2,
-	}
-	if err := s.writeMeta(meta); err != nil {
-		return Meta{}, false, err
-	}
-	return meta, true, nil
+	meta := Meta{ID: id, Name: name, Nodes: n, Edges: m, Source: source}
+	return s.commit(meta, func(w io.Writer) error { return writeV2Stream(w, src, n, m, off, 2*chunk) })
 }
 
 // writeV2Stream renders a complete v2 file — header, offsets, padding,
@@ -164,44 +110,27 @@ func (s *Store) putStream(src EdgeSource, name, source string, chunk int) (Meta,
 // comes out sorted: its lower neighbours arrive before its upper ones,
 // each in ascending order.
 func writeV2Stream(w io.Writer, src EdgeSource, n, m int, off []int32, budget int) error {
-	h := sha256.New()
-	bw := bufio.NewWriterSize(w, 1<<16)
-	mw := io.MultiWriter(bw, h)
-	if _, err := mw.Write(v2Header(n, m)); err != nil {
-		return err
-	}
-	if err := writeInt32sLE(mw, off); err != nil {
-		return err
-	}
-	adjPos, _ := v2Layout(n, m)
-	if pad := adjPos - int64(v2HeaderLen) - 4*int64(n+1); pad > 0 {
-		if _, err := mw.Write(make([]byte, pad)); err != nil {
-			return err
+	return writeV2(w, n, m, off, func(w io.Writer) error {
+		buf := make([]int32, min(budget, n+2*m))
+		for r0, r1 := 0, 0; r0 < n; r0 = r1 {
+			r1 = r0 + 1
+			for r1 < n && int(off[r1+1]-off[r0])+r1+1-r0 <= budget {
+				r1++
+			}
+			if need := int(off[r1]-off[r0]) + r1 - r0; need > len(buf) {
+				buf = make([]int32, need)
+			}
+			cur, adj := buf[:r1-r0], buf[r1-r0:r1-r0+int(off[r1]-off[r0])]
+			copy(cur, off[r0:r1])
+			if err := fillWindow(src, n, off, r0, r1, cur, adj); err != nil {
+				return err
+			}
+			if err := writeInt32sLE(w, adj); err != nil {
+				return err
+			}
 		}
-	}
-
-	buf := make([]int32, min(budget, n+2*m))
-	for r0, r1 := 0, 0; r0 < n; r0 = r1 {
-		r1 = r0 + 1
-		for r1 < n && int(off[r1+1]-off[r0])+r1+1-r0 <= budget {
-			r1++
-		}
-		if need := int(off[r1]-off[r0]) + r1 - r0; need > len(buf) {
-			buf = make([]int32, need)
-		}
-		cur, adj := buf[:r1-r0], buf[r1-r0:r1-r0+int(off[r1]-off[r0])]
-		copy(cur, off[r0:r1])
-		if err := fillWindow(src, n, off, r0, r1, cur, adj); err != nil {
-			return err
-		}
-		if err := writeInt32sLE(mw, adj); err != nil {
-			return err
-		}
-	}
-	if _, err := bw.Write(h.Sum(nil)); err != nil {
-		return err
-	}
-	return bw.Flush()
+		return nil
+	})
 }
 
 // fillWindow makes one pass over src placing the neighbours of rows

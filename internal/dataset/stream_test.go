@@ -61,16 +61,27 @@ func (s *sliceEdgeSource) NumNodes() int { return s.n }
 
 func (s *sliceEdgeSource) Edges() (*extsort.Iterator, error) { return s.run.Iter() }
 
-// TestPutStreamMatchesPut: the streaming ingest is a drop-in for
-// PutFormat(v2) — same content-addressed id, same metadata, and the
-// same file bytes, for every spill chunk size.
+// TestPutStreamMatchesPut: the streaming ingest is a drop-in for Put —
+// same content-addressed id, same metadata, and the same file bytes as
+// EncodeV2, for every spill chunk size.
 func TestPutStreamMatchesPut(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		if g.NumNodes() == 0 {
 			continue // DatasetID of the empty graph is fine, but Put covers it
 		}
 		wantID := accountant.DatasetID(g)
-		wantBytes := MarshalV2(g)
+		wantBytes := marshalV2(g)
+		pst, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		put, _, err := pst.Put(g, "s", "streamed")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if putBytes, err := os.ReadFile(pst.graphPath(put.ID)); err != nil || !bytes.Equal(putBytes, wantBytes) {
+			t.Fatalf("%s: Put's file differs from EncodeV2 (err %v)", name, err)
+		}
 		for _, chunk := range []int{7, extsort.DefaultChunk} {
 			st, err := Open(t.TempDir())
 			if err != nil {
@@ -89,12 +100,15 @@ func TestPutStreamMatchesPut(t *testing.T) {
 			if m.Nodes != g.NumNodes() || m.Edges != g.NumEdges() || m.Format != 2 {
 				t.Fatalf("%s: meta %+v does not describe the graph", name, m)
 			}
+			if m.Imported = put.Imported; m != put {
+				t.Fatalf("%s: streamed meta %+v, Put's %+v", name, m, put)
+			}
 			onDisk, err := os.ReadFile(st.graphPath(m.ID))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(onDisk, wantBytes) {
-				t.Fatalf("%s (chunk %d): streamed v2 file differs from MarshalV2", name, chunk)
+				t.Fatalf("%s (chunk %d): streamed v2 file differs from EncodeV2", name, chunk)
 			}
 			back, err := st.Load(m.ID)
 			if err != nil {
@@ -151,7 +165,7 @@ type topUpSource struct {
 func (s *topUpSource) Edges() (*extsort.Iterator, error) { return s.run.IterWith(s.extra) }
 
 // TestPutStreamWindows: the row-windowed adjacency is byte-identical to
-// MarshalV2, with DatasetID's id, for windows of a few rows, for a hub
+// EncodeV2, with DatasetID's id, for windows of a few rows, for a hub
 // whose degree exceeds the window (it gets a window of its own), and
 // for graphs with isolated rows.
 func TestPutStreamWindows(t *testing.T) {
@@ -190,8 +204,8 @@ func TestPutStreamWindows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(onDisk, MarshalV2(g)) {
-			t.Fatalf("%s (chunk %d): streamed v2 file differs from MarshalV2", tc.graph, tc.chunk)
+		if !bytes.Equal(onDisk, marshalV2(g)) {
+			t.Fatalf("%s (chunk %d): streamed v2 file differs from EncodeV2", tc.graph, tc.chunk)
 		}
 		// One counting pass, then one pass per window.
 		if passes := inj.Ops(faultfs.OpOpen, ".run") - opens; tc.windows > 0 && passes != 1+tc.windows {
@@ -298,7 +312,8 @@ func TestPutStreamFaults(t *testing.T) {
 			t.Errorf("%s: got %v, want ErrInjected", fault, err)
 		}
 		// Whatever failed, the store must not list a dataset whose graph
-		// file is absent or torn.
+		// file is absent or torn, nor keep a temporary file.
+		assertNoTmp(t, st.Dir())
 		list, err := st.List()
 		if err != nil {
 			t.Fatal(err)
@@ -312,7 +327,9 @@ func TestPutStreamFaults(t *testing.T) {
 }
 
 // TestStoreCacheBudget: heap-decoded graphs are evicted oldest-first
-// past the byte budget, while the newest entry always survives.
+// past the byte budget, while the newest entry always survives. Put
+// writes v2 files, which load mapped and cost the budget nothing, so
+// the heap entries come from legacy v1 files.
 func TestStoreCacheBudget(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
@@ -320,11 +337,8 @@ func TestStoreCacheBudget(t *testing.T) {
 	}
 	var ids []string
 	for i := 2; i <= 4; i++ {
-		m, _, err := st.Put(graph.Complete(100*i), "", "test")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, m.ID)
+		g := graph.Complete(100 * i)
+		ids = append(ids, putLegacyV1(t, st, g, marshalV1(g)))
 	}
 	for _, id := range ids {
 		if _, err := st.Load(id); err != nil {
@@ -369,6 +383,9 @@ func TestStoreMmapLoadAndCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, _, err := st.PutFormat(g, "v1", "test", 1); err == nil {
+		t.Fatal("PutFormat wrote a v1 file")
+	}
 	m, _, err := st.PutFormat(g, "v2", "test", 2)
 	if err != nil {
 		t.Fatal(err)
@@ -412,51 +429,5 @@ func TestStoreMmapLoadAndCache(t *testing.T) {
 	loaded.ForEachEdge(func(u, v int) { deg++ })
 	if deg != g.NumEdges() {
 		t.Fatalf("post-delete iteration saw %d edges, want %d", deg, g.NumEdges())
-	}
-}
-
-// TestStoreConvert exercises both conversion directions against the
-// same id and checks Load works after each rewrite.
-func TestStoreConvert(t *testing.T) {
-	g := testGraphs(t)["skg-balldrop"]
-	st, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, _, err := st.Put(g, "conv", "test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, format := range []int{2, 2, 1, 2, 1} { // includes no-op repeats
-		cm, err := st.Convert(m.ID, format)
-		if err != nil {
-			t.Fatalf("convert to v%d: %v", format, err)
-		}
-		if cm.ID != m.ID {
-			t.Fatalf("convert changed the id: %s -> %s", m.ID, cm.ID)
-		}
-		if cm.Format != format {
-			t.Fatalf("convert to v%d reported format %d", format, cm.Format)
-		}
-		fi, err := st.FileInfo(m.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fi.Format != format || fi.Bytes != cm.Bytes {
-			t.Fatalf("after convert to v%d: FileInfo %+v vs meta %+v", format, fi, cm)
-		}
-		back, err := st.Load(m.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !g.Equal(back) {
-			t.Fatalf("graph changed across conversion to v%d", format)
-		}
-	}
-	if _, err := st.Convert(m.ID, 3); err == nil {
-		t.Error("convert accepted an unknown format")
-	}
-	if _, err := st.Convert("ds-0000000000000000", 2); !errors.Is(err, ErrNotFound) {
-		t.Errorf("convert of a missing dataset: got %v, want ErrNotFound", err)
 	}
 }

@@ -95,29 +95,42 @@ func (osFS) MkdirAll(path string, perm fs.FileMode) error { return os.MkdirAll(p
 func (osFS) Truncate(name string, size int64) error       { return os.Truncate(name, size) }
 func (osFS) Now() time.Time                               { return time.Now() }
 
-// WriteAtomic writes data to path through a temporary sibling file —
-// write, fsync, close, then rename over path — so readers only ever
-// observe a complete file. Errors name the failed step and what is
-// being written ("syncing ledger: …"); callers prefix their package.
+// WriteAtomic writes data to path through a temporary sibling file;
+// see WriteAtomicFunc.
 func WriteAtomic(fsys FS, path, what string, data []byte) error {
+	return WriteAtomicFunc(fsys, path, what, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// WriteAtomicFunc streams write's output to path through a temporary
+// sibling file — write, fsync, close, then rename over path — so
+// readers only ever observe a complete file. On any failure path is
+// left as it was and the temporary file is removed. Errors name
+// the failed step and what is being written ("syncing ledger: …");
+// callers prefix their package.
+func WriteAtomicFunc(fsys FS, path, what string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("writing %s: %w", what, err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("writing %s: %w", what, err)
+	if err = write(f); err != nil {
+		err = fmt.Errorf("writing %s: %w", what, err)
+	} else if err = f.Sync(); err != nil {
+		err = fmt.Errorf("syncing %s: %w", what, err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("syncing %s: %w", what, err)
+	if cerr := f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("closing %s: %w", what, cerr)
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("closing %s: %w", what, err)
+	if err == nil {
+		if err = fsys.Rename(tmp, path); err != nil {
+			err = fmt.Errorf("committing %s: %w", what, err)
+		}
 	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		return fmt.Errorf("committing %s: %w", what, err)
+	if err != nil {
+		fsys.Remove(tmp) // best effort: err is what the caller must see
 	}
-	return nil
+	return err
 }

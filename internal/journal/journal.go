@@ -388,24 +388,8 @@ func (j *Journal) Compact(keep func(job string) bool) error {
 	}
 	// tmp + fsync + atomic rename: a crash mid-compaction leaves either
 	// the old journal or the new, never a mix.
-	tmp := j.path + ".tmp"
-	f, err := j.fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	if err := faultfs.WriteAtomic(j.fsys, j.path, "journal", data); err != nil {
 		return fmt.Errorf("journal: compacting %s: %w", j.path, err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: compacting %s: %w", j.path, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: syncing compacted %s: %w", j.path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("journal: closing compacted %s: %w", j.path, err)
-	}
-	if err := j.fsys.Rename(tmp, j.path); err != nil {
-		return fmt.Errorf("journal: committing compacted %s: %w", j.path, err)
 	}
 	j.f.Close()
 	nf, err := j.fsys.OpenFile(j.path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)

@@ -2,6 +2,7 @@ package release
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -53,25 +54,26 @@ func TestCachePutInjectedFaults(t *testing.T) {
 	}
 }
 
-// TestCacheTornEntryCountsAsMiss: a short write that does land (the
-// crash-mid-Put artifact a rename would have hidden, simulated by
-// renaming the torn tmp into place) must read as a miss, not a served
+// TestCacheTornEntryCountsAsMiss: an entry file holding only the first
+// bytes of an entry — what a crash mid-write leaves where the write is
+// not staged through a tmp file — must read as a miss, not a served
 // half-release.
 func TestCacheTornEntryCountsAsMiss(t *testing.T) {
-	inj := faultfs.NewInjector(faultfs.OS)
 	dir := filepath.Join(t.TempDir(), "cache")
-	c, err := OpenFS(inj, dir)
+	c, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := testKey(t)
-	// Torn write, then let the rename go through anyway: the entry file
-	// now holds half an entry.
-	inj.Fail(faultfs.Fault{Op: faultfs.OpWrite, Path: ".json.tmp", Short: 40})
-	if _, err := c.Put(key, testPayload{Initiator: []float64{0.9, 0.6, 0.6, 0.2}}); err == nil {
-		t.Fatal("torn Put reported success")
+	if _, err := c.Put(key, testPayload{Initiator: []float64{0.9, 0.6, 0.6, 0.2}}); err != nil {
+		t.Fatal(err)
 	}
-	if err := faultfs.OS.Rename(c.entryPath(key.Fingerprint())+".tmp", c.entryPath(key.Fingerprint())); err != nil {
+	path := c.entryPath(key.Fingerprint())
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:40], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	fresh, err := Open(dir)

@@ -18,6 +18,7 @@ import (
 	"dpkron/internal/dataset"
 	"dpkron/internal/dp"
 	"dpkron/internal/graph"
+	"dpkron/internal/mmapfile"
 	"dpkron/internal/randx"
 	"dpkron/internal/skg"
 )
@@ -625,6 +626,13 @@ func TestServerDatasetLifecycle(t *testing.T) {
 	if meta["source"] != "snap" || meta["name"] != "test-graph" {
 		t.Errorf("meta source/name = %v/%v", meta["source"], meta["name"])
 	}
+	// An upload is stored in the v2 layout, which Load maps where it can.
+	if meta["format"] != float64(2) {
+		t.Errorf("upload stored as format %v, want 2", meta["format"])
+	}
+	if fi, err := st.FileInfo(wantID); err != nil || fi.Format != 2 || fi.Mmap != mmapfile.Supported {
+		t.Errorf("uploaded file: %+v, %v; want v2, mmap %v", fi, err, mmapfile.Supported)
+	}
 
 	// Same bytes again: idempotent 200, same id.
 	code, meta2 := upload(t, ts.URL, []byte(edges), nil)
@@ -960,7 +968,7 @@ func TestServerGenerateStoreRoutesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta, _, err := st.PutFormat(must(m.SampleCtx(nil, randx.New(req.Seed))), req.Name, "generated", 2)
+	meta, _, err := st.Put(must(m.SampleCtx(nil, randx.New(req.Seed))), req.Name, "generated")
 	if err != nil {
 		t.Fatal(err)
 	}
