@@ -11,17 +11,24 @@ import (
 	"dpkron/internal/skg"
 )
 
-// printPrivateFit renders a private fit from its release payload, so a
-// cold fit and a cache-served one print the same lines and scripts
-// parsing the output cannot tell them apart.
-func printPrivateFit(fr server.FitResult) {
+// printFit renders a fit from its result payload, so a cold private
+// fit and a cache-served one print the same lines and scripts parsing
+// the output cannot tell them apart.
+func printFit(fr server.FitResult) {
 	init := skg.Initiator{A: fr.Initiator.A, B: fr.Initiator.B, C: fr.Initiator.C}
-	fmt.Printf("private initiator: %s  (k=%d, %s)\n", init, fr.K, *fr.Privacy)
-	if f := fr.Features; f != nil {
-		fmt.Printf("private features:  E=%.1f H=%.1f T=%.1f Delta=%.1f\n", f.E, f.H, f.T, f.Delta)
-	}
-	for _, c := range fr.Receipt.Charges {
-		fmt.Printf("  budget: %-40s %s %s\n", c.Query, c.Mechanism, c.Budget())
+	switch fr.Method {
+	case "mom":
+		fmt.Printf("KronMom initiator: %s  (k=%d, objective=%.3g)\n", init, fr.K, *fr.Objective)
+	case "mle":
+		fmt.Printf("KronFit initiator: %s  (k=%d, ll=%.1f)\n", init, fr.K, *fr.LogLikelihood)
+	default:
+		fmt.Printf("private initiator: %s  (k=%d, %s)\n", init, fr.K, *fr.Privacy)
+		if f := fr.Features; f != nil {
+			fmt.Printf("private features:  E=%.1f H=%.1f T=%.1f Delta=%.1f\n", f.E, f.H, f.T, f.Delta)
+		}
+		for _, c := range fr.Receipt.Charges {
+			fmt.Printf("  budget: %-40s %s %s\n", c.Query, c.Mechanism, c.Budget())
+		}
 	}
 }
 

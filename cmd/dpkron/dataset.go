@@ -131,57 +131,62 @@ func cmdDataset(args []string) error {
 // loadGraph reads a graph for -in: a stored dataset id (when -store is
 // set and holds it), a file path, or stdin ("-"). File and stdin input
 // is format-sniffed — SNAP text, gzipped SNAP (.txt.gz), Matrix Market
-// and DPKG binary all load transparently. The read runs on its own
-// goroutine so a stalled producer (an upstream pipe that never closes)
-// cannot outlive the run's -timeout deadline; on cancellation the
-// goroutine is abandoned (the process is about to exit anyway).
-func loadGraph(run *pipeline.Run, path, storeDir string) (*graph.Graph, error) {
+// and DPKG binary all load transparently. The returned id is the stored
+// dataset's id (its content fingerprint) when -in named one, and empty
+// otherwise.
+// The read runs on its own goroutine so a stalled producer (an upstream
+// pipe that never closes) cannot outlive the run's -timeout deadline;
+// on cancellation the goroutine is abandoned (the process is about to
+// exit anyway).
+func loadGraph(run *pipeline.Run, path, storeDir string) (*graph.Graph, string, error) {
 	type loaded struct {
 		g   *graph.Graph
+		id  string
 		err error
 	}
 	ch := make(chan loaded, 1)
 	go func() {
-		g, err := loadGraphSync(path, storeDir)
-		ch <- loaded{g, err}
+		g, id, err := loadGraphSync(path, storeDir)
+		ch <- loaded{g, id, err}
 	}()
 	select {
 	case l := <-ch:
-		return l.g, l.err
+		return l.g, l.id, l.err
 	case <-run.Context().Done():
-		return nil, run.Err()
+		return nil, "", run.Err()
 	}
 }
 
-func loadGraphSync(path, storeDir string) (*graph.Graph, error) {
+func loadGraphSync(path, storeDir string) (*graph.Graph, string, error) {
 	if storeDir != "" {
 		st, err := dataset.Open(storeDir)
 		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
 		if st.Has(path) {
-			return st.Load(path)
+			g, err := st.Load(path)
+			return g, path, err
 		}
 		if strings.HasPrefix(path, "ds-") {
 			if _, statErr := os.Stat(path); statErr != nil {
-				return nil, fmt.Errorf("dataset %s not in store %s (and no such file): %w",
+				return nil, "", fmt.Errorf("dataset %s not in store %s (and no such file): %w",
 					path, storeDir, dataset.ErrNotFound)
 			}
 		}
 	} else if strings.HasPrefix(path, "ds-") {
 		if _, statErr := os.Stat(path); statErr != nil {
-			return nil, errors.New("-in looks like a dataset id; pass -store DIR to resolve it")
+			return nil, "", errors.New("-in looks like a dataset id; pass -store DIR to resolve it")
 		}
 	}
 	r := os.Stdin
 	if path != "-" {
 		f, err := os.Open(path)
 		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
 		defer f.Close()
 		r = f
 	}
 	g, _, err := dataset.DecodeGraph(r, dataset.DecodeOptions{})
-	return g, err
+	return g, "", err
 }

@@ -27,26 +27,20 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"dpkron/internal/server"
 )
 
 // jobView mirrors the server's job representation (internal/server
 // `view`); Result stays raw so `show` and `wait` can print it as the
 // server sent it.
 type jobView struct {
-	ID     string          `json:"id"`
-	Kind   string          `json:"kind"`
-	Status string          `json:"status"`
-	Stages []stageView     `json:"stages,omitempty"`
-	Result json.RawMessage `json:"result,omitempty"`
-	Error  string          `json:"error,omitempty"`
-}
-
-// stageView mirrors the server's StageProgress: one pipeline stage's
-// latest fraction and, once complete, its wall-clock duration.
-type stageView struct {
-	Stage   string  `json:"stage"`
-	Frac    float64 `json:"frac"`
-	Seconds float64 `json:"seconds,omitempty"`
+	ID     string                 `json:"id"`
+	Kind   string                 `json:"kind"`
+	Status string                 `json:"status"`
+	Stages []server.StageProgress `json:"stages,omitempty"`
+	Result json.RawMessage        `json:"result,omitempty"`
+	Error  string                 `json:"error,omitempty"`
 }
 
 func cmdJob(args []string) error {
@@ -222,7 +216,7 @@ func newStageStreamer(w io.Writer) *stageStreamer {
 	return &stageStreamer{w: w, last: map[string]float64{}}
 }
 
-func (s *stageStreamer) observe(stages []stageView) {
+func (s *stageStreamer) observe(stages []server.StageProgress) {
 	if s == nil {
 		return
 	}

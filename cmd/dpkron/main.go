@@ -39,7 +39,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -61,14 +60,9 @@ import (
 	"dpkron/internal/dataset"
 	"dpkron/internal/dp"
 	"dpkron/internal/experiments"
-	"dpkron/internal/extsort"
-	"dpkron/internal/graph"
 	"dpkron/internal/journal"
-	"dpkron/internal/kronfit"
-	"dpkron/internal/kronmom"
 	"dpkron/internal/obs"
 	"dpkron/internal/pipeline"
-	"dpkron/internal/randx"
 	"dpkron/internal/release"
 	"dpkron/internal/server"
 	"dpkron/internal/skg"
@@ -391,6 +385,9 @@ func cmdFigure(args []string) error {
 	return nil
 }
 
+// cmdFit runs the server's fit body (server.RunFit) in-process, on a
+// request normalized and keyed by the server's own rules, so a CLI fit
+// and a served one release, debit and memoize identically.
 func cmdFit(args []string) error {
 	fs := newFlagSet("fit")
 	in := fs.String("in", "", "edge-list file, - for stdin, or a stored dataset id with -store (required)")
@@ -419,14 +416,21 @@ func cmdFit(args []string) error {
 	if err := validateBudget(fs, *eps, *delta); err != nil {
 		return err
 	}
+	req := server.FitRequest{Method: *method, Eps: *eps, Delta: *delta, K: *k, Seed: *seed, Dataset: *dataset}
+	if err := req.Normalize(); err != nil {
+		return usagef(fs, "%v", err)
+	}
+	// Normalize reads a zero as an absent JSON field; a zero flag is
+	// the caller's explicit choice.
+	req.Seed, req.Delta = *seed, *delta
 	run, cancel := pf.newRun()
 	defer cancel()
-	g, err := loadGraph(run, *in, *storeDir)
+	g, storedID, err := loadGraph(run, *in, *storeDir)
 	if err != nil {
 		return err
 	}
 	logger.LogAttrs(context.Background(), slog.LevelInfo, "fit starting",
-		slog.String("method", strings.ToLower(*method)), slog.Float64("eps", *eps),
+		slog.String("method", req.Method), slog.Float64("eps", *eps),
 		slog.Float64("delta", *delta), slog.Int("k", *k), slog.Uint64("seed", *seed),
 		slog.Int("nodes", g.NumNodes()), slog.Int("edges", g.NumEdges()))
 	fitStart := time.Now()
@@ -434,92 +438,71 @@ func cmdFit(args []string) error {
 		logger.LogAttrs(context.Background(), slog.LevelInfo, "fit finished",
 			slog.Duration("duration", time.Since(fitStart)))
 	}()
-	rng := randx.New(*seed)
-	switch strings.ToLower(*method) {
-	case "private":
-		// Release cache: the question is keyed before any budget is
-		// debited or noise drawn, so a hit costs nothing — the rng above
-		// is never touched, mirroring the refusal-draws-no-noise
-		// guarantee of the accountant.
-		var rc *release.Cache
-		var relKey release.Key
-		if *relCacheDir != "" {
-			if rc, err = release.Open(*relCacheDir); err != nil {
-				return err
-			}
-			kk := *k
-			if kk <= 0 {
-				kk = kronmom.KForNodes(g.NumNodes())
-			}
-			relKey = release.KeyFor(accountant.DatasetID(g), *eps, *delta, kk, *seed, core.PlannedReceipt(*eps, *delta))
-			if e, ok := rc.Get(relKey); ok {
-				var fr server.FitResult
-				if err := json.Unmarshal(e.Payload, &fr); err == nil && fr.Privacy != nil && fr.Receipt != nil {
-					printPrivateFit(fr)
-					fmt.Printf("  release: %s stored %s (cached; no budget spent)\n",
-						e.Fingerprint, e.Stored.Format("2006-01-02T15:04:05Z"))
-					return nil
-				}
-			}
-		}
-		// Ledger enforcement mirrors the server: debit the full
-		// requested budget up front (Algorithm 1's schedule is
-		// data-independent), run under an accountant capped at exactly
-		// that debit, and never refund — a failed run may already have
-		// drawn noise.
-		var led *accountant.Ledger
-		ds := *dataset
-		if *ledgerPath != "" {
-			if led, err = accountant.Open(*ledgerPath); err != nil {
-				return err
-			}
-			if ds == "" {
-				ds = accountant.DatasetID(g)
-			}
-			if err := led.Spend(ds, core.PlannedReceipt(*eps, *delta)); err != nil {
-				return err
-			}
-		}
-		acc := accountant.New(nil).WithLimit(dp.Budget{Eps: *eps, Delta: *delta})
-		res, err := core.EstimateCtx(run, g, core.Options{Eps: *eps, Delta: *delta, K: *k, Rng: rng, Accountant: acc})
-		if err != nil {
+	// Only a private fit is keyed, debited and memoized. The content id
+	// keys the release and names the default ledger account; a stored
+	// dataset's id already is its fingerprint, and an input graph is
+	// hashed once, only when one of the two needs it.
+	private := req.Method == "private"
+	id := storedID
+	if id == "" && private && (*relCacheDir != "" || (*ledgerPath != "" && req.Dataset == "")) {
+		id = accountant.DatasetID(g)
+	}
+	// The question is keyed before any budget is debited or noise
+	// drawn, so a cache hit costs nothing.
+	var rc *release.Cache
+	var key *release.Key
+	if private && *relCacheDir != "" {
+		if rc, err = release.Open(*relCacheDir); err != nil {
 			return err
 		}
-		fr := server.PrivateFitResult(res, ds)
-		if rc != nil {
-			// Memoize the released result (the server's payload shape, so
-			// CLI and server fits share entries). Best-effort: a failed
-			// write costs future hits, not this run.
-			if _, err := rc.Put(relKey, fr); err != nil {
-				fmt.Fprintf(os.Stderr, "dpkron fit: caching release: %v\n", err)
-			}
+		key = server.ReleaseKey(&req, id, g.NumNodes())
+		e, _ := rc.Get(*key)
+		if fr, ok := server.DecodeRelease(e); ok {
+			printFit(fr)
+			fmt.Printf("  release: %s stored %s (cached; no budget spent)\n",
+				e.Fingerprint, e.Stored.Format("2006-01-02T15:04:05Z"))
+			return nil
 		}
-		printPrivateFit(fr)
-		if led != nil {
-			fmt.Printf("  ledger: dataset %s, remaining %s\n", ds, led.Remaining(ds))
-		}
-		if *pf.progress {
-			fmt.Fprintf(os.Stderr, "[budget] spent %s across %d mechanism charges\n",
-				res.Receipt.Total, len(res.Receipt.Charges))
-		}
-	case "mom":
-		res, err := kronmom.FitGraphCtx(run, g, *k, kronmom.Options{Rng: rng})
-		if err != nil {
+	}
+	// Debit the full requested budget up front (Algorithm 1's schedule
+	// is data-independent) and never refund: a failed run may already
+	// have drawn noise.
+	var led *accountant.Ledger
+	ds := req.Dataset
+	if private && *ledgerPath != "" {
+		if led, err = accountant.Open(*ledgerPath); err != nil {
 			return err
 		}
-		fmt.Printf("KronMom initiator: %s  (k=%d, objective=%.3g)\n", res.Init, res.K, res.Objective)
-	case "mle":
-		res, err := kronfit.FitCtx(run, g, kronfit.Options{K: *k, Rng: rng})
-		if err != nil {
+		if ds == "" {
+			ds = id
+		}
+		if err := led.Spend(ds, core.PlannedReceipt(req.Eps, req.Delta)); err != nil {
 			return err
 		}
-		fmt.Printf("KronFit initiator: %s  (k=%d, ll=%.1f)\n", res.Init, res.K, res.LogLikelihood)
-	default:
-		return usagef(fs, "unknown method %q", *method)
+	}
+	fr, err := server.RunFit(run, g, req, ds, nil)
+	if err != nil {
+		return err
+	}
+	if rc != nil {
+		// Best-effort: a failed write costs future hits, not this run.
+		if _, err := rc.Put(*key, fr); err != nil {
+			fmt.Fprintf(os.Stderr, "dpkron fit: caching release: %v\n", err)
+		}
+	}
+	printFit(fr)
+	if led != nil {
+		fmt.Printf("  ledger: dataset %s, remaining %s\n", ds, led.Remaining(ds))
+	}
+	if private && *pf.progress {
+		fmt.Fprintf(os.Stderr, "[budget] spent %s across %d mechanism charges\n",
+			*fr.Spent, len(fr.Receipt.Charges))
 	}
 	return nil
 }
 
+// cmdGenerate runs the server's generate body (server.Generate)
+// in-process. The HTTP per-request caps do not apply here.
 func cmdGenerate(args []string) error {
 	fs := newFlagSet("generate")
 	a := fs.Float64("a", 0.99, "initiator a")
@@ -539,46 +522,27 @@ func cmdGenerate(args []string) error {
 	if err != nil {
 		return err
 	}
+	if *out != "" && *storeDir != "" {
+		return usagef(fs, "-out and -store are mutually exclusive (use `dpkron dataset export` to get an edge list from the store)")
+	}
+	req := server.GenerateRequest{A: *a, B: *b, C: *c, K: *k, Seed: *seed, Method: *method, Name: *name}
+	if err := req.Normalize(); err != nil {
+		return usagef(fs, "%v", err)
+	}
+	req.Seed = *seed // a zero flag is an explicit seed, not an absent field
+	var st *dataset.Store
+	if *storeDir != "" {
+		if st, err = dataset.Open(*storeDir); err != nil {
+			return err
+		}
+	}
 	run, cancel := pf.newRun()
 	defer cancel()
-	rng := randx.New(*seed)
-	if *storeDir != "" {
-		// Generate-to-store streams the sampled edges through an external
-		// sort into the store's row-windowed v2 encoder: the edge set never
-		// materializes in memory, so k is bounded by disk, not RAM. The
-		// stored graph is bit-identical to the in-memory sampler's output
-		// for the same seed.
-		if *out != "" {
-			return usagef(fs, "-out and -store are mutually exclusive (use `dpkron dataset export` to get an edge list from the store)")
-		}
-		st, err := dataset.Open(*storeDir)
-		if err != nil {
-			return err
-		}
-		sorter, err := extsort.NewTemp(nil, 0)
-		if err != nil {
-			return err
-		}
-		defer sorter.RemoveAll()
-		var es *skg.EdgeStream
-		switch strings.ToLower(*method) {
-		case "exact":
-			es, err = m.StreamExactCtx(run, rng, sorter)
-		case "balldrop":
-			es, err = m.StreamBallDropCtx(run, rng, sorter)
-		case "auto":
-			es, err = m.StreamCtx(run, rng, sorter)
-		default:
-			return usagef(fs, "unknown method %q", *method)
-		}
-		if err != nil {
-			return err
-		}
-		defer es.Close()
-		meta, created, err := st.PutStream(es, *name, "generated")
-		if err != nil {
-			return err
-		}
+	g, meta, created, err := server.Generate(run, m, req, st)
+	if err != nil {
+		return err
+	}
+	if st != nil {
 		verb := "stored"
 		if !created {
 			verb = "already stored as"
@@ -586,20 +550,6 @@ func cmdGenerate(args []string) error {
 		fmt.Printf("%s %s: %d nodes, %d edges (v%d, %d bytes)\n",
 			verb, meta.ID, meta.Nodes, meta.Edges, meta.Format, meta.Bytes)
 		return nil
-	}
-	var g *graph.Graph
-	switch strings.ToLower(*method) {
-	case "exact":
-		g, err = m.SampleExactCtx(run, rng)
-	case "balldrop":
-		g, err = m.SampleBallDropCtx(run, rng)
-	case "auto":
-		g, err = m.SampleCtx(run, rng)
-	default:
-		return usagef(fs, "unknown method %q", *method)
-	}
-	if err != nil {
-		return err
 	}
 	w := os.Stdout
 	if *out != "" {
@@ -632,7 +582,7 @@ func cmdStats(args []string) error {
 	}
 	run, cancel := pf.newRun()
 	defer cancel()
-	g, err := loadGraph(run, *in, *storeDir)
+	g, _, err := loadGraph(run, *in, *storeDir)
 	if err != nil {
 		return err
 	}

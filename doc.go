@@ -64,6 +64,10 @@
 // runs, everyone gets its result, the ledger is debited once), and the
 // CLI takes the same directory via `fit -release-cache` and manages it
 // with `dpkron cache list|info|rm`. See ExampleOpenReleaseCache.
+// `dpkron fit` and `dpkron generate` run the server's fit and generate
+// bodies in-process, so a release either the CLI or the server writes
+// is the other's cache hit, and both draw the same graph for the same
+// request.
 //
 // The experiment harness that regenerates the paper's Table 1 and
 // Figures 1–4 lives in cmd/dpkron and the repository-root benchmarks.

@@ -101,7 +101,7 @@ func (m LaplaceVec) Charge(query string) Charge {
 	return Charge{Query: query, Mechanism: "laplace-vec", Sensitivity: m.Sens, Eps: m.Eps}
 }
 
-// Apply perturbs values (the input is not modified), drawing len(values)
+// Apply perturbs values in place and returns them, drawing len(values)
 // Laplace variates from rng, identically to dp.LaplaceVec.
 func (m LaplaceVec) Apply(values []float64, rng *randx.Rand) []float64 {
 	return dp.LaplaceVec(values, m.Sens, m.Eps, rng)

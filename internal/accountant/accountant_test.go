@@ -3,6 +3,7 @@ package accountant
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -147,8 +148,8 @@ func TestMechanismApplyMatchesDirectDraws(t *testing.T) {
 		t.Fatalf("Laplace: %v != %v", got, want)
 	}
 	vals := []float64{1, 2, 3, 4}
-	gotV := LaplaceVec{Sens: 2, Eps: 0.3}.Apply(vals, metered)
-	wantV := dp.LaplaceVec(vals, 2, 0.3, direct)
+	gotV := LaplaceVec{Sens: 2, Eps: 0.3}.Apply(slices.Clone(vals), metered)
+	wantV := dp.LaplaceVec(slices.Clone(vals), 2, 0.3, direct)
 	for i := range gotV {
 		if gotV[i] != wantV[i] {
 			t.Fatalf("LaplaceVec[%d]: %v != %v", i, gotV[i], wantV[i])

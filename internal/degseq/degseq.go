@@ -65,6 +65,8 @@ func PrivateAcc(acc *accountant.Accountant, g *graph.Graph, eps float64, rng *ra
 	if err := acc.Charge(Query, mech); err != nil {
 		return nil, err
 	}
+	// The exact sorted degrees are dead once noised: noise and project
+	// them in place, one n-length vector for the whole release.
 	out := mech.Apply(Sorted(g), rng)
 	isotonicInPlace(out)
 	return out, nil

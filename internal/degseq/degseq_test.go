@@ -3,6 +3,7 @@ package degseq
 import (
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -263,5 +264,41 @@ func TestSortedMatchesSortedDegrees(t *testing.T) {
 		if got := Sorted(g); !slices.Equal(got, want) {
 			t.Errorf("case %d: Sorted = %v, want %v", i, got, want)
 		}
+	}
+}
+
+// TestPrivateAccNoisesInPlace: the degree release allocates one
+// n-length float vector, the sorted degrees that Sorted returns, and
+// noises and projects it in place. Beyond Sorted it may allocate only
+// the isotonic projection's int32 block counts (4n bytes); a second
+// []float64 for the noised copy would add 8n more.
+func TestPrivateAccNoisesInPlace(t *testing.T) {
+	const n = 1 << 14
+	edges := make([][2]int, n)
+	for i := range edges {
+		edges[i] = [2]int{i, (i + 1) % n}
+	}
+	g := graph.FromEdges(n, edges)
+	rng := randx.New(1)
+	bytesPerCall := func(f func()) float64 {
+		const runs = 20
+		f()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	sorted := bytesPerCall(func() { Sorted(g) })
+	release := bytesPerCall(func() {
+		if _, err := PrivateAcc(nil, g, 0.5, rng); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if extra, limit := release-sorted, float64(4*n+1024); extra > limit {
+		t.Fatalf("PrivateAcc allocates %.0f bytes beyond Sorted's %.0f; want at most %.0f (n = %d)",
+			extra, sorted, limit, n)
 	}
 }

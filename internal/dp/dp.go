@@ -54,17 +54,18 @@ func Laplace(value, sensitivity, eps float64, rng *randx.Rand) float64 {
 	return value + rng.Laplace(sensitivity/eps)
 }
 
-// LaplaceVec perturbs a vector query with i.i.d. Laplace noise of scale
-// sensitivity/ε, where sensitivity is the L1 global sensitivity of the
-// whole vector. The input is not modified.
+// LaplaceVec perturbs a vector query in place with i.i.d. Laplace noise
+// of scale sensitivity/ε, where sensitivity is the L1 global
+// sensitivity of the whole vector, drawing one variate per coordinate
+// in index order. It overwrites values and returns it; a caller that
+// still needs the exact answers passes a copy.
 func LaplaceVec(values []float64, sensitivity, eps float64, rng *randx.Rand) []float64 {
 	checkParams(sensitivity, eps)
-	out := make([]float64, len(values))
 	scale := sensitivity / eps
-	for i, v := range values {
-		out[i] = v + rng.Laplace(scale)
+	for i := range values {
+		values[i] += rng.Laplace(scale)
 	}
-	return out
+	return values
 }
 
 func checkParams(sensitivity, eps float64) {

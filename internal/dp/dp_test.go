@@ -2,6 +2,7 @@ package dp
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -62,19 +63,27 @@ func TestLaplaceScaleMatchesSensitivityOverEps(t *testing.T) {
 
 func TestLaplaceVec(t *testing.T) {
 	rng := randx.New(3)
-	in := []float64{1, 2, 3}
+	exact := []float64{1, 2, 3}
+	in := slices.Clone(exact)
 	out := LaplaceVec(in, 1, 1000, rng) // tiny noise
 	if len(out) != 3 {
 		t.Fatal("length mismatch")
 	}
-	for i := range in {
-		if math.Abs(out[i]-in[i]) > 0.5 {
-			t.Fatalf("out[%d] = %v, want near %v", i, out[i], in[i])
+	for i := range exact {
+		if math.Abs(out[i]-exact[i]) > 0.5 {
+			t.Fatalf("out[%d] = %v, want near %v", i, out[i], exact[i])
 		}
 	}
-	// Input untouched.
-	if in[0] != 1 || in[1] != 2 || in[2] != 3 {
-		t.Fatal("input was modified")
+	// The noise lands in place: out is the input slice.
+	if &out[0] != &in[0] {
+		t.Fatal("LaplaceVec returned a new slice instead of noising in place")
+	}
+	// One draw per coordinate, in index order.
+	ref := randx.New(3)
+	for i, v := range exact {
+		if want := v + ref.Laplace(1.0/1000); out[i] != want {
+			t.Fatalf("out[%d] = %v, want %v", i, out[i], want)
+		}
 	}
 }
 

@@ -69,11 +69,12 @@ type FitRequest struct {
 // errNonPrivateByID refuses a non-private fit of a stored dataset.
 var errNonPrivateByID = errors.New(`a stored dataset (dataset_id) is fitted only by method "private", which the ledger debits; methods mom and mle release exact statistics and take an inline graph`)
 
-// normalize fills a request's defaults and checks the rules both
-// admission paths hold it to — handleFit before any store access,
-// journal record or job, and replay before a resume — so a journaled
-// request resumes only if a fresh one would be admitted.
-func (r *FitRequest) normalize() error {
+// Normalize fills a request's defaults and checks the rules every fit
+// is held to — handleFit before any store access, journal record or
+// job, replay before a resume, and `dpkron fit` before it loads its
+// graph — so a journaled request resumes only if a fresh one would be
+// admitted.
+func (r *FitRequest) Normalize() error {
 	if r.Method == "" {
 		r.Method = "private"
 	}
@@ -200,7 +201,7 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		s.decodeError(w, r, err)
 		return
 	}
-	if err := req.normalize(); err != nil {
+	if err := req.Normalize(); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -224,7 +225,7 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 			meta, err = s.opts.Datasets.Meta(req.DatasetID)
 		}
 		if err == nil {
-			key = releaseKey(&req, req.DatasetID, meta.Nodes)
+			key = ReleaseKey(&req, req.DatasetID, meta.Nodes)
 			lk := root.Child("release-cache-lookup")
 			s.flightMu.Lock()
 			handled := serve(*key)
@@ -249,7 +250,7 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		id = accountant.DatasetID(g)
 	}
 	if cached && key == nil {
-		key = releaseKey(&req, id, g.NumNodes())
+		key = ReleaseKey(&req, id, g.NumNodes())
 	}
 	reqJSON, _ := json.Marshal(&req)
 	spec := jobSpec{
@@ -307,9 +308,9 @@ func (s *Server) fitGates(method string) (cached, charged bool) {
 	return private && s.opts.Releases != nil, private && s.opts.Ledger != nil
 }
 
-// releaseKey is the release-cache key of a private fit of the dataset
+// ReleaseKey is the release-cache key of a private fit of the dataset
 // with the given content id and node count.
-func releaseKey(req *FitRequest, id string, nodes int) *release.Key {
+func ReleaseKey(req *FitRequest, id string, nodes int) *release.Key {
 	k := req.K
 	if k <= 0 {
 		k = kronmom.KForNodes(nodes)
@@ -432,59 +433,66 @@ func (s *Server) fitFn(fj fitJob, dataset string, remaining *dp.Budget, root *tr
 		if err != nil {
 			return nil, err
 		}
-		req := fj.req
-		rng := randx.New(req.Seed)
-		switch req.Method {
-		case "mom":
-			est, err := kronmom.FitGraphCtx(run, g, req.K, kronmom.Options{Rng: rng})
-			if err != nil {
-				return nil, err
-			}
-			return FitResult{
-				Method:    req.Method,
-				Initiator: InitiatorJSON{est.Init.A, est.Init.B, est.Init.C},
-				K:         est.K,
-				Objective: &est.Objective,
-			}, nil
-		case "mle":
-			res, err := kronfit.FitCtx(run, g, kronfit.Options{K: req.K, Rng: rng})
-			if err != nil {
-				return nil, err
-			}
-			return FitResult{
-				Method:        req.Method,
-				Initiator:     InitiatorJSON{res.Init.A, res.Init.B, res.Init.C},
-				K:             res.K,
-				LogLikelihood: &res.LogLikelihood,
-			}, nil
-		default: // private
-			// The per-run accountant caps the run at exactly the budget
-			// the ledger was debited for — a belt-and-braces guarantee
-			// that no mechanism can spend beyond the admission debit.
-			// Its observer turns every charge into a privacy-audit event
-			// on the job's trace.
-			acc := accountant.New(nil).
-				WithLimit(dp.Budget{Eps: req.Eps, Delta: req.Delta}).
-				WithObserver(auditObserver(root))
-			res, err := core.EstimateCtx(run, g, core.Options{
-				Eps: req.Eps, Delta: req.Delta, K: req.K, Rng: rng, Accountant: acc,
-			})
-			if err != nil {
-				return nil, err
-			}
-			out := PrivateFitResult(res, dataset)
-			if fj.relKey != nil {
-				// Memoize the release itself — before Remaining is filled,
-				// which reports ledger state, not part of the answer. A
-				// failed Put costs future hits, not this run's
-				// correctness.
-				psp := root.Child("release-cache-put")
-				_, _ = s.opts.Releases.Put(*fj.relKey, out)
-				psp.End()
-			}
-			out.Remaining = remaining
-			return out, nil
+		out, err := RunFit(run, g, fj.req, dataset, auditObserver(root))
+		if err != nil {
+			return nil, err
 		}
+		if fj.relKey != nil {
+			// Memoize the release itself — before Remaining is filled,
+			// which reports ledger state, not part of the answer. A
+			// failed Put costs future hits, not this run's correctness.
+			psp := root.Child("release-cache-put")
+			_, _ = s.opts.Releases.Put(*fj.relKey, out)
+			psp.End()
+		}
+		out.Remaining = remaining
+		return out, nil
+	}
+}
+
+// RunFit runs the fit req describes on g: the one implementation of
+// each method, behind POST /v1/fit and `dpkron fit` alike. req must be
+// normalized. A private fit runs under an accountant capped at exactly
+// the request's budget — the debit a ledger takes at admission — so no
+// mechanism can spend beyond it; observe, which may be nil, sees each
+// of its charges. dataset is the ledger account a private result
+// names.
+func RunFit(run *pipeline.Run, g *graph.Graph, req FitRequest, dataset string, observe accountant.Observer) (FitResult, error) {
+	rng := randx.New(req.Seed)
+	switch req.Method {
+	case "mom":
+		est, err := kronmom.FitGraphCtx(run, g, req.K, kronmom.Options{Rng: rng})
+		if err != nil {
+			return FitResult{}, err
+		}
+		return FitResult{
+			Method:    req.Method,
+			Initiator: InitiatorJSON{est.Init.A, est.Init.B, est.Init.C},
+			K:         est.K,
+			Objective: &est.Objective,
+		}, nil
+	case "mle":
+		res, err := kronfit.FitCtx(run, g, kronfit.Options{K: req.K, Rng: rng})
+		if err != nil {
+			return FitResult{}, err
+		}
+		return FitResult{
+			Method:        req.Method,
+			Initiator:     InitiatorJSON{res.Init.A, res.Init.B, res.Init.C},
+			K:             res.K,
+			LogLikelihood: &res.LogLikelihood,
+		}, nil
+	default: // private
+		acc := accountant.New(nil).
+			WithLimit(dp.Budget{Eps: req.Eps, Delta: req.Delta}).
+			WithObserver(observe)
+		res, err := core.EstimateCtx(run, g, core.Options{
+			Eps: req.Eps, Delta: req.Delta, K: req.K, Rng: rng, Accountant: acc,
+		})
+		if err != nil {
+			return FitResult{}, err
+		}
+		return PrivateFitResult(res, dataset), nil
 	}
 }
 
@@ -556,49 +564,109 @@ type GenerateResult struct {
 	Dataset *DatasetView `json:"dataset,omitempty"`
 }
 
+// Normalize fills a generate request's defaults (seed 1, method
+// auto) and applies the sampler rules every draw is held to, over HTTP
+// and in `dpkron generate`: the method is one of auto, exact and
+// balldrop, and a target, which only ball dropping can honour, must not
+// be negative and selects ball dropping under auto.
+func (r *GenerateRequest) Normalize() error {
+	if r.Seed == 0 {
+		r.Seed = 1
+	}
+	method := strings.ToLower(r.Method)
+	switch method {
+	case "":
+		method = "auto"
+	case "auto", "exact", "balldrop":
+	default:
+		return fmt.Errorf("unknown method %q (want auto, exact or balldrop)", r.Method)
+	}
+	switch {
+	case r.Target < 0:
+		return fmt.Errorf("target = %d is negative (0 = expected count)", r.Target)
+	case r.Target > 0 && method == "exact":
+		return errors.New("target applies to ball dropping; method exact cannot honour it")
+	case r.Target > 0:
+		method = "balldrop"
+	}
+	r.Method = method
+	return nil
+}
+
+// Generate draws the graph of model m that the normalized request req
+// describes: the one sampler choice behind POST /v1/generate and
+// `dpkron generate`. With st nil the sample is held in memory and
+// returned. Otherwise it spills through an external sort into one
+// sorted run, which the store's v2 encoder re-reads once per row
+// window — peak residency is O(n) offsets plus one window, not
+// O(edges) — and Generate returns the stored dataset's metadata and
+// whether this call created it. For the same seed both routes draw the
+// same graph.
+func Generate(run *pipeline.Run, m skg.Model, req GenerateRequest, st *dataset.Store) (*graph.Graph, dataset.Meta, bool, error) {
+	rng := randx.New(req.Seed)
+	if st == nil {
+		var g *graph.Graph
+		var err error
+		switch {
+		case req.Method == "exact":
+			g, err = m.SampleExactCtx(run, rng)
+		case req.Method == "balldrop" && req.Target > 0:
+			g, err = m.SampleBallDropNCtx(run, rng, req.Target)
+		case req.Method == "balldrop":
+			g, err = m.SampleBallDropCtx(run, rng)
+		default:
+			g, err = m.SampleCtx(run, rng)
+		}
+		return g, dataset.Meta{}, false, err
+	}
+	sorter, err := extsort.NewTemp(nil, 0)
+	if err != nil {
+		return nil, dataset.Meta{}, false, err
+	}
+	defer sorter.RemoveAll()
+	var es *skg.EdgeStream
+	switch {
+	case req.Method == "exact":
+		es, err = m.StreamExactCtx(run, rng, sorter)
+	case req.Method == "balldrop" && req.Target > 0:
+		es, err = m.StreamBallDropNCtx(run, rng, req.Target, sorter)
+	case req.Method == "balldrop":
+		es, err = m.StreamBallDropCtx(run, rng, sorter)
+	default:
+		es, err = m.StreamCtx(run, rng, sorter)
+	}
+	if err != nil {
+		return nil, dataset.Meta{}, false, err
+	}
+	defer es.Close()
+	meta, created, err := st.PutStream(es, req.Name, "generated")
+	return nil, meta, created, err
+}
+
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	var req GenerateRequest
 	if err := decodeJSON(w, r, &req); err != nil {
 		s.decodeError(w, r, err)
 		return
 	}
-	if req.Seed == 0 {
-		req.Seed = 1
-	}
-	method := strings.ToLower(req.Method)
-	if method == "" {
-		method = "auto"
-	}
-	switch method {
-	case "auto", "exact", "balldrop":
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown method %q (want auto, exact or balldrop)", req.Method))
+	if err := req.Normalize(); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	// Bound the work a generate job may pin a slot with, mirroring the
 	// fit endpoint's maxGraphNodes guard: K caps the CSR allocation
 	// (2^K nodes), the exact sampler additionally costs O(4^K) pair
 	// draws, and target caps the dedup/result size.
-	if req.K > maxGenerateK {
+	switch {
+	case req.K > maxGenerateK:
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("k = %d exceeds the per-request cap of %d", req.K, maxGenerateK))
 		return
-	}
-	if method == "exact" && req.K > maxExactK {
+	case req.Method == "exact" && req.K > maxExactK:
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("method exact is capped at k = %d (O(4^k) pair draws); use balldrop or auto", maxExactK))
-		return
-	}
-	switch {
-	case req.Target < 0:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("target = %d is negative (0 = expected count)", req.Target))
 		return
 	case req.Target > maxGenerateEdges:
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("target = %d exceeds the per-request cap of %d edges", req.Target, maxGenerateEdges))
 		return
-	case req.Target > 0 && method == "exact":
-		writeError(w, http.StatusBadRequest, "target applies to ball dropping; method exact cannot honour it")
-		return
-	case req.Target > 0:
-		method = "balldrop"
 	}
 	m, err := skg.NewModel(skg.Initiator{A: req.A, B: req.B, C: req.C}, req.K)
 	if err != nil {
@@ -619,40 +687,13 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		tr: tr, root: root,
 	}
 	spec.fn = func(run *pipeline.Run) (any, error) {
-		rng := randx.New(req.Seed)
-		var g *graph.Graph
+		g, meta, _, err := Generate(run, m, req, store)
+		if err != nil {
+			return nil, err
+		}
 		var res GenerateResult
 		if store != nil {
-			// Generate-to-store spills the sample through an external sort
-			// into one sorted run, which the store's v2 encoder re-reads
-			// once per row window — peak residency is O(n) offsets plus
-			// one window, not O(edges). The streamed samplers draw the
-			// same graph as the in-memory ones for this seed, and a
-			// returned edge list is read back from the stored file.
-			sorter, err := extsort.NewTemp(nil, 0)
-			if err != nil {
-				return nil, err
-			}
-			defer sorter.RemoveAll()
-			var es *skg.EdgeStream
-			switch {
-			case method == "exact":
-				es, err = m.StreamExactCtx(run, rng, sorter)
-			case method == "balldrop" && req.Target > 0:
-				es, err = m.StreamBallDropNCtx(run, rng, req.Target, sorter)
-			case method == "balldrop":
-				es, err = m.StreamBallDropCtx(run, rng, sorter)
-			default:
-				es, err = m.StreamCtx(run, rng, sorter)
-			}
-			if err != nil {
-				return nil, err
-			}
-			defer es.Close()
-			meta, _, err := store.PutStream(es, req.Name, "generated")
-			if err != nil {
-				return nil, err
-			}
+			// A returned edge list is read back from the stored file.
 			res = GenerateResult{Nodes: meta.Nodes, Edges: meta.Edges, Dataset: publicView(meta)}
 			if req.OmitEdges {
 				return res, nil
@@ -661,20 +702,6 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 				return nil, err
 			}
 		} else {
-			var err error
-			switch {
-			case method == "exact":
-				g, err = m.SampleExactCtx(run, rng)
-			case method == "balldrop" && req.Target > 0:
-				g, err = m.SampleBallDropNCtx(run, rng, req.Target)
-			case method == "balldrop":
-				g, err = m.SampleBallDropCtx(run, rng)
-			default:
-				g, err = m.SampleCtx(run, rng)
-			}
-			if err != nil {
-				return nil, err
-			}
 			res = GenerateResult{Nodes: g.NumNodes(), Edges: g.NumEdges()}
 		}
 		if !req.OmitEdges {

@@ -390,6 +390,58 @@ func TestServerCorruptReleaseRecomputed(t *testing.T) {
 	}
 }
 
+// TestServerReleaseWithoutReceiptIsMiss: a cache entry under the
+// question's key whose payload decodes as a FitResult but carries no
+// receipt is not a release. The server, like `dpkron fit`, reads it as
+// a miss: the fit runs and debits, and its release replaces the entry.
+func TestServerReleaseWithoutReceiptIsMiss(t *testing.T) {
+	led, rc, ts := newCacheServer(t, nil)
+
+	edges := testEdgeList(t, 7)
+	g, err := graph.ReadEdgeList(strings.NewReader(edges), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := accountant.DatasetID(g)
+	if err := led.SetBudget(ds, dp.Budget{Eps: 0.4, Delta: 0.01}); err != nil {
+		t.Fatal(err)
+	}
+	req := FitRequest{Method: "private", Eps: 0.4, Delta: 0.01, K: 7, Seed: 5, EdgeList: edges}
+	if err := req.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	// Hand-written: a private result with its guarantee but no receipt.
+	if _, err := rc.Put(*ReleaseKey(&req, ds, g.NumNodes()), map[string]any{
+		"method":    "private",
+		"initiator": map[string]float64{"a": 0.9, "b": 0.5, "c": 0.2},
+		"k":         7,
+		"privacy":   map[string]float64{"eps": 0.4, "delta": 0.01},
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	code, resp := doJSON(t, http.MethodPost, ts.URL+"/v1/fit", req)
+	if code != http.StatusAccepted {
+		t.Fatalf("fit over a receipt-less entry: status %d, want 202 (%v)", code, resp)
+	}
+	job := pollJob(t, ts.URL, resp["id"].(string), 60*time.Second)
+	if job["status"] != StatusDone {
+		t.Fatalf("fit ended %v", job["status"])
+	}
+	if result := job["result"].(map[string]any); result["receipt"] == nil || result["cached"] != nil {
+		t.Fatalf("fit result %v, want a fresh receipt-bearing release", result)
+	}
+	if acct, _ := led.Account(ds); len(acct.Receipts) != 1 {
+		t.Fatalf("%d ledger receipts, want the fit's one debit", len(acct.Receipts))
+	}
+
+	// The run's release replaced the entry: the question is now a hit.
+	code, resp = doJSON(t, http.MethodPost, ts.URL+"/v1/fit", req)
+	if code != http.StatusOK || resp["result"].(map[string]any)["cached"] != true {
+		t.Fatalf("repeat: status %d, want 200 cache hit (%v)", code, resp)
+	}
+}
+
 // TestServerFitByIDCacheHit: a repeated fit-by-dataset-id is answered
 // from the cache before the graph is even loaded — pinned by deleting
 // the stored dataset and asking again. The inferred power (k omitted)

@@ -27,8 +27,9 @@ type CachedFitResult struct {
 
 // PrivateFitResult converts a completed Algorithm 1 run into the fit
 // API's result payload — the same shape the release cache persists,
-// so a CLI fit and a server fit memoize interchangeably. Remaining is
-// left unset; the server's cold path fills it after the ledger debit.
+// so a CLI fit and a server fit memoize interchangeably
+// (TestCLIServerShareReleases in cmd/dpkron). Remaining is left unset;
+// the server's cold path fills it after the ledger debit.
 //
 // Every field is copied out of res: a pointer into res would keep the
 // whole core.Result — including its released degree sequence — alive
@@ -50,6 +51,19 @@ func PrivateFitResult(res *core.Result, dataset string) FitResult {
 	}
 }
 
+// DecodeRelease reads a release-cache entry, nil on a miss, as the
+// private fit it memoized. ok is false — the entry is a miss, to
+// recompute — unless its payload decodes as a FitResult carrying the
+// guarantee and the receipt every private release has. The server and
+// `dpkron fit` both read entries through it, so they agree on what a
+// hit is.
+func DecodeRelease(e *release.Entry) (fr FitResult, ok bool) {
+	if e == nil || json.Unmarshal(e.Payload, &fr) != nil {
+		return FitResult{}, false
+	}
+	return fr, fr.Privacy != nil && fr.Receipt != nil
+}
+
 // serveReleaseLocked answers a private fit request from the release
 // cache or an identical in-flight job, reporting whether the request
 // was handled. Callers hold s.flightMu, which makes the
@@ -64,16 +78,11 @@ func PrivateFitResult(res *core.Result, dataset string) FitResult {
 // caller receives the same job (202, or 200 once done), so every
 // waiter observes the same receipt-bearing result.
 func (s *Server) serveReleaseLocked(w http.ResponseWriter, key release.Key) bool {
-	if e, ok := s.opts.Releases.Get(key); ok {
-		var fr FitResult
-		if err := json.Unmarshal(e.Payload, &fr); err == nil {
-			j := s.completedJob("fit/private", CachedFitResult{FitResult: fr, Cached: true, Release: e.Fingerprint})
-			writeJSON(w, http.StatusOK, j.view())
-			return true
-		}
-		// A validated entry whose payload no longer decodes as a
-		// FitResult (a schema from some other tool): treat as a miss and
-		// recompute rather than serve an unusable answer.
+	e, _ := s.opts.Releases.Get(key)
+	if fr, ok := DecodeRelease(e); ok {
+		j := s.completedJob("fit/private", CachedFitResult{FitResult: fr, Cached: true, Release: e.Fingerprint})
+		writeJSON(w, http.StatusOK, j.view())
+		return true
 	}
 	if j := s.flights[key.Fingerprint()]; j != nil {
 		j.mu.Lock()

@@ -98,7 +98,7 @@ func (s *Server) resume(st *journal.JobState) {
 	// fresh one does: a by-id mom or mle fit that an older binary
 	// journaled is closed, not run.
 	req.Method = strings.TrimPrefix(st.Kind, "fit/")
-	if err := req.normalize(); err != nil {
+	if err := req.Normalize(); err != nil {
 		s.closeUnresumable(st, "journaled request refused: "+err.Error())
 		return
 	}
@@ -142,8 +142,10 @@ func (s *Server) resume(st *journal.JobState) {
 		// Cache-first: the release-cache Put precedes the done record,
 		// so a crash in between leaves finished, paid-for work. Serve
 		// it; recomputing would waste the compute (the debit already
-		// covers this exact release).
-		e, ok := s.opts.Releases.Get(key)
+		// covers this exact release). An entry a fresh fit would not
+		// serve is a miss.
+		e, _ := s.opts.Releases.Get(key)
+		_, ok := DecodeRelease(e)
 		if ok {
 			j := &job{id: st.Job, kind: st.Kind, cancel: func() {}, status: StatusDone, result: json.RawMessage(e.Payload)}
 			s.register(j)
