@@ -28,19 +28,19 @@ import (
 	"strings"
 	"time"
 
-	"dpkron/internal/server"
+	"dpkron/internal/trace"
 )
 
 // jobView mirrors the server's job representation (internal/server
 // `view`); Result stays raw so `show` and `wait` can print it as the
 // server sent it.
 type jobView struct {
-	ID     string                 `json:"id"`
-	Kind   string                 `json:"kind"`
-	Status string                 `json:"status"`
-	Stages []server.StageProgress `json:"stages,omitempty"`
-	Result json.RawMessage        `json:"result,omitempty"`
-	Error  string                 `json:"error,omitempty"`
+	ID     string          `json:"id"`
+	Kind   string          `json:"kind"`
+	Status string          `json:"status"`
+	Stages []trace.Stage   `json:"stages,omitempty"`
+	Result json.RawMessage `json:"result,omitempty"`
+	Error  string          `json:"error,omitempty"`
 }
 
 func cmdJob(args []string) error {
@@ -168,7 +168,7 @@ func jobWait(base, id string, timeout time.Duration, progress bool) error {
 	const maxDelay = 5 * time.Second
 	var stream *stageStreamer
 	if progress {
-		stream = newStageStreamer(os.Stderr)
+		stream = &stageStreamer{w: os.Stderr}
 	}
 	for {
 		v, retryAfter, err := jobGetRetryable(base, id)
@@ -201,50 +201,42 @@ func jobWait(base, id string, timeout time.Duration, progress bool) error {
 	}
 }
 
-// stageStreamer turns successive polled stage views into the CLI's
-// [stage] transition lines: first sight announces the stage, coarse
-// (>= 25%) fraction steps report progress, completion reports the
-// stage's wall-clock seconds. Polls that skip intermediate states
-// print only what the latest view shows — the stream is a digest,
-// not a replay. A nil streamer ignores everything.
+// stageStreamer is the CLI's one [stage] renderer. It turns
+// successive snapshots of a stage record — a served job's polled view,
+// or the in-process record of stageSink — into transition lines: first
+// sight announces the stage, coarse (>= 25%) fraction steps report
+// progress, completion reports the stage span's seconds. A stage
+// record only appends, so stages are known by position and a stage
+// that runs twice is announced twice. Snapshots that skip intermediate
+// states print only what the latest one shows — the stream is a
+// digest, not a replay. A nil streamer ignores everything.
 type stageStreamer struct {
 	w    io.Writer
-	last map[string]float64 // last printed frac; >= 1 means done printed
+	last []float64 // last printed frac per stage; >= 1 means done printed
 }
 
-func newStageStreamer(w io.Writer) *stageStreamer {
-	return &stageStreamer{w: w, last: map[string]float64{}}
-}
-
-func (s *stageStreamer) observe(stages []server.StageProgress) {
+func (s *stageStreamer) observe(stages []trace.Stage) {
 	if s == nil {
 		return
 	}
-	for _, st := range stages {
-		prev, seen := s.last[st.Stage]
-		switch {
+	for i, st := range stages {
+		if i == len(s.last) {
+			fmt.Fprintf(s.w, "[stage] %s ...\n", st.Name)
+			s.last = append(s.last, 0)
+		}
+		switch prev := s.last[i]; {
 		case prev >= 1:
 			// already reported done
 		case st.Frac >= 1:
-			if !seen {
-				fmt.Fprintf(s.w, "[stage] %s ...\n", st.Stage)
-			}
 			if st.Seconds > 0 {
-				fmt.Fprintf(s.w, "[stage] %s done (%.3fs)\n", st.Stage, st.Seconds)
+				fmt.Fprintf(s.w, "[stage] %s done (%.3fs)\n", st.Name, st.Seconds)
 			} else {
-				fmt.Fprintf(s.w, "[stage] %s done\n", st.Stage)
+				fmt.Fprintf(s.w, "[stage] %s done\n", st.Name)
 			}
-			s.last[st.Stage] = 1
-		case !seen:
-			fmt.Fprintf(s.w, "[stage] %s ...\n", st.Stage)
-			s.last[st.Stage] = 0
-			if st.Frac >= 0.25 {
-				fmt.Fprintf(s.w, "[stage] %s %3.0f%%\n", st.Stage, st.Frac*100)
-				s.last[st.Stage] = st.Frac
-			}
+			s.last[i] = 1
 		case st.Frac-prev >= 0.25:
-			fmt.Fprintf(s.w, "[stage] %s %3.0f%%\n", st.Stage, st.Frac*100)
-			s.last[st.Stage] = st.Frac
+			fmt.Fprintf(s.w, "[stage] %s %3.0f%%\n", st.Name, st.Frac*100)
+			s.last[i] = st.Frac
 		}
 	}
 }
@@ -299,7 +291,7 @@ func printJobVerbose(w *os.File, v *jobView, verbose bool) {
 	fmt.Fprintf(w, "job:    %s\nkind:   %s\nstatus: %s\n", v.ID, v.Kind, v.Status)
 	if verbose {
 		for _, st := range v.Stages {
-			line := fmt.Sprintf("stage:  %-28s %5.1f%%", st.Stage, st.Frac*100)
+			line := fmt.Sprintf("stage:  %-28s %5.1f%%", st.Name, st.Frac*100)
 			if st.Seconds > 0 {
 				line += fmt.Sprintf("  %.3fs", st.Seconds)
 			}

@@ -13,7 +13,7 @@
 //	dpkron sweep   [-dataset NAME] [-trials N]
 //	dpkron ssgrowth [-kmin K] [-kmax K]
 //	dpkron sscompare [-kmin K] [-kmax K]
-//	dpkron serve   [-addr HOST:PORT] [-max-jobs N] [-ledger FILE] [-store DIR] [-release-cache DIR] [-journal FILE] [-drain-timeout D] [-metrics-addr HOST:PORT] [-log-format text|json] [-log-level L]
+//	dpkron serve   [-addr HOST:PORT] [-max-jobs N] [-workers N] [-timeout D] [-ledger FILE] [-store DIR] [-release-cache DIR] [-journal FILE] [-drain-timeout D] [-metrics-addr HOST:PORT] [-log-format text|json] [-log-level L]
 //	dpkron job     <list|show|wait|trace|cancel> -server URL [-id ID] [-v] [-progress] [-chrome FILE]
 //	dpkron audit   <dataset> -ledger FILE [-journal FILE]
 //	dpkron budget  <show|set|reset> -ledger FILE [-dataset ID] [-eps E] [-delta D]
@@ -23,8 +23,12 @@
 //
 // Every long-running command accepts the shared pipeline flags:
 // -workers bounds parallelism (results are identical for any value),
-// -timeout aborts the run after a duration, and -progress streams
-// pipeline stage events to stderr. Commands reading -in accept "-" for
+// -timeout aborts the run after a duration, and -progress prints the
+// run's stage record to stderr — the spans a served job keeps, through
+// the renderer `job wait -progress` uses. serve takes -workers and
+// -timeout but no -progress: a served job's stage seconds are in its
+// `job finished` log record, `job wait -progress`, `job show -v` and
+// its trace. Commands reading -in accept "-" for
 // stdin, transparently gunzip (.txt.gz), and — given -store — resolve
 // stored dataset ids. Flag errors and missing required flags exit with
 // status 2 after printing usage; runtime failures exit 1.
@@ -51,7 +55,6 @@ import (
 	"os/signal"
 	"runtime"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -68,6 +71,7 @@ import (
 	"dpkron/internal/skg"
 	"dpkron/internal/stats"
 	"dpkron/internal/textplot"
+	"dpkron/internal/trace"
 )
 
 // version identifies the build; release builds overwrite it with
@@ -167,12 +171,12 @@ func validateBudget(fs *flag.FlagSet, eps, delta float64) error {
 
 // newRun materializes the pipeline Run for a command: a context that
 // dies on SIGINT/SIGTERM and after -timeout, the -workers budget, and
-// the -progress sink.
+// with -progress a sink printing the command's stage record.
 func (p pipeFlags) newRun() (*pipeline.Run, context.CancelFunc) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	var sink pipeline.Sink
 	if *p.progress {
-		sink = progressSink(os.Stderr, time.Now)
+		sink = stageSink(os.Stderr, trace.New(trace.Context{}).StageSpans(nil))
 	}
 	run, cancel := pipeline.WithTimeout(ctx, *p.timeout, *p.workers, sink)
 	return run, func() {
@@ -181,40 +185,14 @@ func (p pipeFlags) newRun() (*pipeline.Run, context.CancelFunc) {
 	}
 }
 
-// progressSink renders stage events as stderr lines: start, and done
-// with the stage's elapsed time (measured on now), for every stage,
-// plus intermediate fractions in >= 25% steps. The per-stage state is
-// dropped when a stage completes (and capped as a backstop) so a
-// long-lived `serve -progress` process, whose stage keys carry unique
-// job-id prefixes, does not grow without bound.
-func progressSink(w io.Writer, now func() time.Time) pipeline.Sink {
-	const maxOpen = 1024 // stages that never complete (cancelled jobs)
-	start := map[string]time.Time{}
-	last := map[string]float64{}
+// stageSink records a command's stage events in ss, the stage record
+// a served job keeps, and prints the record through the renderer
+// `job wait -progress` uses, so every seconds value is a span's.
+func stageSink(w io.Writer, ss *trace.StageSpans) pipeline.Sink {
+	stream := &stageStreamer{w: w}
 	return func(e pipeline.Event) {
-		switch {
-		case e.Frac <= 0:
-			if len(start) >= maxOpen {
-				clear(start)
-			}
-			start[e.Stage] = now()
-			fmt.Fprintf(w, "[stage] %s ...\n", e.Stage)
-		case e.Frac >= 1:
-			delete(last, e.Stage)
-			t0, ok := start[e.Stage]
-			delete(start, e.Stage)
-			if !ok {
-				fmt.Fprintf(w, "[stage] %s done\n", e.Stage)
-				return
-			}
-			fmt.Fprintf(w, "[stage] %s done (%.2fs)\n", e.Stage, now().Sub(t0).Seconds())
-		case e.Frac-last[e.Stage] >= 0.25:
-			if len(last) >= maxOpen {
-				clear(last)
-			}
-			last[e.Stage] = e.Frac
-			fmt.Fprintf(w, "[stage] %s %3.0f%%\n", e.Stage, e.Frac*100)
-		}
+		ss.Observe(e.Stage, e.Frac)
+		stream.observe(ss.Stages())
 	}
 }
 
@@ -296,7 +274,7 @@ commands:
   datasets   list the built-in evaluation datasets
   version    print the build version
 
-shared flags (all long-running commands):
+shared flags (all long-running commands; serve takes no -progress):
   -workers N     parallelism bound (results identical for any N)
   -timeout D     abort after duration D (e.g. 90s, 5m)
   -progress      print pipeline stage progress to stderr
@@ -423,6 +401,11 @@ func cmdFit(args []string) error {
 	// Normalize reads a zero as an absent JSON field; a zero flag is
 	// the caller's explicit choice.
 	req.Seed, req.Delta = *seed, *delta
+	// The triangle release's smooth sensitivity needs δ > 0: refuse a
+	// private δ = 0 before any graph, ledger or release cache is opened.
+	if req.Method == "private" && req.Delta <= 0 {
+		return usagef(fs, "a private fit needs -delta > 0 (got %g)", req.Delta)
+	}
 	run, cancel := pf.newRun()
 	defer cancel()
 	g, storedID, err := loadGraph(run, *in, *storeDir)
@@ -715,8 +698,11 @@ func cmdServe(args []string) error {
 		"on SIGINT/SIGTERM, how long running jobs may finish before being cancelled")
 	metricsAddr := fs.String("metrics-addr", "",
 		"serve /metrics and /debug/pprof/ on this separate operator listener, never on -addr")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0),
+		"total worker budget, split across running jobs (results are worker-count invariant)")
+	timeout := fs.Duration("timeout", 0,
+		"stop serving after this duration, draining like SIGTERM (0 = no limit)")
 	lf := addLogFlags(fs, "info")
-	pf := addPipeFlags(fs) // -workers, -timeout (server lifetime), -progress (job event log)
 	if err := parse(fs, args); err != nil {
 		return err
 	}
@@ -725,7 +711,7 @@ func cmdServe(args []string) error {
 		return err
 	}
 	opts := server.Options{
-		Workers: *pf.workers, MaxJobs: *maxJobs, MaxQueue: *maxQueue, MaxHistory: *maxHistory,
+		Workers: *workers, MaxJobs: *maxJobs, MaxQueue: *maxQueue, MaxHistory: *maxHistory,
 		Logger: logger,
 	}
 	if *metricsAddr != "" {
@@ -769,17 +755,6 @@ func cmdServe(args []string) error {
 		opts.Journal = jnl
 		fmt.Fprintf(os.Stderr, "dpkron serve: journaling jobs to %s\n", jnl.Path())
 	}
-	if *pf.progress {
-		// Event streams are serialized per job but concurrent across
-		// jobs; one mutex keeps the shared stderr renderer safe.
-		var mu sync.Mutex
-		sink := progressSink(os.Stderr, time.Now)
-		opts.EventLog = func(jobID string, e pipeline.Event) {
-			mu.Lock()
-			defer mu.Unlock()
-			sink(pipeline.Event{Stage: jobID + "/" + e.Stage, Frac: e.Frac})
-		}
-	}
 	srv := server.New(opts)
 	defer srv.Close()
 	// Listen before serving so -addr :0 (ephemeral port) reports the
@@ -816,14 +791,14 @@ func cmdServe(args []string) error {
 	// batch drivers); SIGINT/SIGTERM always shut down gracefully.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if *pf.timeout > 0 {
+	if *timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *pf.timeout)
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
 	errCh := make(chan error, 1)
 	fmt.Fprintf(os.Stderr, "dpkron serve: listening on http://%s (max-jobs=%d, workers=%d)\n",
-		ln.Addr(), *maxJobs, *pf.workers)
+		ln.Addr(), *maxJobs, *workers)
 	go func() {
 		errCh <- httpSrv.Serve(ln)
 	}()

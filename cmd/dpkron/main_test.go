@@ -174,6 +174,9 @@ func TestCLIUsageExitCodes(t *testing.T) {
 		{[]string{"budget", "bogus", "-ledger", "/tmp/x.json"}, 2},
 		{[]string{"budget", "show"}, 2},  // missing -ledger
 		{[]string{"serve", "-pprof"}, 2}, // profiles live on -metrics-addr only
+		// A served job's stage seconds are in its stage record (job
+		// finished log, job wait -progress, job show -v, the trace).
+		{[]string{"serve", "-addr", "127.0.0.1:0", "-timeout", "1ms", "-progress"}, 2},
 	} {
 		code, out := exitCode(t, bin, "0 1\n", tc.args...)
 		if code != tc.want {
@@ -181,6 +184,33 @@ func TestCLIUsageExitCodes(t *testing.T) {
 		}
 		if tc.want == 2 && !strings.Contains(out, "Usage") && !strings.Contains(out, "-workers") && !strings.Contains(out, "commands:") {
 			t.Errorf("dpkron %v: exit-2 output lacks usage text:\n%s", tc.args, out)
+		}
+	}
+}
+
+// TestCLIPrivateFitZeroDelta: a private fit with -delta 0 is a usage
+// error (exit 2) raised before the graph is loaded and before -ledger
+// or -release-cache is opened. Both used to reach the planned
+// receipt's smooth-sensitivity calibration, which panics on δ = 0.
+func TestCLIPrivateFitZeroDelta(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration test")
+	}
+	bin := buildCLI(t)
+	dir := t.TempDir()
+	edges := filepath.Join(dir, "g.txt")
+	run(t, bin, "generate", "-k", "7", "-seed", "2", "-out", edges)
+	for _, flag := range []string{"-ledger", "-release-cache"} {
+		path := filepath.Join(dir, flag[1:])
+		for _, in := range []string{edges, filepath.Join(dir, "missing.txt")} {
+			args := []string{"fit", "-in", in, "-method", "private", "-delta", "0", flag, path}
+			code, out := exitCode(t, bin, "", args...)
+			if code != 2 || strings.Contains(out, "panic") || !strings.Contains(out, "-delta > 0") {
+				t.Errorf("dpkron %v: exit %d, want a usage error\n%s", args, code, out)
+			}
+			if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("dpkron %v opened %s before refusing δ = 0", args, path)
+			}
 		}
 	}
 }

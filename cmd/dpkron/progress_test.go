@@ -7,41 +7,49 @@ import (
 	"time"
 
 	"dpkron/internal/pipeline"
+	"dpkron/internal/trace"
 )
 
-// TestProgressSinkReportsElapsed drives the -progress sink with an
-// injected clock: a done line carries the stage's elapsed time, and the
-// per-stage start times stay bounded when stages never complete.
-func TestProgressSinkReportsElapsed(t *testing.T) {
-	var out strings.Builder
+// TestStageSinkPrintsStageRecord drives the in-process -progress sink
+// with a stage record on an injected clock: the lines come from the
+// shared [stage] renderer, and a done line's seconds are the stage
+// span's duration as the record's Stages reports it. A stage that runs
+// again is announced and timed again.
+func TestStageSinkPrintsStageRecord(t *testing.T) {
 	clock := time.Unix(0, 0)
-	sink := progressSink(&out, func() time.Time { return clock })
+	ss := trace.New(trace.Context{}).WithClock(func() time.Time { return clock }).StageSpans(nil)
+	var out strings.Builder
+	sink := stageSink(&out, ss)
 
-	sink(pipeline.Event{Stage: "algorithm1/triangle-release", Frac: 0})
-	clock = clock.Add(1230 * time.Millisecond)
-	sink(pipeline.Event{Stage: "algorithm1/triangle-release", Frac: 0.5})
-	sink(pipeline.Event{Stage: "algorithm1/triangle-release", Frac: 1})
-	want := "[stage] algorithm1/triangle-release ...\n" +
-		"[stage] algorithm1/triangle-release  50%\n" +
-		"[stage] algorithm1/triangle-release done (1.23s)\n"
+	const stage = "algorithm1/triangle-release"
+	sink(pipeline.Event{Stage: stage, Frac: 0})
+	clock = clock.Add(1234 * time.Millisecond)
+	sink(pipeline.Event{Stage: stage, Frac: 0.5})
+	sink(pipeline.Event{Stage: stage, Frac: 1})
+	clock = clock.Add(time.Second) // a closed span's duration is final
+	st := ss.Stages()
+	if len(st) != 1 || st[0].Seconds != 1.234 {
+		t.Fatalf("stage record = %+v, want one stage of 1.234 s", st)
+	}
+	want := "[stage] " + stage + " ...\n" +
+		"[stage] " + stage + "  50%\n" +
+		fmt.Sprintf("[stage] %s done (%.3fs)\n", stage, st[0].Seconds)
 	if out.String() != want {
 		t.Fatalf("progress output:\n%s\nwant:\n%s", out.String(), want)
 	}
 
-	// Thousands of stages that start and never finish (cancelled jobs
-	// of a long-lived server) must not pin their start times forever:
-	// after the cap clears them, a late done line still renders.
-	for i := 0; i < 5000; i++ {
-		sink(pipeline.Event{Stage: fmt.Sprintf("job-%d/kronmom", i), Frac: 0})
-	}
 	out.Reset()
-	sink(pipeline.Event{Stage: "job-0/kronmom", Frac: 1})
-	if got := out.String(); got != "[stage] job-0/kronmom done\n" {
-		t.Fatalf("done line for an evicted start = %q", got)
-	}
-	clock = clock.Add(2 * time.Second)
-	sink(pipeline.Event{Stage: "job-4999/kronmom", Frac: 1})
-	if got := out.String(); !strings.HasSuffix(got, "[stage] job-4999/kronmom done (2.00s)\n") {
-		t.Fatalf("done line for a retained start = %q", got)
+	sink(pipeline.Event{Stage: "features", Frac: 0})
+	clock = clock.Add(250 * time.Millisecond)
+	sink(pipeline.Event{Stage: "features", Frac: 1})
+	sink(pipeline.Event{Stage: "features", Frac: 0})
+	clock = clock.Add(500 * time.Millisecond)
+	sink(pipeline.Event{Stage: "features", Frac: 1})
+	want = "[stage] features ...\n" +
+		"[stage] features done (0.250s)\n" +
+		"[stage] features ...\n" +
+		"[stage] features done (0.500s)\n"
+	if out.String() != want {
+		t.Fatalf("repeated stage output:\n%s\nwant:\n%s", out.String(), want)
 	}
 }

@@ -99,9 +99,9 @@
 // # Durability and crash recovery
 //
 // A crash between a ledger debit and the served release would strand
-// spent budget. A Journal (OpenJournal) closes that window: the
-// server appends every job transition to an append-only checksummed
-// log — the admission record is fsynced, with the request and an
+// spent budget. The server's job journal (internal/journal) closes
+// that window: the server appends every job transition to an
+// append-only checksummed log — the admission record is fsynced, with the request and an
 // idempotency token, before the ledger is touched — and on restart
 // replays it, restoring finished jobs as pollable history and
 // resuming interrupted private fits without a second debit
@@ -109,7 +109,8 @@
 // byte-identical release). The invariant: every debit is matched by a
 // served release or an explicit journaled failure, never silence. A
 // torn tail from a mid-write crash truncates to the last whole
-// record; interior corruption is the typed error ErrJournalCorrupt.
+// record; interior corruption is a typed error and the journal
+// refuses to open.
 // `dpkron serve -journal FILE` wires it up, and SIGTERM drains
 // gracefully: admission refused with Retry-After, running jobs
 // finished or cancelled into the journal, exit 0.
@@ -133,16 +134,16 @@
 //
 // # Observability
 //
-// The serving tier is fully instrumented, with zero dependencies: a
-// MetricsRegistry (NewMetricsRegistry) of atomic counters, gauges and
-// histograms rendered in the Prometheus text exposition format
-// (MetricsHandler), and structured request/job logging
-// via log/slog (NewStructuredLogger). Handing a registry and logger
-// to server.Options instruments every layer — HTTP routes (latency,
-// status, in-flight), the job queue (submissions, per-stage wall
-// clock, queue/running gauges), the privacy ledger (debits, refusals,
+// The serving tier is fully instrumented, with zero dependencies
+// (internal/obs): a metrics registry of atomic counters, gauges and
+// histograms rendered in the Prometheus text exposition format, and
+// structured request/job logging via log/slog. `dpkron serve`
+// instruments every layer — HTTP routes (latency, status, in-flight),
+// the job queue (submissions, per-stage wall clock, queue/running
+// gauges), the privacy ledger (debits, refusals,
 // remaining budget per dataset), the release cache, the journal's
-// fsync latency, and the dataset store's load routes. Every request
+// fsync latency, and the dataset store's load routes; each job's
+// `job finished` log record carries its stage seconds. Every request
 // carries an X-Request-ID (echoed or generated) that threads through
 // the access and admission logs; refused admissions (budget, queue,
 // body cap, drain) are counted by reason and warn-logged, never
@@ -159,7 +160,7 @@
 // # Tracing and privacy audit
 //
 // On top of metrics and logs sits a dependency-free span tracer
-// (NewTracer): each server job records a tree of timed spans —
+// (internal/trace): each server job records a tree of timed spans —
 // admission, journal append, ledger debit, release-cache lookup,
 // dataset load, queue wait, and one span per algorithm1/* pipeline
 // stage — and every privacy-budget debit or refusal lands on the tree
@@ -171,11 +172,12 @@
 // trace id is the caller's. Every job the server admits is traced;
 // the trace lives on the job, is evicted with the job's history, and
 // its stage spans are the job's only stage record (the job view's
-// stage seconds and the stage histogram read them). Traces are
-// exported three ways: GET /v1/jobs/{id}/trace
-// (the TraceTree JSON), ?format=chrome (WriteChromeTrace, loadable in
-// chrome://tracing and ui.perfetto.dev), and `dpkron job trace` (an
-// ASCII waterfall). `dpkron audit <dataset>` needs no server: it
+// stage seconds, the stage histogram and the `job finished` log record
+// read them; a CLI command's -progress lines print an in-process stage
+// record of the same kind). Traces are exported three ways: GET
+// /v1/jobs/{id}/trace (the span-tree JSON), ?format=chrome (the Chrome
+// trace-event format, loadable in chrome://tracing and
+// ui.perfetto.dev), and `dpkron job trace` (an ASCII waterfall). `dpkron audit <dataset>` needs no server: it
 // replays the ledger's time-stamped receipts against the journal into
 // a chronological spend report naming the job and request that paid.
 // The observability discipline is unchanged: a nil tracer or span

@@ -3,8 +3,6 @@ package dpkron
 import (
 	"context"
 	"io"
-	"log/slog"
-	"net/http"
 	"time"
 
 	"dpkron/internal/accountant"
@@ -13,17 +11,14 @@ import (
 	"dpkron/internal/dataset"
 	"dpkron/internal/dp"
 	"dpkron/internal/graph"
-	"dpkron/internal/journal"
 	"dpkron/internal/kronfit"
 	"dpkron/internal/kronmom"
 	"dpkron/internal/linalg"
-	"dpkron/internal/obs"
 	"dpkron/internal/pipeline"
 	"dpkron/internal/randx"
 	"dpkron/internal/release"
 	"dpkron/internal/skg"
 	"dpkron/internal/stats"
-	"dpkron/internal/trace"
 )
 
 // Re-exported types forming the supported public API. The concrete
@@ -78,17 +73,6 @@ type (
 	// ReleaseEntry is one cached release: fingerprint, key, integrity
 	// checksum and the stored result payload.
 	ReleaseEntry = release.Entry
-	// Journal is an append-only checksummed log of server job
-	// transitions: the admission record (request, planned receipt,
-	// idempotency token) is fsynced before the ledger is debited, so a
-	// restart can resume an interrupted fit without a second debit.
-	Journal = journal.Journal
-	// JournalRecord is one decoded journal frame (job id, transition,
-	// payload).
-	JournalRecord = journal.Record
-	// JournalJobState is one job's state folded from its journal
-	// records; see JournalReduce.
-	JournalJobState = journal.JobState
 	// PrivateOptions configures the paper's Algorithm 1.
 	PrivateOptions = core.Options
 	// PrivateResult is the (ε, δ)-DP estimation outcome.
@@ -114,64 +98,10 @@ type (
 	// ProgressSink receives pipeline progress events; calls are
 	// serialized by the Run.
 	ProgressSink = pipeline.Sink
-	// MetricsRegistry holds named counters, gauges and histograms and
-	// renders them in the Prometheus text exposition format. Hand one
-	// to server.Options.Metrics to instrument the whole serving tier;
-	// a nil registry makes every metric operation a no-op.
-	MetricsRegistry = obs.Registry
-	// Tracer records one trace: a tree of timed spans with attributes
-	// and point events. Every method on a nil *Tracer (and on the nil
-	// *TraceSpan it hands out) is a no-op, so tracing can be threaded
-	// unconditionally and enabled by construction.
-	Tracer = trace.Tracer
-	// TraceSpan is one timed operation in a Tracer's tree; audit
-	// events (ε/δ debits) attach here.
-	TraceSpan = trace.Span
-	// TraceTree is a Tracer's exportable snapshot — the JSON shape
-	// GET /v1/jobs/{id}/trace serves and WriteChromeTrace consumes.
-	TraceTree = trace.Tree
-	// TraceContext is a W3C Trace Context identity (trace id, span
-	// id, flags) as parsed from / rendered to a traceparent header.
-	TraceContext = trace.Context
 )
 
 // NewRand returns a deterministic random source for the given seed.
 func NewRand(seed uint64) *Rand { return randx.New(seed) }
-
-// NewMetricsRegistry returns an empty metrics registry. Register it
-// with a server (server.Options.Metrics) or instrument components
-// directly; MetricsHandler serves its current state.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// MetricsHandler returns an http.Handler rendering reg in the
-// Prometheus text exposition format (version 0.0.4) — mount it at
-// GET /metrics on an operator listener; the server's request handler
-// never serves it. A nil registry serves an empty exposition.
-func MetricsHandler(reg *MetricsRegistry) http.Handler { return reg.Handler() }
-
-// NewTracer returns a tracer for one traced operation. Pass the
-// TraceContext parsed from an incoming traceparent header to join the
-// caller's trace (ParseTraceparent), or the zero TraceContext to
-// start a fresh one with a random trace id.
-func NewTracer(ctx TraceContext) *Tracer { return trace.New(ctx) }
-
-// ParseTraceparent parses a W3C traceparent header value. ok reports
-// whether it was well-formed; the parser never panics on hostile
-// input.
-func ParseTraceparent(h string) (TraceContext, bool) { return trace.ParseTraceparent(h) }
-
-// WriteChromeTrace writes tr in the Chrome trace-event JSON format
-// loadable by chrome://tracing and ui.perfetto.dev — the same export
-// GET /v1/jobs/{id}/trace?format=chrome serves.
-func WriteChromeTrace(w io.Writer, tr *TraceTree) error { return trace.WriteChrome(w, tr) }
-
-// NewStructuredLogger returns a *slog.Logger writing one record per
-// line to w. Format is "text" or "json"; level is "debug", "info",
-// "warn" or "error". The serving tier (server.Options.Logger) emits
-// request- and job-correlated records through it.
-func NewStructuredLogger(w io.Writer, format, level string) (*slog.Logger, error) {
-	return obs.NewLogger(w, format, level)
-}
 
 // NewAccountant returns an unlimited sequential-composition
 // accountant; cap it with WithLimit to enforce a budget. Pass it via
@@ -198,34 +128,6 @@ func PlannedReceipt(eps, delta float64) Receipt { return core.PlannedReceipt(eps
 // files are reported as misses (and evicted), never served. See
 // ExampleOpenReleaseCache.
 func OpenReleaseCache(dir string) (*ReleaseCache, error) { return release.Open(dir) }
-
-// OpenJournal opens (or creates) the durable job journal at path,
-// recovering a torn tail from a mid-write crash and taking an exclusive
-// lock on the file. A server given the journal (server.Options.Journal)
-// replays it on startup and resumes interrupted fits; interior
-// corruption surfaces as ErrJournalCorrupt, a live lock holder as
-// ErrJournalLocked.
-func OpenJournal(path string) (*Journal, error) { return journal.Open(path) }
-
-// JournalDecode decodes every whole record in data, returning the
-// records, the byte length of the valid prefix, and ErrJournalCorrupt
-// if a damaged record interrupts the log (a torn final record is not an
-// error: decoding simply stops at the last whole frame).
-func JournalDecode(data []byte) ([]JournalRecord, int64, error) { return journal.Decode(data) }
-
-// JournalReduce folds decoded records into per-job states, in first-seen
-// order — the same reduction the server replays on startup.
-func JournalReduce(recs []JournalRecord) []*JournalJobState { return journal.Reduce(recs) }
-
-// Journal error conditions, re-exported for errors.Is checks.
-var (
-	// ErrJournalCorrupt reports a damaged interior record: bytes after
-	// it cannot be trusted, so the journal refuses to open.
-	ErrJournalCorrupt = journal.ErrCorrupt
-	// ErrJournalLocked reports a live process already holding the
-	// journal's exclusive lock.
-	ErrJournalLocked = journal.ErrLocked
-)
 
 // ReleaseKeyFor builds the canonical cache key of the private-fit
 // question (datasetID, eps, delta, k, seed). The mechanism schedule is

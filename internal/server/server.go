@@ -129,9 +129,8 @@ type Options struct {
 	// never evicted.
 	MaxHistory int
 	// EventLog, when set, receives every job's pipeline events as they
-	// arrive (serialized per job). Used by `dpkron serve -progress`.
-	// The job's own stage record is its stage spans, whether or not
-	// EventLog is set.
+	// arrive (serialized per job). The job's own stage record is its
+	// stage spans, whether or not EventLog is set.
 	EventLog func(jobID string, e pipeline.Event)
 	// Ledger, when set, turns on per-dataset privacy-budget
 	// enforcement: every private fit is debited against its dataset's
@@ -365,18 +364,6 @@ const (
 	StatusCancelled = "cancelled"
 )
 
-// StageProgress is one stage's furthest progress fraction, in the
-// order the stages first reported, read from the job's stage spans.
-type StageProgress struct {
-	Stage string  `json:"stage"`
-	Frac  float64 `json:"frac"`
-	// Seconds is the stage span's duration so far (final once frac
-	// reaches 1) — the same value as the span's seconds in
-	// GET /v1/jobs/{id}/trace and as the dpkron_job_stage_seconds
-	// observation an operator scrapes.
-	Seconds float64 `json:"seconds,omitempty"`
-}
-
 type job struct {
 	id     string
 	kind   string
@@ -427,13 +414,17 @@ func terminalStatus(s string) bool {
 }
 
 // view is the JSON representation returned by the jobs endpoints.
+// Stages lists the job's stage record in first-seen order; a stage's
+// seconds are its span's duration so far (final once frac reaches 1),
+// the same value as the span's seconds in GET /v1/jobs/{id}/trace and
+// as the dpkron_job_stage_seconds observation an operator scrapes.
 type view struct {
-	ID     string          `json:"id"`
-	Kind   string          `json:"kind"`
-	Status string          `json:"status"`
-	Stages []StageProgress `json:"stages,omitempty"`
-	Result any             `json:"result,omitempty"`
-	Error  string          `json:"error,omitempty"`
+	ID     string        `json:"id"`
+	Kind   string        `json:"kind"`
+	Status string        `json:"status"`
+	Stages []trace.Stage `json:"stages,omitempty"`
+	Result any           `json:"result,omitempty"`
+	Error  string        `json:"error,omitempty"`
 }
 
 func (j *job) view() view {
@@ -449,9 +440,7 @@ func (j *job) view() view {
 	}
 	stages := j.stages
 	j.mu.Unlock()
-	for _, st := range stages.Stages() {
-		v.Stages = append(v.Stages, StageProgress{Stage: st.Name, Frac: st.Frac, Seconds: st.Seconds})
-	}
+	v.Stages = stages.Stages()
 	return v
 }
 
@@ -717,7 +706,7 @@ func (s *Server) finalize(j *job) {
 	s.journalTerminal(j, true)
 	jsp.End()
 	j.mu.Lock()
-	status, ran, errMsg := j.status, j.ran, j.errMsg
+	status, ran, errMsg, stages := j.status, j.ran, j.errMsg, j.stages
 	j.mu.Unlock()
 	j.root.SetAttr(trace.String("status", status))
 	j.root.End()
@@ -736,6 +725,15 @@ func (s *Server) finalize(j *job) {
 	if errMsg != "" {
 		attrs = append(attrs, slog.String("error", errMsg))
 		level = slog.LevelWarn
+	}
+	// Each stage's seconds, read from the job's stage record, only for
+	// a logger that will write the record.
+	if s.log.Enabled(context.Background(), level) {
+		var secs []slog.Attr
+		for _, st := range stages.Stages() {
+			secs = append(secs, slog.Float64(st.Name, st.Seconds))
+		}
+		attrs = append(attrs, slog.Attr{Key: "stages", Value: slog.GroupValue(secs...)})
 	}
 	s.log.LogAttrs(context.Background(), level, "job finished", attrs...)
 	s.mu.Lock()

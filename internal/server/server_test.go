@@ -269,6 +269,18 @@ func TestServerQueuedJobCancel(t *testing.T) {
 		A: 0.99, B: 0.55, C: 0.35, K: 13, Seed: 5, Method: "exact", OmitEdges: true,
 	})
 	firstID := first["id"].(string)
+	// Both jobs' goroutines race for the slot, and a second job that
+	// wins it finishes before its DELETE lands: wait until the first
+	// holds it.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		_, v := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+firstID, nil)
+		if v["status"] == StatusRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("first job never ran: %v", v)
+		}
+	}
 	// The second job queues behind it.
 	_, second := doJSON(t, http.MethodPost, ts.URL+"/v1/generate", GenerateRequest{
 		A: 0.9, B: 0.5, C: 0.3, K: 6, Seed: 1,

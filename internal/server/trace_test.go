@@ -480,7 +480,7 @@ func TestStageRecordOneClock(t *testing.T) {
 		t.Fatalf("blocked job ended %v", job["status"])
 	}
 	v := j.view()
-	if len(v.Stages) != 2 || v.Stages[0] != (StageProgress{Stage: "instant", Frac: 1}) || v.Stages[1].Stage != "blocked" {
+	if len(v.Stages) != 2 || v.Stages[0] != (trace.Stage{Name: "instant", Frac: 1}) || v.Stages[1].Name != "blocked" {
 		t.Fatalf("cancelled job stages = %+v, want instant (done, 0 s) then blocked", v.Stages)
 	}
 	spans = collectSpans(tr.Tree())
@@ -499,6 +499,73 @@ func TestStageRecordOneClock(t *testing.T) {
 	}
 	if n := metrics[`dpkron_job_stage_seconds_count{stage="blocked"}`]; n != 0 {
 		t.Errorf("cancelled job's open stage observed %v times, want 0", n)
+	}
+}
+
+// TestStageRecordJobFinishedLog: the `job finished` log record carries
+// each stage's seconds from the job's stage record — the same numbers
+// as the stages[].seconds of GET /v1/jobs/{id}.
+func TestStageRecordJobFinishedLog(t *testing.T) {
+	_, base, logs := newObsTestServer(t, Options{Workers: 2, MaxJobs: 2})
+	code, resp := doJSON(t, http.MethodPost, base+"/v1/fit", FitRequest{
+		Method: "private", Eps: 0.4, Delta: 0.01, K: 8, Seed: 3, EdgeList: testEdgeList(t, 8),
+	})
+	if code != http.StatusAccepted {
+		t.Fatalf("POST /v1/fit: status %d (%v)", code, resp)
+	}
+	id := resp["id"].(string)
+	job := pollJob(t, base, id, 120*time.Second)
+	if job["status"] != StatusDone {
+		t.Fatalf("fit ended %v: %v", job["status"], job)
+	}
+	// finalize logs the record after the terminal status is visible.
+	var logged map[string]any
+	for deadline := time.Now().Add(10 * time.Second); logged == nil; time.Sleep(10 * time.Millisecond) {
+		for _, line := range strings.Split(logs.String(), "\n") {
+			var rec map[string]any
+			if json.Unmarshal([]byte(line), &rec) == nil && rec["msg"] == "job finished" && rec["job_id"] == id {
+				if logged, _ = rec["stages"].(map[string]any); logged == nil {
+					t.Fatalf("job finished record without stages: %s", line)
+				}
+			}
+		}
+		if logged == nil && time.Now().After(deadline) {
+			t.Fatalf("no job finished record for %s:\n%s", id, logs.String())
+		}
+	}
+	stages := job["stages"].([]any)
+	if len(stages) < 5 || len(logged) != len(stages) {
+		t.Fatalf("logged stages %v, job view stages %v", logged, stages)
+	}
+	for _, raw := range stages {
+		st := raw.(map[string]any)
+		name := st["stage"].(string)
+		secs, _ := st["seconds"].(float64) // omitted when zero
+		if got, ok := logged[name].(float64); !ok || got != secs {
+			t.Errorf("stage %q: logged %v s, job view says %v s", name, logged[name], secs)
+		}
+	}
+}
+
+// TestStageRecordViewJSON: the job view's stage entries keep their wire
+// form — keys "stage", "frac" and "seconds", the last omitted when zero.
+func TestStageRecordViewJSON(t *testing.T) {
+	clock := time.Unix(0, 0)
+	ss := trace.New(trace.Context{}).WithClock(func() time.Time { return clock }).StageSpans(nil)
+	ss.Observe("instant", 1)
+	ss.Observe("algorithm1/degree-release", 0)
+	clock = clock.Add(1500 * time.Millisecond)
+	ss.Observe("algorithm1/degree-release", 0.5)
+	j := &job{id: "job-1", kind: "fit", status: StatusRunning, stages: ss}
+	b, err := json.Marshal(j.view())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"id":"job-1","kind":"fit","status":"running","stages":[` +
+		`{"stage":"instant","frac":1},` +
+		`{"stage":"algorithm1/degree-release","frac":0.5,"seconds":1.5}]}`
+	if string(b) != want {
+		t.Fatalf("job view JSON:\n%s\nwant:\n%s", b, want)
 	}
 }
 

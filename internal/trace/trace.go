@@ -11,7 +11,8 @@
 // its privacy budget went. The server traces every job it admits and
 // keeps the tracer on the job, so a trace is evicted with its job's
 // history; a job's StageSpans is also its only stage record, timing
-// the progress the job view and the stage histogram report.
+// the progress the job view, the stage histogram and the CLI's
+// -progress lines report.
 //
 // The package follows the repository's observability discipline:
 //
@@ -305,6 +306,9 @@ func (tr *Tree) Walk(fn func(n *Node, depth int)) {
 // slash-path convention of pipeline.Run.Sub — a stage whose name
 // extends an open stage's name with "/" becomes its child, so
 // "algorithm1/moment-fit" parents "algorithm1/moment-fit/kronmom".
+// A start event (fraction 0) for a stage whose span already closed is
+// that stage's next run, recorded as a new span and a new entry: a
+// figure computes the same statistics on several graphs.
 type StageSpans struct {
 	t      *Tracer
 	parent *Span
@@ -322,11 +326,12 @@ type stageRecord struct {
 
 // Stage is one stage's record: its furthest progress fraction and its
 // span's duration, exactly as Tree reports it (final once the span is
-// closed, up to the snapshot while it is open).
+// closed, up to the snapshot while it is open). It is also the stage
+// entry of the server's job view, in this JSON form.
 type Stage struct {
-	Name    string
-	Frac    float64
-	Seconds float64
+	Name    string  `json:"stage"`
+	Frac    float64 `json:"frac"`
+	Seconds float64 `json:"seconds,omitempty"`
 }
 
 // StageSpans builds a stage record rooted at parent; attrs are stamped
@@ -349,13 +354,13 @@ func (ss *StageSpans) Observe(stage string, frac float64) (seconds float64, clos
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	var rec *stageRecord
-	for _, r := range ss.stages {
-		if r.name == stage {
-			rec = r
+	for i := len(ss.stages) - 1; i >= 0; i-- {
+		if ss.stages[i].name == stage {
+			rec = ss.stages[i]
 			break
 		}
 	}
-	first := rec == nil
+	first := rec == nil || (!rec.open && frac <= 0)
 	if first {
 		parent := ss.parent
 		// Deepest open stage whose path prefixes this one is the parent.
