@@ -875,7 +875,10 @@ func cmdBudget(args []string) error {
 		}
 		fmt.Printf("dataset %s: spend reset\n", *dataset)
 	case "show":
-		ids := led.Datasets()
+		ids, err := led.Datasets()
+		if err != nil {
+			return err
+		}
 		if *dataset != "" {
 			ids = []string{*dataset}
 		}
@@ -884,7 +887,10 @@ func cmdBudget(args []string) error {
 			return nil
 		}
 		for _, id := range ids {
-			acct, ok := led.Account(id)
+			acct, ok, err := led.Account(id)
+			if err != nil {
+				return err
+			}
 			if !ok {
 				return fmt.Errorf("unknown dataset %q", id)
 			}

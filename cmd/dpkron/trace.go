@@ -169,7 +169,10 @@ func cmdAudit(args []string) error {
 	if err != nil {
 		return err
 	}
-	acct, ok := led.Account(ds)
+	acct, ok, err := led.Account(ds)
+	if err != nil {
+		return err
+	}
 	if !ok {
 		return fmt.Errorf("ledger %s has no dataset %q", led.Path(), ds)
 	}

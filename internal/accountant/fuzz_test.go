@@ -7,11 +7,27 @@ import (
 	"testing"
 
 	"dpkron/internal/dp"
+	"dpkron/internal/frame"
 )
 
-// FuzzLedgerDecode holds the log decoder to its contract on arbitrary
-// bytes: it never panics, a non-nil error is always ErrCorrupt, the
-// valid size stays within the input, and the declared valid prefix
+// decodedLog is a whole ledger file folded by the shared log decoder.
+type decodedLog struct {
+	size  int64 // offset past the last whole frame; 0 for a torn header
+	accts accounts
+}
+
+// decodeLog folds a whole ledger file through logFormat's decoder.
+func decodeLog(data []byte) (*decodedLog, error) {
+	d := &decodedLog{accts: accounts{}}
+	var err error
+	d.size, err = logFormat.Decode(data, d.accts.applyFrame)
+	return d, err
+}
+
+// FuzzLedgerDecode holds the shared log decoder, folding ledger
+// records, to its contract on arbitrary bytes: it never panics, a
+// non-nil error is always ErrCorrupt, the valid size is 0 (a torn
+// header) or within [HeaderLen, len], and the declared valid prefix
 // re-decodes to the same size with no error — what a reader relies on
 // when it ignores a torn tail.
 func FuzzLedgerDecode(f *testing.F) {
@@ -39,11 +55,11 @@ func FuzzLedgerDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
-	f.Add(valid[:len(valid)-3]) // torn tail
-	f.Add(valid[:headerLen])    // header only
-	f.Add(valid[:headerLen-2])  // torn header
+	f.Add(valid[:len(valid)-3])      // torn tail
+	f.Add(valid[:frame.HeaderLen])   // header only
+	f.Add(valid[:frame.HeaderLen-2]) // torn header
 	flipped := append([]byte(nil), valid...)
-	flipped[headerLen+4] ^= 0x01 // interior bit flip
+	flipped[frame.HeaderLen+4] ^= 0x01 // interior bit flip
 	f.Add(flipped)
 	f.Add([]byte(`{"version":1,"datasets":{}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -54,8 +70,8 @@ func FuzzLedgerDecode(f *testing.F) {
 			}
 			return
 		}
-		if st.size < headerLen || st.size > int64(len(data)) {
-			t.Fatalf("valid size %d outside [%d, %d]", st.size, headerLen, len(data))
+		if st.size != 0 && st.size < frame.HeaderLen || st.size > int64(len(data)) {
+			t.Fatalf("valid size %d neither 0 nor in [%d, %d]", st.size, frame.HeaderLen, len(data))
 		}
 		again, err := decodeLog(data[:st.size])
 		if err != nil || again.size != st.size || len(again.accts) != len(st.accts) {

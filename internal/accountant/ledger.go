@@ -1,14 +1,11 @@
 package accountant
 
 import (
-	"bytes"
-	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"slices"
 	"sync"
@@ -55,19 +52,15 @@ func (a Account) Remaining() dp.Budget { return remaining(a.Budget, a.Spent) }
 // ledger. Budget-bearing history is never repaired silently.
 var ErrCorrupt = errors.New("accountant: corrupt ledger")
 
-// The on-disk log ("DPKL"): a header of magic, version and an 8-byte
-// random file id, then one internal/frame frame per record. The id
-// changes whenever the file is rewritten (created or converted), so a
-// handle that finds a different header re-reads the file from the
-// start instead of decoding from a stale offset.
-var logMagic = []byte{'D', 'P', 'K', 'L', 1}
+// The on-disk log ("DPKL", version 1) is a frame.Log: a header with a
+// random file id, then one frame per record. logFormat is its format.
+const logMagic = "DPKL\x01"
 
-const (
-	headerLen = 5 + 8
-	// maxRecordBytes bounds one record on decode, so a corrupt length
-	// cannot force a huge allocation; a receipt is well under 1 KiB.
-	maxRecordBytes = 1 << 20
-)
+// maxRecordBytes bounds one record on decode, so a corrupt length
+// cannot force a huge allocation; a receipt is well under 1 KiB.
+const maxRecordBytes = 1 << 20
+
+var logFormat = frame.Format{Magic: logMagic, What: "ledger", MaxLen: maxRecordBytes, Corrupt: ErrCorrupt, Convert: convertV1}
 
 // Record operations.
 const (
@@ -92,15 +85,8 @@ type account struct {
 	tokens        map[string]struct{}
 }
 
-// state is the fold of a log: the header it was read under, the offset
-// just past its last whole frame, and the accounts.
-type state struct {
-	header []byte // nil until the file exists
-	size   int64
-	accts  map[string]*account
-}
-
-func newState() *state { return &state{accts: map[string]*account{}} }
+// accounts is the fold of a log: each dataset's state.
+type accounts map[string]*account
 
 // decodeRecord parses and validates one record's payload.
 func decodeRecord(off int64, payload []byte) (record, error) {
@@ -123,25 +109,22 @@ func decodeRecord(off int64, payload []byte) (record, error) {
 	return rec, nil
 }
 
-// walk decodes the frames of data, which starts at file offset base,
-// calling fn on each record; it returns the offset past the last whole
-// frame.
-func walk(data []byte, base int64, fn func(record)) (int64, error) {
-	return frame.Decode(data, base, maxRecordBytes, ErrCorrupt, func(off int64, payload []byte) error {
-		rec, err := decodeRecord(off, payload)
-		if err == nil {
-			fn(rec)
-		}
-		return err
-	})
+// applyFrame decodes one frame's record and folds it into the
+// accounts.
+func (s accounts) applyFrame(off int64, payload []byte) error {
+	rec, err := decodeRecord(off, payload)
+	if err == nil {
+		s.apply(rec)
+	}
+	return err
 }
 
 // apply folds one record into the accounts.
-func (s *state) apply(rec record) {
-	a := s.accts[rec.Dataset]
+func (s accounts) apply(rec record) {
+	a := s[rec.Dataset]
 	if a == nil {
 		a = &account{}
-		s.accts[rec.Dataset] = a
+		s[rec.Dataset] = a
 	}
 	switch rec.Op {
 	case opBudget:
@@ -162,29 +145,15 @@ func (s *state) apply(rec record) {
 	}
 }
 
-// decodeLog folds a whole log file. A torn final frame is left out of
-// the returned size; interior damage is ErrCorrupt. It never panics on
-// hostile input (fuzzed).
-func decodeLog(data []byte) (*state, error) {
-	if len(data) < headerLen || !bytes.Equal(data[:len(logMagic)], logMagic) {
-		return nil, fmt.Errorf("%w: bad header", ErrCorrupt)
-	}
-	s := newState()
-	// A copy, so the state does not keep the whole file's bytes alive.
-	s.header = bytes.Clone(data[:headerLen])
-	var err error
-	s.size, err = walk(data[headerLen:], headerLen, s.apply)
-	return s, err
-}
-
 // Ledger is a persistent per-dataset privacy-budget store, kept as an
-// append-only log. Every mutation appends one record and fsyncs the
-// file before the mutating call returns; there is no tmp-file rename
-// per mutation. A failed append is truncated back to the last whole
-// record, and a crash mid-append leaves a torn final record that reads
-// ignore and the next append cuts, so a debit is on disk whole or not
-// at all. Memory holds each dataset's budget, spend and token set; the
-// receipts themselves are read from the log only by Account.
+// append-only log whose file discipline lives in frame.Log. Every
+// mutation appends one record and fsyncs the file before the mutating
+// call returns; there is no tmp-file rename per mutation. A failed
+// append is truncated back to the last whole record, and a crash
+// mid-append leaves a torn final record that reads ignore and the next
+// append cuts, so a debit is on disk whole or not at all. Memory holds
+// each dataset's budget, spend and token set; the receipts themselves
+// are read from the log only by Account.
 //
 // Enforcement is default-deny: a dataset with no configured budget
 // refuses every spend (set one with SetBudget / `dpkron budget set`).
@@ -203,9 +172,10 @@ type Ledger struct {
 	fs   faultfs.FS
 	// met carries the telemetry collectors installed by Instrument;
 	// the zero value no-ops.
-	met ledgerMetrics
-	mu  sync.Mutex
-	st  *state
+	met   ledgerMetrics
+	mu    sync.Mutex
+	log   *frame.Log
+	accts accounts
 }
 
 // Open validates that the ledger at path is readable (creating nothing
@@ -219,11 +189,11 @@ func Open(path string) (*Ledger, error) { return OpenFS(faultfs.OS, path) }
 // OpenFS is Open against an explicit filesystem (fault-injection
 // tests).
 func OpenFS(fsys faultfs.FS, path string) (*Ledger, error) {
-	l := &Ledger{path: path, fs: fsys, st: newState()}
+	l := &Ledger{path: path, fs: fsys, log: frame.NewLog(fsys, path, logFormat, false), accts: accounts{}}
 	if _, err := fsys.Stat(path); os.IsNotExist(err) {
 		return l, nil
 	}
-	if err := l.withLocked(func(int64) error { return nil }); err != nil {
+	if err := l.withLocked(func() error { return nil }); err != nil {
 		return nil, err
 	}
 	return l, nil
@@ -232,105 +202,31 @@ func OpenFS(fsys faultfs.FS, path string) (*Ledger, error) {
 // Path returns the ledger file location.
 func (l *Ledger) Path() string { return l.path }
 
-// syncLocked brings memory up to date with the file and returns the
-// file's size (0 when it does not exist). Only the bytes appended
-// since the last call are decoded; the whole file is re-read when it
-// shrank, its header changed, or it is not yet a log. Callers hold
-// l.mu and the file lock.
-func (l *Ledger) syncLocked() (int64, error) {
-	fi, err := l.fs.Stat(l.path)
-	switch {
-	case os.IsNotExist(err):
-		l.st = newState()
-		return 0, nil
-	case err != nil:
-		return 0, fmt.Errorf("accountant: opening ledger: %w", err)
+// convertV1 returns the accounts of a v1 ledger — one JSON document
+// rewritten per mutation — as log records, which the log is rewritten
+// to hold. Each dataset's receipts become spend records, in order,
+// followed by a budget record that restores the v1 file's budget and
+// spend exactly.
+func convertV1(v1 []byte) ([][]byte, error) {
+	var old struct {
+		Datasets map[string]*Account `json:"datasets"`
 	}
-	size := fi.Size()
-	if l.st.header == nil || size < l.st.size {
-		return size, l.reloadLocked()
-	}
-	f, err := l.fs.Open(l.path)
-	if err != nil {
-		return 0, fmt.Errorf("accountant: opening ledger: %w", err)
-	}
-	defer f.Close()
-	buf := make([]byte, headerLen+size-l.st.size)
-	if _, err := f.ReadAt(buf[:headerLen], 0); err != nil {
-		return 0, fmt.Errorf("accountant: reading ledger: %w", err)
-	}
-	if !bytes.Equal(buf[:headerLen], l.st.header) {
-		return size, l.reloadLocked()
-	}
-	tail := buf[headerLen:]
-	if len(tail) == 0 {
-		return size, nil
-	}
-	if _, err := f.ReadAt(tail, l.st.size); err != nil && err != io.EOF {
-		return 0, fmt.Errorf("accountant: reading ledger: %w", err)
-	}
-	end, err := walk(tail, l.st.size, l.st.apply)
-	if err != nil {
-		// Records before the damage may have been applied: forget this
-		// handle's state so the next call re-reads from the start.
-		l.st = newState()
-		return 0, fmt.Errorf("accountant: ledger %s: %w", l.path, err)
-	}
-	l.st.size = end
-	return size, nil
-}
-
-// reloadLocked replaces memory with the fold of the whole file,
-// converting a v1 JSON ledger to the log first.
-func (l *Ledger) reloadLocked() error {
-	l.st = newState()
-	data, err := l.fs.ReadFile(l.path)
-	if err != nil {
-		return fmt.Errorf("accountant: opening ledger: %w", err)
-	}
-	if !bytes.HasPrefix(data, logMagic[:4]) {
-		if data, err = l.convertLocked(data); err != nil {
-			return err
-		}
-	}
-	st, err := decodeLog(data)
-	if err != nil {
-		return fmt.Errorf("accountant: ledger %s: %w", l.path, err)
-	}
-	l.st = st
-	return nil
-}
-
-// v1File is the v1 ledger: one JSON document rewritten per mutation.
-type v1File struct {
-	Datasets map[string]*Account `json:"datasets"`
-}
-
-// convertLocked rewrites a v1 JSON ledger as a log holding the same
-// accounts and returns the log's bytes. Each dataset's receipts become
-// spend records, in order, followed by a budget record that restores
-// the v1 file's budget and spend exactly.
-func (l *Ledger) convertLocked(v1 []byte) ([]byte, error) {
-	var old v1File
 	if err := json.Unmarshal(v1, &old); err != nil {
-		return nil, fmt.Errorf("%w: %s is neither a ledger log nor a v1 JSON ledger: %v", ErrCorrupt, l.path, err)
+		return nil, fmt.Errorf("%w: neither a ledger log nor a v1 JSON ledger: %v", ErrCorrupt, err)
 	}
 	ids := make([]string, 0, len(old.Datasets))
 	for id := range old.Datasets {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
-	data, err := newHeader()
-	if err != nil {
-		return nil, err
-	}
-	add := func(rec record) error {
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			return fmt.Errorf("accountant: converting v1 ledger %s: %w", l.path, err)
+	var payloads [][]byte
+	var err error
+	add := func(rec record) {
+		if err == nil {
+			var p []byte
+			p, err = json.Marshal(rec)
+			payloads = append(payloads, p)
 		}
-		data = frame.Append(data, payload)
-		return nil
 	}
 	for _, id := range ids {
 		acct := old.Datasets[id]
@@ -340,34 +236,17 @@ func (l *Ledger) convertLocked(v1 []byte) ([]byte, error) {
 		var spent dp.Budget
 		for i := range acct.Receipts {
 			spent = dp.Compose(spent, acct.Receipts[i].Total)
-			if err := add(record{Op: opSpend, Dataset: id, Receipt: &acct.Receipts[i], Spent: &spent}); err != nil {
-				return nil, err
-			}
+			add(record{Op: opSpend, Dataset: id, Receipt: &acct.Receipts[i], Spent: &spent})
 		}
-		if err := add(record{Op: opBudget, Dataset: id, Budget: &acct.Budget, Spent: &acct.Spent}); err != nil {
-			return nil, err
-		}
+		add(record{Op: opBudget, Dataset: id, Budget: &acct.Budget, Spent: &acct.Spent})
 	}
-	if err := faultfs.WriteAtomic(l.fs, l.path, "ledger", data); err != nil {
-		return nil, fmt.Errorf("accountant: converting v1 ledger: %w", err)
-	}
-	return data, nil
-}
-
-// newHeader returns a fresh log header with a random file id.
-func newHeader() ([]byte, error) {
-	h := make([]byte, headerLen)
-	copy(h, logMagic)
-	if _, err := rand.Read(h[len(logMagic):]); err != nil {
-		return nil, fmt.Errorf("accountant: drawing a ledger file id: %w", err)
-	}
-	return h, nil
+	return payloads, err
 }
 
 // withLocked runs fn with the in-process mutex held, the cross-process
-// file lock acquired, and memory synced with the file; fn gets the
-// file's size. It is the bracket every public operation uses.
-func (l *Ledger) withLocked(fn func(size int64) error) error {
+// file lock acquired, and memory up to date with the file. It is the
+// bracket every public operation uses.
+func (l *Ledger) withLocked(fn func() error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	unlock, err := fslock.Lock(l.path + ".lock")
@@ -375,71 +254,25 @@ func (l *Ledger) withLocked(fn func(size int64) error) error {
 		return fmt.Errorf("accountant: locking ledger: %w", err)
 	}
 	defer unlock()
-	size, err := l.syncLocked()
-	if err != nil {
-		return err
+	if err := l.log.Read(func() { clear(l.accts) }, l.accts.applyFrame); err != nil {
+		return fmt.Errorf("accountant: %w", err)
 	}
-	return fn(size)
+	return fn()
 }
 
-// appendLocked durably appends rec and then folds it into memory. The
-// first record creates the file, header included, by an atomic write.
-// Otherwise a torn tail past the last whole record (size > l.st.size)
-// is cut first, and a failed write or fsync truncates the file back to
-// the last whole record, leaving memory unchanged.
-func (l *Ledger) appendLocked(size int64, rec record) error {
+// commit durably appends rec, then folds it into memory and publishes
+// the dataset's remaining budget.
+func (l *Ledger) commit(rec record) error {
 	// A receipt carrying NaN or ±Inf cannot be encoded: refused here.
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("accountant: encoding ledger record: %w", err)
 	}
-	if l.st.header == nil {
-		header, err := newHeader()
-		if err != nil {
-			return err
-		}
-		data := frame.Append(header, payload)
-		if err := faultfs.WriteAtomic(l.fs, l.path, "ledger", data); err != nil {
-			return fmt.Errorf("accountant: %w", err)
-		}
-		l.st.header, l.st.size = header, int64(len(data))
-		l.st.apply(rec)
-		return nil
-	}
-	if size > l.st.size {
-		if err := l.fs.Truncate(l.path, l.st.size); err != nil {
-			return fmt.Errorf("accountant: cutting torn ledger tail: %w", err)
-		}
-	}
-	buf := frame.Append(nil, payload)
-	if err := l.writeSync(buf); err != nil {
-		// The write may have landed in part or in whole: cut it, so the
-		// file holds no record this handle did not apply.
-		_ = l.fs.Truncate(l.path, l.st.size)
+	if err := l.log.Append(payload, true); err != nil {
 		return fmt.Errorf("accountant: %w", err)
 	}
-	l.st.size += int64(len(buf))
-	l.st.apply(rec)
-	return nil
-}
-
-// writeSync appends buf to the ledger file and fsyncs it.
-func (l *Ledger) writeSync(buf []byte) error {
-	f, err := l.fs.OpenFile(l.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("appending to ledger: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return fmt.Errorf("appending to ledger: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("syncing ledger: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("closing ledger: %w", err)
-	}
+	l.accts.apply(rec)
+	l.met.setRemaining(rec.Dataset, l.accts[rec.Dataset].remaining())
 	return nil
 }
 
@@ -450,12 +283,8 @@ func (l *Ledger) SetBudget(dataset string, b dp.Budget) error {
 	if err := b.Validate(); err != nil {
 		return err
 	}
-	return l.withLocked(func(size int64) error {
-		if err := l.appendLocked(size, record{Op: opBudget, Dataset: dataset, Budget: &b}); err != nil {
-			return err
-		}
-		l.met.setRemaining(dataset, l.st.accts[dataset].remaining())
-		return nil
+	return l.withLocked(func() error {
+		return l.commit(record{Op: opBudget, Dataset: dataset, Budget: &b})
 	})
 }
 
@@ -465,72 +294,69 @@ func (l *Ledger) SetBudget(dataset string, b dp.Budget) error {
 // privacy story is otherwise restarted — the ledger cannot know; the
 // operator must.
 func (l *Ledger) Reset(dataset string) error {
-	return l.withLocked(func(size int64) error {
-		if l.st.accts[dataset] == nil {
+	return l.withLocked(func() error {
+		if l.accts[dataset] == nil {
 			return fmt.Errorf("accountant: unknown dataset %q", dataset)
 		}
-		if err := l.appendLocked(size, record{Op: opReset, Dataset: dataset}); err != nil {
-			return err
-		}
-		l.met.setRemaining(dataset, l.st.accts[dataset].remaining())
-		return nil
+		return l.commit(record{Op: opReset, Dataset: dataset})
 	})
 }
 
 func (a *account) remaining() dp.Budget { return remaining(a.budget, a.spent) }
 
 // Account returns the dataset's entry as currently on disk, receipts
-// included. It is the one call that reads the whole log, to collect
-// the receipts since the dataset's last reset.
-func (l *Ledger) Account(dataset string) (Account, bool) {
-	var out Account
-	var ok bool
-	_ = l.withLocked(func(int64) error {
-		a := l.st.accts[dataset]
+// included; ok is false for a dataset the ledger has never seen. It is
+// the one call that reads the whole log, to collect the receipts since
+// the dataset's last reset, so damage anywhere in the log is an error.
+func (l *Ledger) Account(dataset string) (acct Account, ok bool, err error) {
+	err = l.withLocked(func() error {
+		a := l.accts[dataset]
 		if a == nil {
 			return nil
 		}
-		data, err := l.fs.ReadFile(l.path)
-		if err != nil || int64(len(data)) < l.st.size {
-			return err // the file changed under the lock: no account
-		}
+		// A Log of its own reads the whole file.
 		var receipts []Receipt
-		if _, err := walk(data[headerLen:l.st.size], headerLen, func(rec record) {
+		whole := frame.NewLog(l.fs, l.path, logFormat, false)
+		if err := whole.Read(func() { receipts = nil }, func(off int64, payload []byte) error {
+			rec, err := decodeRecord(off, payload)
 			switch {
+			case err != nil:
+				return err
 			case rec.Dataset != dataset:
 			case rec.Op == opSpend:
 				receipts = append(receipts, *rec.Receipt)
 			case rec.Op == opReset:
 				receipts = nil
 			}
+			return nil
 		}); err != nil {
-			return err
+			return fmt.Errorf("accountant: %w", err)
 		}
-		out, ok = Account{Budget: a.budget, Spent: a.spent, Receipts: receipts}, true
+		acct, ok = Account{Budget: a.budget, Spent: a.spent, Receipts: receipts}, true
 		return nil
 	})
-	return out, ok
+	return acct, ok, err
 }
 
 // Datasets returns the known dataset ids, sorted.
-func (l *Ledger) Datasets() []string {
+func (l *Ledger) Datasets() ([]string, error) {
 	var out []string
-	_ = l.withLocked(func(int64) error {
-		for id := range l.st.accts {
+	err := l.withLocked(func() error {
+		for id := range l.accts {
 			out = append(out, id)
 		}
 		return nil
 	})
 	slices.Sort(out)
-	return out
+	return out, err
 }
 
 // Remaining returns the budget left on a dataset. Unknown datasets
 // have zero budget (default-deny) and report zero remaining.
 func (l *Ledger) Remaining(dataset string) dp.Budget {
 	var rem dp.Budget
-	_ = l.withLocked(func(int64) error {
-		if a := l.st.accts[dataset]; a != nil {
+	_ = l.withLocked(func() error {
+		if a := l.accts[dataset]; a != nil {
 			rem = a.remaining()
 		}
 		return nil
@@ -567,8 +393,8 @@ func (l *Ledger) SpendToken(dataset string, r Receipt, token string) error {
 }
 
 func (l *Ledger) spend(dataset string, r Receipt) error {
-	return l.withLocked(func(size int64) error {
-		a := l.st.accts[dataset]
+	return l.withLocked(func() error {
+		a := l.accts[dataset]
 		var have account
 		if a != nil {
 			if _, dup := a.tokens[r.Token]; dup && r.Token != "" {
@@ -593,11 +419,10 @@ func (l *Ledger) spend(dataset string, r Receipt) error {
 		now := l.fs.Now()
 		r.Time = &now
 		spent := dp.Compose(have.spent, r.Total)
-		if err := l.appendLocked(size, record{Op: opSpend, Dataset: dataset, Receipt: &r, Spent: &spent}); err != nil {
+		if err := l.commit(record{Op: opSpend, Dataset: dataset, Receipt: &r, Spent: &spent}); err != nil {
 			return err
 		}
 		l.met.debits.With(dataset).Inc()
-		l.met.setRemaining(dataset, l.st.accts[dataset].remaining())
 		return nil
 	})
 }

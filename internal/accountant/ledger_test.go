@@ -66,7 +66,7 @@ func TestLedgerLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acct, ok := led2.Account("ds-a")
+	acct, ok, _ := led2.Account("ds-a")
 	if !ok {
 		t.Fatal("dataset lost across reopen")
 	}
@@ -92,7 +92,7 @@ func TestLedgerLifecycle(t *testing.T) {
 	if err := led2.SetBudget("ds-0", dp.Budget{Eps: 1}); err != nil {
 		t.Fatal(err)
 	}
-	ids := led2.Datasets()
+	ids, _ := led2.Datasets()
 	if len(ids) != 2 || ids[0] != "ds-0" || ids[1] != "ds-a" {
 		t.Fatalf("Datasets = %v", ids)
 	}
@@ -155,7 +155,7 @@ func TestLedgerCrashMidWrite(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open with stale tmp failed: %v", err)
 	}
-	if acct, ok := led2.Account("ds-a"); !ok || acct.Budget.Eps != 1 {
+	if acct, ok, _ := led2.Account("ds-a"); !ok || acct.Budget.Eps != 1 {
 		t.Fatalf("state lost to stale tmp: %+v", acct)
 	}
 	// The next successful write replaces the garbage tmp.
@@ -223,7 +223,7 @@ func TestLedgerConcurrentSpendNeverOversubscribes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acct, _ := led2.Account("ds-a"); len(acct.Receipts) != budget {
+	if acct, _, _ := led2.Account("ds-a"); len(acct.Receipts) != budget {
 		t.Fatalf("persisted %d receipts, want %d", len(acct.Receipts), budget)
 	}
 }
@@ -267,7 +267,7 @@ func TestSpendTokenIdempotent(t *testing.T) {
 			t.Fatalf("SpendToken #%d: %v", i+1, err)
 		}
 	}
-	acct, _ := led.Account("ds-a")
+	acct, _, _ := led.Account("ds-a")
 	if math.Abs(acct.Spent.Eps-0.4) > 1e-12 {
 		t.Fatalf("three same-token spends debited eps=%v, want 0.4", acct.Spent.Eps)
 	}
@@ -287,7 +287,7 @@ func TestSpendTokenIdempotent(t *testing.T) {
 	if err := led2.SpendToken("ds-a", r, "job-2"); err != nil {
 		t.Fatalf("fresh-token SpendToken: %v", err)
 	}
-	acct, _ = led2.Account("ds-a")
+	acct, _, _ = led2.Account("ds-a")
 	if math.Abs(acct.Spent.Eps-0.8) > 1e-12 {
 		t.Fatalf("spent eps=%v after one replay + one fresh debit, want 0.8", acct.Spent.Eps)
 	}
@@ -348,7 +348,7 @@ func TestLedgerInjectedFaults(t *testing.T) {
 				t.Fatalf("failed spend changed the file (%v):\n%q\nwas\n%q", err, after, before)
 			}
 			// The failed debit must not exist, in memory or on disk.
-			acct, ok := led.Account("ds-a")
+			acct, ok, _ := led.Account("ds-a")
 			if !ok || acct.Budget != budget || acct.Spent.Eps != 0 || len(acct.Receipts) != 0 {
 				t.Fatalf("failed spend left state behind: %+v", acct)
 			}
@@ -356,7 +356,7 @@ func TestLedgerInjectedFaults(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reopen after %s fault: %v", c.name, err)
 			}
-			acct, ok = led2.Account("ds-a")
+			acct, ok, _ = led2.Account("ds-a")
 			if !ok || acct.Spent.Eps != 0 || len(acct.Receipts) != 0 {
 				t.Fatalf("failed spend reached disk: %+v", acct)
 			}
@@ -418,7 +418,7 @@ func TestLedgerTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, led := range map[string]*Ledger{"live": live, "reopened": must(Open(path))} {
-		acct, ok := led.Account("ds-a")
+		acct, ok, _ := led.Account("ds-a")
 		if !ok || len(acct.Receipts) != 3 || math.Abs(acct.Spent.Eps-0.3) > 1e-12 {
 			t.Fatalf("%s handle over a torn tail: %+v", name, acct)
 		}
@@ -435,7 +435,7 @@ func TestLedgerTornTail(t *testing.T) {
 	if err != nil || st.size != int64(len(data)) {
 		t.Fatalf("log after the append: size %d of %d, err %v", st.size, len(data), err)
 	}
-	if acct, _ := must(Open(path)).Account("ds-a"); len(acct.Receipts) != 4 || math.Abs(acct.Spent.Eps-0.4) > 1e-12 {
+	if acct, _, _ := must(Open(path)).Account("ds-a"); len(acct.Receipts) != 4 || math.Abs(acct.Spent.Eps-0.4) > 1e-12 {
 		t.Fatalf("after cutting the torn tail: %+v", acct)
 	}
 }
@@ -516,11 +516,11 @@ func TestLedgerV1Conversion(t *testing.T) {
 	if !strings.HasPrefix(string(converted), string(logMagic)) {
 		t.Fatalf("ledger not converted: %.40q", converted)
 	}
-	if ids := led.Datasets(); !slices.Equal(ids, []string{"ds-a", "ds-b", "ds-c"}) {
+	if ids, _ := led.Datasets(); !slices.Equal(ids, []string{"ds-a", "ds-b", "ds-c"}) {
 		t.Fatalf("Datasets = %v", ids)
 	}
 	for id, want := range old {
-		got, ok := led.Account(id)
+		got, ok, _ := led.Account(id)
 		if !ok || !reflect.DeepEqual(got, *want) {
 			t.Fatalf("%s converted to %+v, want %+v", id, got, *want)
 		}
@@ -529,7 +529,7 @@ func TestLedgerV1Conversion(t *testing.T) {
 	if err := led.SpendToken("ds-a", r1, "job-1"); err != nil {
 		t.Fatal(err)
 	}
-	if acct, _ := led.Account("ds-a"); len(acct.Receipts) != 2 {
+	if acct, _, _ := led.Account("ds-a"); len(acct.Receipts) != 2 {
 		t.Fatalf("replayed converted token debited again: %d receipts", len(acct.Receipts))
 	}
 	// Conversion happens once: reopening reads the log as it is.
@@ -578,6 +578,25 @@ func TestLedgerIncrementalReads(t *testing.T) {
 	}
 	if rem := led.Remaining("ds-a"); rem.Eps != 3 {
 		t.Fatalf("remaining after the file was replaced = %v, want 3", rem)
+	}
+}
+
+// TestLedgerAccountReportsDamage: damage a live handle's incremental
+// reads never reach — a flipped byte inside the first record — is an
+// error from Account, which reads the whole log, not a missing account.
+func TestLedgerAccountReportsDamage(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ledger.json")
+	led := spendN(t, path, 1)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[frame.HeaderLen+5] ^= 0x20
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if acct, ok, err := led.Account("ds-a"); !errors.Is(err, ErrCorrupt) || ok {
+		t.Fatalf("Account over a damaged first record = %+v, %v, %v; want ErrCorrupt", acct, ok, err)
 	}
 }
 

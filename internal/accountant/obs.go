@@ -28,8 +28,8 @@ func (l *Ledger) Instrument(reg *obs.Registry) {
 		remEps:   reg.GaugeVec("dpkron_ledger_remaining_epsilon", "Remaining privacy budget (epsilon), by dataset.", "dataset"),
 		remDelta: reg.GaugeVec("dpkron_ledger_remaining_delta", "Remaining privacy budget (delta), by dataset.", "dataset"),
 	}
-	_ = l.withLocked(func(int64) error {
-		for id, a := range l.st.accts {
+	_ = l.withLocked(func() error {
+		for id, a := range l.accts {
 			l.met.setRemaining(id, a.remaining())
 		}
 		return nil

@@ -4,9 +4,9 @@
 // Matrix Market, DPKG) that feed graph.Builder directly.
 //
 // The store writes one layout, DPKG v2 (codecv2.go): fixed-width CSR
-// arrays that Load maps in O(1). The compact varint layout, DPKG v1
-// (below), is read-only: stores and uploads written by older binaries
-// still decode, but nothing writes v1 any more.
+// arrays that Load maps without a heap decode. The compact varint
+// layout, DPKG v1 (below), is read-only: stores and uploads written by
+// older binaries still decode, but nothing writes v1 any more.
 //
 // The paper's estimator is run repeatedly against the same sensitive
 // graph (the ε-sweeps of Table 1), and the budget accountant already

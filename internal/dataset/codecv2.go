@@ -18,7 +18,7 @@ import (
 // optimizes bytes (gap varints, ~1–2 bytes/edge), v2 optimizes opens:
 // the CSR arrays are stored verbatim, fixed-width and aligned, so a
 // loader can map the file and serve graph.Graph's slices directly out
-// of the page cache — an O(1) open instead of an O(n+m) decode.
+// of the page cache — one checksum pass instead of an O(n+m) decode.
 //
 //	header   64 bytes:
 //	  [0:4)   magic "DPKG"
@@ -40,13 +40,11 @@ import (
 //
 // The trailing checksum matches v1's convention (last 32 bytes, over
 // everything before), so Unmarshal verifies both formats identically.
-// The mmap open path (OpenMapped) deliberately does NOT stream the
-// whole file through SHA-256 — that would re-buy the O(n+m) cost the
-// layout exists to avoid. It validates the header in O(1) instead
-// (magic, version, the header's own checksum field, size and
-// alignment arithmetic, off[0]/off[n] spot checks); full-file
-// verification still runs on every byte-slice decode (imports,
-// uploads, Verify) where the bytes are already resident.
+// OpenMapped verifies it too (verifyV2), on both of its routes: one
+// streaming pass over the mapping per file, which the store pays once
+// per process because it caches mapped graphs. The mapped route still
+// skips the heap decode and its O(n+m) structural validation, which a
+// forged checksum would need to defeat.
 
 const (
 	codecVersion2 = 2
@@ -252,45 +250,31 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// OpenMapped opens a v2 graph file with O(1) validation, backing the
+// OpenMapped opens a verified v2 graph file (verifyV2), backing the
 // returned graph's CSR arrays directly by an mmap region when the
 // platform allows (unix, little-endian, 4-byte mapping alignment —
-// all true in practice; anything else falls back to a fully verified
-// heap decode, and mapped reports which happened). The mapping is
-// released by a finalizer when the graph becomes unreachable, so
-// cache eviction or store deletion while a fit still holds the graph
-// is safe — the pages stay valid until the last reference drops.
-//
-// Only the header is checksummed on this path; see the format comment
-// for the trade-off. The file must be a v2 file (ErrBadVersion
-// otherwise); callers sniff the version first.
+// all true in practice; anything else falls back to a heap decode, and
+// mapped reports which happened). The mapping is released by a
+// finalizer when the graph becomes unreachable, so cache eviction or
+// store deletion while a fit still holds the graph is safe — the pages
+// stay valid until the last reference drops. The file must be a v2
+// file (ErrBadVersion otherwise); callers sniff the version first.
 func OpenMapped(path string) (g *graph.Graph, mapped bool, err error) {
 	mf, err := mmapfile.Open(path)
 	if err != nil {
 		return nil, false, err
 	}
 	data := mf.Bytes()
-	n, m, adjPos, err := parseV2Header(data, int64(len(data)))
-	if err != nil {
-		mf.Close()
-		return nil, false, err
-	}
-	if err := v2SpotCheck(data, n, m); err != nil {
-		mf.Close()
-		return nil, false, err
-	}
-	zeroCopy := mf.Mapped() && hostLittleEndian &&
-		uintptr(unsafe.Pointer(&data[0]))%4 == 0
-	if !zeroCopy {
+	n, m, adjPos, err := verifyV2(data)
+	if err != nil || !mf.Mapped() || !hostLittleEndian || uintptr(unsafe.Pointer(&data[0]))%4 != 0 {
 		// Heap route (non-unix, exotic alignment, big-endian): decode a
-		// private copy — with the full checksum verification a resident
-		// read can afford — and drop the mapping.
+		// private copy and drop the mapping.
 		defer mf.Close()
-		g, err := UnmarshalV2(data)
 		if err != nil {
 			return nil, false, err
 		}
-		return g, false, nil
+		g, err := decodeV2Payload(data[:len(data)-checksumLen], 0)
+		return g, false, err
 	}
 	off := unsafe.Slice((*int32)(unsafe.Pointer(&data[v2HeaderLen])), n+1)
 	adj := unsafe.Slice((*int32)(unsafe.Pointer(&data[adjPos])), 2*m)
@@ -299,12 +283,17 @@ func OpenMapped(path string) (g *graph.Graph, mapped bool, err error) {
 	return g, true, nil
 }
 
-// UnmarshalV2 decodes a v2 byte slice with full trailing-checksum
-// verification and structural validation. Unmarshal dispatches here by
-// version; it exists separately for callers that already know the
-// format.
-func UnmarshalV2(data []byte) (*graph.Graph, error) {
-	return UnmarshalLimit(data, 0)
+// verifyV2 checks a whole v2 file: its header, the trailing checksum
+// over every preceding byte, and the off[0]/off[n] anchors.
+func verifyV2(data []byte) (n, m int, adjPos int64, err error) {
+	if n, m, adjPos, err = parseV2Header(data, int64(len(data))); err != nil {
+		return 0, 0, 0, err
+	}
+	sum := sha256.Sum256(data[:len(data)-checksumLen])
+	if subtle.ConstantTimeCompare(sum[:], data[len(data)-checksumLen:]) != 1 {
+		return 0, 0, 0, ErrChecksum
+	}
+	return n, m, adjPos, v2SpotCheck(data, n, m)
 }
 
 // Version sniffs the DPKG format version of an encoded graph: 1 or 2.

@@ -150,7 +150,7 @@ func (s *Store) lock() (unlock func(), err error) {
 // Put imports an in-memory graph under its content fingerprint and
 // returns the dataset's metadata plus whether it was newly created.
 // The graph file is written in the v2 mmap layout, streamed straight
-// into the store (Load then opens it O(1) on unix). Importing a graph
+// into the store (Load then maps it on unix). Importing a graph
 // that is already stored is a no-op returning the existing metadata
 // (the id is content-addressed, so the graph is guaranteed identical,
 // whatever layout its file has); a half-deleted dataset — metadata
@@ -234,9 +234,8 @@ func (s *Store) ImportReader(r io.Reader, name string, opt DecodeOptions) (Meta,
 // immutable and ids content-addressed, so cache entries can never go
 // stale), with existence re-checked on disk so a dataset deleted by
 // another process stops resolving. DPKG v2 files are opened via mmap
-// where supported — O(1) regardless of graph size, with the adjacency
-// paged in lazily by the kernel — so loading a v2 dataset never costs
-// a full-file decode.
+// where supported: the first load streams the mapping once through the
+// file's checksum, but never costs a full-file decode onto the heap.
 func (s *Store) Load(id string) (*graph.Graph, error) {
 	if !validID(id) {
 		return nil, fmt.Errorf("%w: malformed id %q", ErrNotFound, id)

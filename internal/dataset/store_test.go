@@ -155,12 +155,10 @@ func TestStoreUnknownAndMalformedIDs(t *testing.T) {
 }
 
 // TestStoreRejectsCorruptFile: damage to a stored graph file surfaces
-// on the next uncached load as a typed error, not a wrong graph. A
-// legacy v1 file is checksummed whole on every load, so a flip
-// anywhere is caught. A v2 file is mapped after O(1) validation, so
-// Load catches damage to its header, its length and its offset anchors
-// (TestV2HostileInputs covers each), but not a flip inside the
-// adjacency: that trade is the layout's (see codecv2.go).
+// on the next uncached load as a typed error, not a wrong graph. Both
+// layouts are checksummed whole on load, so a flip anywhere is caught:
+// here the middle of a v1 file and the last adjacency entry of a v2
+// file, which the mapped route would otherwise serve as a wrong edge.
 func TestStoreRejectsCorruptFile(t *testing.T) {
 	for _, layout := range []string{"v1", "v2"} {
 		s := testStore(t)
@@ -182,7 +180,7 @@ func TestStoreRejectsCorruptFile(t *testing.T) {
 		}
 		flip := len(data) / 2
 		if layout == "v2" {
-			flip = 8 // the node count, under the header's own checksum
+			flip = len(data) - checksumLen - 2
 		}
 		data[flip] ^= 1
 		if err := os.WriteFile(path, data, 0o644); err != nil {

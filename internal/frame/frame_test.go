@@ -1,8 +1,14 @@
 package frame
 
 import (
+	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
+
+	"dpkron/internal/faultfs"
 )
 
 var errTest = errors.New("test: corrupt")
@@ -46,5 +52,82 @@ func TestDecodeTornAndCorrupt(t *testing.T) {
 		if _, end, err := decodeAll(bad); !errors.Is(err, errTest) || end != 0 {
 			t.Fatalf("flip at %d: end %d, err %v; want corruption at 0", i, end, err)
 		}
+	}
+}
+
+// TestLogSharedFile drives two Logs on one file, as two ledger
+// handles do: each Read decodes only the frames the other appended
+// since, a Rewrite makes the other reset and read the file whole, a
+// torn tail is left out and cut by the next Append, and an older format
+// is converted once.
+func TestLogSharedFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log")
+	format := Format{Magic: "TEST\x01", What: "test log", MaxLen: 1 << 10, Corrupt: errTest}
+	type reader struct {
+		log    *Log
+		got    []string
+		resets int
+	}
+	read := func(r *reader) {
+		t.Helper()
+		if err := r.log.Read(func() { r.got = nil; r.resets++ }, func(_ int64, p []byte) error {
+			r.got = append(r.got, string(p))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := &reader{log: NewLog(faultfs.OS, path, format, false)}
+	b := &reader{log: NewLog(faultfs.OS, path, format, false)}
+	read(a)
+	for _, p := range []string{"one", "two"} {
+		if err := a.log.Append([]byte(p), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read(b)
+	if err := a.log.Append([]byte("three"), false); err != nil {
+		t.Fatal(err)
+	}
+	read(b)
+	if want := []string{"one", "two", "three"}; !slices.Equal(b.got, want) || b.resets != 1 {
+		t.Fatalf("incremental reads: %q after %d resets, want %q after 1", b.got, b.resets, want)
+	}
+	// A torn frame is left out, then cut by the next Append.
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write(Append(nil, []byte("torn"))[:3])
+	f.Close()
+	read(b)
+	if err := b.log.Append([]byte("four"), true); err != nil {
+		t.Fatal(err)
+	}
+	read(a) // a folded its own appends: it reads only b's
+	if !slices.Equal(a.got, []string{"four"}) || a.resets != 1 {
+		t.Fatalf("after a torn tail: %q after %d resets, want [four] after 1", a.got, a.resets)
+	}
+	// A rewrite draws a new file id: the other Log starts over.
+	if err := a.log.Rewrite([][]byte{[]byte("five")}); err != nil {
+		t.Fatal(err)
+	}
+	read(b)
+	if !slices.Equal(b.got, []string{"five"}) || b.resets != 2 {
+		t.Fatalf("after a rewrite: %q after %d resets", b.got, b.resets)
+	}
+	// A file in an older format is converted, once; without Convert it
+	// is corrupt.
+	if err := os.WriteFile(path, []byte("old:six"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.log.Read(func() {}, func(int64, []byte) error { return nil }); !errors.Is(err, errTest) {
+		t.Fatalf("foreign header without Convert: %v, want corruption", err)
+	}
+	format.Convert = func(data []byte) ([][]byte, error) { return [][]byte{data[4:]}, nil }
+	c := &reader{log: NewLog(faultfs.OS, path, format, false)}
+	read(c)
+	if data, err := os.ReadFile(path); err != nil || !slices.Equal(c.got, []string{"six"}) || !bytes.HasPrefix(data, []byte(format.Magic)) {
+		t.Fatalf("conversion: %q, file %q (%v)", c.got, data, err)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"dpkron/internal/frame"
 )
 
 // fuzzSeedJournal builds a real three-record journal to derive the
@@ -52,7 +54,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	// Bit flip in an interior record.
 	flipped := append([]byte(nil), valid...)
-	flipped[len(magic)+6] ^= 0x10
+	flipped[frame.HeaderLen+6] ^= 0x10
 	f.Add(flipped)
 	// Duplicated transition: replay the last frame twice (breaks the
 	// sequence monotonicity check).
@@ -61,6 +63,9 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("DPK"))
 	f.Add([]byte("DPKJ\x02"))
+	f.Add([]byte("DPKJ\x03"))
+	// A version 1 journal: the same frames after a 5-byte header.
+	f.Add(append([]byte("DPKJ\x01"), valid[frame.HeaderLen:]...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		records, validLen, err := Decode(data)

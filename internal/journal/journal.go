@@ -19,27 +19,22 @@
 // keep: every debit is eventually matched by a served release or an
 // explicit journaled failure — never silence.
 //
-// On-disk format ("DPKJ"): a 5-byte header (magic + version) followed
-// by the frames of internal/frame, the module's one durable record
-// format (shared with the privacy ledger): each a uvarint payload
-// length, the record's compact JSON, and the first 8 bytes of the
-// payload's SHA-256. Appends are single writes; state-bearing
-// transitions (admission, terminal) are fsynced, intermediate ones
-// ride the next sync. Recovery distinguishes a torn tail — an incomplete final
-// frame, the signature of a crash mid-append, silently truncated away
-// — from interior corruption — a checksum or structural failure with
-// complete bytes on both sides, which is damage, reported as a typed
-// ErrCorrupt and never repaired silently. Compaction rewrites the
-// retained suffix through the tmp + fsync + atomic-rename discipline
-// every other store in the module uses, and a sidecar flock
-// (internal/fslock) makes the journal single-owner across processes.
+// On-disk format ("DPKJ", version 2): a frame.Log, which owns the file
+// discipline (header and file id, torn-tail repair, durable appends,
+// atomic rewrites); this package keeps the record schema, the fold and
+// the lock policy. State-bearing transitions (admission, terminal) are
+// fsynced, intermediate ones ride the next sync. A sidecar flock
+// (internal/fslock) held from Open to Close makes the journal
+// single-owner across processes. A version 1 journal (a 5-byte header
+// without a file id) is rewritten as version 2 once, at Open, under
+// that lock; older binaries cannot read the result.
 package journal
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -136,7 +131,11 @@ const MaxResultBytes = 1 << 20
 // beyond 80 MiB is corruption, not data.
 const maxRecordBytes = 80 << 20
 
-var magic = []byte{'D', 'P', 'K', 'J', 1}
+// format is the journal's log file; legacyMagic heads a version 1
+// journal, whose header has no file id.
+var format = frame.Format{Magic: "DPKJ\x02", What: "journal", MaxLen: maxRecordBytes, Corrupt: ErrCorrupt, Convert: convertV1}
+
+const legacyMagic = "DPKJ\x01"
 
 // Journal is an open, exclusively owned job journal. All methods are
 // safe for concurrent use.
@@ -149,9 +148,8 @@ type Journal struct {
 	met journalMetrics
 
 	mu      sync.Mutex
-	f       faultfs.File
+	log     *frame.Log
 	seq     uint64
-	size    int64 // committed length of the file
 	records []Record
 	closed  bool
 }
@@ -177,107 +175,72 @@ func OpenFS(fsys faultfs.FS, path string) (*Journal, error) {
 		}
 		return nil, fmt.Errorf("journal: locking %s: %w", path, err)
 	}
-	j := &Journal{path: path, fsys: fsys, unlock: unlock}
-	if err := j.load(); err != nil {
+	j := &Journal{path: path, fsys: fsys, unlock: unlock, log: frame.NewLog(fsys, path, format, true)}
+	err = j.log.Read(func() { j.records, j.seq = nil, 0 }, fold(&j.records, &j.seq))
+	if err == nil && len(j.records) == 0 {
+		err = j.log.Rewrite(nil) // an empty journal is a bare header
+	}
+	if err != nil {
+		j.log.Close()
 		unlock()
-		return nil, err
+		return nil, fmt.Errorf("journal: %w", err)
 	}
 	return j, nil
 }
 
-// load reads and validates the journal, truncating a torn tail, and
-// leaves the file open for appends.
-func (j *Journal) load() error {
-	data, err := j.fsys.ReadFile(j.path)
-	if err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("journal: reading %s: %w", j.path, err)
-	}
-	fresh := os.IsNotExist(err) || len(data) == 0
-	var valid int64
-	if fresh {
-		j.records, j.seq = nil, 0
-	} else {
-		records, validLen, err := Decode(data)
-		if err != nil {
-			return err
-		}
-		j.records = records
-		if n := len(records); n > 0 {
-			j.seq = records[n-1].Seq
-		}
-		valid = validLen
-		if valid < int64(len(data)) {
-			// Torn tail: an incomplete final frame is exactly what a crash
-			// mid-append leaves. Drop it so the next append starts on a
-			// frame boundary.
-			if err := j.fsys.Truncate(j.path, valid); err != nil {
-				return fmt.Errorf("journal: recovering torn tail of %s: %w", j.path, err)
-			}
-		}
-		if valid == 0 {
-			// The crash tore the header itself: nothing valid survives,
-			// so rebuild from scratch, magic included.
-			fresh = true
-		}
-	}
-	f, err := j.fsys.OpenFile(j.path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: opening %s for append: %w", j.path, err)
-	}
-	if fresh {
-		if _, err := f.Write(magic); err != nil {
-			f.Close()
-			return fmt.Errorf("journal: writing header of %s: %w", j.path, err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("journal: syncing header of %s: %w", j.path, err)
-		}
-		valid = int64(len(magic))
-	}
-	j.f = f
-	j.size = valid
-	return nil
-}
-
-// Decode parses journal bytes into records plus the byte length of the
-// valid prefix. A torn tail (an incomplete final frame) is not an
-// error: the records before it are returned and validLen stops at the
-// last complete frame, so callers can truncate. Interior corruption —
-// a bad checksum, malformed JSON, a non-increasing sequence number, or
-// an oversized frame with complete data beyond it — is ErrCorrupt.
-// Decode never panics on hostile input (fuzzed).
-func Decode(data []byte) (records []Record, validLen int64, err error) {
-	if len(data) < len(magic) {
-		if isPrefix(data, magic) {
-			return nil, 0, nil // torn header
-		}
-		return nil, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	if string(data[:len(magic)]) != string(magic) {
-		return nil, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	var lastSeq uint64
-	end, err := frame.Decode(data[len(magic):], int64(len(magic)), maxRecordBytes, ErrCorrupt, func(off int64, payload []byte) error {
+// fold returns the frame callback that decodes a record onto *records,
+// checking that its sequence number advances past *seq.
+func fold(records *[]Record, seq *uint64) func(off int64, payload []byte) error {
+	return func(off int64, payload []byte) error {
 		var rec Record
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return fmt.Errorf("%w: undecodable record at offset %d: %v", ErrCorrupt, off, err)
 		}
-		if rec.Seq <= lastSeq {
-			return fmt.Errorf("%w: sequence %d at offset %d does not advance past %d", ErrCorrupt, rec.Seq, off, lastSeq)
+		if rec.Seq <= *seq {
+			return fmt.Errorf("%w: sequence %d at offset %d does not advance past %d", ErrCorrupt, rec.Seq, off, *seq)
 		}
-		lastSeq = rec.Seq
-		records = append(records, rec)
+		*seq = rec.Seq
+		*records = append(*records, rec)
 		return nil
-	})
-	return records, end, err
+	}
 }
 
-func isPrefix(data, of []byte) bool {
-	if len(data) > len(of) {
-		return false
+// Decode parses journal bytes of either header version into records
+// plus the byte length of the valid prefix. A torn tail (an incomplete
+// final frame) is not an error: the records before it are returned and
+// validLen stops at the last complete frame. Interior corruption — a
+// bad checksum, malformed JSON, a non-increasing sequence number, or
+// an oversized frame with complete data beyond it — is ErrCorrupt.
+// Decode never panics on hostile input (fuzzed).
+func Decode(data []byte) (records []Record, validLen int64, err error) {
+	var seq uint64
+	if bytes.HasPrefix(data, []byte(legacyMagic)) {
+		validLen, err = decodeV1(data, fold(&records, &seq))
+	} else {
+		validLen, err = format.Decode(data, fold(&records, &seq))
 	}
-	return string(data) == string(of[:len(data)])
+	return records, validLen, err
+}
+
+// decodeV1 walks the frames of a version 1 journal.
+func decodeV1(data []byte, fn func(off int64, payload []byte) error) (int64, error) {
+	if !bytes.HasPrefix(data, []byte(legacyMagic)) {
+		return 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	}
+	return frame.Decode(data[len(legacyMagic):], int64(len(legacyMagic)), maxRecordBytes, ErrCorrupt, fn)
+}
+
+// convertV1 returns the records of a version 1 journal for Open to
+// rewrite as version 2; a torn tail is dropped.
+func convertV1(data []byte) (payloads [][]byte, err error) {
+	var records []Record
+	var seq uint64
+	add := fold(&records, &seq)
+	_, err = decodeV1(data, func(off int64, payload []byte) error {
+		payloads = append(payloads, payload)
+		return add(off, payload)
+	})
+	return payloads, err
 }
 
 // Path returns the journal file location.
@@ -296,9 +259,9 @@ func (j *Journal) Records() []Record {
 // whose loss would break the debit invariant (admission before the
 // ledger debit, terminal states before history eviction); transitions
 // recoverable by re-execution (debited, running) may ride a later
-// sync. A failed append leaves at worst a torn tail, which the next
-// Open truncates; the in-memory journal never records a transition
-// the file might not hold.
+// sync. A failed append is cut back off the file (frame.Log.Append);
+// the in-memory journal never records a transition the file might not
+// hold.
 func (j *Journal) Append(rec Record, sync bool) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -311,52 +274,17 @@ func (j *Journal) Append(rec Record, sync bool) error {
 	if err != nil {
 		return fmt.Errorf("journal: encoding record: %w", err)
 	}
-	buf := frame.Append(nil, payload)
-	if _, err := j.f.Write(buf); err != nil {
-		// The write may have torn: reopen at the last committed size so
-		// this process's future appends do not build on a torn tail the
-		// way a crashed process's next Open would have to recover.
-		j.reopenLocked()
-		return fmt.Errorf("journal: appending to %s: %w", j.path, err)
+	start := time.Now()
+	if err := j.log.Append(payload, sync); err != nil {
+		return fmt.Errorf("journal: %w", err)
 	}
 	if sync {
-		start := time.Now()
-		if err := j.f.Sync(); err != nil {
-			j.reopenLocked()
-			return fmt.Errorf("journal: syncing %s: %w", j.path, err)
-		}
 		j.met.observeFsync(start)
 	}
 	j.seq = rec.Seq
-	j.size += int64(len(buf))
 	j.records = append(j.records, rec)
 	j.met.appends.With(rec.State).Inc()
 	return nil
-}
-
-// Sync flushes any unsynced appends.
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("journal: syncing %s: %w", j.path, err)
-	}
-	return nil
-}
-
-// reopenLocked truncates the file back to the last committed frame
-// boundary and reopens it for append, after a failed write. Best
-// effort: if recovery itself fails the journal stays pointed at the
-// old handle and the next Open re-runs torn-tail recovery from disk.
-func (j *Journal) reopenLocked() {
-	j.f.Close()
-	_ = j.fsys.Truncate(j.path, j.size)
-	if f, err := j.fsys.OpenFile(j.path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644); err == nil {
-		j.f = f
-	}
 }
 
 // Compact atomically rewrites the journal keeping only records whose
@@ -370,37 +298,24 @@ func (j *Journal) Compact(keep func(job string) bool) error {
 		return fmt.Errorf("journal: %s is closed", j.path)
 	}
 	var kept []Record
-	data := make([]byte, 0, len(magic))
-	data = append(data, magic...)
-	var seq uint64
+	var payloads [][]byte
 	for _, rec := range j.records {
 		if !keep(rec.Job) {
 			continue
 		}
-		seq++
-		rec.Seq = seq
+		rec.Seq = uint64(len(kept) + 1)
 		payload, err := json.Marshal(rec)
 		if err != nil {
 			return fmt.Errorf("journal: encoding record: %w", err)
 		}
-		data = frame.Append(data, payload)
-		kept = append(kept, rec)
+		kept, payloads = append(kept, rec), append(payloads, payload)
 	}
-	// tmp + fsync + atomic rename: a crash mid-compaction leaves either
-	// the old journal or the new, never a mix.
-	if err := faultfs.WriteAtomic(j.fsys, j.path, "journal", data); err != nil {
-		return fmt.Errorf("journal: compacting %s: %w", j.path, err)
+	// An atomic rewrite: a crash mid-compaction leaves either the old
+	// journal or the new, never a mix.
+	if err := j.log.Rewrite(payloads); err != nil {
+		return fmt.Errorf("journal: compacting: %w", err)
 	}
-	j.f.Close()
-	nf, err := j.fsys.OpenFile(j.path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		j.closed = true
-		return fmt.Errorf("journal: reopening compacted %s: %w", j.path, err)
-	}
-	j.f = nf
-	j.records = kept
-	j.seq = seq
-	j.size = int64(len(data))
+	j.records, j.seq = kept, uint64(len(kept))
 	return nil
 }
 
@@ -412,14 +327,10 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	j.closed = true
-	syncErr := j.f.Sync()
-	closeErr := j.f.Close()
+	err := j.log.Close()
 	j.unlock()
-	if syncErr != nil {
-		return fmt.Errorf("journal: syncing %s on close: %w", j.path, syncErr)
-	}
-	if closeErr != nil {
-		return fmt.Errorf("journal: closing %s: %w", j.path, closeErr)
+	if err != nil {
+		return fmt.Errorf("journal: %w", err)
 	}
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 
 	"dpkron/internal/core"
 	"dpkron/internal/faultfs"
+	"dpkron/internal/frame"
 	"dpkron/internal/release"
 )
 
@@ -168,7 +169,7 @@ func TestInteriorCorruption(t *testing.T) {
 	}
 	// Flip a byte early in the first record's payload (well before the
 	// final frame).
-	data[len(magic)+4] ^= 0x40
+	data[frame.HeaderLen+4] ^= 0x40
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}

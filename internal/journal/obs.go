@@ -25,7 +25,7 @@ func (j *Journal) Instrument(reg *obs.Registry) {
 	}
 }
 
-// observeFsync times one fsync; callers wrap j.f.Sync().
+// observeFsync times one synced append, its write and fsync.
 func (m journalMetrics) observeFsync(start time.Time) {
 	m.fsync.Observe(time.Since(start).Seconds())
 }

@@ -374,7 +374,7 @@ func TestServerStoredDataReleaseClosure(t *testing.T) {
 	}
 
 	// Every release served was debited, and nothing else was.
-	acct, ok := fx.led.Account(fx.id)
+	acct, ok, _ := fx.led.Account(fx.id)
 	if !ok {
 		t.Fatal("the stored dataset has no ledger account")
 	}
@@ -574,7 +574,7 @@ func TestServerStoredDataReplay(t *testing.T) {
 		t.Errorf("resumed release differs from life A's:\n got %s\nwant %s", got.Payload, want.Payload)
 	}
 	// One debit, the private fit's; the mom admission debited nothing.
-	if acct, _ := led.Account(meta.ID); len(acct.Receipts) != 1 {
+	if acct, _, _ := led.Account(meta.ID); len(acct.Receipts) != 1 {
 		t.Errorf("%d debits after replay, want the private fit's one", len(acct.Receipts))
 	}
 }

@@ -162,7 +162,7 @@ func TestServerSingleFlightRace(t *testing.T) {
 	}
 
 	// Exactly one ledger debit.
-	acct, ok := led.Account(ds)
+	acct, ok, _ := led.Account(ds)
 	if !ok {
 		t.Fatal("dataset has no ledger account")
 	}
@@ -262,7 +262,7 @@ func TestServerCacheHitZeroDebit(t *testing.T) {
 	if got, want := stripCacheMarkers(hit), stripCacheMarkers(coldResult); got != want {
 		t.Fatalf("hit differs from the fit it memoized:\n got %s\nwant %s", got, want)
 	}
-	if acct, _ := led.Account(ds); len(acct.Receipts) != 1 {
+	if acct, _, _ := led.Account(ds); len(acct.Receipts) != 1 {
 		t.Fatalf("cache hit debited the ledger: %d receipts", len(acct.Receipts))
 	}
 
@@ -375,7 +375,7 @@ func TestServerCorruptReleaseRecomputed(t *testing.T) {
 	if job := pollJob(t, ts2.URL, resp["id"].(string), 60*time.Second); job["status"] != StatusDone {
 		t.Fatalf("recompute ended %v", job["status"])
 	}
-	if acct, _ := led.Account(ds); len(acct.Receipts) != 2 {
+	if acct, _, _ := led.Account(ds); len(acct.Receipts) != 2 {
 		t.Fatalf("recompute after corruption left %d receipts, want 2 (fresh debit)", len(acct.Receipts))
 	}
 
@@ -431,7 +431,7 @@ func TestServerReleaseWithoutReceiptIsMiss(t *testing.T) {
 	if result := job["result"].(map[string]any); result["receipt"] == nil || result["cached"] != nil {
 		t.Fatalf("fit result %v, want a fresh receipt-bearing release", result)
 	}
-	if acct, _ := led.Account(ds); len(acct.Receipts) != 1 {
+	if acct, _, _ := led.Account(ds); len(acct.Receipts) != 1 {
 		t.Fatalf("%d ledger receipts, want the fit's one debit", len(acct.Receipts))
 	}
 
@@ -491,7 +491,7 @@ func TestServerFitByIDCacheHit(t *testing.T) {
 	if result := resp["result"].(map[string]any); result["cached"] != true {
 		t.Fatalf("expected cached result, got %v", result)
 	}
-	if acct, _ := led.Account(meta.ID); len(acct.Receipts) != 1 {
+	if acct, _, _ := led.Account(meta.ID); len(acct.Receipts) != 1 {
 		t.Fatalf("fit-by-id hit debited the ledger: %d receipts", len(acct.Receipts))
 	}
 }

@@ -907,7 +907,11 @@ func (s *Server) handleBudget(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ds := r.PathValue("dataset")
-	acct, ok := s.opts.Ledger.Account(ds)
+	acct, ok, err := s.opts.Ledger.Account(ds)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
 	if !ok {
 		// A dataset the store holds but the ledger has never seen is a
 		// real dataset with the default-deny zero budget — report that

@@ -17,6 +17,7 @@ import (
 	"dpkron/internal/accountant"
 	"dpkron/internal/dataset"
 	"dpkron/internal/dp"
+	"dpkron/internal/frame"
 	"dpkron/internal/graph"
 	"dpkron/internal/mmapfile"
 	"dpkron/internal/randx"
@@ -556,6 +557,42 @@ func TestServerWorkerSplit(t *testing.T) {
 				tc.workers, tc.maxJobs, s.jobWorkers, tc.want)
 		}
 		s.Close()
+	}
+}
+
+// TestServerBudgetLedgerDamage: when the ledger cannot read a stored
+// dataset's receipts — a flipped byte inside its first record, which
+// the server's handle has already folded — GET /v1/budget/{dataset}
+// is a 500 naming the damage, not a 200 with the zero budget of a
+// dataset the ledger has never seen.
+func TestServerBudgetLedgerDamage(t *testing.T) {
+	led, err := accountant.Open(filepath.Join(t.TempDir(), "ledger.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, ts := newStoreServer(t, led)
+	m, _, err := st.Put(graph.FromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}}), "g", "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := accountant.Charge{Query: "q", Mechanism: "laplace", Sensitivity: 1, Eps: 0.1}
+	if err := led.SetBudget(m.ID, dp.Budget{Eps: 1, Delta: 0.01}); err != nil {
+		t.Fatal(err)
+	}
+	if err := led.Spend(m.ID, accountant.Receipt{Policy: "sequential", Total: c.Budget(), Charges: []accountant.Charge{c}}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(led.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[frame.HeaderLen+5] ^= 0x20
+	if err := os.WriteFile(led.Path(), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, body := doJSON(t, http.MethodGet, ts.URL+"/v1/budget/"+m.ID, nil)
+	if msg, _ := body["error"].(string); code != http.StatusInternalServerError || !strings.Contains(msg, "corrupt ledger") {
+		t.Fatalf("GET budget over a damaged ledger: status %d, body %v; want 500 naming the damage", code, body)
 	}
 }
 

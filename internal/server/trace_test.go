@@ -243,7 +243,7 @@ func TestServerTraceEndToEnd(t *testing.T) {
 	}
 	// The ledger receipt was stamped with the debit time and its token
 	// cross-references the journaled admission.
-	acct, ok := led.Account(ds)
+	acct, ok, _ := led.Account(ds)
 	if !ok || len(acct.Receipts) != 1 {
 		t.Fatalf("ledger account: ok=%v receipts=%d", ok, len(acct.Receipts))
 	}
