@@ -203,11 +203,11 @@ func OpenFS(fsys faultfs.FS, path string) (*Ledger, error) {
 func (l *Ledger) Path() string { return l.path }
 
 // convertV1 returns the accounts of a v1 ledger — one JSON document
-// rewritten per mutation — as log records, which the log is rewritten
-// to hold. Each dataset's receipts become spend records, in order,
-// followed by a budget record that restores the v1 file's budget and
-// spend exactly.
-func convertV1(v1 []byte) ([][]byte, error) {
+// rewritten per mutation — as the frames of log records, which the log
+// is rewritten to hold. Each dataset's receipts become spend records,
+// in order, followed by a budget record that restores the v1 file's
+// budget and spend exactly.
+func convertV1(v1 []byte) ([]byte, error) {
 	var old struct {
 		Datasets map[string]*Account `json:"datasets"`
 	}
@@ -219,13 +219,13 @@ func convertV1(v1 []byte) ([][]byte, error) {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
-	var payloads [][]byte
+	var frames []byte
 	var err error
 	add := func(rec record) {
 		if err == nil {
 			var p []byte
 			p, err = json.Marshal(rec)
-			payloads = append(payloads, p)
+			frames = frame.Append(frames, p)
 		}
 	}
 	for _, id := range ids {
@@ -240,7 +240,7 @@ func convertV1(v1 []byte) ([][]byte, error) {
 		}
 		add(record{Op: opBudget, Dataset: id, Budget: &acct.Budget, Spent: &acct.Spent})
 	}
-	return payloads, err
+	return frames, err
 }
 
 // withLocked runs fn with the in-process mutex held, the cross-process

@@ -98,10 +98,10 @@ type Format struct {
 	// Corrupt is the sentinel that interior damage wraps.
 	Corrupt error
 	// Convert, when set, reads a whole file that does not begin with
-	// Magic (an older format) and returns its records' payloads; Log
+	// Magic (an older format) and returns its records as frames; Log
 	// then rewrites the file under Magic holding them. Without Convert
 	// such a file is corrupt.
-	Convert func(data []byte) ([][]byte, error)
+	Convert func(data []byte) (frames []byte, err error)
 }
 
 // Decode checks data's header and walks its frames (see Decode). Data
@@ -200,11 +200,11 @@ func (l *Log) readAll(reset func(), apply func(off int64, payload []byte) error)
 	end, err := l.format.Decode(data, apply)
 	if err != nil && end == 0 && l.format.Convert != nil {
 		// Not this format's header: an older format.
-		payloads, err := l.format.Convert(data)
+		frames, err := l.format.Convert(data)
 		if err != nil {
 			return l.errorf("converting", err)
 		}
-		if err := l.Rewrite(payloads); err != nil {
+		if err := l.Rewrite(frames); err != nil {
 			return err
 		}
 		return l.readAll(reset, apply)
@@ -254,7 +254,7 @@ func (l *Log) forget() {
 // file back, so it never holds a frame the caller was told failed.
 func (l *Log) Append(payload []byte, sync bool) error {
 	if l.size == 0 {
-		return l.Rewrite([][]byte{payload})
+		return l.Rewrite(Append(nil, payload))
 	}
 	if l.end > l.size {
 		if err := l.fsys.Truncate(l.path, l.size); err != nil {
@@ -296,22 +296,26 @@ func (l *Log) Append(payload []byte, sync bool) error {
 	return nil
 }
 
-// Rewrite atomically replaces the whole file with payloads, one frame
-// each, under a fresh file id; other Logs on the file then read it
-// again from the start. The caller's fold must match payloads.
-func (l *Log) Rewrite(payloads [][]byte) error {
-	data := make([]byte, HeaderLen, 4<<10)
-	copy(data, l.format.Magic)
-	if _, err := rand.Read(data[len(l.format.Magic):]); err != nil {
+// Rewrite atomically replaces the whole file with frames, a run of
+// whole frames (see Append), under a fresh file id; other Logs on the
+// file then read it again from the start. The caller's fold must match
+// frames.
+func (l *Log) Rewrite(frames []byte) error {
+	header := make([]byte, HeaderLen)
+	copy(header, l.format.Magic)
+	if _, err := rand.Read(header[len(l.format.Magic):]); err != nil {
 		return l.errorf("drawing a file id for", err)
 	}
-	for _, p := range payloads {
-		data = Append(data, p)
-	}
-	if err := faultfs.WriteAtomic(l.fsys, l.path, l.format.What, data); err != nil {
+	if err := faultfs.WriteAtomicFunc(l.fsys, l.path, l.format.What, func(w io.Writer) error {
+		if _, err := w.Write(header); err != nil {
+			return err
+		}
+		_, err := w.Write(frames)
+		return err
+	}); err != nil {
 		return fmt.Errorf("%s: %w", l.path, err)
 	}
-	return l.adopt(data, int64(len(data)))
+	return l.adopt(header, int64(len(header)+len(frames)))
 }
 
 // Close fsyncs and closes the held append handle, if any.

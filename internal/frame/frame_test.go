@@ -109,7 +109,7 @@ func TestLogSharedFile(t *testing.T) {
 		t.Fatalf("after a torn tail: %q after %d resets, want [four] after 1", a.got, a.resets)
 	}
 	// A rewrite draws a new file id: the other Log starts over.
-	if err := a.log.Rewrite([][]byte{[]byte("five")}); err != nil {
+	if err := a.log.Rewrite(Append(nil, []byte("five"))); err != nil {
 		t.Fatal(err)
 	}
 	read(b)
@@ -124,7 +124,7 @@ func TestLogSharedFile(t *testing.T) {
 	if err := b.log.Read(func() {}, func(int64, []byte) error { return nil }); !errors.Is(err, errTest) {
 		t.Fatalf("foreign header without Convert: %v, want corruption", err)
 	}
-	format.Convert = func(data []byte) ([][]byte, error) { return [][]byte{data[4:]}, nil }
+	format.Convert = func(data []byte) ([]byte, error) { return Append(nil, data[4:]), nil }
 	c := &reader{log: NewLog(faultfs.OS, path, format, false)}
 	read(c)
 	if data, err := os.ReadFile(path); err != nil || !slices.Equal(c.got, []string{"six"}) || !bytes.HasPrefix(data, []byte(format.Magic)) {

@@ -230,17 +230,16 @@ func decodeV1(data []byte, fn func(off int64, payload []byte) error) (int64, err
 	return frame.Decode(data[len(legacyMagic):], int64(len(legacyMagic)), maxRecordBytes, ErrCorrupt, fn)
 }
 
-// convertV1 returns the records of a version 1 journal for Open to
-// rewrite as version 2; a torn tail is dropped.
-func convertV1(data []byte) (payloads [][]byte, err error) {
+// convertV1 returns the frames of a version 1 journal's records for
+// Open to rewrite as version 2; a torn tail is dropped.
+func convertV1(data []byte) ([]byte, error) {
 	var records []Record
 	var seq uint64
-	add := fold(&records, &seq)
-	_, err = decodeV1(data, func(off int64, payload []byte) error {
-		payloads = append(payloads, payload)
-		return add(off, payload)
-	})
-	return payloads, err
+	end, err := decodeV1(data, fold(&records, &seq))
+	if err != nil {
+		return nil, err
+	}
+	return data[len(legacyMagic):end], nil
 }
 
 // Path returns the journal file location.
@@ -298,7 +297,7 @@ func (j *Journal) Compact(keep func(job string) bool) error {
 		return fmt.Errorf("journal: %s is closed", j.path)
 	}
 	var kept []Record
-	var payloads [][]byte
+	var frames []byte
 	for _, rec := range j.records {
 		if !keep(rec.Job) {
 			continue
@@ -308,11 +307,11 @@ func (j *Journal) Compact(keep func(job string) bool) error {
 		if err != nil {
 			return fmt.Errorf("journal: encoding record: %w", err)
 		}
-		kept, payloads = append(kept, rec), append(payloads, payload)
+		kept, frames = append(kept, rec), frame.Append(frames, payload)
 	}
 	// An atomic rewrite: a crash mid-compaction leaves either the old
 	// journal or the new, never a mix.
-	if err := j.log.Rewrite(payloads); err != nil {
+	if err := j.log.Rewrite(frames); err != nil {
 		return fmt.Errorf("journal: compacting: %w", err)
 	}
 	j.records, j.seq = kept, uint64(len(kept))
