@@ -12,7 +12,7 @@ import (
 
 // decodedLog is a whole ledger file folded by the shared log decoder.
 type decodedLog struct {
-	size  int64 // offset past the last whole frame; 0 for a torn header
+	size  int64 // offset past the last whole frame
 	accts accounts
 }
 
@@ -26,10 +26,9 @@ func decodeLog(data []byte) (*decodedLog, error) {
 
 // FuzzLedgerDecode holds the shared log decoder, folding ledger
 // records, to its contract on arbitrary bytes: it never panics, a
-// non-nil error is always ErrCorrupt, the valid size is 0 (a torn
-// header) or within [HeaderLen, len], and the declared valid prefix
-// re-decodes to the same size with no error — what a reader relies on
-// when it ignores a torn tail.
+// non-nil error is always ErrCorrupt, the valid size stays within the
+// input, and the declared valid prefix re-decodes to the same size with
+// no error — what a reader relies on when it ignores a torn tail.
 func FuzzLedgerDecode(f *testing.F) {
 	dir, err := os.MkdirTemp("", "ledger-fuzz")
 	if err != nil {
@@ -70,8 +69,8 @@ func FuzzLedgerDecode(f *testing.F) {
 			}
 			return
 		}
-		if st.size != 0 && st.size < frame.HeaderLen || st.size > int64(len(data)) {
-			t.Fatalf("valid size %d neither 0 nor in [%d, %d]", st.size, frame.HeaderLen, len(data))
+		if st.size < frame.HeaderLen || st.size > int64(len(data)) {
+			t.Fatalf("valid size %d outside [%d, %d]", st.size, frame.HeaderLen, len(data))
 		}
 		again, err := decodeLog(data[:st.size])
 		if err != nil || again.size != st.size || len(again.accts) != len(st.accts) {

@@ -314,23 +314,25 @@ func (l *Ledger) Account(dataset string) (acct Account, ok bool, err error) {
 		if a == nil {
 			return nil
 		}
-		// A Log of its own reads the whole file.
 		var receipts []Receipt
-		whole := frame.NewLog(l.fs, l.path, logFormat, false)
-		if err := whole.Read(func() { receipts = nil }, func(off int64, payload []byte) error {
-			rec, err := decodeRecord(off, payload)
-			switch {
-			case err != nil:
-				return err
-			case rec.Dataset != dataset:
-			case rec.Op == opSpend:
-				receipts = append(receipts, *rec.Receipt)
-			case rec.Op == opReset:
-				receipts = nil
-			}
-			return nil
-		}); err != nil {
-			return fmt.Errorf("accountant: %w", err)
+		data, err := l.fs.ReadFile(l.path)
+		if err == nil {
+			_, err = logFormat.Decode(data, func(off int64, payload []byte) error {
+				rec, err := decodeRecord(off, payload)
+				switch {
+				case err != nil:
+					return err
+				case rec.Dataset != dataset:
+				case rec.Op == opSpend:
+					receipts = append(receipts, *rec.Receipt)
+				case rec.Op == opReset:
+					receipts = nil
+				}
+				return nil
+			})
+		}
+		if err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("accountant: reading ledger %s: %w", l.path, err)
 		}
 		acct, ok = Account{Budget: a.budget, Spent: a.spent, Receipts: receipts}, true
 		return nil

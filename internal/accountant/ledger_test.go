@@ -485,6 +485,34 @@ func TestLedgerCorruptInterior(t *testing.T) {
 	}
 }
 
+// TestLedgerShortFileCorrupt: a ledger file shorter than its header —
+// empty, or cut inside it — is ErrCorrupt on Open, and a handle that
+// meets it refuses to spend and leaves the file as it is. A log header
+// is only ever written whole, so a short file means lost history, not a
+// torn write.
+func TestLedgerShortFileCorrupt(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ledger.json")
+	live := spendN(t, path, 1)
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 3, len(logMagic), frame.HeaderLen - 1} {
+		if err := os.WriteFile(path, valid[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(path); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Open over a %d-byte ledger: %v, want ErrCorrupt", n, err)
+		}
+		if err := live.Spend("ds-a", testReceipt(0.1, 0)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("spend over a %d-byte ledger: %v, want ErrCorrupt", n, err)
+		}
+		if after, err := os.ReadFile(path); err != nil || string(after) != string(valid[:n]) {
+			t.Fatalf("a refused spend changed the %d-byte ledger (%v)", n, err)
+		}
+	}
+}
+
 // TestLedgerV1Conversion: a v1 JSON ledger opens as the same accounts
 // — budgets, spends bit for bit, receipts with their times and tokens —
 // and is rewritten as a log once; a later Open leaves the file alone.

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"time"
 
 	"dpkron/internal/faultfs"
 )
@@ -105,13 +106,11 @@ type Format struct {
 }
 
 // Decode checks data's header and walks its frames (see Decode). Data
-// shorter than a header that could begin one is an empty log (end 0);
-// any other header is an error wrapping Corrupt, also with end 0.
+// shorter than a header, or not beginning with Magic, is an error
+// wrapping Corrupt with end 0: a header is only ever written whole, so
+// a short one means the history was lost, not torn.
 func (f Format) Decode(data []byte, fn func(off int64, payload []byte) error) (end int64, err error) {
-	if n := min(len(data), len(f.Magic)); len(data) < HeaderLen && string(data[:n]) == f.Magic[:n] {
-		return 0, nil
-	}
-	if !bytes.HasPrefix(data, []byte(f.Magic)) {
+	if len(data) < HeaderLen || !bytes.HasPrefix(data, []byte(f.Magic)) {
 		return 0, fmt.Errorf("%w: bad header", f.Corrupt)
 	}
 	return Decode(data[HeaderLen:], HeaderLen, f.MaxLen, f.Corrupt, fn)
@@ -132,6 +131,8 @@ type Log struct {
 	size int64        // offset past the last whole frame; 0 while the file has no header
 	end  int64        // the file's length as last seen, past size when a torn tail follows
 	f    faultfs.File // the held append handle, in hold mode
+	// OnSync, when set, receives the duration of each successful fsync.
+	OnSync func(time.Duration)
 }
 
 // NewLog returns a Log of format at path; it touches nothing on disk.
@@ -212,14 +213,9 @@ func (l *Log) readAll(reset func(), apply func(off int64, payload []byte) error)
 	if err != nil {
 		return l.errorf("reading", err)
 	}
-	if end == 0 {
-		return nil // a torn header: an empty log, which the next Append replaces
-	}
-	if err := l.adopt(data, end); err != nil {
-		return err
-	}
+	err = l.adopt(data, end)
 	l.end = int64(len(data))
-	return nil
+	return err
 }
 
 // adopt takes header's file id as the log's, with size bytes of the
@@ -238,13 +234,15 @@ func (l *Log) adopt(header []byte, size int64) error {
 	return nil
 }
 
-// forget drops what the log knew of a file that is gone or replaced.
-func (l *Log) forget() {
+// forget drops what the log knew of a file that is gone or replaced,
+// closing the held append handle; it returns the error of that close.
+func (l *Log) forget() (err error) {
 	if l.f != nil {
-		l.f.Close()
+		err = l.f.Close()
 		l.f = nil
 	}
 	l.size, l.end = 0, 0
+	return err
 }
 
 // Append durably appends payload as one frame. A file without a header
@@ -275,7 +273,10 @@ func (l *Log) Append(payload []byte, sync bool) error {
 	buf := Append(nil, payload)
 	_, err := f.Write(buf)
 	if err == nil && sync {
-		err = f.Sync()
+		start := time.Now()
+		if err = f.Sync(); err == nil && l.OnSync != nil {
+			l.OnSync(time.Since(start))
+		}
 	}
 	if !l.hold {
 		if cerr := f.Close(); err == nil {
@@ -307,10 +308,7 @@ func (l *Log) Rewrite(frames []byte) error {
 		return l.errorf("drawing a file id for", err)
 	}
 	if err := faultfs.WriteAtomicFunc(l.fsys, l.path, l.format.What, func(w io.Writer) error {
-		if _, err := w.Write(header); err != nil {
-			return err
-		}
-		_, err := w.Write(frames)
+		_, err := io.Copy(w, io.MultiReader(bytes.NewReader(header), bytes.NewReader(frames)))
 		return err
 	}); err != nil {
 		return fmt.Errorf("%s: %w", l.path, err)
@@ -319,13 +317,15 @@ func (l *Log) Rewrite(frames []byte) error {
 }
 
 // Close fsyncs and closes the held append handle, if any.
-func (l *Log) Close() error {
-	var err error
+func (l *Log) Close() (err error) {
 	if l.f != nil {
-		if err = l.f.Sync(); err != nil {
-			err = l.errorf("syncing", err)
-		}
+		err = l.f.Sync()
 	}
-	l.forget()
+	if cerr := l.forget(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		err = l.errorf("closing", err)
+	}
 	return err
 }

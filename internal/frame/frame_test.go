@@ -124,6 +124,18 @@ func TestLogSharedFile(t *testing.T) {
 	if err := b.log.Read(func() {}, func(int64, []byte) error { return nil }); !errors.Is(err, errTest) {
 		t.Fatalf("foreign header without Convert: %v, want corruption", err)
 	}
+	// So is a file cut short inside the header: it is only written whole.
+	for _, short := range []string{"", "TES", format.Magic} {
+		if err := os.WriteFile(path, []byte(short), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.log.Read(func() {}, func(int64, []byte) error { return nil }); !errors.Is(err, errTest) {
+			t.Fatalf("%d-byte file: %v, want corruption", len(short), err)
+		}
+	}
+	if err := os.WriteFile(path, []byte("old:six"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	format.Convert = func(data []byte) ([]byte, error) { return Append(nil, data[4:]), nil }
 	c := &reader{log: NewLog(faultfs.OS, path, format, false)}
 	read(c)

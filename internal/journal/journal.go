@@ -131,11 +131,11 @@ const MaxResultBytes = 1 << 20
 // beyond 80 MiB is corruption, not data.
 const maxRecordBytes = 80 << 20
 
-// format is the journal's log file; legacyMagic heads a version 1
-// journal, whose header has no file id.
-var format = frame.Format{Magic: "DPKJ\x02", What: "journal", MaxLen: maxRecordBytes, Corrupt: ErrCorrupt, Convert: convertV1}
+// format is the journal's log file, headed by magic; legacyMagic heads
+// a version 1 journal, whose header has no file id.
+var format = frame.Format{Magic: magic, What: "journal", MaxLen: maxRecordBytes, Corrupt: ErrCorrupt, Convert: convertV1}
 
-const legacyMagic = "DPKJ\x01"
+const magic, legacyMagic = "DPKJ\x02", "DPKJ\x01"
 
 // Journal is an open, exclusively owned job journal. All methods are
 // safe for concurrent use.
@@ -176,6 +176,7 @@ func OpenFS(fsys faultfs.FS, path string) (*Journal, error) {
 		return nil, fmt.Errorf("journal: locking %s: %w", path, err)
 	}
 	j := &Journal{path: path, fsys: fsys, unlock: unlock, log: frame.NewLog(fsys, path, format, true)}
+	j.log.OnSync = func(d time.Duration) { j.met.observeFsync(d) }
 	err = j.log.Read(func() { j.records, j.seq = nil, 0 }, fold(&j.records, &j.seq))
 	if err == nil && len(j.records) == 0 {
 		err = j.log.Rewrite(nil) // an empty journal is a bare header
@@ -206,24 +207,28 @@ func fold(records *[]Record, seq *uint64) func(off int64, payload []byte) error 
 }
 
 // Decode parses journal bytes of either header version into records
-// plus the byte length of the valid prefix. A torn tail (an incomplete
-// final frame) is not an error: the records before it are returned and
-// validLen stops at the last complete frame. Interior corruption — a
-// bad checksum, malformed JSON, a non-increasing sequence number, or
-// an oversized frame with complete data beyond it — is ErrCorrupt.
-// Decode never panics on hostile input (fuzzed).
+// plus the byte length of the valid prefix. A torn header is an empty
+// journal, and a torn tail (an incomplete final frame) is not an error:
+// the records before it are returned and validLen stops at the last
+// complete frame. Interior corruption — a bad checksum, malformed JSON,
+// a non-increasing sequence number, or an oversized frame with complete
+// data beyond it — is ErrCorrupt. Decode never panics on hostile input
+// (fuzzed).
 func Decode(data []byte) (records []Record, validLen int64, err error) {
-	var seq uint64
-	if bytes.HasPrefix(data, []byte(legacyMagic)) {
-		validLen, err = decodeV1(data, fold(&records, &seq))
-	} else {
-		validLen, err = format.Decode(data, fold(&records, &seq))
+	fn := fold(&records, new(uint64))
+	if validLen, err = format.Decode(data, fn); err != nil && validLen == 0 {
+		validLen, err = decodeV1(data, fn) // not a version 2 header
 	}
 	return records, validLen, err
 }
 
-// decodeV1 walks the frames of a version 1 journal.
+// decodeV1 walks the frames of a version 1 journal. A header cut short,
+// of either version, is an empty journal: unlike the ledger, the
+// journal reads one as version 1 did, whose header a plain write wrote.
 func decodeV1(data []byte, fn func(off int64, payload []byte) error) (int64, error) {
+	if n := min(len(data), len(magic)); len(data) < frame.HeaderLen && string(data[:n]) == magic[:n] {
+		return 0, nil
+	}
 	if !bytes.HasPrefix(data, []byte(legacyMagic)) {
 		return 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
@@ -233,10 +238,8 @@ func decodeV1(data []byte, fn func(off int64, payload []byte) error) (int64, err
 // convertV1 returns the frames of a version 1 journal's records for
 // Open to rewrite as version 2; a torn tail is dropped.
 func convertV1(data []byte) ([]byte, error) {
-	var records []Record
-	var seq uint64
-	end, err := decodeV1(data, fold(&records, &seq))
-	if err != nil {
+	end, err := decodeV1(data, fold(new([]Record), new(uint64)))
+	if err != nil || end == 0 {
 		return nil, err
 	}
 	return data[len(legacyMagic):end], nil
@@ -273,12 +276,8 @@ func (j *Journal) Append(rec Record, sync bool) error {
 	if err != nil {
 		return fmt.Errorf("journal: encoding record: %w", err)
 	}
-	start := time.Now()
 	if err := j.log.Append(payload, sync); err != nil {
 		return fmt.Errorf("journal: %w", err)
-	}
-	if sync {
-		j.met.observeFsync(start)
 	}
 	j.seq = rec.Seq
 	j.records = append(j.records, rec)

@@ -11,6 +11,7 @@ import (
 	"dpkron/internal/core"
 	"dpkron/internal/faultfs"
 	"dpkron/internal/frame"
+	"dpkron/internal/obs"
 	"dpkron/internal/release"
 )
 
@@ -326,6 +327,35 @@ func TestAppendSyncFault(t *testing.T) {
 	}
 	if err := j.Append(admissionRecord("job-2"), true); err != nil {
 		t.Fatalf("append after fsync fault: %v", err)
+	}
+}
+
+// TestFsyncMetricAndCloseFault: dpkron_journal_fsync_seconds observes
+// each successful fsync of a synced append, and nothing else; a failed
+// close of the journal file is reported by Close.
+func TestFsyncMetricAndCloseFault(t *testing.T) {
+	inj := faultfs.NewInjector(faultfs.OS)
+	j, err := OpenFS(inj, filepath.Join(t.TempDir(), "jobs.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	j.Instrument(reg)
+	for _, sync := range []bool{true, false, true} {
+		if err := j.Append(admissionRecord("job-1"), sync); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inj.Fail(faultfs.Fault{Op: faultfs.OpSync, Path: "jobs.journal"})
+	if err := j.Append(admissionRecord("job-2"), true); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("append with failing fsync: %v, want ErrInjected", err)
+	}
+	if n := reg.Histogram("dpkron_journal_fsync_seconds", "", obs.FsyncBuckets).Count(); n != 2 {
+		t.Fatalf("fsync histogram holds %d observations, want 2", n)
+	}
+	inj.Fail(faultfs.Fault{Op: faultfs.OpClose, Path: "jobs.journal"})
+	if err := j.Close(); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("close with failing file close: %v, want ErrInjected", err)
 	}
 }
 

@@ -25,7 +25,7 @@ func (j *Journal) Instrument(reg *obs.Registry) {
 	}
 }
 
-// observeFsync times one synced append, its write and fsync.
-func (m journalMetrics) observeFsync(start time.Time) {
-	m.fsync.Observe(time.Since(start).Seconds())
+// observeFsync records one fsync's duration.
+func (m journalMetrics) observeFsync(d time.Duration) {
+	m.fsync.Observe(d.Seconds())
 }
