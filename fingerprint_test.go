@@ -59,6 +59,10 @@ const (
 	pinScree        = uint64(0x15b0b395a249059)  // top-16 scree values, seed 29
 	pinNetValues    = uint64(0x908559add58d1d35) // leading 32 network values, seed 31
 	pinSweep        = uint64(0x72b37f8215b9d1ca) // ε ∈ {0.2, 1} sweep, 2 trials, seed 37
+	// The two hop-plot pins were captured on the per-source BFS, before
+	// the multi-source kernel replaced it.
+	pinHopK10      = uint64(0x5bbe058718c85bee) // exact hop plot of the k=10 graph
+	pinHopBallDrop = uint64(0xb1f296016a8ece50) // exact hop plot of the k=12 ball drop (many isolated nodes)
 )
 
 // fpRow is one (route, pinned hash) row: hash computes the route's
@@ -106,6 +110,14 @@ func fpHashFloats(xs ...float64) uint64 {
 	h := fnv.New64a()
 	for _, x := range xs {
 		fmt.Fprintf(h, "%.17g;", x)
+	}
+	return h.Sum64()
+}
+
+func fpHashInts(xs ...int64) uint64 {
+	h := fnv.New64a()
+	for _, x := range xs {
+		fmt.Fprintf(h, "%d;", x)
 	}
 	return h.Sum64()
 }
@@ -242,6 +254,28 @@ func TestFingerprintStatisticsPaths(t *testing.T) {
 			return fpHashFloats(must(linalg.NetworkValuesCtx(liveRun(t, 1), g, randx.New(31)))[:32]...)
 		}},
 	})
+}
+
+// TestFingerprintExactHopPlot pins the exact hop plot on the k=10 graph
+// and on the k=12 ball drop, whose isolated nodes count only at
+// distance 0. Integer counts make the histogram the same for every
+// worker count, so each graph is pinned at two.
+func TestFingerprintExactHopPlot(t *testing.T) {
+	g := fpGraphK10(t)
+	m, _ := skg.NewModel(skg.Initiator{A: 0.99, B: 0.45, C: 0.25}, 12)
+	ball := must(m.SampleBallDropNCtx(nil, randx.New(7), 3000))
+	var rows []fpRow
+	for _, workers := range []int{1, 4} {
+		rows = append(rows,
+			fpRow{fmt.Sprintf("stats.HopPlotCtx/k10/workers=%d", workers), pinHopK10, func(t *testing.T) uint64 {
+				return fpHashInts(must(stats.HopPlotCtx(liveRun(t, workers), g))...)
+			}},
+			fpRow{fmt.Sprintf("stats.HopPlotCtx/ball-drop/workers=%d", workers), pinHopBallDrop, func(t *testing.T) uint64 {
+				return fpHashInts(must(stats.HopPlotCtx(liveRun(t, workers), ball))...)
+			}},
+		)
+	}
+	checkPins(t, rows)
 }
 
 func TestFingerprintEpsilonSweep(t *testing.T) {
