@@ -204,9 +204,23 @@ func BenchmarkSampleBallDrop(b *testing.B) {
 	}
 }
 
+// statsGraphEdges is about the edge count of a k=14 ball drop at its
+// expected count, the graph `dpkron stats` is timed on.
+const statsGraphEdges = 21000
+
 // BenchmarkFeatures measures the full matching-feature computation
-// (edges, wedges, tripins, triangles) on a k=17 graph with 2M edges.
+// (edges, wedges, tripins, triangles) on a k=17 graph with 2M edges,
+// and on a k=14 ball drop on 2 workers, where the allocation per call
+// is the per-worker triangle stamp set.
 func BenchmarkFeatures(b *testing.B) {
+	b.Run("k=14/workers=2", func(b *testing.B) {
+		g := featureGraph(b, 14, statsGraphEdges)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			must(stats.FeaturesOfCtx(pipeline.New(nil, 2, nil), g))
+		}
+	})
 	g := featureGraph(b, 17, 1<<21)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("k=17/workers=%d", workers), func(b *testing.B) {
@@ -585,12 +599,26 @@ func BenchmarkPrivateEstimateEndToEnd(b *testing.B) {
 	}
 }
 
+// BenchmarkHopPlotExact measures the exact hop plot on the k=11 exact
+// sample on all cores, and on a k=14 ball drop on 2 workers, where the
+// allocation per call is the per-worker BFS scratch.
 func BenchmarkHopPlotExact(b *testing.B) {
-	g := benchGraph(b, 11)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		must(stats.HopPlotCtx(nil, g))
-	}
+	b.Run("k=11", func(b *testing.B) {
+		g := benchGraph(b, 11)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			must(stats.HopPlotCtx(nil, g))
+		}
+	})
+	b.Run("k=14/workers=2", func(b *testing.B) {
+		g := featureGraph(b, 14, statsGraphEdges)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			must(stats.HopPlotCtx(pipeline.New(nil, 2, nil), g))
+		}
+	})
 }
 
 func BenchmarkHopPlotANF(b *testing.B) {

@@ -195,6 +195,24 @@ func TestMidRunCancellationViaSink(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("kronfit.FitCtx err = %v, want context.Canceled", err)
 	}
+
+	// The exact hop plot reports a fraction after its source batches;
+	// cancelling at the first one stops the sweep before the rest.
+	ctx3, cancel3 := context.WithCancel(context.Background())
+	defer cancel3()
+	var fracs []float64
+	run3 := pipeline.New(ctx3, 2, func(e pipeline.Event) {
+		if e.Stage == "hop-plot" && e.Frac > 0 {
+			fracs = append(fracs, e.Frac)
+			cancel3()
+		}
+	})
+	if _, err := stats.HopPlotCtx(run3, g); !errors.Is(err, context.Canceled) {
+		t.Fatalf("stats.HopPlotCtx err = %v, want context.Canceled", err)
+	}
+	if len(fracs) == 0 || fracs[len(fracs)-1] >= 1 {
+		t.Fatalf("hop plot progress before the cancel took effect = %v, want it to stop short of 1", fracs)
+	}
 }
 
 // TestNelderMeadCtxCancellation covers the optimizer directly: a

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -133,3 +134,58 @@ func TestSortInt64CtxPreCancelled(t *testing.T) {
 		t.Fatalf("err = %v, want Canceled", err)
 	}
 }
+
+// TestRunIndexedWorkerPanic: a panic on a pool goroutine reaches the
+// caller as a *WorkerPanic with the value and the worker's stack, only
+// after the other workers have left their shards, and no shard is
+// handed out after it.
+func TestRunIndexedWorkerPanic(t *testing.T) {
+	const shards = 10000
+	var inFlight, ran atomic.Int64
+	release := make(chan struct{})
+	recovered := func() (v any) {
+		defer func() { v = recover() }()
+		RunIndexed(context.Background(), 4, shards, func(_, s int) {
+			inFlight.Add(1)
+			defer inFlight.Add(-1)
+			ran.Add(1)
+			if s == 3 {
+				close(release)
+				panicInShard()
+			}
+			<-release
+		})
+		return nil
+	}()
+	p, ok := recovered.(*WorkerPanic)
+	if !ok {
+		t.Fatalf("recovered %T %v, want *WorkerPanic", recovered, recovered)
+	}
+	if p.Value != "shard exploded" || !strings.Contains(string(p.Stack), "panicInShard") {
+		t.Fatalf("WorkerPanic value %v, stack:\n%s", p.Value, p.Stack)
+	}
+	if n := inFlight.Load(); n != 0 {
+		t.Fatalf("%d shards still running when the panic reached the caller", n)
+	}
+	if n := ran.Load(); n >= shards {
+		t.Fatalf("all %d shards ran after a worker panicked", n)
+	}
+	// A nested pool's panic keeps its innermost stack.
+	recovered = func() (v any) {
+		defer func() { v = recover() }()
+		Run(nil, 2, 4, func(int) {
+			Run(nil, 2, 4, func(s int) {
+				if s == 1 {
+					panicInShard()
+				}
+			})
+		})
+		return nil
+	}()
+	if p, ok := recovered.(*WorkerPanic); !ok || !strings.Contains(string(p.Stack), "panicInShard") {
+		t.Fatalf("nested panic recovered as %T %v", recovered, recovered)
+	}
+}
+
+//go:noinline
+func panicInShard() { panic("shard exploded") }

@@ -30,7 +30,9 @@ package parallel
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -149,6 +151,13 @@ func Run(ctx context.Context, workers, shards int, fn func(shard int)) error {
 // are invariant to shard→worker assignment (integer sums, maxima)
 // should use it; order-sensitive reductions belong on the per-shard
 // helpers.
+//
+// A panic in fn on a pool goroutine does not take the process down
+// from there: the pool recovers it, stops handing out shards, waits for
+// the other workers to finish the shards they hold, and then panics in
+// the caller's goroutine with a *WorkerPanic that carries the value and
+// the worker's stack. A caller that recovers it (the server's job
+// goroutine does) can fail one operation and keep running.
 func RunIndexed(ctx context.Context, workers, shards int, fn func(worker, shard int)) error {
 	if shards <= 0 {
 		return ctxErr(ctx)
@@ -167,12 +176,22 @@ func RunIndexed(ctx context.Context, workers, shards int, fn func(worker, shard 
 	}
 	var next atomic.Int64
 	var aborted atomic.Bool
+	var panicked atomic.Pointer[WorkerPanic]
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(worker int) {
 			defer wg.Done()
-			for {
+			defer func() {
+				if v := recover(); v != nil {
+					p, ok := v.(*WorkerPanic) // a nested pool's, with its own stack
+					if !ok {
+						p = &WorkerPanic{Value: v, Stack: debug.Stack()}
+					}
+					panicked.CompareAndSwap(nil, p)
+				}
+			}()
+			for panicked.Load() == nil {
 				s := int(next.Add(1)) - 1
 				if s >= shards {
 					return
@@ -186,10 +205,29 @@ func RunIndexed(ctx context.Context, workers, shards int, fn func(worker, shard 
 		}(w)
 	}
 	wg.Wait()
+	if p := panicked.Load(); p != nil {
+		panic(p)
+	}
 	if aborted.Load() {
 		return ctx.Err()
 	}
 	return nil
+}
+
+// WorkerPanic is what RunIndexed panics with in the caller's goroutine
+// when fn panicked on a pool goroutine: the recovered value and the
+// stack of the goroutine it was raised on.
+type WorkerPanic struct {
+	Value any
+	Stack []byte
+}
+
+func (p *WorkerPanic) Error() string { return fmt.Sprintf("parallel: worker panic: %v", p.Value) }
+
+// Unwrap returns the panic value when it is an error.
+func (p *WorkerPanic) Unwrap() error {
+	err, _ := p.Value.(error)
+	return err
 }
 
 // ctxErr is ctx.Err() for a context that may be nil (never cancelled).

@@ -99,6 +99,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"runtime/debug"
 	"sync"
 
 	"dpkron/internal/accountant"
@@ -653,7 +654,7 @@ func (s *Server) submit(spec jobSpec) (*job, int, error) {
 				s.opts.EventLog(j.id, e)
 			}
 		}
-		res, err := fn(pipeline.New(ctx, s.jobWorkers, sink))
+		res, err := s.runJob(j, fn, pipeline.New(ctx, s.jobWorkers, sink))
 		stages.Close()
 		runSp.End()
 		j.mu.Lock()
@@ -675,6 +676,28 @@ func (s *Server) submit(spec jobSpec) (*job, int, error) {
 		}
 	}()
 	return j, http.StatusAccepted, nil
+}
+
+// runJob calls the job's fn under run. A panic in fn, or in a kernel
+// worker it started (parallel.RunIndexed hands that one back to this
+// goroutine), fails only this job: it is logged at error level with
+// its stack and returned as the job's error.
+func (s *Server) runJob(j *job, fn func(*pipeline.Run) (any, error), run *pipeline.Run) (res any, err error) {
+	defer func() {
+		v := recover()
+		if v == nil {
+			return
+		}
+		stack := debug.Stack()
+		if p, ok := v.(*parallel.WorkerPanic); ok {
+			v, stack = p.Value, p.Stack
+		}
+		s.log.LogAttrs(context.Background(), slog.LevelError, "job panicked",
+			slog.String("job_id", j.id), slog.String("kind", j.kind),
+			slog.String("panic", fmt.Sprint(v)), slog.String("stack", string(stack)))
+		res, err = nil, fmt.Errorf("internal error: job panicked: %v", v)
+	}()
+	return fn(run)
 }
 
 // terminal reports whether the job has finished (any outcome).

@@ -20,8 +20,11 @@ import (
 	"dpkron/internal/frame"
 	"dpkron/internal/graph"
 	"dpkron/internal/mmapfile"
+	"dpkron/internal/parallel"
+	"dpkron/internal/pipeline"
 	"dpkron/internal/randx"
 	"dpkron/internal/skg"
+	"dpkron/internal/trace"
 )
 
 func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
@@ -1152,3 +1155,55 @@ func must[T any](v T, err error) T {
 	}
 	return v
 }
+
+// TestServerJobPanicFailsOnlyThatJob: a job whose fn panics inside a
+// kernel worker of parallel.RunIndexed ends failed, the panic and the
+// worker's stack are logged at error level, /healthz still answers 200
+// and the next job completes.
+func TestServerJobPanicFailsOnlyThatJob(t *testing.T) {
+	s, base, logs := newObsTestServer(t, Options{Workers: 2, MaxJobs: 1})
+	submit := func(fn func(run *pipeline.Run) (any, error)) string {
+		t.Helper()
+		tr := trace.New(trace.Context{})
+		j, code, err := s.submit(jobSpec{kind: "test", tr: tr, root: tr.Start(nil, "test"), fn: fn})
+		if j == nil {
+			t.Fatalf("submit: status %d (%v)", code, err)
+		}
+		return j.id
+	}
+	id := submit(func(run *pipeline.Run) (any, error) {
+		err := parallel.RunIndexed(run.Context(), 2, 64, func(_, shard int) {
+			if shard == 5 {
+				explodeInKernel()
+			}
+		})
+		return "unreachable", err
+	})
+	job := pollJob(t, base, id, 30*time.Second)
+	if job["status"] != StatusFailed || !strings.Contains(fmt.Sprint(job["error"]), "kernel exploded") {
+		t.Fatalf("panicking job ended %v: %v", job["status"], job)
+	}
+	if code, _ := doJSON(t, http.MethodGet, base+"/healthz", nil); code != http.StatusOK {
+		t.Fatalf("/healthz after a job panic: status %d", code)
+	}
+	var logged map[string]any
+	for _, line := range strings.Split(logs.String(), "\n") {
+		if strings.Contains(line, `"job panicked"`) {
+			if err := json.Unmarshal([]byte(line), &logged); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if logged["level"] != "ERROR" || logged["job_id"] != id || !strings.Contains(fmt.Sprint(logged["stack"]), "explodeInKernel") {
+		t.Fatalf("job panic log record = %v", logged)
+	}
+	next := submit(func(run *pipeline.Run) (any, error) {
+		return "ok", parallel.Run(run.Context(), 2, 64, func(int) {})
+	})
+	if job := pollJob(t, base, next, 30*time.Second); job["status"] != StatusDone {
+		t.Fatalf("job after the panic ended %v: %v", job["status"], job)
+	}
+}
+
+//go:noinline
+func explodeInKernel() { panic("kernel exploded") }
