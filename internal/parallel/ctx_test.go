@@ -164,6 +164,10 @@ func TestRunIndexedWorkerPanic(t *testing.T) {
 	if p.Value != "shard exploded" || !strings.Contains(string(p.Stack), "panicInShard") {
 		t.Fatalf("WorkerPanic value %v, stack:\n%s", p.Value, p.Stack)
 	}
+	// Unrecovered, the runtime prints String: the value and the stack.
+	if s := p.String(); !strings.HasPrefix(s, "shard exploded") || !strings.Contains(s, "panicInShard") {
+		t.Fatalf("WorkerPanic.String() = %q", s)
+	}
 	if n := inFlight.Load(); n != 0 {
 		t.Fatalf("%d shards still running when the panic reached the caller", n)
 	}

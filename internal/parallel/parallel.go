@@ -222,12 +222,10 @@ type WorkerPanic struct {
 	Stack []byte
 }
 
-func (p *WorkerPanic) Error() string { return fmt.Sprintf("parallel: worker panic: %v", p.Value) }
-
-// Unwrap returns the panic value when it is an error.
-func (p *WorkerPanic) Unwrap() error {
-	err, _ := p.Value.(error)
-	return err
+// String gives the value and the worker's stack, which is what the
+// runtime prints if nothing recovers the panic.
+func (p *WorkerPanic) String() string {
+	return fmt.Sprintf("%v [recovered from a parallel worker]\n\n%s", p.Value, p.Stack)
 }
 
 // ctxErr is ctx.Err() for a context that may be nil (never cancelled).

@@ -1,8 +1,6 @@
 package stats
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"testing"
 
@@ -132,7 +130,16 @@ func TestHopPlotMatchesPerSourceReference(t *testing.T) {
 // progress between the stage's start and end events rises
 // monotonically and reaches 1, with at most ~100 events per call.
 func TestHopPlotProgress(t *testing.T) {
-	g := mixedGraph(5003, 4) // several hundred batches
+	g := mixedGraph(5003, 4)
+	sources := 0
+	for v := 0; v < g.NumNodes(); v++ {
+		if g.Degree(v) > 0 {
+			sources++
+		}
+	}
+	if sources <= 100*hopLanes {
+		t.Fatalf("%d sources: too few batches to show the rate limit", sources)
+	}
 	for _, workers := range []int{1, 3} {
 		var fracs []float64
 		run := pipeline.New(nil, workers, func(e pipeline.Event) {
@@ -156,29 +163,6 @@ func TestHopPlotProgress(t *testing.T) {
 		if progress[len(progress)-1] != 1 {
 			t.Fatalf("workers=%d: progress ends at %v, want 1", workers, progress[len(progress)-1])
 		}
-	}
-}
-
-// TestHopPlotCancelledMidRun cancels from the first fractional progress
-// event: the sweep stops between batches with the context's error.
-func TestHopPlotCancelledMidRun(t *testing.T) {
-	g := mixedGraph(5003, 4)
-	for _, workers := range []int{1, 3} {
-		ctx, cancel := context.WithCancel(context.Background())
-		events := 0
-		run := pipeline.New(ctx, workers, func(e pipeline.Event) {
-			if e.Stage == "hop-plot" && e.Frac > 0 {
-				events++
-				cancel()
-			}
-		})
-		if _, err := HopPlotCtx(run, g); !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-		if events == 0 || events > 1+workers {
-			t.Fatalf("workers=%d: %d progress events after a cancel at the first", workers, events)
-		}
-		cancel()
 	}
 }
 

@@ -133,11 +133,11 @@ func TrianglesPerNodeCtx(run *pipeline.Run, g *graph.Graph) ([]int64, error) {
 // {v, u, w}, found exactly once, when the later-stamped of u and w is
 // scanned. N(v) is walked in ascending id, so every stamped w has
 // w < u, and the scan of the sorted N(u) stops at its first w ≥ u,
-// with no memory beyond the stamps. The stamps are an n-bit set,
-// cleared after each v by walking N(v) again. The work is therefore the sum over
-// edges v–u, u ranked below v, of |N(u) ∩ [0, u)|, which is at most
-// Σ over edges of min(d_u, d_v) (the scanned list is the lower-degree
-// end of the edge), against Σ_v d_v² for counting two-hop paths.
+// with no memory beyond the stamps: an n-bit set, cleared after each v
+// by walking N(v) again. The work is therefore the sum over edges v–u,
+// u ranked below v, of |N(u) ∩ [0, u)|, which is at most Σ over edges
+// of min(d_u, d_v) (the scanned list is the lower-degree end of the
+// edge), against Σ_v d_v² for counting two-hop paths.
 //
 // The vertex range is sharded under run and the Run's context is
 // checked between shards. Each worker keeps its n-bit stamp set and, if
@@ -414,25 +414,24 @@ func HopPlotCtx(run *pipeline.Run, g *graph.Graph) ([]int64, error) {
 		pairsAt []int64 // pairsAt[h] = ordered pairs at distance exactly h ≥ 1
 		words   []laneWord
 	}
-	parts := make([]scratch, max(w, 1))
+	parts := make([]scratch, w)
 	words := (n + hopNodesPerWord - 1) / hopNodesPerWord
-	for i := range parts[:w] {
+	for i := range parts {
 		parts[i].words = make([]laneWord, words)
 	}
 	var finished atomic.Int64
 	var mu sync.Mutex
-	shown := int64(0)
+	shown, total := int64(0), int64(batches)
 	err := parallel.RunIndexed(run.Context(), w, batches, func(worker, batch int) {
 		sc := &parts[worker]
 		msbfsBatch(off, adj, int(bounds[batch]), int(bounds[batch+1]), sc.words, &sc.pairsAt)
 		// Report each whole percent once; the lock keeps the reported
 		// fractions rising when two workers finish together.
-		d := int64(batches)
-		if f := finished.Add(1); f*100/d > (f-1)*100/d {
+		if f := finished.Add(1); f*100/total > (f-1)*100/total {
 			mu.Lock()
 			if f > shown {
 				shown = f
-				run.Progress("hop-plot", float64(f)/float64(d))
+				run.Progress("hop-plot", float64(f)/float64(total))
 			}
 			mu.Unlock()
 		}
