@@ -176,6 +176,9 @@ type Ledger struct {
 	mu    sync.Mutex
 	log   *frame.Log
 	accts accounts
+	// damaged is the ErrCorrupt a read on this handle met; once set,
+	// every operation returns it until the ledger is reopened.
+	damaged error
 }
 
 // Open validates that the ledger at path is readable (creating nothing
@@ -245,19 +248,34 @@ func convertV1(v1 []byte) ([]byte, error) {
 
 // withLocked runs fn with the in-process mutex held, the cross-process
 // file lock acquired, and memory up to date with the file. It is the
-// bracket every public operation uses.
+// bracket every public operation uses. A handle fails closed: once a
+// read here or in Account has met ErrCorrupt, withLocked returns that
+// error without running fn, so the handle debits nothing more from a
+// fold the file no longer backs.
 func (l *Ledger) withLocked(fn func() error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.damaged != nil {
+		return l.damaged
+	}
 	unlock, err := fslock.Lock(l.path + ".lock")
 	if err != nil {
 		return fmt.Errorf("accountant: locking ledger: %w", err)
 	}
 	defer unlock()
 	if err := l.log.Read(func() { clear(l.accts) }, l.accts.applyFrame); err != nil {
-		return fmt.Errorf("accountant: %w", err)
+		return l.fail(fmt.Errorf("accountant: %w", err))
 	}
 	return fn()
+}
+
+// fail returns err, and keeps it as the handle's damage when it is
+// ErrCorrupt.
+func (l *Ledger) fail(err error) error {
+	if errors.Is(err, ErrCorrupt) {
+		l.damaged = err
+	}
+	return err
 }
 
 // commit durably appends rec, then folds it into memory and publishes
@@ -307,7 +325,8 @@ func (a *account) remaining() dp.Budget { return remaining(a.budget, a.spent) }
 // Account returns the dataset's entry as currently on disk, receipts
 // included; ok is false for a dataset the ledger has never seen. It is
 // the one call that reads the whole log, to collect the receipts since
-// the dataset's last reset, so damage anywhere in the log is an error.
+// the dataset's last reset, so damage anywhere in the log is an error,
+// which the handle then keeps (see withLocked).
 func (l *Ledger) Account(dataset string) (acct Account, ok bool, err error) {
 	err = l.withLocked(func() error {
 		a := l.accts[dataset]
@@ -332,7 +351,7 @@ func (l *Ledger) Account(dataset string) (acct Account, ok bool, err error) {
 			})
 		}
 		if err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("accountant: reading ledger %s: %w", l.path, err)
+			return l.fail(fmt.Errorf("accountant: reading ledger %s: %w", l.path, err))
 		}
 		acct, ok = Account{Budget: a.budget, Spent: a.spent, Receipts: receipts}, true
 		return nil
@@ -354,7 +373,8 @@ func (l *Ledger) Datasets() ([]string, error) {
 }
 
 // Remaining returns the budget left on a dataset. Unknown datasets
-// have zero budget (default-deny) and report zero remaining.
+// have zero budget (default-deny) and report zero remaining, as does
+// every dataset on a handle that has met damage.
 func (l *Ledger) Remaining(dataset string) dp.Budget {
 	var rem dp.Budget
 	_ = l.withLocked(func() error {

@@ -612,6 +612,8 @@ func TestLedgerIncrementalReads(t *testing.T) {
 // TestLedgerAccountReportsDamage: damage a live handle's incremental
 // reads never reach — a flipped byte inside the first record — is an
 // error from Account, which reads the whole log, not a missing account.
+// From then on the handle fails closed: it debits nothing, leaves the
+// file as it is and reports no budget left.
 func TestLedgerAccountReportsDamage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ledger.json")
 	led := spendN(t, path, 1)
@@ -625,6 +627,18 @@ func TestLedgerAccountReportsDamage(t *testing.T) {
 	}
 	if acct, ok, err := led.Account("ds-a"); !errors.Is(err, ErrCorrupt) || ok {
 		t.Fatalf("Account over a damaged first record = %+v, %v, %v; want ErrCorrupt", acct, ok, err)
+	}
+	if err := led.SpendToken("ds-a", testReceipt(0.1, 0), "job-after"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("SpendToken after Account saw damage: %v, want ErrCorrupt", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || len(after) != len(data) {
+		t.Fatalf("a refused spend changed the damaged file: %d bytes, want %d (%v)", len(after), len(data), err)
+	}
+	if rem := led.Remaining("ds-a"); rem != (dp.Budget{}) {
+		t.Fatalf("Remaining on a damaged handle = %v, want zero", rem)
+	}
+	if _, err := led.Datasets(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Datasets on a damaged handle: %v, want ErrCorrupt", err)
 	}
 }
 

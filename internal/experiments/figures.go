@@ -161,25 +161,19 @@ func RunFigureCtx(run *pipeline.Run, d Dataset, opts FigureOptions) (*FigureResu
 				rngs[r] = runRngs{sample: rng.Split(), stats: rng.Split()}
 			}
 			all := make([]GraphStats, opts.ExpectedRuns)
-			errs := make([]error, opts.ExpectedRuns)
 			// The realizations report no per-run stage events (they would
 			// interleave meaninglessly); the fan-out itself is one stage.
 			doneExp := fig.Stage("expected/" + name)
 			runSolo := pipeline.New(run.Context(), 1, nil)
-			if err := parallel.Run(run.Context(), run.Workers(), opts.ExpectedRuns, func(r int) {
+			if err := parallel.Run(run.Context(), run.Workers(), opts.ExpectedRuns, func(r int) error {
 				synth, err := m.SampleBallDropCtx(runSolo, rngs[r].sample)
 				if err != nil {
-					errs[r] = err
-					return
+					return err
 				}
-				all[r], errs[r] = computeStatsCtx(runSolo, synth, opts, rngs[r].stats)
+				all[r], err = computeStatsCtx(runSolo, synth, opts, rngs[r].stats)
+				return err
 			}); err != nil {
 				return nil, err
-			}
-			for _, err := range errs {
-				if err != nil {
-					return nil, err
-				}
 			}
 			res.Expected[name] = averageStats(all)
 			doneExp()

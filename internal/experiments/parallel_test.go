@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"testing"
+	"time"
 
 	"dpkron/internal/pipeline"
+	"dpkron/internal/randx"
 	"dpkron/internal/skg"
 )
 
@@ -62,6 +64,42 @@ func TestEpsilonSweepWorkerInvariant(t *testing.T) {
 	for i := range base {
 		if got[i] != base[i] {
 			t.Fatalf("row %d: %+v != %+v", i, got[i], base[i])
+		}
+	}
+}
+
+// TestEpsilonSweepProgressRises runs the ε sweep of a k=6 graph (8 ε ×
+// 8 trials on 4 workers) 40 times and checks each call's "sweep"
+// events: between the stage's start and end the fractions rise, end at
+// 1 and number at most ~100. The sink sleeps briefly, as one writing
+// to a terminal does, so cells finishing together on different workers
+// queue for it; they must not report their fractions out of order.
+func TestEpsilonSweepProgressRises(t *testing.T) {
+	m := must(skg.NewModel(skg.Initiator{A: 0.99, B: 0.45, C: 0.25}, 6))
+	g := must(m.SampleCtx(nil, randx.New(5)))
+	epsilons := []float64{0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4}
+	for rep := 0; rep < 40; rep++ {
+		var fracs []float64
+		run := pipeline.New(nil, 4, func(e pipeline.Event) {
+			if e.Stage == "sweep" {
+				fracs = append(fracs, e.Frac)
+				time.Sleep(20 * time.Microsecond)
+			}
+		})
+		if _, err := EpsilonSweepCtx(run, g, 6, epsilons, 0.01, 8, uint64(rep)); err != nil {
+			t.Fatal(err)
+		}
+		if len(fracs) < 3 || len(fracs) > 102 {
+			t.Fatalf("sweep %d: %d events, want a few and at most 102", rep, len(fracs))
+		}
+		progress := fracs[1 : len(fracs)-1] // between the stage's start and end
+		for i, f := range progress {
+			if f <= 0 || i > 0 && f <= progress[i-1] {
+				t.Fatalf("sweep %d: progress %v does not rise", rep, progress)
+			}
+		}
+		if last := progress[len(progress)-1]; last != 1 {
+			t.Fatalf("sweep %d: progress ends at %v, want 1", rep, last)
 		}
 	}
 }

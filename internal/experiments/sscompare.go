@@ -53,30 +53,44 @@ func SmoothSensCompareCtx(run *pipeline.Run, init skg.Initiator, ks []int, eps, 
 		n := g.NumNodes()
 		p := float64(2*g.NumEdges()) / (float64(n) * float64(n-1))
 		er := graph.Gnp(n, p, randx.New(seed+uint64(k)+500))
-		row := SSCompareRow{K: k, N: n, Edges: g.NumEdges()}
-		for _, side := range []struct {
-			graph *graph.Graph
-			ls    *float64
-			ss    *float64
-			tri   *int64
-		}{
-			{g, &row.LSSkg, &row.SSSkg, &row.TriSkg},
-			{er, &row.LSEr, &row.SSEr, &row.TriEr},
-		} {
-			ls, err := smoothsens.MaxCommonNeighborsCtx(run, side.graph)
-			if err != nil {
-				return nil, err
-			}
-			*side.ls = float64(ls)
-			*side.ss = smoothsens.SmoothFromLS(ls, side.graph.NumNodes(), beta)
-			if *side.tri, err = stats.TrianglesCtx(run, side.graph); err != nil {
-				return nil, err
-			}
+		onSkg, err := scanSensitivity(run, g, beta)
+		if err != nil {
+			return nil, err
 		}
-		rows = append(rows, row)
+		onEr, err := scanSensitivity(run, er, beta)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, SSCompareRow{
+			K: k, N: n, Edges: g.NumEdges(),
+			LSSkg: onSkg.ls, LSEr: onEr.ls,
+			SSSkg: onSkg.ss, SSEr: onEr.ss,
+			TriSkg: onSkg.tri, TriEr: onEr.tri,
+		})
 	}
 	done()
 	return rows, nil
+}
+
+// sensitivity is what the two §5 studies measure on one graph: the
+// local sensitivity LS and the smooth sensitivity SS_β of its triangle
+// count, and the count itself.
+type sensitivity struct {
+	ls, ss float64
+	tri    int64
+}
+
+// scanSensitivity measures g's sensitivity under run, with SS_β at beta.
+func scanSensitivity(run *pipeline.Run, g *graph.Graph, beta float64) (sensitivity, error) {
+	ls, err := smoothsens.MaxCommonNeighborsCtx(run, g)
+	if err != nil {
+		return sensitivity{}, err
+	}
+	tri, err := stats.TrianglesCtx(run, g)
+	if err != nil {
+		return sensitivity{}, err
+	}
+	return sensitivity{ls: float64(ls), ss: smoothsens.SmoothFromLS(ls, g.NumNodes(), beta), tri: tri}, nil
 }
 
 // RenderSSCompare formats comparison rows.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync/atomic"
 
 	"dpkron/internal/core"
 	"dpkron/internal/graph"
@@ -32,8 +31,10 @@ type SweepRow struct {
 // (seed, ε, trial) and the per-ε averages reduce trials in index order,
 // so the rows are identical for every worker count. The cell fan-out
 // checks the context between cells, each cell's estimate checks it
-// internally, a "sweep" stage reports the completed-cell fraction, and
-// a cancelled run returns run.Err().
+// internally, and a cancelled run returns run.Err(); a failed cell
+// fails the sweep with the error of the lowest-indexed failed cell. A
+// "sweep" stage brackets the call, and a pipeline.Run.Counter over the
+// cells reports at most ~100 rising fractions of them in between.
 func EpsilonSweepCtx(run *pipeline.Run, g *graph.Graph, k int, epsilons []float64, delta float64, trials int, seed uint64) ([]SweepRow, error) {
 	done := run.Stage("sweep")
 	base, err := kronmom.FitGraphCtx(run, g, k, kronmom.Options{Rng: randx.New(seed)})
@@ -44,16 +45,13 @@ func EpsilonSweepCtx(run *pipeline.Run, g *graph.Graph, k int, epsilons []float6
 	if err != nil {
 		return nil, err
 	}
-	type cell struct {
-		pd, fe float64
-		err    error
-	}
+	type cell struct{ pd, fe float64 }
 	cells := make([]cell, len(epsilons)*trials)
 	// The grid almost always has at least as many cells as workers, so
 	// the budget goes to the cell level: each Estimate runs
 	// single-goroutine rather than multiplying the two fan-outs.
-	var completed atomic.Int64
-	if err := parallel.Run(run.Context(), run.Workers(), len(cells), func(i int) {
+	tick := run.Counter("sweep", len(cells))
+	if err := parallel.Run(run.Context(), run.Workers(), len(cells), func(i int) error {
 		eps := epsilons[i/trials]
 		t := i % trials
 		res, err := core.EstimateCtx(pipeline.New(run.Context(), 1, nil), g, core.Options{
@@ -61,11 +59,11 @@ func EpsilonSweepCtx(run *pipeline.Run, g *graph.Graph, k int, epsilons []float6
 			Rng: randx.New(seed + uint64(t)*7919 + uint64(math.Float64bits(eps))),
 		})
 		if err != nil {
-			cells[i].err = err
-			return
+			return err
 		}
 		cells[i] = cell{pd: MaxAbsDiff(res.Init, base.Init), fe: relL1(res.Features, exact)}
-		run.Progress("sweep", float64(completed.Add(1))/float64(len(cells)))
+		tick()
+		return nil
 	}); err != nil {
 		return nil, err
 	}
@@ -74,9 +72,6 @@ func EpsilonSweepCtx(run *pipeline.Run, g *graph.Graph, k int, epsilons []float6
 		var pd, fe float64
 		for t := 0; t < trials; t++ {
 			c := cells[e*trials+t]
-			if c.err != nil {
-				return nil, c.err
-			}
 			pd += c.pd
 			fe += c.fe
 		}
@@ -149,21 +144,16 @@ func SmoothSensGrowthCtx(run *pipeline.Run, init skg.Initiator, ks []int, eps, d
 		if err != nil {
 			return nil, err
 		}
-		tri, err := stats.TrianglesCtx(run, g)
+		sens, err := scanSensitivity(run, g, beta)
 		if err != nil {
 			return nil, err
 		}
-		ls, err := smoothsens.MaxCommonNeighborsCtx(run, g)
-		if err != nil {
-			return nil, err
-		}
-		ss := smoothsens.SmoothFromLS(ls, g.NumNodes(), beta)
 		row := SSGrowthRow{
 			K: k, N: g.NumNodes(), Edges: g.NumEdges(),
-			Triangles: tri, LocalSens: float64(ls), SmoothSen: ss,
+			Triangles: sens.tri, LocalSens: sens.ls, SmoothSen: sens.ss,
 		}
-		if tri > 0 {
-			row.NoiseOverSignal = (2 * ss / (eps / 2)) / float64(tri)
+		if sens.tri > 0 {
+			row.NoiseOverSignal = (2 * sens.ss / (eps / 2)) / float64(sens.tri)
 		}
 		rows = append(rows, row)
 	}

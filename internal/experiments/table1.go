@@ -97,22 +97,16 @@ func RunTable1DatasetsCtx(run *pipeline.Run, reg []Dataset, opts Table1Options) 
 		rowWorkers = w / len(reg)
 	}
 	rows := make([]Table1Row, len(reg))
-	errs := make([]error, len(reg))
-	if err := parallel.Run(run.Context(), w, len(reg), func(i int) {
+	if err := parallel.Run(run.Context(), w, len(reg), func(i int) error {
 		rowRun := run.WithWorkers(rowWorkers)
 		g, err := reg[i].GenerateCtx(rowRun)
 		if err != nil {
-			errs[i] = err
-			return
+			return err
 		}
-		rows[i], errs[i] = RunTable1RowCtx(rowRun, reg[i], g, opts)
+		rows[i], err = RunTable1RowCtx(rowRun, reg[i], g, opts)
+		return err
 	}); err != nil {
 		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	return rows, nil
 }

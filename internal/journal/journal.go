@@ -152,6 +152,7 @@ type Journal struct {
 	seq     uint64
 	records []Record
 	closed  bool
+	lastErr error // the last append's write error; nil once one succeeds
 }
 
 // Open loads (or creates) the journal at path, recovering a torn tail
@@ -277,12 +278,22 @@ func (j *Journal) Append(rec Record, sync bool) error {
 		return fmt.Errorf("journal: encoding record: %w", err)
 	}
 	if err := j.log.Append(payload, sync); err != nil {
-		return fmt.Errorf("journal: %w", err)
+		j.lastErr = fmt.Errorf("journal: %w", err)
+		return j.lastErr
 	}
+	j.lastErr = nil
 	j.seq = rec.Seq
 	j.records = append(j.records, rec)
 	j.met.appends.With(rec.State).Inc()
 	return nil
+}
+
+// Unwritable returns the error of the last append, synced or not, if it
+// failed to write the file, and nil once a later append succeeds.
+func (j *Journal) Unwritable() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.lastErr
 }
 
 // Compact atomically rewrites the journal keeping only records whose

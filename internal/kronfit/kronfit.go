@@ -308,7 +308,7 @@ func (s *state) grad() (ga, gb, gc float64) {
 	N := s.g.NumNodes()
 	blocks := parallel.Blocks(N, parallel.DefaultShards)
 	parts := make([][3]float64, len(blocks))
-	parallel.Run(nil, s.workers, len(blocks), func(sh int) {
+	parallel.Run(nil, s.workers, len(blocks), func(sh int) error {
 		var pa, pb, pc float64
 		for u := blocks[sh].Lo; u < blocks[sh].Hi; u++ {
 			su := s.sigma[u]
@@ -325,6 +325,7 @@ func (s *state) grad() (ga, gb, gc float64) {
 			}
 		}
 		parts[sh] = [3]float64{pa, pb, pc}
+		return nil
 	})
 	for _, p := range parts {
 		ga += p[0]

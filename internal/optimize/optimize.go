@@ -296,19 +296,13 @@ func MultiStartCtx(run *pipeline.Run, f Func, lo, hi []float64, randomStarts, gr
 		starts[s] = x0
 	}
 	results := make([]Result, len(starts))
-	runErr := parallel.Run(ctx, run.Workers(), len(starts), func(s int) {
-		// A descent that observes cancellation returns early; its
-		// partial result is discarded below via the shared context
-		// error, so the per-start error can be dropped here.
+	err = parallel.Run(ctx, run.Workers(), len(starts), func(s int) error {
 		y := make([]float64, len(lo))
-		results[s], _ = NelderMeadCtx(ctx, func(x []float64) float64 { return boxed(x, y) }, starts[s], nm)
+		r, err := NelderMeadCtx(ctx, func(x []float64) float64 { return boxed(x, y) }, starts[s], nm)
+		results[s] = r
+		return err
 	})
-	if runErr != nil {
-		return Result{}, runErr
-	}
-	// A descent may have aborted mid-run without Run noticing (the
-	// shard itself completed); reject the fan-out wholesale.
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return Result{}, err
 	}
 	best := results[0]

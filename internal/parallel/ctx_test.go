@@ -2,11 +2,14 @@ package parallel
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func cancelledCtx() context.Context {
@@ -19,7 +22,7 @@ func TestRunCtxBackgroundMatchesRun(t *testing.T) {
 	for _, ctx := range []context.Context{nil, context.Background()} {
 		for _, workers := range []int{1, 4} {
 			var sum atomic.Int64
-			if err := Run(ctx, workers, 100, func(s int) { sum.Add(int64(s)) }); err != nil {
+			if err := Run(ctx, workers, 100, func(s int) error { sum.Add(int64(s)); return nil }); err != nil {
 				t.Fatal(err)
 			}
 			if sum.Load() != 4950 {
@@ -32,7 +35,7 @@ func TestRunCtxBackgroundMatchesRun(t *testing.T) {
 func TestRunCtxPreCancelled(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ran := atomic.Int64{}
-		err := Run(cancelledCtx(), workers, 1000, func(int) { ran.Add(1) })
+		err := Run(cancelledCtx(), workers, 1000, func(int) error { ran.Add(1); return nil })
 		if err != context.Canceled {
 			t.Errorf("workers=%d: err = %v, want Canceled", workers, err)
 		}
@@ -45,10 +48,11 @@ func TestRunCtxPreCancelled(t *testing.T) {
 func TestRunCtxMidRunCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	err := Run(ctx, 4, 10000, func(s int) {
+	err := Run(ctx, 4, 10000, func(s int) error {
 		if ran.Add(1) == 10 {
 			cancel()
 		}
+		return nil
 	})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want Canceled", err)
@@ -60,7 +64,7 @@ func TestRunCtxMidRunCancellation(t *testing.T) {
 
 func TestRunIndexedCtxPreCancelled(t *testing.T) {
 	var ran atomic.Int64
-	if err := RunIndexed(cancelledCtx(), 4, 100, func(w, s int) { ran.Add(1) }); err != context.Canceled {
+	if err := RunIndexed(cancelledCtx(), 4, 100, func(w, s int) error { ran.Add(1); return nil }); err != context.Canceled {
 		t.Fatalf("err = %v", err)
 	}
 	if ran.Load() != 0 {
@@ -145,7 +149,7 @@ func TestRunIndexedWorkerPanic(t *testing.T) {
 	release := make(chan struct{})
 	recovered := func() (v any) {
 		defer func() { v = recover() }()
-		RunIndexed(context.Background(), 4, shards, func(_, s int) {
+		RunIndexed(context.Background(), 4, shards, func(_, s int) error {
 			inFlight.Add(1)
 			defer inFlight.Add(-1)
 			ran.Add(1)
@@ -154,6 +158,7 @@ func TestRunIndexedWorkerPanic(t *testing.T) {
 				panicInShard()
 			}
 			<-release
+			return nil
 		})
 		return nil
 	}()
@@ -177,11 +182,12 @@ func TestRunIndexedWorkerPanic(t *testing.T) {
 	// A nested pool's panic keeps its innermost stack.
 	recovered = func() (v any) {
 		defer func() { v = recover() }()
-		Run(nil, 2, 4, func(int) {
-			Run(nil, 2, 4, func(s int) {
+		Run(nil, 2, 4, func(int) error {
+			return Run(nil, 2, 4, func(s int) error {
 				if s == 1 {
 					panicInShard()
 				}
+				return nil
 			})
 		})
 		return nil
@@ -193,3 +199,71 @@ func TestRunIndexedWorkerPanic(t *testing.T) {
 
 //go:noinline
 func panicInShard() { panic("shard exploded") }
+
+// TestRunLowestIndexErrorWins: with two failing shards the pool returns
+// the lower index's error at every worker count, though the higher one
+// fails first in time, and every shard still runs.
+func TestRunLowestIndexErrorWins(t *testing.T) {
+	const shards = 100
+	for _, workers := range []int{1, 2, 3, 8} {
+		var ran atomic.Int64
+		err := Run(nil, workers, shards, func(s int) error {
+			ran.Add(1)
+			switch s {
+			case 7:
+				time.Sleep(5 * time.Millisecond)
+				return fmt.Errorf("shard %d failed", s)
+			case 23:
+				return fmt.Errorf("shard %d failed", s)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "shard 7 failed" {
+			t.Errorf("workers=%d: err = %v, want shard 7's", workers, err)
+		}
+		if n := ran.Load(); n != shards {
+			t.Errorf("workers=%d: %d of %d shards ran", workers, n, shards)
+		}
+	}
+}
+
+// TestRunCancellationBeatsShardError: a shard fails, a later one
+// cancels the context, and the pool, which sees the cancellation
+// before the next shard, returns the context's error.
+func TestRunCancellationBeatsShardError(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 8} {
+		ctx, cancel := context.WithCancel(context.Background())
+		err := RunIndexed(ctx, workers, 1000, func(_, s int) error {
+			switch s {
+			case 2:
+				return errors.New("shard 2 failed")
+			case 5:
+				cancel()
+			}
+			return nil
+		})
+		cancel()
+		if err != context.Canceled {
+			t.Errorf("workers=%d: err = %v, want Canceled", workers, err)
+		}
+	}
+}
+
+// TestRunNestedPoolErrors: an outer shard returns its inner pool's
+// error, so the outer pool returns the inner error of its lowest failed
+// shard.
+func TestRunNestedPoolErrors(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 8} {
+		err := Run(nil, workers, 6, func(outer int) error {
+			return Run(nil, workers, 10, func(inner int) error {
+				if outer%2 == 0 && outer > 0 && inner >= 4 {
+					return fmt.Errorf("outer %d inner %d", outer, inner)
+				}
+				return nil
+			})
+		})
+		if err == nil || err.Error() != "outer 2 inner 4" {
+			t.Errorf("workers=%d: err = %v, want outer 2 inner 4", workers, err)
+		}
+	}
+}

@@ -18,14 +18,17 @@
 //     shard order (SumFloat64), so neither scheduling nor associativity
 //     can perturb the outcome.
 //
-// Integer reductions (SumInt64) are associative and would be
-// deterministic under any partition; they use the same fixed sharding
-// for uniformity.
-//
-// Every pool helper takes a context that is checked between shards
-// (and, in the radix sort, between passes) — never inside the per-key
-// loops — so a live context costs one Err() call per shard. A nil
-// context means the work cannot be cancelled.
+// Every fan-out goes through one pool, RunIndexed (Run drops the worker
+// index), under one contract. A shard returns an error, and a failed
+// shard does not stop the others. The pool checks its context between
+// shards (and the radix sort between passes), never inside the per-key
+// loops, so a live context costs one Err() call per shard; a nil
+// context cannot be cancelled. A shard that stops early because it saw
+// the context done returns ctx.Err(). The pool returns the context's
+// error if it saw a cancellation, and otherwise the error of the
+// lowest-indexed failed shard, which is the same error for every worker
+// count. A caller needs no check of its own after the fan-out, and
+// discards the partial output of a run that returned an error.
 package parallel
 
 import (
@@ -62,18 +65,13 @@ func Normalize(n int) int {
 // Block is a contiguous index range [Lo, Hi).
 type Block struct{ Lo, Hi int }
 
-// Len returns Hi - Lo.
-func (b Block) Len() int { return b.Hi - b.Lo }
-
 // Blocks splits [0, n) into at most count contiguous, near-equal,
 // non-empty blocks. The boundaries depend only on n and count.
 func Blocks(n, count int) []Block {
 	if n <= 0 || count <= 0 {
 		return nil
 	}
-	if count > n {
-		count = n
-	}
+	count = min(count, n)
 	out := make([]Block, count)
 	for i := 0; i < count; i++ {
 		out[i] = Block{Lo: i * n / count, Hi: (i + 1) * n / count}
@@ -94,9 +92,7 @@ func PairBlocks(n, count int) []Block {
 	if total == 0 {
 		return []Block{{Lo: 0, Hi: n}}
 	}
-	if int64(count) > total {
-		count = int(total)
-	}
+	count = int(min(int64(count), total))
 	pairsBelow := func(u int) int64 { return int64(u) * int64(u-1) / 2 }
 	out := make([]Block, 0, count)
 	lo := 0
@@ -125,22 +121,15 @@ func PairBlocks(n, count int) []Block {
 }
 
 // Run executes fn(shard) for every shard in [0, shards) on up to
-// workers goroutines with dynamic (work-stealing counter) scheduling.
-// Shards may run concurrently and in any order; fn must tolerate that.
-// With workers <= 1 (or a single shard) everything runs on the calling
-// goroutine, which is the serial baseline the benchmarks compare
-// against.
-//
-// Cancellation is cooperative and shard-grained: workers check ctx
-// between shards (never inside fn), and a nil ctx means the pool cannot
-// be cancelled. Run returns nil after every shard executed, or
-// ctx.Err() if cancellation was observed before some claimed shard ran
-// (that shard and any unclaimed ones are skipped). A run that returns
-// nil executed exactly the fixed shard set, so its result is
-// bit-identical for every worker count; the partial output of a
-// cancelled run must be discarded.
-func Run(ctx context.Context, workers, shards int, fn func(shard int)) error {
-	return RunIndexed(ctx, workers, shards, func(_, s int) { fn(s) })
+// workers goroutines with dynamic (work-stealing counter) scheduling,
+// under the contract of the package comment. Shards may run
+// concurrently and in any order; fn must tolerate that. With workers
+// <= 1 (or a single shard) everything runs on the calling goroutine,
+// which is the serial baseline the benchmarks compare against. A run
+// that returns nil executed exactly the fixed shard set, so its result
+// is bit-identical for every worker count.
+func Run(ctx context.Context, workers, shards int, fn func(shard int) error) error {
+	return RunIndexed(ctx, workers, shards, func(_, s int) error { return fn(s) })
 }
 
 // RunIndexed is Run with the executing worker's index (in [0, workers))
@@ -158,60 +147,67 @@ func Run(ctx context.Context, workers, shards int, fn func(shard int)) error {
 // the caller's goroutine with a *WorkerPanic that carries the value and
 // the worker's stack. A caller that recovers it (the server's job
 // goroutine does) can fail one operation and keep running.
-func RunIndexed(ctx context.Context, workers, shards int, fn func(worker, shard int)) error {
+func RunIndexed(ctx context.Context, workers, shards int, fn func(worker, shard int) error) error {
 	if shards <= 0 {
 		return ctxErr(ctx)
-	}
-	if workers > shards {
-		workers = shards
-	}
-	if workers <= 1 {
-		for s := 0; s < shards; s++ {
-			if err := ctxErr(ctx); err != nil {
-				return err
-			}
-			fn(0, s)
-		}
-		return nil
 	}
 	var next atomic.Int64
 	var aborted atomic.Bool
 	var panicked atomic.Pointer[WorkerPanic]
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
-			defer wg.Done()
-			defer func() {
-				if v := recover(); v != nil {
-					p, ok := v.(*WorkerPanic) // a nested pool's, with its own stack
-					if !ok {
-						p = &WorkerPanic{Value: v, Stack: debug.Stack()}
-					}
-					panicked.CompareAndSwap(nil, p)
-				}
-			}()
-			for panicked.Load() == nil {
-				s := int(next.Add(1)) - 1
-				if s >= shards {
-					return
-				}
-				if ctxErr(ctx) != nil {
-					aborted.Store(true)
-					return
-				}
-				fn(worker, s)
+	var mu sync.Mutex
+	failed, firstErr := shards, error(nil) // the lowest failed shard and its error
+	work := func(worker int) {
+		for panicked.Load() == nil {
+			s := int(next.Add(1)) - 1
+			if s >= shards {
+				return
 			}
-		}(w)
+			if ctxErr(ctx) != nil {
+				aborted.Store(true)
+				return
+			}
+			if err := fn(worker, s); err != nil {
+				mu.Lock()
+				if s < failed {
+					failed, firstErr = s, err
+				}
+				mu.Unlock()
+			}
+		}
 	}
-	wg.Wait()
-	if p := panicked.Load(); p != nil {
-		panic(p)
+	if workers = min(workers, shards); workers <= 1 {
+		work(0)
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func(worker int) {
+				defer wg.Done()
+				defer func() {
+					if v := recover(); v != nil {
+						p, ok := v.(*WorkerPanic) // a nested pool's, with its own stack
+						if !ok {
+							p = &WorkerPanic{Value: v}
+						}
+						// Publish before the slow stack capture, so the others
+						// stop claiming shards; the caller reads it after Wait.
+						if panicked.CompareAndSwap(nil, p) && !ok {
+							p.Stack = debug.Stack()
+						}
+					}
+				}()
+				work(worker)
+			}(w)
+		}
+		wg.Wait()
+		if p := panicked.Load(); p != nil {
+			panic(p)
+		}
 	}
 	if aborted.Load() {
 		return ctx.Err()
 	}
-	return nil
+	return firstErr
 }
 
 // WorkerPanic is what RunIndexed panics with in the caller's goroutine
@@ -242,7 +238,10 @@ func ctxErr(ctx context.Context) error {
 // need no synchronization.
 func ForBlocks(ctx context.Context, workers, n int, fn func(shard, lo, hi int)) error {
 	blocks := Blocks(n, DefaultShards)
-	return Run(ctx, workers, len(blocks), func(s int) { fn(s, blocks[s].Lo, blocks[s].Hi) })
+	return Run(ctx, workers, len(blocks), func(s int) error {
+		fn(s, blocks[s].Lo, blocks[s].Hi)
+		return nil
+	})
 }
 
 // SumInt64 reduces fn over the fixed DefaultShards-way split of [0, n),
@@ -250,16 +249,7 @@ func ForBlocks(ctx context.Context, workers, n int, fn func(shard, lo, hi int)) 
 // run is not returned). Integer addition is associative, so the result
 // equals the serial sum for every worker count.
 func SumInt64(ctx context.Context, workers, n int, fn func(lo, hi int) int64) (int64, error) {
-	blocks := Blocks(n, DefaultShards)
-	part := make([]int64, len(blocks))
-	if err := Run(ctx, workers, len(blocks), func(s int) { part[s] = fn(blocks[s].Lo, blocks[s].Hi) }); err != nil {
-		return 0, err
-	}
-	var total int64
-	for _, p := range part {
-		total += p
-	}
-	return total, nil
+	return sum(ctx, workers, n, fn)
 }
 
 // SumFloat64 reduces fn over the fixed DefaultShards-way split of
@@ -269,12 +259,17 @@ func SumInt64(ctx context.Context, workers, n int, fn func(lo, hi int) int64) (i
 // floating-point result is bit-identical for every worker count —
 // including workers = 1.
 func SumFloat64(ctx context.Context, workers, n int, fn func(lo, hi int) float64) (float64, error) {
-	blocks := Blocks(n, DefaultShards)
-	part := make([]float64, len(blocks))
-	if err := Run(ctx, workers, len(blocks), func(s int) { part[s] = fn(blocks[s].Lo, blocks[s].Hi) }); err != nil {
+	return sum(ctx, workers, n, fn)
+}
+
+// sum adds the per-shard partials of fn in shard order; the slots of
+// shards beyond the split stay +0, which leaves every sum unchanged.
+func sum[T int64 | float64](ctx context.Context, workers, n int, fn func(lo, hi int) T) (T, error) {
+	part := make([]T, DefaultShards)
+	if err := ForBlocks(ctx, workers, n, func(s, lo, hi int) { part[s] = fn(lo, hi) }); err != nil {
 		return 0, err
 	}
-	total := 0.0
+	var total T
 	for _, p := range part {
 		total += p
 	}

@@ -79,7 +79,7 @@ func TestRunVisitsEveryShardOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 100} {
 		const shards = 37
 		var hits [shards]atomic.Int32
-		Run(nil, workers, shards, func(s int) { hits[s].Add(1) })
+		Run(nil, workers, shards, func(s int) error { hits[s].Add(1); return nil })
 		for s := range hits {
 			if hits[s].Load() != 1 {
 				t.Fatalf("workers=%d: shard %d visited %d times", workers, s, hits[s].Load())
@@ -93,11 +93,12 @@ func TestRunIndexedVisitsEveryShardWithValidWorker(t *testing.T) {
 		const shards = 29
 		var hits [shards]atomic.Int32
 		var badWorker atomic.Bool
-		RunIndexed(nil, workers, shards, func(worker, s int) {
+		RunIndexed(nil, workers, shards, func(worker, s int) error {
 			if worker < 0 || worker >= workers {
 				badWorker.Store(true)
 			}
 			hits[s].Add(1)
+			return nil
 		})
 		if badWorker.Load() {
 			t.Fatalf("workers=%d: worker index out of range", workers)

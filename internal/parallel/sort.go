@@ -152,7 +152,7 @@ func radixSortParallel(ctx context.Context, workers int, keys, scratch []int64) 
 	S := len(blocks)
 	ors := make([]uint64, S)
 	ands := make([]uint64, S)
-	Run(nil, workers, S, func(s int) {
+	Run(nil, workers, S, func(s int) error {
 		var or uint64
 		and := ^uint64(0)
 		for _, k := range keys[blocks[s].Lo:blocks[s].Hi] {
@@ -160,6 +160,7 @@ func radixSortParallel(ctx context.Context, workers int, keys, scratch []int64) 
 			and &= uint64(k)
 		}
 		ors[s], ands[s] = or, and
+		return nil
 	})
 	var or uint64
 	and := ^uint64(0)
@@ -180,14 +181,13 @@ func radixSortParallel(ctx context.Context, workers int, keys, scratch []int64) 
 			return err
 		}
 		shift := 8 * uint(d)
-		Run(nil, workers, S, func(s int) {
+		Run(nil, workers, S, func(s int) error {
 			h := hist[s*radixBuckets : (s+1)*radixBuckets]
-			for i := range h {
-				h[i] = 0
-			}
+			clear(h)
 			for _, k := range src[blocks[s].Lo:blocks[s].Hi] {
 				h[byte(uint64(k)>>shift)]++
 			}
+			return nil
 		})
 		// Exclusive prefix in (bucket, shard) order: shard s scatters
 		// its bucket-b keys after every lower bucket and after the
@@ -202,13 +202,14 @@ func radixSortParallel(ctx context.Context, workers int, keys, scratch []int64) 
 				total += c
 			}
 		}
-		Run(nil, workers, S, func(s int) {
+		Run(nil, workers, S, func(s int) error {
 			h := hist[s*radixBuckets : (s+1)*radixBuckets]
 			for _, k := range src[blocks[s].Lo:blocks[s].Hi] {
 				b := byte(uint64(k) >> shift)
 				dst[h[b]] = k
 				h[b]++
 			}
+			return nil
 		})
 		src, dst = dst, src
 	}

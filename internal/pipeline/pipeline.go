@@ -18,8 +18,9 @@
 //   - The worker budget is resolved once (Workers() > 0 always) and is
 //     the single source of goroutine bounds below the entry point, and
 //     results are identical for every budget.
-//   - Events are emitted from orchestrating code only and serialized
-//     through one mutex, so a Sink needs no locking of its own.
+//   - Events are emitted from orchestrating code, and from fan-out
+//     shards only through a Counter, and are serialized through one
+//     mutex, so a Sink needs no locking of its own.
 package pipeline
 
 import (
@@ -64,11 +65,7 @@ func New(ctx context.Context, workers int, sink Sink) *Run {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	r := &Run{ctx: ctx, workers: parallel.Normalize(workers), sink: sink}
-	if sink != nil {
-		r.mu = &sync.Mutex{}
-	}
-	return r
+	return &Run{ctx: ctx, workers: parallel.Normalize(workers), sink: sink, mu: &sync.Mutex{}}
 }
 
 // WithTimeout returns a Run whose context is parent (nil means
@@ -76,14 +73,11 @@ func New(ctx context.Context, workers int, sink Sink) *Run {
 // cancel function releasing the deadline's resources. With d <= 0 no
 // deadline is attached and the cancel function is a no-op.
 func WithTimeout(parent context.Context, d time.Duration, workers int, sink Sink) (*Run, context.CancelFunc) {
-	if parent == nil {
-		parent = context.Background()
+	r, cancel := New(parent, workers, sink), context.CancelFunc(func() {})
+	if d > 0 {
+		r.ctx, cancel = context.WithTimeout(r.ctx, d)
 	}
-	if d <= 0 {
-		return New(parent, workers, sink), func() {}
-	}
-	ctx, cancel := context.WithTimeout(parent, d)
-	return New(ctx, workers, sink), cancel
+	return r, cancel
 }
 
 // Context returns the Run's context; context.Background() for a nil Run.
@@ -96,12 +90,7 @@ func (r *Run) Context() context.Context {
 
 // Err returns the context's error: nil while the Run is live,
 // context.Canceled or context.DeadlineExceeded once it is not.
-func (r *Run) Err() error {
-	if r == nil {
-		return nil
-	}
-	return r.ctx.Err()
-}
+func (r *Run) Err() error { return r.Context().Err() }
 
 // Workers returns the resolved worker budget (always >= 1).
 func (r *Run) Workers() int {
@@ -157,15 +146,23 @@ func (r *Run) Stage(name string) func() {
 
 // Progress emits an intermediate progress event for the named stage;
 // frac is clamped into [0, 1].
-func (r *Run) Progress(name string, frac float64) {
+func (r *Run) Progress(name string, frac float64) { r.emit(name, min(max(frac, 0), 1)) }
+
+// Counter returns the tick function of a stage of total units that
+// concurrent workers finish. Each tick marks one unit done, and the
+// fraction done is reported once per whole percent: at most ~100
+// events, rising, and the last unit reports 1. A fan-out shard's tick
+// is its only progress call. Without a sink a tick does nothing.
+func (r *Run) Counter(stage string, total int) (tick func()) {
 	if r == nil || r.sink == nil {
-		return
+		return func() {}
 	}
-	if frac < 0 {
-		frac = 0
+	done, whole := int64(0), int64(max(total, 1)) // done under r.mu
+	return func() {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if done++; done*100/whole > (done-1)*100/whole {
+			r.sink(Event{Stage: r.prefix + stage, Frac: min(float64(done)/float64(whole), 1)})
+		}
 	}
-	if frac > 1 {
-		frac = 1
-	}
-	r.emit(name, frac)
 }

@@ -137,3 +137,40 @@ func TestWithTimeout(t *testing.T) {
 		t.Error("unexpected deadline for d = 0")
 	}
 }
+
+// TestCounterRisesOncePerPercent ticks a Counter from 8 goroutines: the
+// stage's events rise, end at 1 and come at most once per whole
+// percent; below 100 units every unit reports. A sink-less run's
+// Counter is a no-op.
+func TestCounterRisesOncePerPercent(t *testing.T) {
+	for _, total := range []int{7, 100, 1000, 4099} {
+		var fracs []float64
+		r := New(nil, 8, func(e Event) { fracs = append(fracs, e.Frac) })
+		tick := r.Sub("outer").Counter("c", total)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := g; i < total; i += 8 {
+					tick()
+				}
+			}(g)
+		}
+		wg.Wait()
+		if want := min(total, 100); len(fracs) != want {
+			t.Fatalf("total %d: %d events, want %d", total, len(fracs), want)
+		}
+		for i, f := range fracs {
+			if f <= 0 || i > 0 && f <= fracs[i-1] {
+				t.Fatalf("total %d: events %v do not rise", total, fracs)
+			}
+		}
+		if last := fracs[len(fracs)-1]; last != 1 {
+			t.Fatalf("total %d: last event %v, want 1", total, last)
+		}
+	}
+	New(nil, 1, nil).Counter("c", 10)() // no sink: nothing to report
+	var nilRun *Run
+	nilRun.Counter("c", 10)()
+}

@@ -794,3 +794,40 @@ func TestServerUnjournaledTerminalNeverEvicted(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestServerReadyzJournalUnwritable: an admission whose journal append
+// fails answers 500, and from then on /readyz answers 503 "journal
+// unwritable" with a Retry-After, until a later admission journals.
+func TestServerReadyzJournalUnwritable(t *testing.T) {
+	inj := faultfs.NewInjector(nil)
+	jnl, err := journal.OpenFS(inj, filepath.Join(t.TempDir(), "journal.dpkj"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl.Close()
+	s := New(Options{Workers: 1, MaxJobs: 1, Journal: jnl})
+	ts := httptest.NewServer(s.Handler())
+	defer func() { ts.Close(); s.Close() }()
+	req := GenerateRequest{A: 0.9, B: 0.5, C: 0.3, K: 5, Seed: 1, OmitEdges: true}
+
+	inj.Fail(faultfs.Fault{Op: faultfs.OpWrite, Path: "journal"})
+	if code, resp := doJSON(t, http.MethodPost, ts.URL+"/v1/generate", req); code != http.StatusInternalServerError {
+		t.Fatalf("admission over a failing journal write: %d %v, want 500", code, resp)
+	}
+	code, body, hdr := doJSONHeaders(t, http.MethodGet, ts.URL+"/readyz", nil)
+	if code != http.StatusServiceUnavailable || body["status"] != "journal unwritable" {
+		t.Fatalf("readyz after a failed append: %d %v, want 503 journal unwritable", code, body)
+	}
+	if hdr.Get("Retry-After") == "" {
+		t.Error("journal-unwritable readyz carries no Retry-After")
+	}
+
+	code, resp := doJSON(t, http.MethodPost, ts.URL+"/v1/generate", req)
+	if code != http.StatusAccepted {
+		t.Fatalf("admission after the fault: %d %v, want 202", code, resp)
+	}
+	if code, body := doJSON(t, http.MethodGet, ts.URL+"/readyz", nil); code != http.StatusOK || body["status"] != "ready" {
+		t.Fatalf("readyz once an admission journaled: %d %v, want 200 ready", code, body)
+	}
+	pollJob(t, ts.URL, resp["id"].(string), 30*time.Second)
+}

@@ -214,17 +214,26 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 // handleReady serves GET /readyz: the load-balancer signal, distinct
 // from /healthz liveness. A draining server is alive (200 /healthz —
 // don't restart it, it's finishing journaled work) but not ready (503
-// here — stop routing new traffic to it before SIGTERM completes).
+// here — stop routing new traffic to it before SIGTERM completes). A
+// server whose last journal append failed is not ready either, since
+// its next admission may fail the same way; it is ready again once an
+// append succeeds.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	draining := s.draining
 	s.mu.Unlock()
+	status := "ready"
 	if draining {
+		status = "draining"
+	} else if s.opts.Journal != nil && s.opts.Journal.Unwritable() != nil {
+		status = "journal unwritable"
+	}
+	if status != "ready" {
 		w.Header().Set("Retry-After", "10")
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": status})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	writeJSON(w, http.StatusOK, map[string]string{"status": status})
 }
 
 // handleHealth serves GET /healthz, the liveness probe.

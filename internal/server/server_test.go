@@ -1172,10 +1172,11 @@ func TestServerJobPanicFailsOnlyThatJob(t *testing.T) {
 		return j.id
 	}
 	id := submit(func(run *pipeline.Run) (any, error) {
-		err := parallel.RunIndexed(run.Context(), 2, 64, func(_, shard int) {
+		err := parallel.RunIndexed(run.Context(), 2, 64, func(_, shard int) error {
 			if shard == 5 {
 				explodeInKernel()
 			}
+			return nil
 		})
 		return "unreachable", err
 	})
@@ -1198,7 +1199,7 @@ func TestServerJobPanicFailsOnlyThatJob(t *testing.T) {
 		t.Fatalf("job panic log record = %v", logged)
 	}
 	next := submit(func(run *pipeline.Run) (any, error) {
-		return "ok", parallel.Run(run.Context(), 2, 64, func(int) {})
+		return "ok", parallel.Run(run.Context(), 2, 64, func(int) error { return nil })
 	})
 	if job := pollJob(t, base, next, 30*time.Second); job["status"] != StatusDone {
 		t.Fatalf("job after the panic ended %v: %v", job["status"], job)

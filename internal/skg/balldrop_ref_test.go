@@ -62,7 +62,7 @@ func (m Model) sampleBallDropNRef(rng *randx.Rand, target, workers int) *graph.G
 		return q
 	}
 	parts := make([][]int64, shards)
-	parallel.Run(nil, parallel.Normalize(workers), shards, func(s int) {
+	parallel.Run(nil, parallel.Normalize(workers), shards, func(s int) error {
 		r := rngs[s]
 		q := quota(s)
 		local := make(map[int64]struct{}, 2*q)
@@ -83,6 +83,7 @@ func (m Model) sampleBallDropNRef(rng *randx.Rand, target, workers int) *graph.G
 			keys = append(keys, key)
 		}
 		parts[s] = keys
+		return nil
 	})
 
 	seen := make(map[int64]struct{}, 2*target)

@@ -331,7 +331,7 @@ func (m Model) sampleExact(run *pipeline.Run, rng *randx.Rand, sink keySink) err
 	// in-memory shard appends without regrowth.
 	density := 2 * m.ExpectedFeatures().E / (float64(n) * float64(n-1))
 	pairsBelow := func(u int) float64 { return float64(u) * float64(u-1) / 2 }
-	err := runShards(run, len(blocks), func(s int) error {
+	err := parallel.Run(run.Context(), run.Workers(), len(blocks), func(s int) error {
 		hint := int(density*(pairsBelow(blocks[s].Hi)-pairsBelow(blocks[s].Lo))*1.2) + 16
 		r, w := rngs[s], sink.writer(s, hint)
 		for u := blocks[s].Lo; u < blocks[s].Hi; u++ {
@@ -382,12 +382,15 @@ func (m Model) ballDrop(run *pipeline.Run, rng *randx.Rand, target int, sink key
 	// 1000 for the top-up: dense targets on tiny graphs may need many
 	// re-drops, and the caps are far beyond what the sparse regimes of
 	// the paper require but keep the routine total.
-	err = runShards(run, shards, func(s int) error {
+	err = parallel.Run(ctx, run.Workers(), shards, func(s int) error {
 		q := target / shards
 		if s < target%shards {
 			q++
 		}
-		keys, _ := m.dropUnique(ctx, rngs[s], t, q, 200*q+1000, nil) // a nil probe cannot fail
+		keys, err := m.dropUnique(ctx, rngs[s], t, q, 200*q+1000, nil)
+		if err != nil {
+			return err
+		}
 		w := sink.writer(s, 0)
 		return errors.Join(w.AddSorted(keys), w.Close())
 	})
@@ -398,30 +401,7 @@ func (m Model) ballDrop(run *pipeline.Run, rng *randx.Rand, target int, sink key
 	if err != nil || placed >= target {
 		return nil, err
 	}
-	extra, err = m.dropUnique(ctx, rngs[shards], t, target-placed, 200*target+1000, contains)
-	if err != nil {
-		return nil, err
-	}
-	if err := run.Err(); err != nil {
-		return nil, err
-	}
-	return extra, nil
-}
-
-// runShards fans fn out over count shards on run's worker budget and
-// returns the run's error, else the shards' errors. The run is
-// re-checked after the fan-out because a drop loop returns early (with
-// a partial shard) when it observes cancellation, which parallel.Run
-// cannot see.
-func runShards(run *pipeline.Run, count int, fn func(s int) error) error {
-	errs := make([]error, count)
-	if err := parallel.Run(run.Context(), run.Workers(), count, func(s int) { errs[s] = fn(s) }); err != nil {
-		return err
-	}
-	if err := run.Err(); err != nil {
-		return err
-	}
-	return errors.Join(errs...)
+	return m.dropUnique(ctx, rngs[shards], t, target-placed, 200*target+1000, contains)
 }
 
 // memSink keeps the shards' keys on the heap, one slot per shard (no
@@ -535,9 +515,9 @@ func (m Model) dropPair(r *randx.Rand, t [3]uint64) (u, v int) {
 // key set and the final state of r are therefore identical to the
 // map-based implementation for every seed.
 //
-// It returns early, with the keys accepted so far, once ctx is done.
-// A probe error aborts the draw (the caller discards the partial state
-// along with the rng).
+// It stops with ctx.Err() once ctx is done, and a probe error aborts
+// the draw too (the caller discards the partial state along with the
+// rng).
 func (m Model) dropUnique(ctx context.Context, r *randx.Rand, t [3]uint64, need, maxAttempts int, excluded func(int64) (bool, error)) ([]int64, error) {
 	accepted := make([]int64, 0, need)
 	// No round gathers more than need candidates, so cand never regrows.
@@ -545,8 +525,8 @@ func (m Model) dropUnique(ctx context.Context, r *randx.Rand, t [3]uint64, need,
 	var scratch []int64
 	attempts := 0
 	for len(accepted) < need && attempts < maxAttempts {
-		if ctx.Err() != nil {
-			return accepted, nil
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 		want := need - len(accepted)
 		cand = cand[:0]

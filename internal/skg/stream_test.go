@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"dpkron/internal/extsort"
@@ -196,5 +197,47 @@ func TestBallDropSinksAgreeOnEdgePaths(t *testing.T) {
 			}
 			sorter.RemoveAll()
 		}
+	}
+}
+
+// errAfter is a context whose Err turns to context.Canceled at call
+// n+1 and stays so: a cancellation that lands at a chosen check.
+type errAfter struct {
+	context.Context
+	n, calls atomic.Int64
+}
+
+func (c *errAfter) Err() error {
+	if c.calls.Add(1) > c.n.Load() {
+		return context.Canceled
+	}
+	return nil
+}
+
+// writerCount is a memSink that counts the shards that handed it keys.
+type writerCount struct {
+	*memSink
+	writers atomic.Int64
+}
+
+func (w *writerCount) writer(s, hint int) keyWriter {
+	w.writers.Add(1)
+	return w.memSink.writer(s, hint)
+}
+
+// TestBallDropCancelledMidShard cancels a one-shard ball drop after the
+// pool's check and before the shard's first drop round. The shard stops
+// with context.Canceled, which the pool returns as the shard's error,
+// and no partial keys reach the sink.
+func TestBallDropCancelledMidShard(t *testing.T) {
+	m := mustModel(t, 0.9, 0.6, 0.3, 9)
+	ctx := &errAfter{Context: context.Background()}
+	ctx.n.Store(1) // the pool's check before shard 0 passes
+	sink := &writerCount{memSink: newMemSink()}
+	if _, err := m.ballDrop(pipeline.New(ctx, 1, nil), randx.New(11), 1, sink); err != context.Canceled {
+		t.Fatalf("ball drop cancelled mid-shard returned %v, want context.Canceled", err)
+	}
+	if n := sink.writers.Load(); n != 0 {
+		t.Fatalf("%d cancelled shards handed keys to the sink", n)
 	}
 }

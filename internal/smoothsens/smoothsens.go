@@ -130,18 +130,19 @@ func MaxCommonNeighborsCtx(run *pipeline.Run, g *graph.Graph) (int, error) {
 	for i := 1; i < len(counts); i++ {
 		counts[i], orders[i] = make([]int32, n), make([]uint64, len(firstOrder))
 	}
-	err := parallel.RunIndexed(run.Context(), w, len(blocks), func(worker, sh int) {
+	err := parallel.RunIndexed(run.Context(), w, len(blocks), func(worker, sh int) error {
 		for _, u := range cands[blocks[sh].Lo:blocks[sh].Hi] {
 			du, lim := off[u+1]-off[u], best.Load()
 			if du <= lim {
 				// Every later source has degree ≤ du ≤ best: done.
-				return
+				return nil
 			}
 			c := scan(counts[worker], orders[worker], off, adj, u, du, lim)
 			for c > lim && !best.CompareAndSwap(lim, c) {
 				lim = best.Load()
 			}
 		}
+		return nil
 	})
 	if err != nil {
 		return 0, err

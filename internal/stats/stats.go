@@ -20,8 +20,6 @@ package stats
 import (
 	"math/bits"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"dpkron/internal/graph"
 	"dpkron/internal/parallel"
@@ -161,7 +159,7 @@ func trianglesCtx(run *pipeline.Run, g *graph.Graph, perNode bool) (int64, []int
 			parts[i].per = make([]int64, n)
 		}
 	}
-	err := parallel.RunIndexed(run.Context(), w, len(blocks), func(worker, sh int) {
+	err := parallel.RunIndexed(run.Context(), w, len(blocks), func(worker, sh int) error {
 		sc := &parts[worker]
 		stamp, per := sc.stamp, sc.per
 		for v := int32(blocks[sh].Lo); v < int32(blocks[sh].Hi); v++ {
@@ -201,6 +199,7 @@ func trianglesCtx(run *pipeline.Run, g *graph.Graph, perNode bool) (int64, []int
 				per[v] += found
 			}
 		}
+		return nil
 	})
 	if err != nil {
 		return 0, nil, err
@@ -399,8 +398,8 @@ func ConnectedComponents(g *graph.Graph) (labels []int, sizes []int) {
 // context is checked between them. Each worker sums its own distance
 // histogram; the counts are integers, so the result is identical for
 // every worker count. A "hop-plot" stage event pair brackets the call,
-// with at most ~100 fractional progress events in between, and a
-// cancelled run returns run.Err().
+// and a pipeline.Run.Counter over the batches reports at most ~100
+// rising fractions in between; a cancelled run returns run.Err().
 func HopPlotCtx(run *pipeline.Run, g *graph.Graph) ([]int64, error) {
 	done := run.Stage("hop-plot")
 	n := g.NumNodes()
@@ -432,22 +431,12 @@ func HopPlotCtx(run *pipeline.Run, g *graph.Graph) ([]int64, error) {
 	for i := range parts {
 		parts[i].words = make([]laneWord, words)
 	}
-	var finished atomic.Int64
-	var mu sync.Mutex
-	shown, total := int64(0), int64(batches)
-	err := parallel.RunIndexed(run.Context(), w, batches, func(worker, batch int) {
+	tick := run.Counter("hop-plot", batches)
+	err := parallel.RunIndexed(run.Context(), w, batches, func(worker, batch int) error {
 		sc := &parts[worker]
 		msbfsBatch(off, adj, int(bounds[batch]), int(bounds[batch+1]), sc.words, &sc.pairsAt)
-		// Report each whole percent once; the lock keeps the reported
-		// fractions rising when two workers finish together.
-		if f := finished.Add(1); f*100/total > (f-1)*100/total {
-			mu.Lock()
-			if f > shown {
-				shown = f
-				run.Progress("hop-plot", float64(f)/float64(total))
-			}
-			mu.Unlock()
-		}
+		tick()
+		return nil
 	})
 	if err != nil {
 		return nil, err
